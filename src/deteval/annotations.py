@@ -9,6 +9,7 @@ every operation returns new values.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .geometry import BBox, BitMask, InstanceMask, Polygon, RLEMask, rle_encode
+from .geometry import BBox, BitMask, InstanceMask, Polygon, RLEMask, rle_decode, rle_encode
 
 ROAD_CLASS_NAMES = (
     "Crack1",
@@ -282,6 +283,8 @@ def _parse_bbox(raw, where: str) -> BBox:
         x, y, w, h = (float(v) for v in raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric bbox") from exc
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise GeometryError(f"{where}: non-finite bbox {[x, y, w, h]}")
     if w < 0 or h < 0:
         raise GeometryError(f"{where}: negative bbox extent")
     return BBox(x, y, w, h)
@@ -590,7 +593,7 @@ def _rescale_mask(mask, sx, sy, canvas, force, where):
             f"{where}: RLE-only mask cannot be rescaled from polygons; "
             "pass force to resample"
         )
-    bits, _, _ = mask.window()
+    bits = rle_decode(mask.rle).bits
     src_h, src_w = bits.shape
     to_w, to_h = canvas
     rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)

@@ -219,6 +219,37 @@ def rle_decode(rle: RLEMask) -> BitMask:
     return BitMask(flat.reshape(rle.height, rle.width))
 
 
+def _rle_window(rle: RLEMask) -> tuple[np.ndarray, int, int]:
+    """Decode only the rows and columns a run-length grid occupies.
+
+    Returns ``(bits, x0, y0)`` like :meth:`InstanceMask.window`; an empty
+    grid gives a 0x0 window at the origin. A one-run that wraps onto the
+    next row spans the full width.
+    """
+    runs = np.asarray(rle.runs, dtype=np.int64)
+    ends = np.cumsum(runs)
+    starts, ends = (ends - runs)[1::2], ends[1::2]
+    nonempty = ends > starts
+    starts, ends = starts[nonempty], ends[nonempty]
+    if starts.size == 0:
+        return np.zeros((0, 0), dtype=bool), 0, 0
+    w = rle.width
+    r0, r1 = int(starts[0] // w), int((ends[-1] - 1) // w) + 1
+    if np.all(starts // w == (ends - 1) // w):
+        c0, c1 = int((starts % w).min()), int(((ends - 1) % w).max()) + 1
+    else:
+        c0, c1 = 0, w
+    # the band of occupied rows: alternating zero and one runs between its
+    # first pixel, each one-run's start and end, and its last pixel
+    bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = r0 * w, r1 * w
+    bounds[1:-1:2], bounds[2:-1:2] = starts, ends
+    values = np.zeros(bounds.size - 1, dtype=bool)
+    values[1::2] = True
+    band = np.repeat(values, np.diff(bounds)).reshape(r1 - r0, w)
+    return band[:, c0:c1].copy(), c0, r0
+
+
 def _raster_window(polygons, x0: int, y0: int, width: int, height: int) -> np.ndarray:
     """Rasterize a union of polygon rings onto the window whose top-left
     pixel is ``(x0, y0)`` in polygon coordinates.
@@ -293,10 +324,10 @@ class InstanceMask:
     when known; polygon windows are clipped to it. The rasterized form is an
     anchored window: a local bit grid plus the window's top-left pixel
     coordinates, equivalent to the same polygons rasterized on the full
-    canvas.
+    canvas. A run-length window covers only the occupied rows and columns.
     """
 
-    __slots__ = ("polygons", "rle", "canvas", "_window")
+    __slots__ = ("polygons", "rle", "canvas", "_window", "_area")
 
     def __init__(self, polygons=None, rle: RLEMask | None = None, canvas=None):
         if (polygons is None) == (rle is None):
@@ -313,12 +344,13 @@ class InstanceMask:
             # the run-length grid defines its own canvas
             self.canvas = (rle.width, rle.height)
         self._window = None
+        self._area = None
 
     def window(self) -> tuple[np.ndarray, int, int]:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""
         if self._window is None:
             if self.rle is not None:
-                self._window = (rle_decode(self.rle).bits, 0, 0)
+                self._window = _rle_window(self.rle)
             else:
                 xmin = min(p.bounds()[0] for p in self.polygons)
                 ymin = min(p.bounds()[1] for p in self.polygons)
@@ -335,10 +367,12 @@ class InstanceMask:
 
     @property
     def area(self) -> int:
-        if self.rle is not None:
-            return self.rle.area
-        bits, _, _ = self.window()
-        return int(np.count_nonzero(bits))
+        if self._area is None:
+            if self.rle is not None:
+                self._area = self.rle.area
+            else:
+                self._area = int(np.count_nonzero(self.window()[0]))
+        return self._area
 
     def scaled(self, sx: float, sy: float, canvas=None) -> "InstanceMask":
         if self.polygons is None:

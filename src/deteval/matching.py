@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import Annotation, Detection, LabelMap
-from .errors import ConfigError, MissingReferenceError, NonTerminationError
+from .errors import (
+    ConfigError,
+    GeometryError,
+    MissingReferenceError,
+    NonTerminationError,
+)
 from .geometry import box_iou
 
 GEOMETRY_MODES = ("boxes", "masks")
@@ -81,20 +86,90 @@ def pair_iou(gt: Annotation, det: Detection, mode: str) -> float:
     return box_iou(gt.bbox, det.bbox)
 
 
+def _box_columns(items) -> tuple[np.ndarray, ...]:
+    xywh = np.array(
+        [(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in items], dtype=np.float64
+    ).reshape(-1, 4)
+    return tuple(xywh.T)
+
+
+def _box_iou_matrix(gts, dets) -> np.ndarray:
+    """:func:`box_iou` of every (gt, det) pair, in its operation order."""
+    ax, ay, aw, ah = (c[:, None] for c in _box_columns(gts))
+    bx, by, bw, bh = (c[None, :] for c in _box_columns(dets))
+    # overflow to inf is silent, as in the scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+        area_a, area_b = aw * ah, bw * bh
+        inter = np.minimum(np.minimum(inter, area_a), area_b)
+        union = (area_a + area_b) - inter
+        return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0))
+
+
+def _window_rects(masks) -> np.ndarray:
+    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask."""
+    rects = np.zeros((len(masks), 4), dtype=np.int64)
+    for k, m in enumerate(masks):
+        bits, x0, y0 = m.window()
+        rects[k] = (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
+    return rects
+
+
+def iou_matrix(gts, dets, mode: str) -> np.ndarray:
+    """IoU of every (gt, det) pair as a ``(len(gts), len(dets))`` float64 array.
+
+    Each cell equals :func:`pair_iou` of its pair exactly, for finite boxes.
+    Boxes are computed by broadcasting. In masks mode, pairs whose mask
+    windows are disjoint are exactly 0.0, only overlapping windows are
+    intersected, and pairs missing a mask keep their box IoU.
+    """
+    ious = _box_iou_matrix(gts, dets)
+    if mode != "masks":
+        return ious
+    rows = [i for i, g in enumerate(gts) if g.mask is not None]
+    cols = [j for j, d in enumerate(dets) if d.mask is not None]
+    if not rows or not cols:
+        return ious
+    gmasks = [gts[i].mask for i in rows]
+    dmasks = [dets[j].mask for j in cols]
+    _check_canvases(gmasks, dmasks)
+    a, b = _window_rects(gmasks)[:, None], _window_rects(dmasks)[None, :]
+    lo = np.maximum(a[..., :2], b[..., :2])
+    hi = np.minimum(a[..., 2:], b[..., 2:])
+    overlap = (lo < hi).all(axis=2)
+    masked = np.zeros(overlap.shape)
+    for i, j in zip(*np.nonzero(overlap)):
+        masked[i, j] = gmasks[i].iou(dmasks[j])
+    ious[np.ix_(rows, cols)] = masked
+    return ious
+
+
+def _check_canvases(gmasks, dmasks) -> None:
+    """Raise as :meth:`InstanceMask.iou` does for the first (gt, det) pair
+    whose known canvases differ, whether or not their windows overlap."""
+    gsizes = {m.canvas for m in gmasks} - {None}
+    dsizes = {m.canvas for m in dmasks} - {None}
+    if not gsizes or not dsizes or len(gsizes | dsizes) == 1:
+        return
+    for g in gmasks:
+        for d in dmasks:
+            if None not in (g.canvas, d.canvas) and g.canvas != d.canvas:
+                raise GeometryError(f"mask canvases differ: {g.canvas} vs {d.canvas}")
+
+
 def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
-    """All (gt, det) pairs at or above the IoU threshold.
+    """All (gt, det) pairs at or above the IoU threshold, in (gt, det) order.
 
     Detections are expected to be pre-filtered to the confidence threshold;
     all items must belong to one image.
     """
+    ious = iou_matrix(gts, dets, t.geometry_mode)
     pairs = []
-    for gt in gts:
-        for det in dets:
-            iou = pair_iou(gt, det, t.geometry_mode)
-            if iou >= t.iou_threshold:
-                pairs.append(
-                    MatchPair(gt, det, iou, gt.class_id == det.class_id)
-                )
+    for i, j in zip(*np.nonzero(ious >= t.iou_threshold)):
+        gt, det = gts[i], dets[j]
+        pairs.append(MatchPair(gt, det, float(ious[i, j]), gt.class_id == det.class_id))
     return pairs
 
 

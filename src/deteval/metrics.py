@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotations import DetectionSet, GroundTruthSet
 from .errors import ConfigError
-from .matching import ConfusionMatrix, Thresholds, match_dataset, pair_iou
+from .matching import ConfusionMatrix, Thresholds, iou_matrix, match_dataset
 from .geometry import SizeClass, size_class
 
 IOU_SWEEP = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -99,24 +99,40 @@ class GreedyEvaluator:
         self._acc: dict = {}
         self._images = [im.image_id for im in gt_set.images]
 
-        for img_id, anns in gt_set.by_image().items():
+        # each image's detections in score order, so every class's share of
+        # them is in score order too
+        self._image_gts = gt_set.by_image()
+        self._image_dets = {
+            img_id: sorted(dets, key=lambda d: (-d.score, d.det_id))
+            for img_id, dets in det_set.by_image().items()
+        }
+        for img_id, anns in self._image_gts.items():
             for ann in anns:
                 self._gts.setdefault((img_id, ann.class_id), []).append(ann)
-        for img_id, dets in det_set.by_image().items():
+        for img_id, dets in self._image_dets.items():
             for det in dets:
                 self._dets.setdefault((img_id, det.class_id), []).append(det)
-        for key, dets in self._dets.items():
-            dets.sort(key=lambda d: (-d.score, d.det_id))
 
     def _iou_matrix(self, key) -> np.ndarray:
+        """The (D, G) IoU block of one (image, class) cell.
+
+        The first request for an image computes one matrix over all of its
+        ground truths and detections and slices out every class's block.
+        """
         if key not in self._ious:
-            gts = self._gts.get(key, [])
-            dets = self._dets.get(key, [])
-            m = np.zeros((len(dets), len(gts)))
+            img_id = key[0]
+            gts = self._image_gts.get(img_id, [])
+            dets = self._image_dets.get(img_id, [])
+            ious = iou_matrix(gts, dets, self.mode)
+            rows: dict[int, list[int]] = {}
+            cols: dict[int, list[int]] = {}
+            for j, g in enumerate(gts):
+                rows.setdefault(g.class_id, []).append(j)
             for i, d in enumerate(dets):
-                for j, g in enumerate(gts):
-                    m[i, j] = pair_iou(g, d, self.mode)
-            self._ious[key] = m
+                cols.setdefault(d.class_id, []).append(i)
+            for cid in rows.keys() | cols.keys():
+                block = ious[np.ix_(rows.get(cid, []), cols.get(cid, []))]
+                self._ious[(img_id, cid)] = block.T
         return self._ious[key]
 
     def _det_area(self, det) -> float:

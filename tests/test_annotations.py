@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import minimal_gt_dict, write_json
@@ -24,7 +25,7 @@ from deteval.errors import (
     ParseError,
     ValidationError,
 )
-from deteval.geometry import BBox, InstanceMask, Polygon
+from deteval.geometry import BBox, BitMask, InstanceMask, Polygon, rle_encode
 
 # Per-class testing-split sizes of the 12-class road dataset the default
 # label map mirrors; used to build proportional synthetic sets.
@@ -274,6 +275,17 @@ class TestRescale:
         gt = self._gt(tmp_path, seg=seg)
         out = rescale(gt, 960, 540, force=True)
         assert out.annotations[0].mask.area == 960 * 540
+
+    def test_rle_force_resamples_whole_canvas_of_partial_mask(self, tmp_path):
+        bits = np.zeros((20, 30), dtype=bool)
+        bits[6:10, 5:13] = True  # an 8x4 block
+        seg = {"size": [20, 30], "counts": list(rle_encode(BitMask(bits)).runs)}
+        gt = self._gt(tmp_path, bbox=(5, 6, 8, 4), seg=seg, size=(30, 20))
+        mask = rescale(gt, 60, 40, force=True).annotations[0].mask
+        assert mask.area == 128
+        expected = np.zeros((40, 60), dtype=bool)
+        expected[12:20, 10:26] = True
+        assert mask.to_bitmask(60, 40) == BitMask(expected)
 
     def test_detections_need_image_table(self, tmp_path):
         dets = load_detections(

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import minimal_gt_dict, write_json
 from deteval.cli import main
 
@@ -119,6 +120,34 @@ class TestEvaluate:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_gt_box_exits_2(self, tmp_path, capsys, bad):
+        _, det = simple_pair(tmp_path)
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["bbox"] = [0, 0, float(bad), 10]
+        gt = write_json(tmp_path / "gt.json", doc)
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "annotation 1: non-finite bbox" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_detection_box_exits_2(self, tmp_path, capsys, bad):
+        gt, _ = simple_pair(tmp_path)
+        det = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, float(bad)],
+              "score": 0.9}],
+        )
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "detection 0: non-finite bbox" in capsys.readouterr().err
 
     def test_ap_fields_identical_across_algorithms(self, tmp_path):
         gt, det = road_pair(tmp_path)

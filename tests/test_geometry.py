@@ -332,6 +332,60 @@ class TestInstanceMask:
         assert inst.area == 8
 
 
+@st.composite
+def rle_grids(draw):
+    """Run-length grids from sorted cut points: runs may be empty, wrap
+    across rows or end on the last pixel."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, w * h), max_size=8)))
+    return RLEMask(w, h, tuple(np.diff([0, *cuts, w * h]).tolist()))
+
+
+class TestCroppedRleWindow:
+    @staticmethod
+    def assert_round_trip(rle):
+        inst = InstanceMask(rle=rle)
+        full = rle_decode(rle)
+        assert inst.to_bitmask(rle.width, rle.height) == full
+        assert inst.area == full.area
+        bits, x0, y0 = inst.window()
+        if full.area:
+            rows = np.flatnonzero(full.bits.any(axis=1))
+            assert (y0, bits.shape[0]) == (rows[0], rows[-1] - rows[0] + 1)
+            assert bits.any(axis=0)[[0, -1]].all() or bits.shape[1] == rle.width
+        else:
+            assert bits.size == 0
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            (20,),  # empty
+            (0, 20),  # full
+            (19, 1),  # only the last pixel
+            (0, 1, 19),  # only the first pixel
+            (3, 4, 13),  # one run wrapping from row 0 onto row 1
+            (6, 1, 4, 1, 8),  # two pixels a row apart, in one column
+            (0, 2, 0, 3, 15),  # an empty zero run between one runs
+        ],
+    )
+    def test_edge_cases(self, runs):
+        self.assert_round_trip(RLEMask(5, 4, runs))
+
+    @given(rle_grids())
+    @settings(max_examples=300)
+    def test_round_trip_property(self, rle):
+        self.assert_round_trip(rle)
+
+    def test_window_is_cropped_to_the_object(self):
+        bits = np.zeros((540, 960), dtype=bool)
+        bits[200:210, 500:510] = True
+        inst = InstanceMask(rle=rle_encode(BitMask(bits)), canvas=(960, 540))
+        window, x0, y0 = inst.window()
+        assert window.size <= 100
+        assert (x0, y0) == (500, 200)
+        assert inst.area == 100
+
+
 def _random_star(rng, size):
     cx, cy = rng.uniform(4, size - 4, size=2)
     k = int(rng.integers(3, 9))

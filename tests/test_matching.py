@@ -2,17 +2,19 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deteval.annotations import Annotation, Detection, LabelMap
 from deteval.errors import ConfigError
-from deteval.geometry import BBox
+from deteval.geometry import BBox, BitMask, InstanceMask, Polygon, rle_encode
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
     accumulate,
+    iou_matrix,
     iou_table,
+    pair_iou,
     match_conventional,
     match_modified,
 )
@@ -366,6 +368,112 @@ class TestHypothesisProperties:
             assert set(matched_d) | {d.det_id for d in res.unmatched_dets} == visible
 
 
+# coordinates that give shared edges and exact ratios (integers), sums that
+# round (tenths: 0.1 + 0.2 != 0.3) and arbitrary finite values
+COORD = st.one_of(
+    st.integers(-4, 12).map(float),
+    st.integers(0, 120).map(lambda k: k / 10),
+    st.floats(-50, 100, allow_nan=False, allow_infinity=False),
+)
+EXTENT = st.one_of(st.just(0.0), COORD.map(abs))
+BOX = st.tuples(COORD, COORD, EXTENT, EXTENT)
+
+CANVAS = (16, 12)
+
+
+@st.composite
+def masked_item(draw):
+    """A box plus a mask that is missing, run-length or polygon, placed on a
+    small canvas so windows overlap, touch edge to edge or sit on its
+    border; a zero-size block gives an empty run-length mask."""
+    w, h = CANVAS
+    x0, y0 = draw(st.integers(0, w)), draw(st.integers(0, h))
+    bw, bh = draw(st.integers(0, w - x0)), draw(st.integers(0, h - y0))
+    kind = draw(st.sampled_from(["none", "rle", "polygon"]))
+    mask = None
+    if kind == "rle":
+        bits = np.zeros((h, w), dtype=bool)
+        bits[y0 : y0 + bh, x0 : x0 + bw] = True
+        if draw(st.booleans()):  # knock holes in the block
+            bits &= np.random.default_rng(draw(st.integers(0, 99))).random((h, w)) < 0.7
+        mask = InstanceMask(rle=rle_encode(BitMask(bits)))
+    elif kind == "polygon" and bw and bh:
+        mask = InstanceMask(
+            polygons=[Polygon.from_flat([x0, y0, x0 + bw, y0, x0 + bw, y0 + bh, x0, y0 + bh])]
+        )
+    box = draw(st.one_of(st.just((x0, y0, bw, bh)), BOX))
+    return box, mask
+
+
+def _masked_scene(gitems, ditems):
+    gts = [
+        Annotation(i + 1, 1, 1, BBox(*b), mask=_on_canvas(m), area=1.0)
+        for i, (b, m) in enumerate(gitems)
+    ]
+    dets = [Detection(j, 1, 1, BBox(*b), score=0.9, mask=m) for j, (b, m) in enumerate(ditems)]
+    return gts, dets
+
+
+def _on_canvas(mask):
+    # ground-truth masks carry their image size, as loading gives them
+    if mask is None or mask.rle is not None:
+        return mask
+    return InstanceMask(polygons=mask.polygons, canvas=CANVAS)
+
+
+class TestIouMatrixDifferential:
+    """Every cell of ``iou_matrix`` equals the scalar ``pair_iou`` exactly."""
+
+    @staticmethod
+    def assert_cells_equal(gts, dets, mode):
+        m = iou_matrix(gts, dets, mode)
+        assert m.shape == (len(gts), len(dets))
+        assert m.dtype == np.float64
+        for i, g in enumerate(gts):
+            for j, d in enumerate(dets):
+                assert m[i, j] == pair_iou(g, d, mode), (g, d)
+
+    @given(st.lists(BOX, max_size=6), st.lists(BOX, max_size=6))
+    @example([(0, 0, 10, 10)], [(0, 0, 10, 5)])  # exactly 0.5
+    @example([(0.1, 0, 0.2, 1)], [(0, 0, 1, 1), (0.3, 0, 0.1, 1)])  # x + w rounds
+    @example([(0, 0, 0, 5), (0, 0, 5, 0)], [(0, 0, 0, 5), (0, 0, 5, 0)])
+    @example([(0, 0, 4, 4)], [(4, 0, 4, 4), (0, 4, 4, 4), (4, 4, 1, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_boxes(self, gboxes, dboxes):
+        gts = [A(i + 1, 1 + i % 3, b) for i, b in enumerate(gboxes)]
+        dets = [D(j, 1 + j % 2, b) for j, b in enumerate(dboxes)]
+        self.assert_cells_equal(gts, dets, "boxes")
+        self.assert_cells_equal(gts, dets, "masks")  # no masks: box fallback
+
+    @given(st.lists(masked_item(), max_size=5), st.lists(masked_item(), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_masks(self, gitems, ditems):
+        gts, dets = _masked_scene(gitems, ditems)
+        self.assert_cells_equal(gts, dets, "masks")
+
+    def test_exact_half_is_over_threshold(self):
+        gts, dets = [A(1, 1, (0, 0, 10, 10))], [D(0, 1, (0, 0, 10, 5))]
+        assert iou_matrix(gts, dets, "boxes")[0, 0] == 0.5
+        assert [p.iou for p in iou_table(gts, dets, T)] == [0.5]
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_empty_sides(self, mode):
+        gts, dets = [A(1, 1, (0, 0, 4, 4))], [D(0, 1, (0, 0, 4, 4))]
+        assert iou_matrix([], dets, mode).shape == (0, 1)
+        assert iou_matrix(gts, [], mode).shape == (1, 0)
+        assert iou_matrix([], [], mode).shape == (0, 0)
+
+    def test_table_keeps_gt_det_order(self):
+        gts = [A(1, 1, (0, 0, 10, 10)), A(2, 2, (1, 0, 10, 10))]
+        dets = [D(0, 2, (1, 0, 10, 10)), D(1, 1, (0, 0, 10, 10))]
+        pairs = iou_table(gts, dets, T)
+        assert [(p.gt.ann_id, p.det.det_id) for p in pairs] == [
+            (1, 0), (1, 1), (2, 0), (2, 1)
+        ]
+        assert [p.same_class for p in pairs] == [False, True, True, False]
+        assert all(type(p.iou) is float for p in pairs)
+
+
 class TestMaskGeometryErrors:
     def test_rle_size_mismatch_raises(self):
         from deteval.errors import GeometryError
@@ -379,6 +487,20 @@ class TestMaskGeometryErrors:
         det = Detection(0, 1, 1, BBox(0, 0, 8, 8), score=0.9, mask=d_mask)
         with pytest.raises(GeometryError, match="canvases differ"):
             iou_table([gt], [det], Thresholds(geometry_mode="masks"))
+
+    def test_rle_size_mismatch_raises_for_disjoint_windows(self):
+        from deteval.errors import GeometryError
+
+        g_bits = np.zeros((8, 8), dtype=bool)
+        g_bits[6:, 6:] = True
+        d_bits = np.zeros((6, 6), dtype=bool)
+        d_bits[:2, :2] = True
+        g_mask = InstanceMask(rle=rle_encode(BitMask(g_bits)), canvas=(8, 8))
+        d_mask = InstanceMask(rle=rle_encode(BitMask(d_bits)))
+        gt = Annotation(1, 1, 1, BBox(6, 6, 2, 2), mask=g_mask, area=4.0)
+        det = Detection(0, 1, 1, BBox(0, 0, 2, 2), score=0.9, mask=d_mask)
+        with pytest.raises(GeometryError, match="canvases differ"):
+            iou_matrix([gt], [det], "masks")
 
     def test_matching_rle_sizes_work(self):
         from deteval.geometry import BitMask, InstanceMask, rle_encode

@@ -398,11 +398,17 @@ def load_ground_truth(path) -> GroundTruthSet:
     return gt
 
 
-def load_detections(path, labels: LabelMap) -> DetectionSet:
-    """Load a detections file (COCO results-compatible JSON array)."""
+def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
+    """Load a detections file (COCO results-compatible JSON array).
+
+    ``images`` are the ground truth's image records. A detection on one of
+    them gets the image as its mask canvas, so its polygons are rasterized
+    within the image, as the ground truth's are.
+    """
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: detections must be a JSON array")
+    canvases = {img.image_id: (img.width, img.height) for img in images}
     detections = []
     for idx, entry in enumerate(raw):
         where = f"detection {idx}"
@@ -412,12 +418,13 @@ def load_detections(path, labels: LabelMap) -> DetectionSet:
         score = float(_req(entry, "score", "detection", path))
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"{where}: score {score} outside [0, 1]")
+        image_id = int(_req(entry, "image_id", "detection", path))
         bbox = _parse_bbox(entry["bbox"], where)
-        mask = _parse_mask(entry.get("segmentation"), where, None)
+        mask = _parse_mask(entry.get("segmentation"), where, canvases.get(image_id))
         detections.append(
             Detection(
                 det_id=idx,
-                image_id=int(_req(entry, "image_id", "detection", path)),
+                image_id=image_id,
                 class_id=class_id,
                 bbox=bbox,
                 score=score,

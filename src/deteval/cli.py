@@ -28,9 +28,10 @@ from .errors import EvalError, ParseError
 from .geometry import BBox, InstanceMask, Polygon
 from .matching import Thresholds, match_dataset
 from .metrics import full_report
-from .oracle import DeltaStats, delta_table_csv
 from .reports import (
+    DeltaStats,
     confusion_csv,
+    delta_table_csv,
     matrix_svg,
     parse_confusion_csv,
     per_class_csv,
@@ -140,7 +141,7 @@ def cmd_evaluate(args) -> int:
     thresholds = _thresholds(args)
     formats = _formats(args)
     gt = load_ground_truth(args.gt)
-    det = load_detections(args.det, gt.label_map)
+    det = load_detections(args.det, gt.label_map, gt.images)
     report, cm = full_report(gt, det, thresholds, args.algorithm)
 
     out = _outdir(args)
@@ -161,7 +162,7 @@ def cmd_compare(args) -> int:
     thresholds = _thresholds(args)
     formats = _formats(args)
     gt = load_ground_truth(args.gt)
-    det = load_detections(args.det, gt.label_map)
+    det = load_detections(args.det, gt.label_map, gt.images)
     _, conv = match_dataset(gt, det, thresholds, "conventional")
     _, mod = match_dataset(gt, det, thresholds, "modified")
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)

@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,6 +91,9 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+MAX_COORD = 2.0**53
+
+
 @dataclass(frozen=True)
 class Polygon:
     """A closed polygon ring; the last vertex implicitly connects to the first.
@@ -107,9 +111,24 @@ class Polygon:
 
     @classmethod
     def from_flat(cls, flat) -> "Polygon":
-        """Build from a flat ``[x1, y1, x2, y2, ...]`` coordinate list."""
+        """Build from a flat ``[x1, y1, x2, y2, ...]`` coordinate list.
+
+        Every coordinate must be finite and within +-2**53: beyond that no
+        two pixels are told apart, and rasterization intermediates overflow.
+        """
         if len(flat) % 2 != 0:
             raise GeometryError("flat polygon list has odd length")
+        # min and max may skip a NaN, but it (or an infinity) makes the sum
+        # non-finite
+        if flat and not (
+            -MAX_COORD <= min(flat)
+            and max(flat) <= MAX_COORD
+            and math.isfinite(sum(flat))
+        ):
+            bad = next(c for c in flat if not -MAX_COORD <= c <= MAX_COORD)
+            raise GeometryError(
+                f"polygon coordinate {bad} is not a finite number within +-2**53"
+            )
         it = iter(flat)
         return cls.from_points(zip(it, it))
 
@@ -361,6 +380,8 @@ class InstanceMask:
                 if self.canvas is not None:
                     x0, y0 = max(x0, 0), max(y0, 0)
                     x1, y1 = min(x1, self.canvas[0]), min(y1, self.canvas[1])
+                    # a polygon wholly off the canvas gets an empty window
+                    x1, y1 = max(x1, x0), max(y1, y0)
                 bits = _raster_window(self.polygons, x0, y0, x1 - x0, y1 - y0)
                 self._window = (bits, x0, y0)
         return self._window

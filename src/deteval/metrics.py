@@ -8,11 +8,21 @@ sweep (0.50:0.05:0.95), 101-point interpolated average precision, size
 stratification with ignore-region semantics, and -1 as the "no eligible
 ground truth" sentinel. The aggregates never consult the confusion-matrix
 algorithms, so conventional and modified runs report identical AP/AR.
+
+Each (image, class) cell is matched once, in one pass over its detections
+in score order. Each step matches one detection under all four size filters
+and all ten thresholds at once, against a (filter, threshold, ground truth)
+array of the ground truths still free; the filters differ only in what they
+ignore, so they share the cell's IoU block. The pass applies no detection
+cap: a detection's match depends only on the detections ranked above it in
+its cell, so the matches under a cap of k are the pass's first k steps, and
+every cap is a prefix. Each class's cells are pooled once in global score
+order, and each index takes its filter and its cap's prefix from the pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +34,28 @@ from .geometry import SizeClass, size_class
 IOU_SWEEP = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 NO_GT = -1.0
+# size filters in the order of the pass's first axis; None keeps everything
+STRATA = (None, SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
+
+# the twelve aggregate indices in report order:
+# (key, kind, sweep index or None for the mean over the sweep, size filter, cap)
+AGGREGATES = (
+    ("map_50_95", "ap", None, None, 100),
+    ("map_50", "ap", IOU_SWEEP.index(0.5), None, 100),
+    ("map_75", "ap", IOU_SWEEP.index(0.75), None, 100),
+    ("map_small", "ap", None, SizeClass.SMALL, 100),
+    ("map_medium", "ap", None, SizeClass.MEDIUM, 100),
+    ("map_large", "ap", None, SizeClass.LARGE, 100),
+    ("ar_1", "ar", None, None, 1),
+    ("ar_10", "ar", None, None, 10),
+    ("ar_100", "ar", None, None, 100),
+    ("ar_100_small", "ar", None, SizeClass.SMALL, 100),
+    ("ar_100_medium", "ar", None, SizeClass.MEDIUM, 100),
+    ("ar_100_large", "ar", None, SizeClass.LARGE, 100),
+)
+
+_SWEEP = np.array(IOU_SWEEP)
+_STRATUM_INDEX = {size: s for s, size in enumerate(STRATA)}
 
 
 @dataclass(frozen=True)
@@ -77,6 +109,74 @@ class ClassAccumulation:
         return float(self.final_recall.mean())
 
 
+def outside_strata(areas) -> np.ndarray:
+    """(S, n) flags: True where an item's area falls outside each filter."""
+    codes = np.array([_STRATUM_INDEX[size_class(a)] for a in areas], dtype=np.int64)
+    outside = codes[None, :] != np.arange(len(STRATA))[:, None]
+    outside[0] = False
+    return outside
+
+
+def greedy_cell(ious, gt_ignore, det_outside):
+    """Greedy matches of one (image, class) cell under every size filter and
+    sweep threshold, in one pass over its detections.
+
+    ``ious`` is the (D, G) IoU block with detections in score order;
+    ``gt_ignore`` (S, G) and ``det_outside`` (S, D) come from
+    :func:`outside_strata`. Each detection takes the first highest-IoU free
+    in-filter ground truth at or above the threshold; only when there is none
+    does it take the first highest-IoU free ignored one. Ignored matches, and
+    unmatched detections outside the filter, count as ignored. Returns
+    ``(tp, ignored, eligible)``: two (S, T, D) flag arrays and the (S,)
+    in-filter ground-truth counts.
+    """
+    (D, G), S, T = ious.shape, len(gt_ignore), len(IOU_SWEEP)
+    eligible = G - gt_ignore.sum(axis=1)
+    # filled detection by detection, (D, S, T); unmatched means ignored
+    # exactly when the detection is outside the filter
+    tp = np.zeros((D, S, T), dtype=bool)
+    ignored = np.repeat(det_outside.T[:, :, None], T, axis=2)
+    over = ious[:, None, :] >= _SWEEP[:, None]  # (D, T, G)
+    free = np.ones((S, T, G), dtype=bool)
+    gt_ignore = gt_ignore[:, None, :]
+    in_filter = ~gt_ignore
+    # a detection with no ground truth at the lowest threshold stays unmatched
+    for i in np.flatnonzero(over[:, 0].any(axis=1)):
+        open_ = over[i] & free
+        keep = open_ & in_filter
+        spare = open_ & gt_ignore
+        got = keep.any(axis=2)
+        spare_any = spare.any(axis=2)
+        best = np.where(keep, ious[i], -1.0).argmax(axis=2)
+        best_ignored = np.where(spare, ious[i], -1.0).argmax(axis=2)
+        j = np.where(got, best, best_ignored)
+        hit = got | spare_any
+        s_hit, t_hit = np.nonzero(hit)
+        free[s_hit, t_hit, j[hit]] = False
+        tp[i] = got
+        ignored[i] = ~got & (spare_any | ignored[i])
+    return tp.transpose(1, 2, 0), ignored.transpose(1, 2, 0), eligible
+
+
+def _interpolate(recall, envelope) -> np.ndarray:
+    """101-point samples of each threshold's precision envelope, taken at
+    the first position whose recall reaches the recall point (0 past the end).
+
+    A stable sort of the recall points placed ahead of a row's recalls puts
+    each point after exactly the recalls below it, which is what a per-row
+    ``searchsorted(..., side="left")`` counts; no value is altered.
+    """
+    T, n = recall.shape
+    P = RECALL_POINTS.size
+    if not n:
+        return np.zeros((T, P))
+    merged = np.concatenate([np.broadcast_to(RECALL_POINTS, (T, P)), recall], axis=1)
+    rank = np.argsort(np.argsort(merged, axis=1, kind="stable"), axis=1)
+    idx = rank[:, :P] - np.arange(P)
+    picked = np.take_along_axis(envelope, np.minimum(idx, n - 1), axis=1)
+    return np.where(idx < n, picked, 0.0)
+
+
 class GreedyEvaluator:
     """Shared per-(image, class) evaluation state for the AP/AR suite.
 
@@ -93,172 +193,113 @@ class GreedyEvaluator:
         self.mode = mode
         self.labels = gt_set.label_map
         self.class_ids = gt_set.label_map.ids()
-        self._gts: dict[tuple[int, int], list] = {}
-        self._dets: dict[tuple[int, int], list] = {}
-        self._ious: dict[tuple[int, int], np.ndarray] = {}
+        self._gt_set = gt_set
+        self._det_set = det_set
+        self._pools: dict | None = None
         self._acc: dict = {}
-        self._images = [im.image_id for im in gt_set.images]
 
-        # each image's detections in score order, so every class's share of
-        # them is in score order too
-        self._image_gts = gt_set.by_image()
-        self._image_dets = {
-            img_id: sorted(dets, key=lambda d: (-d.score, d.det_id))
-            for img_id, dets in det_set.by_image().items()
-        }
-        for img_id, anns in self._image_gts.items():
-            for ann in anns:
-                self._gts.setdefault((img_id, ann.class_id), []).append(ann)
-        for img_id, dets in self._image_dets.items():
-            for det in dets:
-                self._dets.setdefault((img_id, det.class_id), []).append(det)
+    def _match_cells(self) -> dict:
+        """Match every (image, class) cell once and pool each class's cells
+        in global score order: score, then image id, then rank in the cell.
 
-    def _iou_matrix(self, key) -> np.ndarray:
-        """The (D, G) IoU block of one (image, class) cell.
-
-        The first request for an image computes one matrix over all of its
-        ground truths and detections and slices out every class's block.
+        Maps each class id to ``(rank, tp, ignored, eligible)``: each pooled
+        detection's position in its cell (N,), the (S, T, N) flags and the
+        (S,) in-filter ground-truth counts.
         """
-        if key not in self._ious:
-            img_id = key[0]
-            gts = self._image_gts.get(img_id, [])
-            dets = self._image_dets.get(img_id, [])
-            ious = iou_matrix(gts, dets, self.mode)
-            rows: dict[int, list[int]] = {}
-            cols: dict[int, list[int]] = {}
-            for j, g in enumerate(gts):
-                rows.setdefault(g.class_id, []).append(j)
-            for i, d in enumerate(dets):
-                cols.setdefault(d.class_id, []).append(i)
-            for cid in rows.keys() | cols.keys():
-                block = ious[np.ix_(rows.get(cid, []), cols.get(cid, []))]
-                self._ious[(img_id, cid)] = block.T
-        return self._ious[key]
+        image_gts = self._gt_set.by_image()
+        image_dets = self._det_set.by_image()
+        parts: dict[int, list] = {}
+        for img in self._gt_set.images:
+            gts = image_gts.get(img.image_id, [])
+            dets = sorted(
+                image_dets.get(img.image_id, []), key=lambda d: (-d.score, d.det_id)
+            )
+            if not gts and not dets:
+                continue
+            # group each class's rows and columns, keeping their order
+            gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
+            det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
+            g_order = np.argsort(gt_cls, kind="stable")
+            d_order = np.argsort(det_cls, kind="stable")
+            gt_cls, det_cls = gt_cls[g_order], det_cls[d_order]
+            ious = iou_matrix(gts, dets, self.mode)[np.ix_(g_order, d_order)].T
+            gt_ignore = outside_strata([gts[k].area for k in g_order])
+            det_outside = outside_strata([
+                d.mask.area if self.mode == "masks" and d.mask is not None
+                else d.bbox.area
+                for d in (dets[k] for k in d_order)
+            ])
+            scores = np.array([dets[k].score for k in d_order], dtype=float)
+            classes = np.array(sorted({*gt_cls.tolist(), *det_cls.tolist()}))
+            g_bounds = np.searchsorted(gt_cls, [classes, classes + 1])
+            d_bounds = np.searchsorted(det_cls, [classes, classes + 1])
+            for cid, g0, g1, d0, d1 in zip(classes.tolist(), *g_bounds, *d_bounds):
+                cell = greedy_cell(
+                    ious[d0:d1, g0:g1], gt_ignore[:, g0:g1], det_outside[:, d0:d1]
+                )
+                parts.setdefault(cid, []).append((scores[d0:d1], img.image_id) + cell)
 
-    def _det_area(self, det) -> float:
-        if self.mode == "masks" and det.mask is not None:
-            return float(det.mask.area)
-        return det.bbox.area
-
-    def _eval_image(self, key, size_filter, max_dets):
-        """Greedy matches for one (image, class) cell at every threshold.
-
-        Returns (scores, tp, ignore) arrays of shape (D,) / (T, D) / (T, D)
-        plus the in-filter ground-truth count.
-        """
-        gts = self._gts.get(key, [])
-        dets = self._dets.get(key, [])[:max_dets]
-        gt_ignore = np.array(
-            [size_filter is not None and size_class(g.area) != size_filter for g in gts],
-            dtype=bool,
-        )
-        n_eligible = int((~gt_ignore).sum()) if len(gts) else 0
-        if not dets:
-            return np.zeros(0), np.zeros((len(IOU_SWEEP), 0), bool), np.zeros(
-                (len(IOU_SWEEP), 0), bool
-            ), n_eligible
-
-        ious = self._iou_matrix(key)[: len(dets)]
-        # in-filter ground truths are offered first, stably
-        gt_order = sorted(range(len(gts)), key=lambda j: (bool(gt_ignore[j]), j))
-
-        T = len(IOU_SWEEP)
-        tp = np.zeros((T, len(dets)), dtype=bool)
-        ignore = np.zeros((T, len(dets)), dtype=bool)
-        det_outside = np.array(
-            [
-                size_filter is not None
-                and size_class(self._det_area(d)) != size_filter
-                for d in dets
-            ],
-            dtype=bool,
-        )
-        for ti, thr in enumerate(IOU_SWEEP):
-            taken = np.zeros(len(gts), dtype=bool)
-            for di in range(len(dets)):
-                best_j = -1
-                best_iou = thr
-                for j in gt_order:
-                    if taken[j]:
-                        continue
-                    if best_j >= 0 and not gt_ignore[best_j] and gt_ignore[j]:
-                        break  # a valid match in hand beats any ignored one
-                    if ious[di, j] > best_iou or (
-                        best_j < 0 and ious[di, j] >= best_iou
-                    ):
-                        best_iou = ious[di, j]
-                        best_j = j
-                if best_j >= 0:
-                    taken[best_j] = True
-                    if gt_ignore[best_j]:
-                        ignore[ti, di] = True
-                    else:
-                        tp[ti, di] = True
-                elif det_outside[di]:
-                    ignore[ti, di] = True
-        scores = np.array([d.score for d in dets])
-        return scores, tp, ignore, n_eligible
+        pools = {}
+        for cid, cells in parts.items():
+            scores = np.concatenate([c[0] for c in cells])
+            img_ids = np.concatenate([np.full(c[0].size, c[1]) for c in cells])
+            rank = np.concatenate([np.arange(c[0].size) for c in cells])
+            order = np.lexsort((rank, img_ids, -scores))
+            pools[cid] = (
+                rank[order],
+                np.concatenate([c[2] for c in cells], axis=2)[:, :, order],
+                np.concatenate([c[3] for c in cells], axis=2)[:, :, order],
+                sum(c[4] for c in cells),
+            )
+        return pools
 
     def accumulate(self, class_id, size_filter, max_dets) -> ClassAccumulation | None:
         """Pool every image's matches for one class; None when no eligible
         ground truth exists under the filter."""
-        cache_key = (class_id, size_filter, max_dets)
-        if cache_key in self._acc:
-            return self._acc[cache_key]
+        key = (class_id, size_filter, max_dets)
+        if key not in self._acc:
+            if self._pools is None:
+                self._pools = self._match_cells()
+            self._acc[key] = self._curves(class_id, STRATA.index(size_filter), max_dets)
+        return self._acc[key]
 
-        scores_parts, tp_parts, ig_parts, img_parts, pos_parts = [], [], [], [], []
-        eligible = 0
-        for img_id in self._images:
-            key = (img_id, class_id)
-            if key not in self._gts and key not in self._dets:
-                continue
-            scores, tp, ignore, n_elig = self._eval_image(key, size_filter, max_dets)
-            eligible += n_elig
-            if scores.size:
-                scores_parts.append(scores)
-                tp_parts.append(tp)
-                ig_parts.append(ignore)
-                img_parts.append(np.full(scores.size, img_id))
-                pos_parts.append(np.arange(scores.size))
-
-        if eligible == 0:
-            self._acc[cache_key] = None
+    def _curves(self, class_id, s, max_dets) -> ClassAccumulation | None:
+        """One class's precision samples and final recall under size filter
+        ``s``, from the pool's detections ranked below ``max_dets`` in their
+        cell."""
+        if class_id not in self._pools:
             return None
+        rank, tp, ignored, eligible = self._pools[class_id]
+        if not eligible[s]:
+            return None
+        keep = rank < max_dets
+        tp, ignored = tp[s][:, keep], ignored[s][:, keep]
 
-        T = len(IOU_SWEEP)
-        if scores_parts:
-            scores = np.concatenate(scores_parts)
-            tp = np.concatenate(tp_parts, axis=1)
-            ignore = np.concatenate(ig_parts, axis=1)
-            order = np.lexsort(
-                (np.concatenate(pos_parts), np.concatenate(img_parts), -scores)
-            )
-            tp = tp[:, order]
-            ignore = ignore[:, order]
-        else:
-            tp = np.zeros((T, 0), dtype=bool)
-            ignore = np.zeros((T, 0), dtype=bool)
-
-        counted = ~ignore
+        counted = ~ignored
         tp_cum = np.cumsum(tp & counted, axis=1).astype(float)
         fp_cum = np.cumsum(~tp & counted, axis=1).astype(float)
-        recall = tp_cum / eligible
+        recall = tp_cum / eligible[s]
         denom = tp_cum + fp_cum
         with np.errstate(invalid="ignore", divide="ignore"):
             prec = np.where(denom > 0, tp_cum / denom, 0.0)
         envelope = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
+        final_recall = recall[:, -1] if recall.shape[1] else np.zeros(len(IOU_SWEEP))
+        return ClassAccumulation(
+            _interpolate(recall, envelope), final_recall, int(eligible[s])
+        )
 
-        samples = np.zeros((T, RECALL_POINTS.size))
-        nd = recall.shape[1]
-        for ti in range(T):
-            idx = np.searchsorted(recall[ti], RECALL_POINTS, side="left")
-            valid = idx < nd
-            samples[ti, valid] = envelope[ti, idx[valid]]
-        final_recall = recall[:, -1] if nd else np.zeros(T)
 
-        acc = ClassAccumulation(samples, final_recall, eligible)
-        self._acc[cache_key] = acc
-        return acc
+def _class_mean(ev: GreedyEvaluator, kind, t_index, size_filter, max_dets) -> float:
+    """One aggregate index: the mean over classes with an eligible ground
+    truth of each class's AP (at one threshold, or over the sweep) or AR."""
+    values = []
+    for cid in ev.class_ids:
+        acc = ev.accumulate(cid, size_filter, max_dets)
+        if acc is not None:
+            values.append(acc.ar() if kind == "ar" else acc.ap(t_index))
+    if not values:
+        return NO_GT
+    return float(np.mean(values))
 
 
 def average_precision(
@@ -294,39 +335,17 @@ def average_recall(
     if k < 1:
         raise ConfigError(f"max detections must be >= 1, got {k}")
     ev = GreedyEvaluator(gt_set, det_set, mode)
-    return _mean_over_classes(ev, lambda acc: acc.ar(), size_filter, k)
-
-
-def _mean_over_classes(ev: GreedyEvaluator, extract, size_filter, max_dets) -> float:
-    values = []
-    for cid in ev.class_ids:
-        acc = ev.accumulate(cid, size_filter, max_dets)
-        if acc is not None:
-            values.append(extract(acc))
-    if not values:
-        return NO_GT
-    return float(np.mean(values))
+    return _class_mean(ev, "ar", None, size_filter, k)
 
 
 def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
     """The six mAP fields: the full sweep, fixed 0.50 and 0.75, and the three
     size-stratified sweeps."""
     ev = GreedyEvaluator(gt_set, det_set, mode)
-    return _mean_ap(ev, max_dets)
-
-
-def _mean_ap(ev: GreedyEvaluator, max_dets: int = 100) -> dict:
-    i50 = IOU_SWEEP.index(0.5)
-    i75 = IOU_SWEEP.index(0.75)
     return {
-        "map_50_95": _mean_over_classes(ev, lambda a: a.ap(), None, max_dets),
-        "map_50": _mean_over_classes(ev, lambda a: a.ap(i50), None, max_dets),
-        "map_75": _mean_over_classes(ev, lambda a: a.ap(i75), None, max_dets),
-        "map_small": _mean_over_classes(ev, lambda a: a.ap(), SizeClass.SMALL, max_dets),
-        "map_medium": _mean_over_classes(
-            ev, lambda a: a.ap(), SizeClass.MEDIUM, max_dets
-        ),
-        "map_large": _mean_over_classes(ev, lambda a: a.ap(), SizeClass.LARGE, max_dets),
+        key: _class_mean(ev, kind, t_index, size, max_dets)
+        for key, kind, t_index, size, _cap in AGGREGATES
+        if kind == "ap"
     }
 
 
@@ -350,20 +369,7 @@ class MetricsReport:
     mask_fallback_items: int = 0
 
     def aggregate_fields(self) -> dict:
-        return {
-            "map_50_95": self.map_50_95,
-            "map_50": self.map_50,
-            "map_75": self.map_75,
-            "map_small": self.map_small,
-            "map_medium": self.map_medium,
-            "map_large": self.map_large,
-            "ar_1": self.ar_1,
-            "ar_10": self.ar_10,
-            "ar_100": self.ar_100,
-            "ar_100_small": self.ar_100_small,
-            "ar_100_medium": self.ar_100_medium,
-            "ar_100_large": self.ar_100_large,
-        }
+        return {key: getattr(self, key) for key, *_spec in AGGREGATES}
 
 
 def full_report(
@@ -379,16 +385,9 @@ def full_report(
 
     mode = thresholds.geometry_mode
     ev = GreedyEvaluator(gt_set, det_set, mode)
-    aggregates = _mean_ap(ev)
-    ar = {
-        "ar_1": _mean_over_classes(ev, lambda a: a.ar(), None, 1),
-        "ar_10": _mean_over_classes(ev, lambda a: a.ar(), None, 10),
-        "ar_100": _mean_over_classes(ev, lambda a: a.ar(), None, 100),
-        "ar_100_small": _mean_over_classes(ev, lambda a: a.ar(), SizeClass.SMALL, 100),
-        "ar_100_medium": _mean_over_classes(
-            ev, lambda a: a.ar(), SizeClass.MEDIUM, 100
-        ),
-        "ar_100_large": _mean_over_classes(ev, lambda a: a.ar(), SizeClass.LARGE, 100),
+    aggregates = {
+        key: _class_mean(ev, kind, t_index, size, cap)
+        for key, kind, t_index, size, cap in AGGREGATES
     }
 
     fallbacks = 0
@@ -399,7 +398,6 @@ def full_report(
     report = MetricsReport(
         per_class=per_class,
         **aggregates,
-        **ar,
         geometry_mode=mode,
         algorithm=algorithm,
         mask_fallback_items=fallbacks,

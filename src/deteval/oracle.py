@@ -4,14 +4,15 @@ Everything here exists to check the matching and metric code from a second
 angle: an exhaustive maximum-matching bound, a straight-line re-transcription
 of the IoU-prioritized matcher that shares no code with
 :mod:`deteval.matching`, the greedy global-IoU variant some of the literature
-calls "conventional" (provided for comparison, never substituted), and a
-generator that fabricates ground truth plus noisy detections from a seed.
+calls "conventional" (provided for comparison, never substituted), the
+scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, and
+a generator that fabricates ground truth plus noisy detections from a seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .annotations import (
     LabelMap,
 )
 from .errors import ConfigError, InstanceTooLargeError
-from .geometry import BBox, InstanceMask, Polygon
+from .geometry import BBox, InstanceMask, Polygon, size_class
 from .matching import (
     ConfusionMatrix,
     MatchingResult,
@@ -35,6 +36,8 @@ from .matching import (
     match_modified,
     pair_iou,
 )
+from .metrics import IOU_SWEEP, RECALL_POINTS
+from .reports import DeltaStats
 
 MAX_ORACLE_ITEMS = 12
 
@@ -322,32 +325,110 @@ def greedy_iou_matching(gts, dets, t: Thresholds) -> MatchingResult:
 
 
 # ---------------------------------------------------------------------------
+# scalar reference for the greedy AP/AR evaluator
+
+
+def reference_greedy_cell(ious, gt_areas, det_areas, size_filter, max_dets):
+    """Greedy matches of one (image, class) cell under one size filter and
+    one detection cap, one threshold, detection and ground truth at a time.
+
+    ``ious`` is the (D, G) IoU block with detections in score order. This is
+    the scalar loop :func:`deteval.metrics.greedy_cell` replaced, kept as its
+    reference. Returns ``(tp, ignore, n_eligible)``: two (T, min(D, max_dets))
+    flag arrays and the in-filter ground-truth count.
+    """
+    gt_ignore = [
+        size_filter is not None and size_class(a) != size_filter for a in gt_areas
+    ]
+    dets = range(min(len(det_areas), max_dets))
+    det_outside = [
+        size_filter is not None and size_class(det_areas[di]) != size_filter
+        for di in dets
+    ]
+    # in-filter ground truths are offered first, stably
+    gt_order = sorted(range(len(gt_areas)), key=lambda j: (gt_ignore[j], j))
+    tp = np.zeros((len(IOU_SWEEP), len(dets)), dtype=bool)
+    ignore = np.zeros_like(tp)
+    for ti, thr in enumerate(IOU_SWEEP):
+        taken = [False] * len(gt_areas)
+        for di in dets:
+            best_j = -1
+            best_iou = thr
+            for j in gt_order:
+                if taken[j]:
+                    continue
+                if best_j >= 0 and not gt_ignore[best_j] and gt_ignore[j]:
+                    break  # a valid match in hand beats any ignored one
+                if ious[di][j] > best_iou or (best_j < 0 and ious[di][j] >= best_iou):
+                    best_iou = ious[di][j]
+                    best_j = j
+            if best_j >= 0:
+                taken[best_j] = True
+                if gt_ignore[best_j]:
+                    ignore[ti, di] = True
+                else:
+                    tp[ti, di] = True
+            elif det_outside[di]:
+                ignore[ti, di] = True
+    return tp, ignore, gt_ignore.count(False)
+
+
+def reference_accumulate(gt_set, det_set, class_id, size_filter, max_dets, mode):
+    """One class's greedy evaluation rebuilt from the scalar pieces: each
+    image's cell through :func:`reference_greedy_cell` with :func:`pair_iou`,
+    pooled in score order, with one ``searchsorted`` per threshold.
+
+    Returns ``(precision (T, 101), final_recall (T,), eligible)`` as
+    :class:`deteval.metrics.ClassAccumulation` holds them, or None when no
+    ground truth is eligible.
+    """
+    parts, eligible = [], 0
+    dets_by_image = det_set.by_image()
+    for img in gt_set.images:
+        gts = [
+            g for g in gt_set.by_image().get(img.image_id, [])
+            if g.class_id == class_id
+        ]
+        dets = sorted(
+            (d for d in dets_by_image.get(img.image_id, []) if d.class_id == class_id),
+            key=lambda d: (-d.score, d.det_id),
+        )[:max_dets]
+        ious = [[pair_iou(g, d, mode) for g in gts] for d in dets]
+        det_areas = [
+            d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
+            for d in dets
+        ]
+        tp, ignore, n_elig = reference_greedy_cell(
+            ious, [g.area for g in gts], det_areas, size_filter, max_dets
+        )
+        eligible += n_elig
+        for pos, d in enumerate(dets):
+            parts.append((-d.score, img.image_id, pos, tp[:, pos], ignore[:, pos]))
+    if eligible == 0:
+        return None
+    parts.sort(key=lambda p: p[:3])
+    T = len(IOU_SWEEP)
+    tp = np.array([p[3] for p in parts], dtype=bool).reshape(-1, T).T
+    ignore = np.array([p[4] for p in parts], dtype=bool).reshape(-1, T).T
+    counted = ~ignore
+    tp_cum = np.cumsum(tp & counted, axis=1).astype(float)
+    fp_cum = np.cumsum(~tp & counted, axis=1).astype(float)
+    recall = tp_cum / eligible
+    denom = tp_cum + fp_cum
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prec = np.where(denom > 0, tp_cum / denom, 0.0)
+    envelope = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
+    samples = np.zeros((T, RECALL_POINTS.size))
+    for ti in range(T):
+        idx = np.searchsorted(recall[ti], RECALL_POINTS, side="left")
+        valid = idx < len(parts)
+        samples[ti, valid] = envelope[ti, idx[valid]]
+    final_recall = recall[:, -1] if parts else np.zeros(T)
+    return samples, final_recall, eligible
+
+
+# ---------------------------------------------------------------------------
 # conventional-vs-modified comparison
-
-
-@dataclass
-class DeltaStats:
-    """Aggregate differences (modified minus conventional) over scenarios."""
-
-    labels: LabelMap
-    conventional: ConfusionMatrix
-    modified: ConfusionMatrix
-    scenario_count: int
-    per_class: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    diagonal_delta: int = 0
-
-    @classmethod
-    def from_matrices(cls, conv, mod, labels, scenario_count):
-        stats = cls(labels, conv, mod, scenario_count)
-        for cid in labels.ids():
-            tp = mod.diagonal(cid) - conv.diagonal(cid)
-            fp = (mod.col_sum(cid) - mod.diagonal(cid)) - (
-                conv.col_sum(cid) - conv.diagonal(cid)
-            )
-            fn = mod.left_detections(cid) - conv.left_detections(cid)
-            stats.per_class[cid] = (tp, fp, fn)
-        stats.diagonal_delta = sum(v[0] for v in stats.per_class.values())
-        return stats
 
 
 def compare(configs, t: Thresholds) -> DeltaStats:
@@ -377,27 +458,3 @@ def compare(configs, t: Thresholds) -> DeltaStats:
     if labels is None:
         raise ConfigError("compare needs at least one scenario config")
     return DeltaStats.from_matrices(conv_total, mod_total, labels, count)
-
-
-def delta_table_csv(stats: DeltaStats) -> str:
-    """Per-class comparison table: conventional and modified P/R side by
-    side (column naming follows the usual per-class report headers) plus the
-    raw count deltas."""
-    from .metrics import precision_recall
-
-    conv_pr = {m.class_id: m for m in precision_recall(stats.conventional)}
-    mod_pr = {m.class_id: m for m in precision_recall(stats.modified)}
-    lines = [
-        "category,precision_@0.5IoU,recall_@0.5IoU,"
-        "category,precision_@0.5IoU,recall_@0.5IoU,"
-        "tp_delta,fp_delta,fn_delta"
-    ]
-    for cid, name in stats.labels.entries:
-        c, m = conv_pr[cid], mod_pr[cid]
-        tp, fp, fn = stats.per_class[cid]
-        lines.append(
-            f"{name},{c.precision_at_05:.4f},{c.recall_at_05:.4f},"
-            f"{name},{m.precision_at_05:.4f},{m.recall_at_05:.4f},"
-            f"{tp},{fp},{fn}"
-        )
-    return "\n".join(lines) + "\n"

@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .annotations import LabelMap
 from .errors import ParseError
 from .matching import ConfusionMatrix
-from .metrics import MetricsReport
+from .metrics import MetricsReport, precision_recall
 
 LEFT_DETECTION = "left detection"
 UNCLASSIFIED_DETECTION = "unclassified detection"
@@ -66,6 +68,53 @@ def per_class_csv(report: MetricsReport, labels) -> str:
         r = right[i] if i < len(right) else ["", ""]
         rows.append(l + r)
     return _csv_text(rows)
+
+
+@dataclass
+class DeltaStats:
+    """Aggregate differences (modified minus conventional) over scenarios."""
+
+    labels: LabelMap
+    conventional: ConfusionMatrix
+    modified: ConfusionMatrix
+    scenario_count: int
+    per_class: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    diagonal_delta: int = 0
+
+    @classmethod
+    def from_matrices(cls, conv, mod, labels, scenario_count):
+        stats = cls(labels, conv, mod, scenario_count)
+        for cid in labels.ids():
+            tp = mod.diagonal(cid) - conv.diagonal(cid)
+            fp = (mod.col_sum(cid) - mod.diagonal(cid)) - (
+                conv.col_sum(cid) - conv.diagonal(cid)
+            )
+            fn = mod.left_detections(cid) - conv.left_detections(cid)
+            stats.per_class[cid] = (tp, fp, fn)
+        stats.diagonal_delta = sum(v[0] for v in stats.per_class.values())
+        return stats
+
+
+def delta_table_csv(stats: DeltaStats) -> str:
+    """Per-class comparison table: conventional and modified P/R side by
+    side (column naming follows the usual per-class report headers) plus the
+    raw count deltas."""
+    conv_pr = {m.class_id: m for m in precision_recall(stats.conventional)}
+    mod_pr = {m.class_id: m for m in precision_recall(stats.modified)}
+    lines = [
+        "category,precision_@0.5IoU,recall_@0.5IoU,"
+        "category,precision_@0.5IoU,recall_@0.5IoU,"
+        "tp_delta,fp_delta,fn_delta"
+    ]
+    for cid, name in stats.labels.entries:
+        c, m = conv_pr[cid], mod_pr[cid]
+        tp, fp, fn = stats.per_class[cid]
+        lines.append(
+            f"{name},{c.precision_at_05:.4f},{c.recall_at_05:.4f},"
+            f"{name},{m.precision_at_05:.4f},{m.recall_at_05:.4f},"
+            f"{tp},{fp},{fn}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def confusion_csv(cm: ConfusionMatrix) -> str:

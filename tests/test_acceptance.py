@@ -33,11 +33,11 @@ from deteval.metrics import average_precision, mean_ap, precision_recall
 from deteval.oracle import (
     ScenarioConfig,
     compare,
-    delta_table_csv,
     generate,
     max_matching,
     reference_conventional,
 )
+from deteval.reports import delta_table_csv
 from test_matching import A, D, pathological_instance
 
 SWEEP_SIZE = 10_000

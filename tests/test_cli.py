@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import minimal_gt_dict, write_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from deteval.cli import main
 
 
@@ -149,6 +153,58 @@ class TestEvaluate:
         assert code == 2
         assert "detection 0: non-finite bbox" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_non_finite_gt_vertex_exits_2(self, tmp_path, capsys, mode):
+        _, det = simple_pair(tmp_path)
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["segmentation"] = [[4, 4, float("nan"), 4, 14, 14, 4, 14]]
+        gt = write_json(tmp_path / "gt.json", doc)
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "annotation 1: bad polygon segmentation" in err
+        assert "not a finite number" in err
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_non_finite_detection_vertex_exits_2(self, tmp_path, capsys, mode):
+        gt, _ = simple_pair(tmp_path)
+        det = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10], "score": 0.9,
+              "segmentation": [[4, 4, 14, 4, float("inf"), 14, 4, 14]]}],
+        )
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "detection 0: bad polygon segmentation" in err
+        assert "not a finite number" in err
+
+    def test_detection_polygon_past_image_is_clipped(self, tmp_path):
+        # the detection's polygon covers the gt and runs far off the 64x64
+        # image; only its on-image part counts, so the gt is matched exactly
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["segmentation"] = [[0, 0, 64, 0, 64, 64, 0, 64]]
+        doc["annotations"][0]["bbox"] = [0, 0, 64, 64]
+        gt = write_json(tmp_path / "gt.json", doc)
+        det = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 64, 64], "score": 0.9,
+              "segmentation": [[0, 0, 4000, 0, 4000, 3000, 0, 3000]]}],
+        )
+        out = tmp_path / "o"
+        assert main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", "masks",
+             "--out", str(out)]
+        ) == 0
+        aggregates = json.loads((out / "report.json").read_text())["aggregates"]
+        assert aggregates["map_75"] == 1.0
+
     def test_ap_fields_identical_across_algorithms(self, tmp_path):
         gt, det = road_pair(tmp_path)
         outs = {}
@@ -169,6 +225,41 @@ class TestEvaluate:
         assert "1.0000" in csv_text
         assert "Precision mAP@.50IOU" in csv_text
         assert "Recall AR@100 (small)" in csv_text
+
+
+# any finite float, values on and around the 64x64 image, and the
+# non-finite and out-of-range ones
+VERTEX_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10, 80),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308]),
+)
+POLYGONS = st.lists(
+    st.tuples(VERTEX_VALUES, VERTEX_VALUES), min_size=3, max_size=5
+).map(lambda pts: [c for p in pts for c in p])
+
+
+class TestPolygonVertexFuzz:
+    """Any vertex value in a ground-truth or detection polygon is either
+    evaluated or rejected as bad input: exit 0 or 2, never an internal error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gt_poly=POLYGONS, det_poly=POLYGONS, mode=st.sampled_from(["boxes", "masks"])
+    )
+    def test_exit_code_is_0_or_2(self, gt_poly, det_poly, mode):
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["segmentation"] = [gt_poly]
+        rows = [{"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10],
+                 "score": 0.9, "segmentation": [det_poly]}]
+        with tempfile.TemporaryDirectory() as tmp:
+            gt = write_json(Path(tmp) / "gt.json", doc)
+            det = write_json(Path(tmp) / "det.json", rows)
+            code = main(
+                ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+                 "--out", str(Path(tmp) / "o")]
+            )
+        assert code in (0, 2)
 
 
 class TestCompare:

@@ -331,6 +331,29 @@ class TestInstanceMask:
         inst = InstanceMask(polygons=[p1, p2], canvas=(6, 6))
         assert inst.area == 8
 
+    @pytest.mark.parametrize("dx, dy", [(-20, 0), (0, -20), (20, 0), (0, 20)])
+    def test_polygon_off_the_canvas_is_empty(self, dx, dy):
+        poly = Polygon.from_points(
+            [(2 + dx, 2 + dy), (8 + dx, 2 + dy), (8 + dx, 8 + dy)]
+        )
+        inst = InstanceMask(polygons=[poly], canvas=(10, 10))
+        assert inst.area == 0
+        inside = InstanceMask(polygons=[Polygon.from_points([(0, 0), (9, 0), (9, 9)])],
+                              canvas=(10, 10))
+        assert inst.iou(inside) == 0.0
+
+
+class TestPolygonCoordinates:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308,
+                                     -(2.0**53) - 2])
+    def test_out_of_range_coordinate_rejected(self, bad):
+        with pytest.raises(GeometryError, match="not a finite number"):
+            Polygon.from_flat([0, 0, 4, 0, bad, 4])
+
+    def test_largest_coordinates_accepted(self):
+        poly = Polygon.from_flat([-(2.0**53), 0, 2.0**53, 0, 0, 2.0**53])
+        assert InstanceMask(polygons=[poly], canvas=(8, 8)).area > 0
+
 
 @st.composite
 def rle_grids(draw):

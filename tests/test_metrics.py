@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deteval.annotations import (
     Annotation,
@@ -17,13 +19,22 @@ from deteval.matching import ConfusionMatrix, Thresholds, accumulate, match_conv
 from deteval.metrics import (
     GreedyEvaluator,
     IOU_SWEEP,
+    STRATA,
     average_precision,
     average_recall,
     full_report,
+    greedy_cell,
     mean_ap,
+    outside_strata,
     precision_recall,
 )
-from deteval.oracle import ScenarioConfig, generate, max_matching
+from deteval.oracle import (
+    ScenarioConfig,
+    generate,
+    max_matching,
+    reference_accumulate,
+    reference_greedy_cell,
+)
 
 LABELS = LabelMap([(1, "X"), (2, "Y")])
 
@@ -423,6 +434,121 @@ class TestEvaluatorDifferential:
                 expected = float(np.mean(per_class)) if per_class else -1.0
                 got = average_recall(gt_set, det_set, k=k)
                 assert got == pytest.approx(expected, abs=1e-12), (seed, k)
+
+
+# every sweep threshold, its neighbours one ulp away, and the extremes, so
+# draws tie and land exactly on (or just off) a threshold
+EDGE_IOUS = sorted(
+    {0.0, 1.0, 0.3}
+    | {float(v) for t in IOU_SWEEP for v in (np.nextafter(t, 0), t, np.nextafter(t, 1))}
+)
+IOUS = st.one_of(st.sampled_from(EDGE_IOUS), st.floats(0.0, 1.0))
+# areas on both sides of the 32^2 and 96^2 stratum edges
+AREAS = st.sampled_from(
+    [4.0, float(np.nextafter(1024.0, 0)), 1024.0, 3000.0, 9215.5, 9216.0, 40000.0]
+)
+CAPS = (1, 10, 100, 150)
+
+
+@st.composite
+def greedy_cells(draw):
+    """(ious as D lists of G values, gt areas, det areas); some cells repeat
+    a few drawn rows past 100 detections so the 100 cap binds."""
+    n_gt = draw(st.integers(0, 6))
+    gt_areas = draw(st.lists(AREAS, min_size=n_gt, max_size=n_gt))
+    rows = draw(st.lists(st.lists(IOUS, min_size=n_gt, max_size=n_gt), max_size=12))
+    n_det = draw(st.sampled_from([len(rows), len(rows), 130])) if rows else 0
+    ious = [rows[i % len(rows)] for i in range(n_det)]
+    det_areas = draw(st.lists(AREAS, min_size=n_det, max_size=n_det))
+    return ious, gt_areas, det_areas
+
+
+class TestGreedyCellDifferential:
+    """The one-pass matcher against the scalar per-filter, per-threshold,
+    per-cap loop it replaced, flag for flag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=greedy_cells())
+    # a tie between two in-filter ground truths, both exactly on 0.5
+    @example(cell=([[0.5, 0.5], [0.5, 0.5]], [3000.0, 3000.0], [3000.0, 3000.0]))
+    # one ulp apart: the later, larger IoU wins, which leaves the second
+    # detection nothing at or above 0.75
+    @example(cell=([[0.75, float(np.nextafter(0.75, 1))], [0.0, 0.8]],
+                   [4.0, 4.0], [4.0, 4.0]))
+    # every ground truth ignored under the small and large filters
+    @example(cell=([[0.9, 0.6], [0.6, 0.9]], [3000.0, 3000.0], [40000.0, 4.0]))
+    # no ground truths, and no detections
+    @example(cell=([[], []], [], [4.0, 40000.0]))
+    @example(cell=([], [4.0, 1024.0], []))
+    def test_matches_scalar_reference(self, cell):
+        ious, gt_areas, det_areas = cell
+        block = np.array(ious, dtype=float).reshape(len(det_areas), len(gt_areas))
+        tp, ignored, eligible = greedy_cell(
+            block, outside_strata(gt_areas), outside_strata(det_areas)
+        )
+        for s, size in enumerate(STRATA):
+            for cap in CAPS:
+                ref_tp, ref_ignore, ref_eligible = reference_greedy_cell(
+                    ious, gt_areas, det_areas, size, cap
+                )
+                assert np.array_equal(tp[s, :, :cap], ref_tp), (size, cap)
+                assert np.array_equal(ignored[s, :, :cap], ref_ignore), (size, cap)
+                assert eligible[s] == ref_eligible, size
+
+
+def grid_scene(seed):
+    """Integer boxes on a coarse grid, so IoUs tie and hit sweep thresholds
+    exactly, with repeated scores; one image carries 130 detections of one
+    class, so the 100 cap binds."""
+    rng = random.Random(seed)
+    labels = LabelMap([(1, "a"), (2, "b")])
+    images = [ImageRecord(i, "x.png", 200, 200) for i in (3, 1, 2)]
+    anns, dets = [], []
+    for img in images:
+        for _ in range(rng.randint(0, 8)):
+            box = BBox(rng.randint(0, 3) * 4, rng.randint(0, 3) * 4,
+                       rng.choice([4, 8, 32, 33, 96, 100]), rng.choice([4, 8, 32, 96]))
+            anns.append(Annotation(len(anns) + 1, img.image_id, rng.randint(1, 2),
+                                   box, area=box.area))
+        crowd = img.image_id == 2
+        for _ in range(130 if crowd else rng.randint(0, 14)):
+            box = BBox(rng.randint(0, 3) * 4, rng.randint(0, 3) * 4,
+                       rng.choice([4, 8, 32, 64, 96]), rng.choice([4, 8, 32, 64, 96]))
+            dets.append(Detection(len(dets), img.image_id,
+                                  1 if crowd else rng.randint(1, 2), box,
+                                  score=rng.choice([0.3, 0.5, 0.9])))
+    return GroundTruthSet(images, labels, anns), DetectionSet(labels, dets)
+
+
+class TestPooledDifferential:
+    """Pooling, prefix caps and the vectorized interpolation against the
+    per-class, per-filter, per-cap scalar rebuild, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_accumulations_equal_reference(self, mode):
+        for seed in range(6):
+            scenes = [generate(
+                ScenarioConfig(seed=seed, image_count=3, gts_per_image=(0, 10),
+                               jitter_px=6, class_swap_rate=0.3, clutter_rate=0.5,
+                               drop_rate=0.2, image_size=(160, 160))
+            )]
+            if mode == "boxes":
+                scenes.append(grid_scene(seed))
+            for gt_set, det_set in scenes:
+                ev = GreedyEvaluator(gt_set, det_set, mode)
+                for cid in gt_set.label_map.ids():
+                    for size in STRATA:
+                        for cap in (1, 2) + CAPS:
+                            got = ev.accumulate(cid, size, cap)
+                            ref = reference_accumulate(
+                                gt_set, det_set, cid, size, cap, mode
+                            )
+                            if ref is None:
+                                assert got is None
+                                continue
+                            assert np.array_equal(got.precision, ref[0])
+                            assert np.array_equal(got.final_recall, ref[1])
+                            assert got.eligible_gts == ref[2]
 
 
 class TestGreedyVsOracleMonotonicity:

@@ -7,15 +7,14 @@ from deteval.errors import ConfigError, InstanceTooLargeError
 from deteval.geometry import BBox
 from deteval.matching import Thresholds, accumulate, match_conventional, match_modified
 from deteval.oracle import (
-    DeltaStats,
     ScenarioConfig,
     compare,
-    delta_table_csv,
     generate,
     greedy_iou_matching,
     max_matching,
     reference_conventional,
 )
+from deteval.reports import DeltaStats, delta_table_csv
 from test_matching import pathological_instance
 
 T = Thresholds()

@@ -24,7 +24,16 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .geometry import BBox, BitMask, InstanceMask, Polygon, RLEMask, rle_decode, rle_encode
+from .geometry import (
+    BBox,
+    BitMask,
+    InstanceMask,
+    Polygon,
+    RLEMask,
+    prepare_windows,
+    rle_decode,
+    rle_encode,
+)
 
 ROAD_CLASS_NAMES = (
     "Crack1",
@@ -298,7 +307,7 @@ def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
             return None
         try:
             polys = [Polygon.from_flat(p) for p in raw]
-        except (TypeError, GeometryError) as exc:
+        except (TypeError, ValueError, GeometryError) as exc:
             raise GeometryError(f"{where}: bad polygon segmentation: {exc}") from exc
         for poly in polys:
             if len(poly.vertices) < 3:
@@ -309,8 +318,8 @@ def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
     if isinstance(raw, dict):
         try:
             h, w = (int(v) for v in raw["size"])
-            rle = RLEMask(w, h, tuple(int(c) for c in raw["counts"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            rle = RLEMask(w, h, _parse_counts(raw["counts"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: bad RLE segmentation") from exc
         except GeometryError as exc:
             raise GeometryError(f"{where}: {exc}") from exc
@@ -319,6 +328,30 @@ def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
         except GeometryError as exc:
             raise GeometryError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: segmentation must be polygon list or RLE object")
+
+
+def _parse_counts(raw) -> np.ndarray:
+    """RLE counts as one int64 array, each count converted as ``int``
+    converts it. Raises OverflowError for a count beyond int64."""
+    if type(raw) is list:
+        try:
+            counts = np.array(raw)
+        except ValueError:  # lists nested to uneven depths
+            counts = None
+        # a list of ints (bools count as ints) converts in one call
+        if counts is not None and counts.dtype == np.int64 and counts.ndim == 1:
+            return counts
+    return np.array([int(c) for c in raw], dtype=np.int64)
+
+
+def _parse_area(raw, where: str) -> float:
+    try:
+        area = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: non-numeric area {raw!r}") from exc
+    if not math.isfinite(area):
+        raise GeometryError(f"{where}: non-finite area {area}")
+    return area
 
 
 def _clamp_bbox(bbox: BBox, image: ImageRecord) -> BBox:
@@ -380,8 +413,11 @@ def load_ground_truth(path) -> GroundTruthSet:
             entry.get("segmentation"), where, (image.width, image.height)
         )
         area = entry.get("area")
-        if area is None:
-            area = float(mask.area) if mask is not None else bbox.area
+        if area is not None:
+            area = _parse_area(area, where)
+        elif mask is None:
+            area = bbox.area
+        # an area still None is taken from the mask below
         annotations.append(
             Annotation(
                 ann_id=ann_id,
@@ -389,9 +425,19 @@ def load_ground_truth(path) -> GroundTruthSet:
                 class_id=class_id,
                 bbox=bbox,
                 mask=mask,
-                area=float(area),
+                area=area,
             )
         )
+
+    # each image's masks that give an area are prepared in one batch
+    unsized = [k for k, ann in enumerate(annotations) if ann.area is None]
+    masks_by_image: dict[int, list[InstanceMask]] = {}
+    for k in unsized:
+        masks_by_image.setdefault(annotations[k].image_id, []).append(annotations[k].mask)
+    for masks in masks_by_image.values():
+        prepare_windows(masks)
+    for k in unsized:
+        annotations[k] = replace(annotations[k], area=float(annotations[k].mask.area))
 
     gt = GroundTruthSet(images, label_map, annotations)
     _raise_first(validate(gt))
@@ -470,7 +516,7 @@ def _mask_to_json(mask: InstanceMask):
         return [p.to_flat() for p in mask.polygons]
     return {
         "size": [mask.rle.height, mask.rle.width],
-        "counts": list(mask.rle.runs),
+        "counts": mask.rle.runs.tolist(),
     }
 
 

@@ -24,7 +24,7 @@ from .annotations import (
     validate,
     write_json_atomic,
 )
-from .errors import EvalError, ParseError
+from .errors import EvalError, GeometryError, ParseError
 from .geometry import BBox, InstanceMask, Polygon
 from .matching import Thresholds, match_dataset
 from .metrics import full_report
@@ -259,8 +259,10 @@ def cmd_convert(args) -> int:
         points = region.get("points") or []
         try:
             poly = Polygon.from_points((p["x"], p["y"]) for p in points)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.vott}: {where} has malformed points") from exc
+        except GeometryError as exc:
+            raise GeometryError(f"{args.vott}: {where}: {exc}") from exc
         if len(poly.vertices) < 3:
             raise ParseError(f"{args.vott}: {where} needs at least 3 points")
         x0, y0, x1, y1 = poly.bounds()

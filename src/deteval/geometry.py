@@ -2,7 +2,12 @@
 
 Box IoU, polygon rasterization, bit-mask IoU, a run-length mask codec, and the
 small/medium/large area classification. All operations are stateless and safe
-to call concurrently.
+to call concurrently, except that an :class:`InstanceMask` caches its window.
+
+Masks are prepared in batches: :func:`prepare_windows` rasterizes the polygon
+rings of many masks (one image's, say) in a few numpy calls over one flat
+buffer, and decodes their run-length windows the same way. A single mask's
+:meth:`InstanceMask.window` and :func:`rasterize` are batches of one.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -107,28 +113,30 @@ class Polygon:
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
-        return cls(tuple((float(x), float(y)) for x, y in points))
-
-    @classmethod
-    def from_flat(cls, flat) -> "Polygon":
-        """Build from a flat ``[x1, y1, x2, y2, ...]`` coordinate list.
+        """Build from ``(x, y)`` pairs, each coordinate converted by ``float``.
 
         Every coordinate must be finite and within +-2**53: beyond that no
         two pixels are told apart, and rasterization intermediates overflow.
         """
+        vertices = tuple((float(x), float(y)) for x, y in points)
+        # the Euclidean norm of all coordinates bounds each of them (it is
+        # accurate to an ulp) and is not a number below the bound when one
+        # of them is not finite; only large or non-finite coordinates take
+        # the test one by one
+        if not math.hypot(*chain.from_iterable(vertices)) <= MAX_COORD / 2:
+            for c in chain.from_iterable(vertices):
+                if not -MAX_COORD <= c <= MAX_COORD:
+                    raise GeometryError(
+                        f"polygon coordinate {c} is not a finite number within +-2**53"
+                    )
+        return cls(vertices)
+
+    @classmethod
+    def from_flat(cls, flat) -> "Polygon":
+        """Build from a flat ``[x1, y1, x2, y2, ...]`` coordinate list, with
+        the checks of :meth:`from_points`."""
         if len(flat) % 2 != 0:
             raise GeometryError("flat polygon list has odd length")
-        # min and max may skip a NaN, but it (or an infinity) makes the sum
-        # non-finite
-        if flat and not (
-            -MAX_COORD <= min(flat)
-            and max(flat) <= MAX_COORD
-            and math.isfinite(sum(flat))
-        ):
-            bad = next(c for c in flat if not -MAX_COORD <= c <= MAX_COORD)
-            raise GeometryError(
-                f"polygon coordinate {bad} is not a finite number within +-2**53"
-            )
         it = iter(flat)
         return cls.from_points(zip(it, it))
 
@@ -195,28 +203,53 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
     return inter / union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RLEMask:
     """Run-length encoded mask: alternating zero/one run counts in row-major
-    order, starting with the zero count."""
+    order, starting with the zero count.
+
+    ``runs`` is kept as one read-only int64 array. Every run must be
+    non-negative and the runs must sum to ``width * height``.
+    """
 
     width: int
     height: int
-    runs: tuple[int, ...]
+    runs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
-        if any(r < 0 for r in self.runs):
+        runs = np.array(self.runs, dtype=np.int64)
+        runs.flags.writeable = False
+        object.__setattr__(self, "runs", runs)
+        if runs.ndim != 1:
+            raise GeometryError(f"runs must be a flat list, got shape {runs.shape}")
+        if self.width < 0 or self.height < 0:
+            raise GeometryError(f"negative mask size {self.width}x{self.height}")
+        if runs.size and runs.min() < 0:
             raise GeometryError("negative run length")
-        total = sum(self.runs)
-        if total != self.width * self.height:
+        expected = self.width * self.height
+        ends = np.cumsum(runs)
+        # the runs are non-negative, so an int64 overflow shows as a
+        # negative partial sum
+        if (int(ends[-1]) if ends.size else 0) != expected or (
+            ends.size and ends.min() < 0
+        ):
             raise GeometryError(
-                f"corrupt mask: runs sum to {total}, expected {self.width * self.height}"
+                f"corrupt mask: runs sum to {sum(runs.tolist())}, expected {expected}"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RLEMask):
+            return NotImplemented
+        return (self.width, self.height) == (other.width, other.height) and bool(
+            np.array_equal(self.runs, other.runs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.height, self.runs.tobytes()))
 
     @property
     def area(self) -> int:
-        return sum(self.runs[1::2])
+        return int(self.runs[1::2].sum())
 
 
 def rle_encode(mask: BitMask) -> RLEMask:
@@ -225,10 +258,10 @@ def rle_encode(mask: BitMask) -> RLEMask:
         return RLEMask(mask.width, mask.height, ())
     change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(bounds).tolist()
+    runs = np.diff(bounds)
     if flat[0]:
-        runs = [0] + runs
-    return RLEMask(mask.width, mask.height, tuple(runs))
+        runs = np.concatenate(([0], runs))
+    return RLEMask(mask.width, mask.height, runs)
 
 
 def rle_decode(rle: RLEMask) -> BitMask:
@@ -238,93 +271,148 @@ def rle_decode(rle: RLEMask) -> BitMask:
     return BitMask(flat.reshape(rle.height, rle.width))
 
 
-def _rle_window(rle: RLEMask) -> tuple[np.ndarray, int, int]:
-    """Decode only the rows and columns a run-length grid occupies.
+# cells of (h, w + 1) ring blocks rasterized in one pass; masks that need
+# more are rasterized in several passes, to bound memory
+RASTER_CHUNK_CELLS = 1 << 20
+# the limits (x0, y0, x1, y1) of a window without a canvas, beyond any
+# polygon coordinate
+_UNCLIPPED = (-(2**62), -(2**62), 2**62, 2**62)
 
-    Returns ``(bits, x0, y0)`` like :meth:`InstanceMask.window`; an empty
-    grid gives a 0x0 window at the origin. A one-run that wraps onto the
-    next row spans the full width.
+
+def _ring_arrays(polygon_lists):
+    """The vertices of every ring of every mask, concatenated in order.
+
+    Returns ``(xy, ring_sizes, mask_rings)``: the ``(V, 2)`` vertex
+    coordinates, the vertex count of each ring and the ring count of each
+    mask.
     """
-    runs = np.asarray(rle.runs, dtype=np.int64)
-    ends = np.cumsum(runs)
-    starts, ends = (ends - runs)[1::2], ends[1::2]
-    nonempty = ends > starts
-    starts, ends = starts[nonempty], ends[nonempty]
-    if starts.size == 0:
-        return np.zeros((0, 0), dtype=bool), 0, 0
-    w = rle.width
-    r0, r1 = int(starts[0] // w), int((ends[-1] - 1) // w) + 1
-    if np.all(starts // w == (ends - 1) // w):
-        c0, c1 = int((starts % w).min()), int(((ends - 1) % w).max()) + 1
-    else:
-        c0, c1 = 0, w
-    # the band of occupied rows: alternating zero and one runs between its
-    # first pixel, each one-run's start and end, and its last pixel
-    bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
-    bounds[0], bounds[-1] = r0 * w, r1 * w
-    bounds[1:-1:2], bounds[2:-1:2] = starts, ends
-    values = np.zeros(bounds.size - 1, dtype=bool)
-    values[1::2] = True
-    band = np.repeat(values, np.diff(bounds)).reshape(r1 - r0, w)
-    return band[:, c0:c1].copy(), c0, r0
+    rings = [p.vertices for polys in polygon_lists for p in polys]
+    ring_sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    mask_rings = np.fromiter(
+        map(len, polygon_lists), dtype=np.int64, count=len(polygon_lists)
+    )
+    if not (ring_sizes.all() and mask_rings.all()):
+        raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
+    xy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(rings)),
+        dtype=np.float64,
+        count=2 * int(ring_sizes.sum()),
+    )
+    return xy.reshape(-1, 2), ring_sizes, mask_rings
 
 
-def _raster_window(polygons, x0: int, y0: int, width: int, height: int) -> np.ndarray:
-    """Rasterize a union of polygon rings onto the window whose top-left
-    pixel is ``(x0, y0)`` in polygon coordinates.
+def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:
+    """``(x0, y0, x1, y1)`` of each mask's window: its vertices' floor and
+    ceiling, clipped to its canvas when known. A mask wholly off its canvas
+    gets an empty window."""
+    first = (ring_sizes.cumsum() - ring_sizes)[mask_rings.cumsum() - mask_rings]
+    lo = np.floor(np.minimum.reduceat(xy, first)).astype(np.int64)
+    hi = np.ceil(np.maximum.reduceat(xy, first)).astype(np.int64)
+    limits = np.array(
+        [_UNCLIPPED if c is None else (0, 0, *c) for c in canvases], dtype=np.int64
+    )
+    lo = np.maximum(lo, limits[:, :2])
+    hi = np.maximum(np.minimum(hi, limits[:, 2:]), lo)
+    return np.concatenate([lo, hi], axis=1)
 
-    Each ring is filled independently under the even-odd rule (a pixel center
-    is inside when an odd number of edge crossings lie strictly to its right);
-    rings are then combined by union. Returns a ``(height, width)`` bool grid.
+
+def _raster_rings(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
+    """Rasterize the union of each mask's rings onto its window ``rects``
+    row ``(x0, y0, x1, y1)``, in passes of at most about
+    ``RASTER_CHUNK_CELLS`` cells. Returns one ``(y1 - y0, x1 - x0)`` bool
+    grid per mask."""
+    w, h = rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]
+    cells = mask_rings * h * (w + 1)
+    if cells.sum() <= RASTER_CHUNK_CELLS:
+        return _raster_chunk(xy, ring_sizes, mask_rings, rects)
+    chunk = (cells.cumsum() - cells) // RASTER_CHUNK_CELLS
+    # the first mask, ring and vertex of each pass, and the ends
+    masks = np.append(0, (chunk[1:] != chunk[:-1]).nonzero()[0] + 1)
+    masks = np.append(masks, mask_rings.size)
+    rings = np.append(0, mask_rings.cumsum())[masks]
+    vertices = np.append(0, ring_sizes.cumsum())[rings]
+    cuts = list(zip(masks.tolist(), rings.tolist(), vertices.tolist()))
+    out = []
+    for (m0, r0, v0), (m1, r1, v1) in zip(cuts, cuts[1:]):
+        out += _raster_chunk(
+            xy[v0:v1], ring_sizes[r0:r1], mask_rings[m0:m1], rects[m0:m1]
+        )
+    return out
+
+
+def _raster_chunk(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
+    """One pass of :func:`_raster_rings`.
+
+    Each ring is filled under the even-odd rule (a pixel center is inside
+    when an odd number of edge crossings lie strictly to its right) in its
+    own ``(h, w + 1)`` block of one flat buffer: a crossing toggles its row
+    from the row start up to the crossing column. One cumulative sum then
+    gives every pixel's parity. Each row holds an even number of toggles, so
+    no parity leaks into the next row or block. Rings are then combined by
+    union.
     """
-    acc = np.zeros((height, width), dtype=bool)
-    if width <= 0 or height <= 0:
-        return acc
-    for poly in polygons:
-        if len(poly.vertices) < 3:
+    x0, y0 = rects[:, 0], rects[:, 1]
+    w, h = rects[:, 2] - x0, rects[:, 3] - y0
+    mask_of_ring = np.arange(mask_rings.size).repeat(mask_rings)
+    short = ring_sizes < 3
+    if short.any():
+        # a ring is checked only where its window is not empty
+        bad = short & ((w > 0) & (h > 0))[mask_of_ring]
+        if bad.any():
             raise GeometryError(
-                f"invalid polygon: {len(poly.vertices)} vertices (need >= 3)"
+                f"invalid polygon: {ring_sizes[bad][0]} vertices (need >= 3)"
             )
-        vx = np.array([v[0] - x0 for v in poly.vertices], dtype=float)
-        vy = np.array([v[1] - y0 for v in poly.vertices], dtype=float)
-        x1, y1 = vx, vy
-        x2, y2 = np.roll(vx, -1), np.roll(vy, -1)
-        sloped = y1 != y2  # horizontal edges never cross a scanline
-        if not sloped.any():
-            continue
-        x1, y1, x2, y2 = x1[sloped], y1[sloped], x2[sloped], y2[sloped]
+    ring_of_vertex = np.arange(ring_sizes.size).repeat(ring_sizes)
+    mask_of_vertex = mask_of_ring[ring_of_vertex]
+    vx, vy = xy[:, 0] - x0[mask_of_vertex], xy[:, 1] - y0[mask_of_vertex]
+    # each vertex's edge runs to the next vertex of its ring, the last
+    # vertex's back to the first
+    ring_end = ring_sizes.cumsum()
+    nxt = np.arange(1, vx.size + 1)
+    nxt[ring_end - 1] = ring_end - ring_sizes
 
-        ylo = np.minimum(y1, y2)
-        yhi = np.maximum(y1, y2)
-        # Rows whose center yc = r + 0.5 satisfies ylo <= yc < yhi.
-        r0 = np.maximum(np.ceil(ylo - 0.5), 0).astype(np.int64)
-        r1 = np.minimum(np.ceil(yhi - 0.5), height).astype(np.int64)
-        counts = np.maximum(r1 - r0, 0)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        edge_idx = np.repeat(np.arange(len(counts)), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rows = np.arange(total) - np.repeat(offsets, counts) + np.repeat(r0, counts)
+    sloped = (vy != vy[nxt]).nonzero()[0]  # horizontal edges cross no scanline
+    x1, y1, x2, y2 = vx[sloped], vy[sloped], vx[nxt[sloped]], vy[nxt[sloped]]
+    edge_ring = ring_of_vertex[sloped]
+    edge_mask = mask_of_ring[edge_ring]
+    edge_w = w[edge_mask]
 
-        yc = rows + 0.5
-        # interpolation parameter stays in [0, 1], so the crossing never
-        # overflows even for nearly horizontal edges
-        tparam = (yc - y1[edge_idx]) / (y2 - y1)[edge_idx]
-        xc = x1[edge_idx] + tparam * (x2 - x1)[edge_idx]
-        # Pixel center j + 0.5 counts a crossing iff j + 0.5 < xc, i.e.
-        # j < xc - 0.5: that is columns [0, ceil(xc - 0.5)).
-        jend = np.ceil(xc - 0.5).astype(np.int64)
-        np.clip(jend, 0, width, out=jend)
-        keep = jend > 0
-        rows, jend = rows[keep], jend[keep]
+    ylo = np.minimum(y1, y2)
+    yhi = np.maximum(y1, y2)
+    # Rows whose center yc = r + 0.5 satisfies ylo <= yc < yhi.
+    r0 = np.maximum(np.ceil(ylo - 0.5), 0).astype(np.int64)
+    r1 = np.minimum(np.ceil(yhi - 0.5), h[edge_mask]).astype(np.int64)
+    counts = np.maximum(r1 - r0, 0)
+    edge_idx = np.arange(counts.size).repeat(counts)
+    rows = np.arange(edge_idx.size) - (counts.cumsum() - counts - r0).repeat(counts)
 
-        diff = np.zeros((height, width + 1), dtype=np.int32)
-        np.add.at(diff, (rows, np.zeros_like(jend)), 1)
-        np.subtract.at(diff, (rows, jend), 1)
-        inside = (np.cumsum(diff, axis=1)[:, :width] & 1).astype(bool)
-        acc |= inside
-    return acc
+    yc = rows + 0.5
+    # interpolation parameter stays in [0, 1], so the crossing never
+    # overflows even for nearly horizontal edges
+    tparam = (yc - y1[edge_idx]) / (y2 - y1)[edge_idx]
+    xc = x1[edge_idx] + tparam * (x2 - x1)[edge_idx]
+    # Pixel center j + 0.5 counts a crossing iff j + 0.5 < xc, i.e.
+    # j < xc - 0.5: that is columns [0, ceil(xc - 0.5)), clipped to the
+    # window. A crossing left of column 0 toggles nothing.
+    jend = np.ceil(xc - 0.5).astype(np.int64)
+    np.minimum(jend, edge_w[edge_idx], out=jend)
+    keep = (jend > 0).nonzero()[0]
+    edge_idx, rows, jend = edge_idx[keep], rows[keep], jend[keep]
+
+    ring_cells = (h * (w + 1))[mask_of_ring]
+    ring_base = ring_cells.cumsum() - ring_cells
+    row_start = ring_base[edge_ring][edge_idx] + rows * (edge_w + 1)[edge_idx]
+    toggles = np.bincount(
+        np.concatenate([row_start, row_start + jend]), minlength=ring_cells.sum()
+    )
+    # parity survives the uint8 wrap-around
+    inside = (toggles.cumsum(dtype=np.uint8) & 1).view(bool)
+
+    mask_base = ring_base[mask_rings.cumsum() - mask_rings].tolist()
+    return [
+        inside[b : b + k * hh * (ww + 1)].reshape(k, hh, ww + 1)[:, :, :ww].any(axis=0)
+        for b, k, hh, ww in zip(mask_base, mask_rings.tolist(), h.tolist(), w.tolist())
+    ]
 
 
 def rasterize(polygon: Polygon, width: int, height: int) -> BitMask:
@@ -332,7 +420,99 @@ def rasterize(polygon: Polygon, width: int, height: int) -> BitMask:
     origin; geometry outside the grid is clipped."""
     if width < 1 or height < 1:
         raise GeometryError(f"grid must be at least 1x1, got {width}x{height}")
-    return BitMask(_raster_window([polygon], 0, 0, width, height))
+    rect = np.array([[0, 0, width, height]], dtype=np.int64)
+    return BitMask(_raster_rings(*_ring_arrays([[polygon]]), rect)[0])
+
+
+def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]]:
+    """``(bits, x0, y0)`` of each mask given as a list of polygon rings, with
+    its canvas ``(width, height)`` or None, as :meth:`InstanceMask.window`
+    returns it: the rings rasterized by union onto the window spanning their
+    vertices, clipped to the canvas."""
+    xy, ring_sizes, mask_rings = _ring_arrays(polygon_lists)
+    rects = _clipped_rects(xy, ring_sizes, mask_rings, canvases)
+    bits = _raster_rings(xy, ring_sizes, mask_rings, rects)
+    return list(zip(bits, rects[:, 0].tolist(), rects[:, 1].tolist()))
+
+
+# pads a run list of odd length with an empty one-run
+_NO_RUN = np.zeros(1, dtype=np.int64)
+
+
+def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
+    """``(bits, x0, y0)`` of each run-length grid, as
+    :meth:`InstanceMask.window` returns it.
+
+    Only the rows and columns a grid occupies are decoded; an empty grid
+    gives a 0x0 window at the origin, and a one-run that wraps onto the next
+    row widens its window to the full width. All windows are decoded by one
+    ``np.repeat`` into one buffer, of which each window is a view.
+    """
+    # with each odd run list padded, every list starts at an even position
+    # and the one-runs are the odd positions
+    parts = []
+    for r in rles:
+        parts.append(r.runs)
+        if r.runs.size & 1:
+            parts.append(_NO_RUN)
+    runs = np.concatenate(parts) if parts else _NO_RUN[:0]
+    pairs, totals, widths = np.array(
+        [((r.runs.size + 1) // 2, r.width * r.height, r.width) for r in rles],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
+    one_len = runs[1::2]
+    ones = one_len.nonzero()[0]
+    owner = np.arange(len(rles)).repeat(pairs)[ones]
+    # the running sum of all grids, less the grids before the owner; an
+    # int64 overflow of the running sum cancels in the difference
+    stop = runs.cumsum()[1::2][ones] - (totals.cumsum() - totals)[owner]
+    length, w_run = one_len[ones], widths[owner]
+    srow, scol = np.divmod(stop - length, w_run)
+    erow, ecol = np.divmod(stop - 1, w_run)
+
+    # the one-runs are ordered by grid, so each grid's are one group
+    count = np.bincount(owner, minlength=len(rles))
+    present = count.nonzero()[0]
+    group = (count.cumsum() - count)[present]
+    wraps = np.logical_or.reduceat(srow != erow, group)
+    rect = np.zeros((4, len(rles)), dtype=np.int64)
+    x0, y0, x1, y1 = rect
+    x0[present] = np.where(wraps, 0, np.minimum.reduceat(scol, group))
+    y0[present] = srow[group]
+    x1[present] = np.where(wraps, widths[present], np.maximum.reduceat(ecol, group) + 1)
+    y1[present] = np.maximum.reduceat(erow, group) + 1
+    w, h = x1 - x0, y1 - y0
+    cells = h * w
+    base = cells.cumsum() - cells
+    # each one-run's position in the concatenated cropped windows
+    start = (base - y0 * w - x0)[owner] + srow * w[owner] + scol
+    bounds = np.empty(2 * ones.size + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, cells.sum()
+    bounds[1:-1:2], bounds[2:-1:2] = start, start + length
+    values = np.zeros(bounds.size - 1, dtype=bool)
+    values[1::2] = True
+    flat = values.repeat(bounds[1:] - bounds[:-1])
+    return [
+        (flat[b : b + hh * ww].reshape(hh, ww), xx, yy)
+        for b, hh, ww, xx, yy in zip(
+            base.tolist(), h.tolist(), w.tolist(), x0.tolist(), y0.tolist()
+        )
+    ]
+
+
+def prepare_windows(masks) -> None:
+    """Compute and cache the window of every mask not yet prepared: the
+    polygon masks in one batch and the run-length masks in another."""
+    todo = [m for m in masks if m._window is None]
+    polys = [m for m in todo if m.rle is None]
+    rles = [m for m in todo if m.rle is not None]
+    if polys:
+        windows = polygon_windows([m.polygons for m in polys], [m.canvas for m in polys])
+        for m, win in zip(polys, windows):
+            m._window = win
+    if rles:
+        for m, win in zip(rles, rle_windows([m.rle for m in rles])):
+            m._window = win
 
 
 class InstanceMask:
@@ -344,6 +524,11 @@ class InstanceMask:
     anchored window: a local bit grid plus the window's top-left pixel
     coordinates, equivalent to the same polygons rasterized on the full
     canvas. A run-length window covers only the occupied rows and columns.
+
+    The window is computed once and cached. :func:`prepare_windows` computes
+    the windows of many masks in one batch (matching does so for each
+    image's ground truths and detections); :meth:`window` prepares a mask
+    not yet prepared as a batch of one, with the same result.
     """
 
     __slots__ = ("polygons", "rle", "canvas", "_window", "_area")
@@ -368,22 +553,7 @@ class InstanceMask:
     def window(self) -> tuple[np.ndarray, int, int]:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""
         if self._window is None:
-            if self.rle is not None:
-                self._window = _rle_window(self.rle)
-            else:
-                xmin = min(p.bounds()[0] for p in self.polygons)
-                ymin = min(p.bounds()[1] for p in self.polygons)
-                xmax = max(p.bounds()[2] for p in self.polygons)
-                ymax = max(p.bounds()[3] for p in self.polygons)
-                x0, y0 = int(np.floor(xmin)), int(np.floor(ymin))
-                x1, y1 = int(np.ceil(xmax)), int(np.ceil(ymax))
-                if self.canvas is not None:
-                    x0, y0 = max(x0, 0), max(y0, 0)
-                    x1, y1 = min(x1, self.canvas[0]), min(y1, self.canvas[1])
-                    # a polygon wholly off the canvas gets an empty window
-                    x1, y1 = max(x1, x0), max(y1, y0)
-                bits = _raster_window(self.polygons, x0, y0, x1 - x0, y1 - y0)
-                self._window = (bits, x0, y0)
+            prepare_windows([self])
         return self._window
 
     @property

@@ -35,7 +35,7 @@ from .errors import (
     MissingReferenceError,
     NonTerminationError,
 )
-from .geometry import box_iou
+from .geometry import box_iou, prepare_windows
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -109,12 +109,14 @@ def _box_iou_matrix(gts, dets) -> np.ndarray:
 
 
 def _window_rects(masks) -> np.ndarray:
-    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask."""
-    rects = np.zeros((len(masks), 4), dtype=np.int64)
-    for k, m in enumerate(masks):
-        bits, x0, y0 = m.window()
-        rects[k] = (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
-    return rects
+    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask; the
+    windows not yet prepared are prepared in one batch."""
+    prepare_windows(masks)
+    rects = [
+        (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
+        for bits, x0, y0 in (m.window() for m in masks)
+    ]
+    return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
 def iou_matrix(gts, dets, mode: str) -> np.ndarray:

@@ -5,8 +5,10 @@ angle: an exhaustive maximum-matching bound, a straight-line re-transcription
 of the IoU-prioritized matcher that shares no code with
 :mod:`deteval.matching`, the greedy global-IoU variant some of the literature
 calls "conventional" (provided for comparison, never substituted), the
-scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, and
-a generator that fabricates ground truth plus noisy detections from a seed.
+scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
+one-mask-at-a-time polygon rasterizer and run-length window decoder that
+:mod:`deteval.geometry` batched, and a generator that fabricates ground truth
+plus noisy detections from a seed.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .annotations import (
     ImageRecord,
     LabelMap,
 )
-from .errors import ConfigError, InstanceTooLargeError
-from .geometry import BBox, InstanceMask, Polygon, size_class
+from .errors import ConfigError, GeometryError, InstanceTooLargeError
+from .geometry import BBox, InstanceMask, Polygon, RLEMask, size_class
 from .matching import (
     ConfusionMatrix,
     MatchingResult,
@@ -425,6 +427,117 @@ def reference_accumulate(gt_set, det_set, class_id, size_filter, max_dets, mode)
         samples[ti, valid] = envelope[ti, idx[valid]]
     final_recall = recall[:, -1] if parts else np.zeros(T)
     return samples, final_recall, eligible
+
+
+# ---------------------------------------------------------------------------
+# scalar references for mask preparation
+
+
+def reference_window(mask: InstanceMask) -> tuple[np.ndarray, int, int]:
+    """``(bits, x0, y0)`` of one mask, computed one ring or run list at a
+    time, as :meth:`InstanceMask.window` computed it before batching."""
+    if mask.rle is not None:
+        return reference_rle_window(mask.rle)
+    xmin = min(p.bounds()[0] for p in mask.polygons)
+    ymin = min(p.bounds()[1] for p in mask.polygons)
+    xmax = max(p.bounds()[2] for p in mask.polygons)
+    ymax = max(p.bounds()[3] for p in mask.polygons)
+    x0, y0 = int(np.floor(xmin)), int(np.floor(ymin))
+    x1, y1 = int(np.ceil(xmax)), int(np.ceil(ymax))
+    if mask.canvas is not None:
+        x0, y0 = max(x0, 0), max(y0, 0)
+        x1, y1 = min(x1, mask.canvas[0]), min(y1, mask.canvas[1])
+        # a polygon wholly off the canvas gets an empty window
+        x1, y1 = max(x1, x0), max(y1, y0)
+    bits = reference_raster_window(mask.polygons, x0, y0, x1 - x0, y1 - y0)
+    return bits, x0, y0
+
+
+def reference_rle_window(rle: RLEMask) -> tuple[np.ndarray, int, int]:
+    """Decode only the rows and columns a run-length grid occupies.
+
+    Returns ``(bits, x0, y0)`` like :meth:`InstanceMask.window`; an empty
+    grid gives a 0x0 window at the origin. A one-run that wraps onto the
+    next row spans the full width.
+    """
+    runs = np.asarray(rle.runs, dtype=np.int64)
+    ends = np.cumsum(runs)
+    starts, ends = (ends - runs)[1::2], ends[1::2]
+    nonempty = ends > starts
+    starts, ends = starts[nonempty], ends[nonempty]
+    if starts.size == 0:
+        return np.zeros((0, 0), dtype=bool), 0, 0
+    w = rle.width
+    r0, r1 = int(starts[0] // w), int((ends[-1] - 1) // w) + 1
+    if np.all(starts // w == (ends - 1) // w):
+        c0, c1 = int((starts % w).min()), int(((ends - 1) % w).max()) + 1
+    else:
+        c0, c1 = 0, w
+    # the band of occupied rows: alternating zero and one runs between its
+    # first pixel, each one-run's start and end, and its last pixel
+    bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = r0 * w, r1 * w
+    bounds[1:-1:2], bounds[2:-1:2] = starts, ends
+    values = np.zeros(bounds.size - 1, dtype=bool)
+    values[1::2] = True
+    band = np.repeat(values, np.diff(bounds)).reshape(r1 - r0, w)
+    return band[:, c0:c1].copy(), c0, r0
+
+
+def reference_raster_window(polygons, x0: int, y0: int, width: int, height: int) -> np.ndarray:
+    """Rasterize a union of polygon rings onto the window whose top-left
+    pixel is ``(x0, y0)`` in polygon coordinates, one ring at a time.
+
+    Each ring is filled independently under the even-odd rule (a pixel center
+    is inside when an odd number of edge crossings lie strictly to its right);
+    rings are then combined by union. Returns a ``(height, width)`` bool grid.
+    """
+    acc = np.zeros((height, width), dtype=bool)
+    if width <= 0 or height <= 0:
+        return acc
+    for poly in polygons:
+        if len(poly.vertices) < 3:
+            raise GeometryError(
+                f"invalid polygon: {len(poly.vertices)} vertices (need >= 3)"
+            )
+        vx = np.array([v[0] - x0 for v in poly.vertices], dtype=float)
+        vy = np.array([v[1] - y0 for v in poly.vertices], dtype=float)
+        x1, y1 = vx, vy
+        x2, y2 = np.roll(vx, -1), np.roll(vy, -1)
+        sloped = y1 != y2  # horizontal edges never cross a scanline
+        if not sloped.any():
+            continue
+        x1, y1, x2, y2 = x1[sloped], y1[sloped], x2[sloped], y2[sloped]
+
+        ylo = np.minimum(y1, y2)
+        yhi = np.maximum(y1, y2)
+        # Rows whose center yc = r + 0.5 satisfies ylo <= yc < yhi.
+        r0 = np.maximum(np.ceil(ylo - 0.5), 0).astype(np.int64)
+        r1 = np.minimum(np.ceil(yhi - 0.5), height).astype(np.int64)
+        counts = np.maximum(r1 - r0, 0)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        edge_idx = np.repeat(np.arange(len(counts)), counts)
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        rows = np.arange(total) - np.repeat(offsets, counts) + np.repeat(r0, counts)
+
+        yc = rows + 0.5
+        tparam = (yc - y1[edge_idx]) / (y2 - y1)[edge_idx]
+        xc = x1[edge_idx] + tparam * (x2 - x1)[edge_idx]
+        # Pixel center j + 0.5 counts a crossing iff j + 0.5 < xc, i.e.
+        # j < xc - 0.5: that is columns [0, ceil(xc - 0.5)).
+        jend = np.ceil(xc - 0.5).astype(np.int64)
+        np.clip(jend, 0, width, out=jend)
+        keep = jend > 0
+        rows, jend = rows[keep], jend[keep]
+
+        diff = np.zeros((height, width + 1), dtype=np.int32)
+        np.add.at(diff, (rows, np.zeros_like(jend)), 1)
+        np.subtract.at(diff, (rows, jend), 1)
+        inside = (np.cumsum(diff, axis=1)[:, :width] & 1).astype(bool)
+        acc |= inside
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import minimal_gt_dict, write_json
 from deteval.annotations import (
@@ -129,6 +131,39 @@ class TestLoadGroundTruth:
         doc["annotations"][0]["segmentation"] = [[4, 4, 14, 4, 14, 14, 4, 14]]
         gt = load_ground_truth(write_json(tmp_path / "gt.json", doc))
         assert gt.annotations[0].area == 100
+
+    def test_missing_areas_come_from_batched_masks(self, tmp_path):
+        from deteval.oracle import reference_window
+
+        doc = minimal_gt_dict()
+        doc["images"].append({"id": 2, "file_name": "b.png", "width": 30, "height": 20})
+        rings = {
+            1: [[4, 4, 14, 4, 14, 14, 4, 14]],
+            2: [[0.5, 0.5, 60.2, 3.7, 9.9, 30.1], [2, 2, 6, 2, 6, 6, 2, 6]],
+            3: [[-5, -5, 10.3, 1.5, 3.5, 8.5]],
+            4: [[1, 1, 9, 2, 5, 7.5]],
+        }
+        doc["annotations"] = [
+            {"id": k, "image_id": 1 + k % 2, "category_id": 1, "bbox": [0, 0, 9, 9],
+             "segmentation": seg}
+            for k, seg in rings.items()
+        ]
+        doc["annotations"][3]["area"] = 7
+        gt = load_ground_truth(write_json(tmp_path / "gt.json", doc))
+        for ann in gt.annotations:
+            expected = 7.0 if ann.ann_id == 4 else float(
+                np.count_nonzero(reference_window(ann.mask)[0])
+            )
+            assert type(ann.area) is float and ann.area == expected
+
+    @pytest.mark.parametrize("bad", ["abc", [1], {"a": 1}, float("inf"), float("nan"),
+                                     10**400])
+    def test_bad_area_rejected(self, tmp_path, bad):
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["area"] = bad
+        path = write_json(tmp_path / "bad.json", doc)
+        with pytest.raises((ParseError, GeometryError), match="annotation 1"):
+            load_ground_truth(path)
 
     def test_two_vertex_polygon_rejected_at_load(self, tmp_path):
         doc = minimal_gt_dict()
@@ -279,7 +314,7 @@ class TestRescale:
     def test_rle_force_resamples_whole_canvas_of_partial_mask(self, tmp_path):
         bits = np.zeros((20, 30), dtype=bool)
         bits[6:10, 5:13] = True  # an 8x4 block
-        seg = {"size": [20, 30], "counts": list(rle_encode(BitMask(bits)).runs)}
+        seg = {"size": [20, 30], "counts": rle_encode(BitMask(bits)).runs.tolist()}
         gt = self._gt(tmp_path, bbox=(5, 6, 8, 4), seg=seg, size=(30, 20))
         mask = rescale(gt, 60, 40, force=True).annotations[0].mask
         assert mask.area == 128
@@ -384,3 +419,72 @@ class TestLabelMap:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError):
             LabelMap([(1, "a"), (2, "a")])
+
+
+# JSON values a count may hold: ints within and beyond int64, bools, floats
+# (truncated, or not finite), numeric and other strings, null and lists
+COUNT_VALUES = st.one_of(
+    st.integers(-5, 10),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(),
+    st.text(alphabet="0123456789 -_.e", max_size=4),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+class TestRleCounts:
+    """RLE counts are parsed as one int64 array, but each value is accepted
+    or rejected exactly as ``int()`` accepts or rejects it."""
+
+    @given(st.one_of(st.lists(COUNT_VALUES, max_size=6), st.lists(st.integers(0, 9)),
+                     COUNT_VALUES))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_int_conversion(self, raw):
+        from deteval.annotations import _parse_counts
+
+        try:
+            expected = [int(c) for c in raw]
+        except (TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                _parse_counts(raw)
+            return
+        if any(not -(2**63) <= c < 2**63 for c in expected):
+            with pytest.raises(OverflowError):
+                _parse_counts(raw)
+            return
+        counts = _parse_counts(raw)
+        assert counts.dtype == np.int64 and counts.ndim == 1
+        assert counts.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "seg, error",
+        [
+            ({"size": [2, 2], "counts": [1, float("inf"), 0]}, "bad RLE"),
+            ({"size": [float("inf"), 2], "counts": [4]}, "bad RLE"),
+            ({"size": [2, 2], "counts": [2**63, 1]}, "bad RLE"),
+            ({"size": [2, 2], "counts": [1, -1, 4]}, "negative run"),
+            ({"size": [2, 2], "counts": [1, 2]}, "runs sum to 3"),
+        ],
+    )
+    def test_bad_counts_name_the_detection(self, tmp_path, seg, error):
+        path = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 2, 2], "score": 0.9,
+              "segmentation": seg}],
+        )
+        with pytest.raises((ParseError, GeometryError), match=f"detection 0.*{error}"):
+            load_detections(path, LabelMap([(1, "t")]))
+
+    def test_round_trip_through_json(self, tmp_path):
+        bits = np.zeros((5, 7), dtype=bool)
+        bits[1:3, 2:6] = True
+        seg = {"size": [5, 7], "counts": rle_encode(BitMask(bits)).runs.tolist()}
+        rows = [{"image_id": 1, "category_id": 1, "bbox": [2, 1, 4, 2], "score": 0.9,
+                 "segmentation": seg}]
+        dets = load_detections(write_json(tmp_path / "det.json", rows), LabelMap([(1, "t")]))
+        dets.save(tmp_path / "again.json")
+        again = json.loads((tmp_path / "again.json").read_text())
+        assert again[0]["segmentation"] == seg
+        assert load_detections(tmp_path / "again.json", LabelMap([(1, "t")])) == dets

@@ -262,6 +262,98 @@ class TestPolygonVertexFuzz:
         assert code in (0, 2)
 
 
+# any JSON value, and values near a valid run-length mask of the 64x64 image
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=8,
+)
+RLE_SIZES = st.one_of(JSON_VALUES, st.just([64, 64]),
+                      st.lists(st.one_of(st.integers(-2, 2**64), st.floats()), max_size=3))
+RLE_COUNTS = st.one_of(
+    JSON_VALUES,
+    st.sampled_from([[0, 4096], [4000, 90, 6], [4096], [2**63, 1], [0, float("inf")]]),
+    st.lists(st.one_of(st.integers(-1, 5000), st.floats(0, 5000)), max_size=5),
+)
+
+
+class TestRleFuzz:
+    """Any JSON value as an RLE size or counts, in a ground truth or a
+    detection, is either evaluated or rejected as bad input: exit 0 or 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gt_rle=st.one_of(st.none(), st.fixed_dictionaries({"size": RLE_SIZES,
+                                                           "counts": RLE_COUNTS})),
+        det_rle=st.fixed_dictionaries({"size": RLE_SIZES, "counts": RLE_COUNTS}),
+        mode=st.sampled_from(["boxes", "masks"]),
+    )
+    def test_exit_code_is_0_or_2(self, gt_rle, det_rle, mode):
+        doc = minimal_gt_dict()
+        if gt_rle is not None:
+            doc["annotations"][0]["segmentation"] = gt_rle
+        rows = [{"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10],
+                 "score": 0.9, "segmentation": det_rle}]
+        with tempfile.TemporaryDirectory() as tmp:
+            gt = write_json(Path(tmp) / "gt.json", doc)
+            det = write_json(Path(tmp) / "det.json", rows)
+            code = main(
+                ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+                 "--out", str(Path(tmp) / "o")]
+            )
+        assert code in (0, 2)
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize(
+        "seg",
+        [
+            {"size": [64, 64], "counts": [0, float("inf")]},
+            {"size": [float("inf"), 64], "counts": [0, 4096]},
+            {"size": [64, 64], "counts": [2**63, 1]},
+        ],
+    )
+    def test_unrepresentable_rle_values_exit_2(self, tmp_path, capsys, mode, seg):
+        gt, _ = simple_pair(tmp_path)
+        det = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10], "score": 0.9,
+              "segmentation": seg}],
+        )
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "detection 0: bad RLE segmentation" in capsys.readouterr().err
+
+
+class TestGroundTruthArea:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("abc", "non-numeric area"), ([1], "non-numeric area"),
+         (float("inf"), "non-finite area")],
+    )
+    def test_bad_area_exits_2(self, tmp_path, capsys, bad, message):
+        _, det = simple_pair(tmp_path)
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["area"] = bad
+        gt = write_json(tmp_path / "gt.json", doc)
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"annotation 1: {message}" in capsys.readouterr().err
+
+    def test_numeric_area_string_still_accepted(self, tmp_path):
+        _, det = simple_pair(tmp_path)
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["area"] = "100"
+        gt = write_json(tmp_path / "gt.json", doc)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(out)]) == 0
+
+
 class TestCompare:
     def test_crafted_conflict_shows_diagonal_gain(self, tmp_path):
         gt, det = road_pair(tmp_path)
@@ -461,6 +553,23 @@ class TestConvert:
             ["convert", "--vott", str(src), "--labels", str(labels),
              "--out", str(tmp_path / "o.json")]
         ) == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300, "abc"])
+    def test_bad_point_exits_2_naming_the_region(self, tmp_path, capsys, bad):
+        vott = {
+            "asset": {"size": {"width": 100, "height": 100}},
+            "regions": [
+                {"tags": ["A"], "points": [{"x": 1, "y": 1}, {"x": 9, "y": 1},
+                                           {"x": 5, "y": 9}]},
+                {"tags": ["A"], "points": [{"x": 1, "y": 1}, {"x": bad, "y": 1},
+                                           {"x": 5, "y": 9}]},
+            ],
+        }
+        src = write_json(tmp_path / "x.json", vott)
+        out = tmp_path / "o.json"
+        assert main(["convert", "--vott", str(src), "--out", str(out)]) == 2
+        assert "region 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_point_region_exits_2(self, tmp_path):
         vott = {

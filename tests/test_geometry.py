@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deteval import geometry
 from deteval.errors import GeometryError
 from deteval.geometry import (
     BBox,
@@ -239,14 +242,14 @@ def _box_poly(b: BBox) -> Polygon:
 
 class TestRle:
     def test_all_zero(self):
-        assert rle_encode(BitMask.zeros(3, 3)).runs == (9,)
+        assert rle_encode(BitMask.zeros(3, 3)).runs.tolist() == [9]
 
     def test_all_one(self):
-        assert rle_encode(BitMask(np.ones((3, 3), dtype=bool))).runs == (0, 9)
+        assert rle_encode(BitMask(np.ones((3, 3), dtype=bool))).runs.tolist() == [0, 9]
 
     def test_alternating(self):
         m = BitMask(np.array([[1, 0], [0, 1]], dtype=bool))
-        assert rle_encode(m).runs == (0, 1, 2, 1)
+        assert rle_encode(m).runs.tolist() == [0, 1, 2, 1]
 
     def test_corrupt_run_sum(self):
         with pytest.raises(GeometryError):
@@ -416,3 +419,155 @@ def _random_star(rng, size):
     radii = rng.uniform(1.0, 3.5, size=k)
     pts = [(cx + r * np.cos(a), cy + r * np.sin(a)) for a, r in zip(angles, radii)]
     return Polygon.from_points(pts)
+
+
+# coordinates anywhere around a 16x12 canvas, on half-pixel centres, on
+# pixel edges, and one value shared by many vertices, so that horizontal
+# edges and crossings exactly on a pixel center occur
+BATCH_COORD = st.one_of(
+    st.floats(-6, 22),
+    st.integers(-4, 20).map(lambda k: k + 0.5),
+    st.integers(-4, 20).map(float),
+    st.just(3.0),
+)
+# vertices in random order make self-intersecting rings; a shift of -30 or
+# +40 moves a ring wholly off the canvas
+BATCH_RING = st.tuples(
+    st.lists(st.tuples(BATCH_COORD, BATCH_COORD), min_size=3, max_size=7),
+    st.sampled_from([0.0, 0.0, -30.0, 40.0]),
+).map(lambda r: Polygon.from_points((x + r[1], y + r[1]) for x, y in r[0]))
+BATCH_MASK = st.builds(
+    lambda rings, canvas: InstanceMask(polygons=rings, canvas=canvas),
+    st.lists(BATCH_RING, min_size=1, max_size=3),
+    st.sampled_from([None, (16, 12), (16, 12), (3, 2)]),
+)
+
+
+class TestBatchedRasterDifferential:
+    """The batched rasterizer gives exactly the windows the one-ring-at-a-
+    time reference gives: the same bits, shapes and anchors."""
+
+    @staticmethod
+    def assert_matches_reference(masks):
+        from deteval.geometry import polygon_windows
+        from deteval.oracle import reference_window
+
+        for chunk_cells in (geometry.RASTER_CHUNK_CELLS, 16):
+            with mock.patch.object(geometry, "RASTER_CHUNK_CELLS", chunk_cells):
+                got = polygon_windows([m.polygons for m in masks], [m.canvas for m in masks])
+            assert len(got) == len(masks)
+            for m, (bits, x0, y0) in zip(masks, got):
+                ref_bits, rx0, ry0 = reference_window(m)
+                assert (x0, y0) == (rx0, ry0)
+                assert bits.dtype == bool and bits.shape == ref_bits.shape
+                assert np.array_equal(bits, ref_bits)
+
+    @given(st.lists(BATCH_MASK, min_size=1, max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_batches_property(self, masks):
+        self.assert_matches_reference(masks)
+
+    def test_edge_cases_in_one_batch(self):
+        square = Polygon.from_points([(2, 2), (8, 2), (8, 7), (2, 7)])
+        masks = [
+            # two overlapping rings, one a bow tie crossing itself
+            InstanceMask(polygons=[square, Polygon.from_points(
+                [(1, 1), (9, 6), (9, 1), (1, 6)])], canvas=(16, 12)),
+            # every vertex on a half-pixel center, with horizontal edges
+            InstanceMask(polygons=[Polygon.from_points(
+                [(0.5, 0.5), (5.5, 0.5), (5.5, 3.5), (2.5, 3.5), (2.5, 5.5), (0.5, 5.5)])],
+                canvas=(16, 12)),
+            # wholly off the canvas: an empty window
+            InstanceMask(polygons=[Polygon.from_points([(-9, -9), (-2, -9), (-2, -1)])],
+                         canvas=(16, 12)),
+            # a flat ring: a window of no rows
+            InstanceMask(polygons=[Polygon.from_points([(1, 4), (9, 4), (5, 4)])],
+                         canvas=(16, 12)),
+            # no canvas: the window follows the vertices past the origin
+            InstanceMask(polygons=[Polygon.from_points([(-3.2, -1.7), (4.4, 0.2), (0.1, 5.9)])]),
+            InstanceMask(polygons=[square], canvas=(16, 12)),
+        ]
+        self.assert_matches_reference(masks)
+
+    def test_fewer_than_three_vertices(self):
+        from deteval.geometry import polygon_windows
+        from deteval.oracle import reference_window
+
+        good = InstanceMask(polygons=[Polygon.from_points([(0, 0), (4, 0), (4, 4)])],
+                            canvas=(16, 12))
+        short = InstanceMask(polygons=[Polygon.from_points([(0, 0), (5, 5)])],
+                             canvas=(16, 12))
+        with pytest.raises(GeometryError, match="2 vertices"):
+            reference_window(short)
+        with pytest.raises(GeometryError, match="2 vertices"):
+            polygon_windows([good.polygons, short.polygons], [good.canvas, short.canvas])
+        # a short ring whose window is empty is not rasterized, and not checked
+        off = InstanceMask(polygons=[Polygon.from_points([(-9, -9), (-5, -5)])],
+                           canvas=(16, 12))
+        self.assert_matches_reference([good, off])
+
+    @given(BATCH_RING, st.integers(1, 20), st.integers(1, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_rasterize_matches_reference(self, ring, width, height):
+        from deteval.oracle import reference_raster_window
+
+        expected = reference_raster_window([ring], 0, 0, width, height)
+        assert np.array_equal(rasterize(ring, width, height).bits, expected)
+
+
+class TestBatchedRleDifferential:
+    """The batched run-length decoder gives exactly the windows of the
+    one-grid-at-a-time reference."""
+
+    @staticmethod
+    def assert_matches_reference(rles):
+        from deteval.geometry import rle_windows
+        from deteval.oracle import reference_rle_window
+
+        got = rle_windows(rles)
+        assert len(got) == len(rles)
+        for rle, (bits, x0, y0) in zip(rles, got):
+            ref_bits, rx0, ry0 = reference_rle_window(rle)
+            assert (x0, y0) == (rx0, ry0)
+            assert bits.dtype == bool and bits.shape == ref_bits.shape
+            assert np.array_equal(bits, ref_bits)
+
+    def test_edge_cases_in_one_batch(self):
+        self.assert_matches_reference([
+            RLEMask(5, 4, (20,)),  # empty
+            RLEMask(5, 4, (0, 20)),  # full
+            RLEMask(5, 4, (3, 4, 13)),  # a one-run wrapping onto the next row
+            RLEMask(5, 4, (19, 1)),  # only the last pixel
+            RLEMask(0, 0, ()),  # a grid of no pixels
+            RLEMask(5, 4, (0, 1, 19)),  # only the first pixel
+            RLEMask(5, 4, (6, 1, 4, 1, 8)),  # two pixels a row apart
+            RLEMask(5, 4, (0, 2, 0, 3, 15)),  # an empty zero run between one runs
+        ])
+
+    @given(st.lists(rle_grids(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_batches_property(self, rles):
+        self.assert_matches_reference(rles)
+
+
+class TestRleRuns:
+    def test_runs_are_one_read_only_int64_array(self):
+        rle = RLEMask(3, 2, [1, 2.9, True, 2])
+        assert rle.runs.dtype == np.int64 and rle.runs.tolist() == [1, 2, 1, 2]
+        with pytest.raises(ValueError):
+            rle.runs[0] = 5
+
+    def test_equality_and_hash_follow_the_runs(self):
+        a, b = RLEMask(3, 2, (1, 5)), RLEMask(3, 2, np.array([1, 5]))
+        assert a == b and hash(a) == hash(b)
+        assert a != RLEMask(3, 2, (2, 4))
+        assert a != RLEMask(2, 3, (1, 5))
+
+    def test_run_sum_overflowing_int64_is_corrupt(self):
+        # five runs of 2**62 wrap around to a total of 2**62 in int64
+        with pytest.raises(GeometryError, match="corrupt mask"):
+            RLEMask(2**31, 2**31, (2**62,) * 5)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(GeometryError, match="negative mask size"):
+            RLEMask(-1, -1, (1,))

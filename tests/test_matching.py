@@ -414,6 +414,14 @@ def _masked_scene(gitems, ditems):
     return gts, dets
 
 
+def _fresh_masks(items):
+    """The same items with new, unprepared masks."""
+    return [
+        (b, None if m is None else InstanceMask(polygons=m.polygons, rle=m.rle))
+        for b, m in items
+    ]
+
+
 def _on_canvas(mask):
     # ground-truth masks carry their image size, as loading gives them
     if mask is None or mask.rle is not None:
@@ -450,6 +458,18 @@ class TestIouMatrixDifferential:
     def test_masks(self, gitems, ditems):
         gts, dets = _masked_scene(gitems, ditems)
         self.assert_cells_equal(gts, dets, "masks")
+
+    @given(st.lists(masked_item(), max_size=6), st.lists(masked_item(), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_windows_equal_single_ones(self, gitems, ditems):
+        batched = iou_matrix(
+            *_masked_scene(_fresh_masks(gitems), _fresh_masks(ditems)), "masks"
+        )
+        gts, dets = _masked_scene(_fresh_masks(gitems), _fresh_masks(ditems))
+        for item in (*gts, *dets):
+            if item.mask is not None:
+                item.mask.window()  # one mask at a time
+        assert np.array_equal(iou_matrix(gts, dets, "masks"), batched)
 
     def test_exact_half_is_over_threshold(self):
         gts, dets = [A(1, 1, (0, 0, 10, 10))], [D(0, 1, (0, 0, 10, 5))]

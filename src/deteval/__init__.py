@@ -23,14 +23,11 @@ from .annotations import (
 )
 from .geometry import (
     BBox,
-    BitMask,
     InstanceMask,
     Polygon,
     RLEMask,
     SizeClass,
     box_iou,
-    mask_iou,
-    rasterize,
     rle_decode,
     rle_encode,
     size_class,
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Annotation",
     "BBox",
-    "BitMask",
     "ConfusionMatrix",
     "Detection",
     "DetectionSet",
@@ -86,13 +82,11 @@ __all__ = [
     "iou_table",
     "load_detections",
     "load_ground_truth",
-    "mask_iou",
     "match_conventional",
     "match_dataset",
     "match_modified",
     "mean_ap",
     "precision_recall",
-    "rasterize",
     "rescale",
     "rle_decode",
     "rle_encode",

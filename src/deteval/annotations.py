@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import (
     BBox,
-    BitMask,
     InstanceMask,
     Polygon,
     RLEMask,
@@ -81,10 +80,7 @@ class LabelMap:
         raw = _read_json(path)
         if not isinstance(raw, list):
             raise ParseError(f"{path}: label map must be a JSON array")
-        try:
-            return cls((e["id"], e["name"]) for e in raw)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: label entries need 'id' and 'name'") from exc
+        return _label_map(raw, path)
 
     def ids(self) -> list[int]:
         return [i for i, _ in self.entries]
@@ -179,9 +175,6 @@ class GroundTruthSet:
             counts[ann.class_id] = counts.get(ann.class_id, 0) + 1
         return counts
 
-    def totals(self) -> tuple[int, int, int]:
-        return len(self.images), len(self.label_map), len(self.annotations)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroundTruthSet)
@@ -209,7 +202,8 @@ class GroundTruthSet:
         }
 
     def save(self, path) -> None:
-        write_json_atomic(path, self.to_json())
+        text = json.dumps(self.to_json(), indent=2, ensure_ascii=False)
+        write_text_atomic(path, text + "\n")
 
 
 class DetectionSet:
@@ -240,7 +234,8 @@ class DetectionSet:
         return [_det_to_json(d) for d in self.detections]
 
     def save(self, path) -> None:
-        write_json_atomic(path, self.to_json())
+        text = json.dumps(self.to_json(), indent=2, ensure_ascii=False)
+        write_text_atomic(path, text + "\n")
 
 
 def _mask_eq(a: InstanceMask | None, b: InstanceMask | None) -> bool:
@@ -319,12 +314,9 @@ def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
         try:
             h, w = (int(v) for v in raw["size"])
             rle = RLEMask(w, h, _parse_counts(raw["counts"]))
+            return InstanceMask(rle=rle, canvas=canvas)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: bad RLE segmentation") from exc
-        except GeometryError as exc:
-            raise GeometryError(f"{where}: {exc}") from exc
-        try:
-            return InstanceMask(rle=rle, canvas=canvas)
         except GeometryError as exc:
             raise GeometryError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: segmentation must be polygon list or RLE object")
@@ -371,18 +363,16 @@ def load_ground_truth(path) -> GroundTruthSet:
         if key not in raw or not isinstance(raw[key], list):
             raise ParseError(f"{path}: missing or non-array '{key}'")
 
-    label_map = LabelMap(
-        (_req(c, "id", "category", path), _req(c, "name", "category", path))
-        for c in raw["categories"]
-    )
+    label_map = _label_map(raw["categories"], path)
 
     images = []
-    for entry in raw["images"]:
+    for k, entry in enumerate(raw["images"]):
+        where = f"{path}: image at index {k}"
         img = ImageRecord(
-            image_id=int(_req(entry, "id", "image", path)),
-            file_name=str(_req(entry, "file_name", "image", path)),
-            width=int(_req(entry, "width", "image", path)),
-            height=int(_req(entry, "height", "image", path)),
+            image_id=_req(entry, "id", where, int),
+            file_name=_req(entry, "file_name", where, str),
+            width=_req(entry, "width", where, int),
+            height=_req(entry, "height", where, int),
         )
         if img.width < 1 or img.height < 1:
             raise ValidationError(
@@ -398,17 +388,17 @@ def load_ground_truth(path) -> GroundTruthSet:
         by_id[img.image_id] = img
 
     annotations = []
-    for entry in raw["annotations"]:
-        ann_id = int(_req(entry, "id", "annotation", path))
+    for k, entry in enumerate(raw["annotations"]):
+        ann_id = _req(entry, "id", f"{path}: annotation at index {k}", int)
         where = f"annotation {ann_id}"
-        image_id = int(_req(entry, "image_id", "annotation", path))
+        image_id = _req(entry, "image_id", where, int)
         if image_id not in by_id:
             raise MissingReferenceError(f"{where}: unknown image_id {image_id}")
         image = by_id[image_id]
-        class_id = int(_req(entry, "category_id", "annotation", path))
+        class_id = _req(entry, "category_id", where, int)
         if class_id not in label_map:
             raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
-        bbox = _clamp_bbox(_parse_bbox(entry["bbox"], where), image)
+        bbox = _clamp_bbox(_parse_bbox(_req(entry, "bbox", where), where), image)
         mask = _parse_mask(
             entry.get("segmentation"), where, (image.width, image.height)
         )
@@ -458,14 +448,14 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
     detections = []
     for idx, entry in enumerate(raw):
         where = f"detection {idx}"
-        class_id = int(_req(entry, "category_id", "detection", path))
+        class_id = _req(entry, "category_id", where, int)
         if class_id not in labels:
             raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
-        score = float(_req(entry, "score", "detection", path))
+        score = _req(entry, "score", where, float)
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"{where}: score {score} outside [0, 1]")
-        image_id = int(_req(entry, "image_id", "detection", path))
-        bbox = _parse_bbox(entry["bbox"], where)
+        image_id = _req(entry, "image_id", where, int)
+        bbox = _parse_bbox(_req(entry, "bbox", where), where)
         mask = _parse_mask(entry.get("segmentation"), where, canvases.get(image_id))
         detections.append(
             Detection(
@@ -480,10 +470,29 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
     return DetectionSet(labels, detections)
 
 
-def _req(entry, key, kind, path):
+def _req(entry, key, where, convert=None):
+    """``entry[key]``, converted by ``convert`` when given. Raises ParseError
+    naming the record ``where`` when the key is missing or the value does not
+    convert."""
     if not isinstance(entry, dict) or key not in entry:
-        raise ParseError(f"{path}: {kind} record missing '{key}'")
-    return entry[key]
+        raise ParseError(f"{where}: missing '{key}'")
+    if convert is None:
+        return entry[key]
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{where}: '{key}' is {entry[key]!r}, not a valid {convert.__name__}"
+        ) from exc
+
+
+def _label_map(records, path) -> LabelMap:
+    """A label map from ``{"id", "name"}`` records, each named by its index."""
+    entries = []
+    for k, entry in enumerate(records):
+        where = f"{path}: category at index {k}"
+        entries.append((_req(entry, "id", where, int), _req(entry, "name", where)))
+    return LabelMap(entries)
 
 
 def _ann_to_json(a: Annotation) -> dict:
@@ -520,12 +529,12 @@ def _mask_to_json(mask: InstanceMask):
     }
 
 
-def write_json_atomic(path, obj) -> None:
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a file beside ``path``, then rename it over
+    ``path``, so a reader never sees a partial file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
 
 
@@ -646,13 +655,13 @@ def _rescale_mask(mask, sx, sy, canvas, force, where):
             f"{where}: RLE-only mask cannot be rescaled from polygons; "
             "pass force to resample"
         )
-    bits = rle_decode(mask.rle).bits
+    bits = rle_decode(mask.rle)
     src_h, src_w = bits.shape
     to_w, to_h = canvas
     rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)
     cols = np.minimum(((np.arange(to_w) + 0.5) * src_w / to_w).astype(int), src_w - 1)
     resampled = bits[rows][:, cols]
-    return InstanceMask(rle=rle_encode(BitMask(resampled)), canvas=canvas)
+    return InstanceMask(rle=rle_encode(resampled), canvas=canvas)
 
 
 # ---------------------------------------------------------------------------

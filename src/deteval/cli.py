@@ -22,11 +22,11 @@ from .annotations import (
     load_ground_truth,
     stratified_split,
     validate,
-    write_json_atomic,
+    write_text_atomic,
 )
 from .errors import EvalError, GeometryError, ParseError
 from .geometry import BBox, InstanceMask, Polygon
-from .matching import Thresholds, match_dataset
+from .matching import ALGORITHMS, GEOMETRY_MODES, Thresholds, match_dataset
 from .metrics import full_report
 from .reports import (
     DeltaStats,
@@ -36,7 +36,6 @@ from .reports import (
     parse_confusion_csv,
     per_class_csv,
     report_json,
-    write_text_atomic,
 )
 
 FORMATS = ("json", "csv", "svg")
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--conf", type=float, default=0.5, help="confidence score threshold"
         )
         p.add_argument(
-            "--mode", choices=("boxes", "masks"), default="boxes",
+            "--mode", choices=GEOMETRY_MODES, default="boxes",
             help="geometry used for IoU",
         )
         p.add_argument("--out", required=True, help="output directory")
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics report plus confusion matrix")
     eval_flags(p)
     p.add_argument(
-        "--algorithm", choices=("conventional", "modified"),
+        "--algorithm", choices=ALGORITHMS,
         default="conventional", help="confusion-matrix construction algorithm",
     )
     p.set_defaults(func=cmd_evaluate)
@@ -209,7 +208,9 @@ def cmd_split(args) -> int:
                 for cid, n in sorted(part.per_class_counts().items())
             },
         }
-    write_json_atomic(out / "manifest.json", manifest)
+    write_text_atomic(
+        out / "manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
+    )
     return 0
 
 
@@ -225,11 +226,9 @@ def cmd_convert(args) -> int:
     raw = ann_mod._read_json(args.vott)
     if not isinstance(raw, dict) or "asset" not in raw or "regions" not in raw:
         raise ParseError(f"{args.vott}: expected a VoTT export with asset and regions")
-    try:
-        size = raw["asset"]["size"]
-        width, height = int(size["width"]), int(size["height"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{args.vott}: asset.size.width/height missing") from exc
+    size = ann_mod._req(raw["asset"], "size", f"{args.vott}: asset")
+    width = ann_mod._req(size, "width", f"{args.vott}: asset.size", int)
+    height = ann_mod._req(size, "height", f"{args.vott}: asset.size", int)
     file_name = raw["asset"].get("name") or Path(args.vott).stem + ".png"
 
     labels = LabelMap.from_file(args.labels) if args.labels else None

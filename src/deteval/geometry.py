@@ -1,13 +1,13 @@
 """Pure geometric kernels.
 
-Box IoU, polygon rasterization, bit-mask IoU, a run-length mask codec, and the
+Box IoU, polygon rasterization, mask IoU, a run-length mask codec, and the
 small/medium/large area classification. All operations are stateless and safe
 to call concurrently, except that an :class:`InstanceMask` caches its window.
 
 Masks are prepared in batches: :func:`prepare_windows` rasterizes the polygon
 rings of many masks (one image's, say) in a few numpy calls over one flat
 buffer, and decodes their run-length windows the same way. A single mask's
-:meth:`InstanceMask.window` and :func:`rasterize` are batches of one.
+:meth:`InstanceMask.window` is a batch of one.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -152,57 +152,6 @@ class Polygon:
         return Polygon(tuple((x * sx, y * sy) for x, y in self.vertices))
 
 
-class BitMask:
-    """Row-major binary pixel grid backed by a 2-D boolean array."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        arr = np.asarray(bits, dtype=bool)
-        if arr.ndim != 2:
-            raise GeometryError(f"mask must be 2-D, got shape {arr.shape}")
-        self.bits = arr
-
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "BitMask":
-        return cls(np.zeros((height, width), dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def area(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMask):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.array_equal(self.bits, other.bits)
-        )
-
-    def __repr__(self) -> str:
-        return f"BitMask({self.width}x{self.height}, area={self.area})"
-
-
-def mask_iou(a: BitMask, b: BitMask) -> float:
-    """IoU of two equally sized bit masks; 0.0 when both are empty."""
-    if a.bits.shape != b.bits.shape:
-        raise GeometryError(
-            f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = a.area + b.area - inter
-    if union == 0:
-        return 0.0
-    return inter / union
-
-
 @dataclass(frozen=True, eq=False)
 class RLEMask:
     """Run-length encoded mask: alternating zero/one run counts in row-major
@@ -252,23 +201,26 @@ class RLEMask:
         return int(self.runs[1::2].sum())
 
 
-def rle_encode(mask: BitMask) -> RLEMask:
-    flat = mask.bits.ravel()
+def rle_encode(bits) -> RLEMask:
+    """Run-length encode a 2-D bool grid."""
+    bits = np.asarray(bits, dtype=bool)
+    height, width = bits.shape
+    flat = bits.ravel()
     if flat.size == 0:
-        return RLEMask(mask.width, mask.height, ())
+        return RLEMask(width, height, ())
     change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate(([0], change, [flat.size]))
     runs = np.diff(bounds)
     if flat[0]:
         runs = np.concatenate(([0], runs))
-    return RLEMask(mask.width, mask.height, runs)
+    return RLEMask(width, height, runs)
 
 
-def rle_decode(rle: RLEMask) -> BitMask:
+def rle_decode(rle: RLEMask) -> np.ndarray:
+    """The full ``(height, width)`` bool grid of a run-length mask."""
     values = np.zeros(len(rle.runs), dtype=bool)
     values[1::2] = True
-    flat = np.repeat(values, rle.runs)
-    return BitMask(flat.reshape(rle.height, rle.width))
+    return np.repeat(values, rle.runs).reshape(rle.height, rle.width)
 
 
 # cells of (h, w + 1) ring blocks rasterized in one pass; masks that need
@@ -413,15 +365,6 @@ def _raster_chunk(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
         inside[b : b + k * hh * (ww + 1)].reshape(k, hh, ww + 1)[:, :, :ww].any(axis=0)
         for b, k, hh, ww in zip(mask_base, mask_rings.tolist(), h.tolist(), w.tolist())
     ]
-
-
-def rasterize(polygon: Polygon, width: int, height: int) -> BitMask:
-    """Rasterize one polygon onto a ``width x height`` grid anchored at the
-    origin; geometry outside the grid is clipped."""
-    if width < 1 or height < 1:
-        raise GeometryError(f"grid must be at least 1x1, got {width}x{height}")
-    rect = np.array([[0, 0, width, height]], dtype=np.int64)
-    return BitMask(_raster_rings(*_ring_arrays([[polygon]]), rect)[0])
 
 
 def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]]:
@@ -598,15 +541,3 @@ class InstanceMask:
         if union == 0:
             return 0.0
         return inter / union
-
-    def to_bitmask(self, width: int, height: int) -> BitMask:
-        """Materialize on a full ``width x height`` canvas."""
-        bits, x0, y0 = self.window()
-        full = np.zeros((height, width), dtype=bool)
-        sy0, sx0 = max(0, -y0), max(0, -x0)
-        dy0, dx0 = max(0, y0), max(0, x0)
-        h = min(bits.shape[0] - sy0, height - dy0)
-        w = min(bits.shape[1] - sx0, width - dx0)
-        if h > 0 and w > 0:
-            full[dy0 : dy0 + h, dx0 : dx0 + w] = bits[sy0 : sy0 + h, sx0 : sx0 + w]
-        return BitMask(full)

@@ -35,7 +35,7 @@ from .errors import (
     MissingReferenceError,
     NonTerminationError,
 )
-from .geometry import box_iou, prepare_windows
+from .geometry import prepare_windows
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -76,16 +76,6 @@ class MatchingResult:
     unmatched_dets: tuple[Detection, ...]
 
 
-def pair_iou(gt: Annotation, det: Detection, mode: str) -> float:
-    """IoU of one ground truth and one detection under the geometry mode.
-
-    In masks mode a pair missing a mask on either side falls back to box IoU.
-    """
-    if mode == "masks" and gt.mask is not None and det.mask is not None:
-        return gt.mask.iou(det.mask)
-    return box_iou(gt.bbox, det.bbox)
-
-
 def _box_columns(items) -> tuple[np.ndarray, ...]:
     xywh = np.array(
         [(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in items], dtype=np.float64
@@ -122,10 +112,11 @@ def _window_rects(masks) -> np.ndarray:
 def iou_matrix(gts, dets, mode: str) -> np.ndarray:
     """IoU of every (gt, det) pair as a ``(len(gts), len(dets))`` float64 array.
 
-    Each cell equals :func:`pair_iou` of its pair exactly, for finite boxes.
-    Boxes are computed by broadcasting. In masks mode, pairs whose mask
-    windows are disjoint are exactly 0.0, only overlapping windows are
-    intersected, and pairs missing a mask keep their box IoU.
+    Each cell equals its pair's :func:`box_iou` exactly, for finite boxes,
+    or in masks mode, when both sides have a mask, its
+    :meth:`InstanceMask.iou`. Boxes are computed by broadcasting; pairs whose
+    mask windows are disjoint are exactly 0.0, and only overlapping windows
+    are intersected.
     """
     ious = _box_iou_matrix(gts, dets)
     if mode != "masks":

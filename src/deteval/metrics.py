@@ -28,7 +28,13 @@ import numpy as np
 
 from .annotations import DetectionSet, GroundTruthSet
 from .errors import ConfigError
-from .matching import ConfusionMatrix, Thresholds, iou_matrix, match_dataset
+from .matching import (
+    GEOMETRY_MODES,
+    ConfusionMatrix,
+    Thresholds,
+    iou_matrix,
+    match_dataset,
+)
 from .geometry import SizeClass, size_class
 
 IOU_SWEEP = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -91,22 +97,6 @@ def precision_recall(cm: ConfusionMatrix) -> list[PerClassMetrics]:
             )
         )
     return out
-
-
-@dataclass
-class ClassAccumulation:
-    """Greedy evaluation of one class under one size filter and det cap."""
-
-    precision: np.ndarray  # (T, 101) interpolated precision samples
-    final_recall: np.ndarray  # (T,) recall with every capped detection used
-    eligible_gts: int
-
-    def ap(self, t_index=None) -> float:
-        per_t = self.precision.mean(axis=1)
-        return float(per_t.mean() if t_index is None else per_t[t_index])
-
-    def ar(self) -> float:
-        return float(self.final_recall.mean())
 
 
 def outside_strata(areas) -> np.ndarray:
@@ -177,129 +167,116 @@ def _interpolate(recall, envelope) -> np.ndarray:
     return np.where(idx < n, picked, 0.0)
 
 
-class GreedyEvaluator:
-    """Shared per-(image, class) evaluation state for the AP/AR suite.
+def _match_cells(gt_set: GroundTruthSet, det_set: DetectionSet, mode: str) -> dict:
+    """Match every (image, class) cell once and pool each class's cells in
+    global score order: score, then image id, then rank in the cell.
 
-    Matching is greedy in detection score order: each detection takes the
-    highest-IoU not-yet-matched ground truth at or above the threshold, with
-    in-filter ground truths preferred over ignored ones. Ground truths outside
-    the size filter are ignore regions: matching them neither helps nor
-    hurts, and unmatched detections outside the filter are ignored too.
+    Maps each class id with a ground truth or detection to its pool
+    ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
+    cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
     """
-
-    def __init__(self, gt_set: GroundTruthSet, det_set: DetectionSet, mode: str):
-        if mode not in ("boxes", "masks"):
-            raise ConfigError(f"unknown geometry mode {mode!r}")
-        self.mode = mode
-        self.labels = gt_set.label_map
-        self.class_ids = gt_set.label_map.ids()
-        self._gt_set = gt_set
-        self._det_set = det_set
-        self._pools: dict | None = None
-        self._acc: dict = {}
-
-    def _match_cells(self) -> dict:
-        """Match every (image, class) cell once and pool each class's cells
-        in global score order: score, then image id, then rank in the cell.
-
-        Maps each class id to ``(rank, tp, ignored, eligible)``: each pooled
-        detection's position in its cell (N,), the (S, T, N) flags and the
-        (S,) in-filter ground-truth counts.
-        """
-        image_gts = self._gt_set.by_image()
-        image_dets = self._det_set.by_image()
-        parts: dict[int, list] = {}
-        for img in self._gt_set.images:
-            gts = image_gts.get(img.image_id, [])
-            dets = sorted(
-                image_dets.get(img.image_id, []), key=lambda d: (-d.score, d.det_id)
-            )
-            if not gts and not dets:
-                continue
-            # group each class's rows and columns, keeping their order
-            gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
-            det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
-            g_order = np.argsort(gt_cls, kind="stable")
-            d_order = np.argsort(det_cls, kind="stable")
-            gt_cls, det_cls = gt_cls[g_order], det_cls[d_order]
-            ious = iou_matrix(gts, dets, self.mode)[np.ix_(g_order, d_order)].T
-            gt_ignore = outside_strata([gts[k].area for k in g_order])
-            det_outside = outside_strata([
-                d.mask.area if self.mode == "masks" and d.mask is not None
-                else d.bbox.area
-                for d in (dets[k] for k in d_order)
-            ])
-            scores = np.array([dets[k].score for k in d_order], dtype=float)
-            classes = np.array(sorted({*gt_cls.tolist(), *det_cls.tolist()}))
-            g_bounds = np.searchsorted(gt_cls, [classes, classes + 1])
-            d_bounds = np.searchsorted(det_cls, [classes, classes + 1])
-            for cid, g0, g1, d0, d1 in zip(classes.tolist(), *g_bounds, *d_bounds):
-                cell = greedy_cell(
-                    ious[d0:d1, g0:g1], gt_ignore[:, g0:g1], det_outside[:, d0:d1]
-                )
-                parts.setdefault(cid, []).append((scores[d0:d1], img.image_id) + cell)
-
-        pools = {}
-        for cid, cells in parts.items():
-            scores = np.concatenate([c[0] for c in cells])
-            img_ids = np.concatenate([np.full(c[0].size, c[1]) for c in cells])
-            rank = np.concatenate([np.arange(c[0].size) for c in cells])
-            order = np.lexsort((rank, img_ids, -scores))
-            pools[cid] = (
-                rank[order],
-                np.concatenate([c[2] for c in cells], axis=2)[:, :, order],
-                np.concatenate([c[3] for c in cells], axis=2)[:, :, order],
-                sum(c[4] for c in cells),
-            )
-        return pools
-
-    def accumulate(self, class_id, size_filter, max_dets) -> ClassAccumulation | None:
-        """Pool every image's matches for one class; None when no eligible
-        ground truth exists under the filter."""
-        key = (class_id, size_filter, max_dets)
-        if key not in self._acc:
-            if self._pools is None:
-                self._pools = self._match_cells()
-            self._acc[key] = self._curves(class_id, STRATA.index(size_filter), max_dets)
-        return self._acc[key]
-
-    def _curves(self, class_id, s, max_dets) -> ClassAccumulation | None:
-        """One class's precision samples and final recall under size filter
-        ``s``, from the pool's detections ranked below ``max_dets`` in their
-        cell."""
-        if class_id not in self._pools:
-            return None
-        rank, tp, ignored, eligible = self._pools[class_id]
-        if not eligible[s]:
-            return None
-        keep = rank < max_dets
-        tp, ignored = tp[s][:, keep], ignored[s][:, keep]
-
-        counted = ~ignored
-        tp_cum = np.cumsum(tp & counted, axis=1).astype(float)
-        fp_cum = np.cumsum(~tp & counted, axis=1).astype(float)
-        recall = tp_cum / eligible[s]
-        denom = tp_cum + fp_cum
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prec = np.where(denom > 0, tp_cum / denom, 0.0)
-        envelope = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
-        final_recall = recall[:, -1] if recall.shape[1] else np.zeros(len(IOU_SWEEP))
-        return ClassAccumulation(
-            _interpolate(recall, envelope), final_recall, int(eligible[s])
+    image_gts = gt_set.by_image()
+    image_dets = det_set.by_image()
+    parts: dict[int, list] = {}
+    for img in gt_set.images:
+        gts = image_gts.get(img.image_id, [])
+        dets = sorted(
+            image_dets.get(img.image_id, []), key=lambda d: (-d.score, d.det_id)
         )
+        if not gts and not dets:
+            continue
+        # group each class's rows and columns, keeping their order
+        gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
+        det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
+        g_order = np.argsort(gt_cls, kind="stable")
+        d_order = np.argsort(det_cls, kind="stable")
+        gt_cls, det_cls = gt_cls[g_order], det_cls[d_order]
+        ious = iou_matrix(gts, dets, mode)[np.ix_(g_order, d_order)].T
+        gt_ignore = outside_strata([gts[k].area for k in g_order])
+        det_outside = outside_strata([
+            d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
+            for d in (dets[k] for k in d_order)
+        ])
+        scores = np.array([dets[k].score for k in d_order], dtype=float)
+        classes = np.array(sorted({*gt_cls.tolist(), *det_cls.tolist()}))
+        g_bounds = np.searchsorted(gt_cls, [classes, classes + 1])
+        d_bounds = np.searchsorted(det_cls, [classes, classes + 1])
+        for cid, g0, g1, d0, d1 in zip(classes.tolist(), *g_bounds, *d_bounds):
+            cell = greedy_cell(
+                ious[d0:d1, g0:g1], gt_ignore[:, g0:g1], det_outside[:, d0:d1]
+            )
+            parts.setdefault(cid, []).append((scores[d0:d1], img.image_id) + cell)
+
+    pools = {}
+    for cid, cells in parts.items():
+        scores = np.concatenate([c[0] for c in cells])
+        img_ids = np.concatenate([np.full(c[0].size, c[1]) for c in cells])
+        rank = np.concatenate([np.arange(c[0].size) for c in cells])
+        order = np.lexsort((rank, img_ids, -scores))
+        pools[cid] = (
+            rank[order],
+            np.concatenate([c[2] for c in cells], axis=2)[:, :, order],
+            np.concatenate([c[3] for c in cells], axis=2)[:, :, order],
+            sum(c[4] for c in cells),
+        )
+    return pools
 
 
-def _class_mean(ev: GreedyEvaluator, kind, t_index, size_filter, max_dets) -> float:
-    """One aggregate index: the mean over classes with an eligible ground
-    truth of each class's AP (at one threshold, or over the sweep) or AR."""
-    values = []
-    for cid in ev.class_ids:
-        acc = ev.accumulate(cid, size_filter, max_dets)
-        if acc is not None:
-            values.append(acc.ar() if kind == "ar" else acc.ap(t_index))
-    if not values:
-        return NO_GT
-    return float(np.mean(values))
+def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:
+    """One class's ``(precision, final_recall)`` under size filter ``s``, from
+    the pool's detections ranked below ``max_dets`` in their cell: the (T, 101)
+    interpolated precision samples and the (T,) recall with every capped
+    detection used. None when the class has no pool or no eligible ground
+    truth under the filter."""
+    if pool is None or not pool[3][s]:
+        return None
+    rank, tp, ignored, eligible = pool
+    keep = rank < max_dets
+    tp, ignored = tp[s][:, keep], ignored[s][:, keep]
+
+    counted = ~ignored
+    tp_cum = np.cumsum(tp & counted, axis=1).astype(float)
+    fp_cum = np.cumsum(~tp & counted, axis=1).astype(float)
+    recall = tp_cum / eligible[s]
+    denom = tp_cum + fp_cum
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prec = np.where(denom > 0, tp_cum / denom, 0.0)
+    envelope = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
+    final_recall = recall[:, -1] if recall.shape[1] else np.zeros(len(IOU_SWEEP))
+    return _interpolate(recall, envelope), final_recall
+
+
+def _aggregates(gt_set, det_set, mode, specs, class_ids=None) -> dict:
+    """The value of each ``(key, kind, sweep index, size filter, cap)`` spec,
+    in the form of :data:`AGGREGATES`, by key.
+
+    A value is the mean, over the classes (``class_ids``, or the label map's)
+    with an eligible ground truth, of each class's AP (at one threshold, or
+    over the sweep) or AR; -1 when no class has one. The cells are matched
+    once per call, and each (class, filter, cap) curve is computed once."""
+    if mode not in GEOMETRY_MODES:
+        raise ConfigError(f"unknown geometry mode {mode!r}")
+    pools = _match_cells(gt_set, det_set, mode)
+    curves: dict = {}
+    out = {}
+    for key, kind, t_index, size, cap in specs:
+        values = []
+        for cid in gt_set.label_map.ids() if class_ids is None else class_ids:
+            if (cid, size, cap) not in curves:
+                curves[cid, size, cap] = _curves(
+                    pools.get(cid), STRATA.index(size), cap
+                )
+            curve = curves[cid, size, cap]
+            if curve is None:
+                continue
+            precision, final_recall = curve
+            if kind == "ar":
+                values.append(float(final_recall.mean()))
+                continue
+            per_t = precision.mean(axis=1)
+            values.append(float(per_t.mean() if t_index is None else per_t[t_index]))
+        out[key] = float(np.mean(values)) if values else NO_GT
+    return out
 
 
 def average_precision(
@@ -315,12 +292,8 @@ def average_precision(
     truth exists. ``iou_t`` must be one of the sweep thresholds."""
     if iou_t not in IOU_SWEEP:
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
-    acc = GreedyEvaluator(gt_set, det_set, mode).accumulate(
-        class_id, size_filter, max_dets
-    )
-    if acc is None:
-        return NO_GT
-    return acc.ap(IOU_SWEEP.index(iou_t))
+    spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets)
+    return _aggregates(gt_set, det_set, mode, [spec], [class_id])["ap"]
 
 
 def average_recall(
@@ -334,19 +307,19 @@ def average_recall(
     the top-k detections per image and class; -1 when nothing is eligible."""
     if k < 1:
         raise ConfigError(f"max detections must be >= 1, got {k}")
-    ev = GreedyEvaluator(gt_set, det_set, mode)
-    return _class_mean(ev, "ar", None, size_filter, k)
+    spec = ("ar", "ar", None, size_filter, k)
+    return _aggregates(gt_set, det_set, mode, [spec])["ar"]
 
 
 def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
     """The six mAP fields: the full sweep, fixed 0.50 and 0.75, and the three
     size-stratified sweeps."""
-    ev = GreedyEvaluator(gt_set, det_set, mode)
-    return {
-        key: _class_mean(ev, kind, t_index, size, max_dets)
+    specs = [
+        (key, kind, t_index, size, max_dets)
         for key, kind, t_index, size, _cap in AGGREGATES
         if kind == "ap"
-    }
+    ]
+    return _aggregates(gt_set, det_set, mode, specs)
 
 
 @dataclass
@@ -384,11 +357,7 @@ def full_report(
     per_class = precision_recall(cm)
 
     mode = thresholds.geometry_mode
-    ev = GreedyEvaluator(gt_set, det_set, mode)
-    aggregates = {
-        key: _class_mean(ev, kind, t_index, size, cap)
-        for key, kind, t_index, size, cap in AGGREGATES
-    }
+    aggregates = _aggregates(gt_set, det_set, mode, AGGREGATES)
 
     fallbacks = 0
     if mode == "masks":

@@ -7,8 +7,9 @@ of the IoU-prioritized matcher that shares no code with
 calls "conventional" (provided for comparison, never substituted), the
 scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
 one-mask-at-a-time polygon rasterizer and run-length window decoder that
-:mod:`deteval.geometry` batched, and a generator that fabricates ground truth
-plus noisy detections from a seed.
+:mod:`deteval.geometry` batched, full-grid mask helpers, the scalar pair IoU,
+and a generator that fabricates ground truth plus noisy detections from a
+seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from .annotations import (
     LabelMap,
 )
 from .errors import ConfigError, GeometryError, InstanceTooLargeError
-from .geometry import BBox, InstanceMask, Polygon, RLEMask, size_class
+from .geometry import (
+    BBox,
+    InstanceMask,
+    Polygon,
+    RLEMask,
+    _raster_rings,
+    _ring_arrays,
+    box_iou,
+    size_class,
+)
 from .matching import (
     ConfusionMatrix,
     MatchingResult,
@@ -36,7 +46,6 @@ from .matching import (
     accumulate,
     match_conventional,
     match_modified,
-    pair_iou,
 )
 from .metrics import IOU_SWEEP, RECALL_POINTS
 from .reports import DeltaStats
@@ -180,6 +189,51 @@ def _fit_polygon(poly: Polygon, src: BBox, dst: BBox) -> Polygon:
         (dst.x + (x - src.x) * sx, dst.y + (y - src.y) * sy)
         for x, y in poly.vertices
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar IoU and full-grid masks
+
+
+def pair_iou(gt: Annotation, det: Detection, mode: str) -> float:
+    """IoU of one ground truth and one detection under the geometry mode.
+
+    In masks mode a pair missing a mask on either side falls back to box IoU.
+    """
+    if mode == "masks" and gt.mask is not None and det.mask is not None:
+        return gt.mask.iou(det.mask)
+    return box_iou(gt.bbox, det.bbox)
+
+
+def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of two equally sized bool grids; 0.0 when both are empty."""
+    if a.shape != b.shape:
+        raise GeometryError(f"mask dimensions differ: {a.shape} vs {b.shape}")
+    inter = int(np.count_nonzero(a & b))
+    union = int(np.count_nonzero(a)) + int(np.count_nonzero(b)) - inter
+    if union == 0:
+        return 0.0
+    return inter / union
+
+
+def rasterize(polygon: Polygon, width: int, height: int) -> np.ndarray:
+    """Rasterize one polygon onto a ``width x height`` bool grid anchored at
+    the origin, with the batched rasterizer; geometry outside the grid is
+    clipped."""
+    if width < 1 or height < 1:
+        raise GeometryError(f"grid must be at least 1x1, got {width}x{height}")
+    rect = np.array([[0, 0, width, height]], dtype=np.int64)
+    return _raster_rings(*_ring_arrays([[polygon]]), rect)[0]
+
+
+def full_grid(window, width: int, height: int) -> np.ndarray:
+    """A ``(bits, x0, y0)`` window, as :meth:`InstanceMask.window` returns it,
+    placed on a ``width x height`` grid anchored at the origin. The window
+    must lie within the grid, as the window of a mask on that canvas does."""
+    bits, x0, y0 = window
+    full = np.zeros((height, width), dtype=bool)
+    full[y0 : y0 + bits.shape[0], x0 : x0 + bits.shape[1]] = bits
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +434,8 @@ def reference_accumulate(gt_set, det_set, class_id, size_filter, max_dets, mode)
     image's cell through :func:`reference_greedy_cell` with :func:`pair_iou`,
     pooled in score order, with one ``searchsorted`` per threshold.
 
-    Returns ``(precision (T, 101), final_recall (T,), eligible)`` as
-    :class:`deteval.metrics.ClassAccumulation` holds them, or None when no
+    Returns ``(precision (T, 101), final_recall (T,), eligible)``, the first
+    two as :func:`deteval.metrics._curves` returns them, or None when no
     ground truth is eligible.
     """
     parts, eligible = [], 0

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -163,18 +162,8 @@ def report_json(report: MetricsReport, thresholds) -> str:
             "confidence": thresholds.confidence_threshold,
         },
         "mask_fallback_items": report.mask_fallback_items,
-        "per_class": [
-            {
-                "class_id": m.class_id,
-                "precision_at_05": m.precision_at_05,
-                "recall_at_05": m.recall_at_05,
-                "support_gt": m.support_gt,
-                "support_det": m.support_det,
-                "precision_undefined": m.precision_undefined,
-                "recall_undefined": m.recall_undefined,
-            }
-            for m in report.per_class
-        ],
+        # the keys follow PerClassMetrics' field order, which fixes the bytes
+        "per_class": [asdict(m) for m in report.per_class],
         "aggregates": report.aggregate_fields(),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -239,10 +228,3 @@ def _esc(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
-
-
-def write_text_atomic(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)

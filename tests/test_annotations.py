@@ -27,7 +27,8 @@ from deteval.errors import (
     ParseError,
     ValidationError,
 )
-from deteval.geometry import BBox, BitMask, InstanceMask, Polygon, rle_encode
+from deteval.geometry import BBox, InstanceMask, Polygon, rle_encode
+from deteval.oracle import full_grid
 
 # Per-class testing-split sizes of the 12-class road dataset the default
 # label map mirrors; used to build proportional synthetic sets.
@@ -71,7 +72,7 @@ def road_gt_dict(per_class_counts, images=40, size=(512, 512)):
 class TestLoadGroundTruth:
     def test_minimal(self, gt_file):
         gt = load_ground_truth(gt_file)
-        assert gt.totals() == (1, 1, 1)
+        assert (len(gt.images), len(gt.label_map), len(gt.annotations)) == (1, 1, 1)
         assert gt.annotations[0].area == 100.0
 
     def test_unknown_image_reference_names_annotation(self, tmp_path):
@@ -117,7 +118,7 @@ class TestLoadGroundTruth:
         doc["info"] = {"year": 2020}
         doc["annotations"][0]["iscrowd"] = 0
         gt = load_ground_truth(write_json(tmp_path / "gt.json", doc))
-        assert gt.totals() == (1, 1, 1)
+        assert (len(gt.images), len(gt.label_map), len(gt.annotations)) == (1, 1, 1)
 
     def test_bbox_clamped_to_image(self, tmp_path):
         doc = minimal_gt_dict()
@@ -314,13 +315,13 @@ class TestRescale:
     def test_rle_force_resamples_whole_canvas_of_partial_mask(self, tmp_path):
         bits = np.zeros((20, 30), dtype=bool)
         bits[6:10, 5:13] = True  # an 8x4 block
-        seg = {"size": [20, 30], "counts": rle_encode(BitMask(bits)).runs.tolist()}
+        seg = {"size": [20, 30], "counts": rle_encode(bits).runs.tolist()}
         gt = self._gt(tmp_path, bbox=(5, 6, 8, 4), seg=seg, size=(30, 20))
         mask = rescale(gt, 60, 40, force=True).annotations[0].mask
         assert mask.area == 128
         expected = np.zeros((40, 60), dtype=bool)
         expected[12:20, 10:26] = True
-        assert mask.to_bitmask(60, 40) == BitMask(expected)
+        assert np.array_equal(full_grid(mask.window(), 60, 40), expected)
 
     def test_detections_need_image_table(self, tmp_path):
         dets = load_detections(
@@ -480,7 +481,7 @@ class TestRleCounts:
     def test_round_trip_through_json(self, tmp_path):
         bits = np.zeros((5, 7), dtype=bool)
         bits[1:3, 2:6] = True
-        seg = {"size": [5, 7], "counts": rle_encode(BitMask(bits)).runs.tolist()}
+        seg = {"size": [5, 7], "counts": rle_encode(bits).runs.tolist()}
         rows = [{"image_id": 1, "category_id": 1, "bbox": [2, 1, 4, 2], "score": 0.9,
                  "segmentation": seg}]
         dets = load_detections(write_json(tmp_path / "det.json", rows), LabelMap([(1, "t")]))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -237,6 +238,63 @@ VERTEX_VALUES = st.one_of(
 POLYGONS = st.lists(
     st.tuples(VERTEX_VALUES, VERTEX_VALUES), min_size=3, max_size=5
 ).map(lambda pts: [c for p in pts for c in p])
+
+
+MISSING = object()
+
+
+class TestScalarFields:
+    """A required scalar field that is missing or does not convert exits 2
+    and names its record."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize(
+        "records, field, value, named",
+        [
+            pytest.param("annotations", "bbox", MISSING, "annotation 1: missing 'bbox'",
+                         id="gt-bbox-missing"),
+            pytest.param("detections", "bbox", MISSING, "detection 0: missing 'bbox'",
+                         id="det-bbox-missing"),
+            pytest.param("annotations", "id", "abc", "annotation at index 0: 'id'",
+                         id="gt-id-abc"),
+            pytest.param("categories", "id", "abc", "category at index 0: 'id'",
+                         id="category-id-abc"),
+            pytest.param("images", "width", "abc", "image at index 0: 'width'",
+                         id="image-width-abc"),
+            # written to the file as 1e400, which reads as infinity
+            pytest.param("images", "width", float("inf"), "image at index 0: 'width'",
+                         id="image-width-1e400"),
+            pytest.param("images", "id", None, "image at index 0: 'id'",
+                         id="image-id-null"),
+            pytest.param("detections", "category_id", None, "detection 0: 'category_id'",
+                         id="det-category-null"),
+            pytest.param("detections", "score", "x", "detection 0: 'score'",
+                         id="det-score-x"),
+            pytest.param("detections", "image_id", [1], "detection 0: 'image_id'",
+                         id="det-image-list"),
+        ],
+    )
+    def test_bad_field_exits_2_naming_the_record(
+        self, tmp_path, capsys, mode, records, field, value, named
+    ):
+        doc = minimal_gt_dict()
+        doc["detections"] = [
+            {"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 9], "score": 0.9}
+        ]
+        record = doc[records][0]
+        if value is MISSING:
+            del record[field]
+        else:
+            record[field] = value
+        det = write_json(tmp_path / "det.json", doc.pop("detections"))
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(doc).replace("Infinity", "1e400"), encoding="utf-8")
+        code = main(
+            ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", mode,
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestPolygonVertexFuzz:
@@ -554,6 +612,36 @@ class TestConvert:
              "--out", str(tmp_path / "o.json")]
         ) == 2
 
+    def test_non_integer_label_id_exits_2(self, tmp_path, capsys):
+        labels = write_json(tmp_path / "labels.json", [{"id": "abc", "name": "A"}])
+        vott = {
+            "asset": {"size": {"width": 100, "height": 100}},
+            "regions": [
+                {"tags": ["A"], "points": [{"x": 1, "y": 1}, {"x": 9, "y": 1},
+                                           {"x": 5, "y": 9}]}
+            ],
+        }
+        src = write_json(tmp_path / "e.json", vott)
+        assert main(
+            ["convert", "--vott", str(src), "--labels", str(labels),
+             "--out", str(tmp_path / "o.json")]
+        ) == 2
+        assert "category at index 0: 'id'" in capsys.readouterr().err
+
+    def test_infinite_asset_size_exits_2(self, tmp_path, capsys):
+        vott = {
+            "asset": {"size": {"width": float("inf"), "height": 100}},
+            "regions": [
+                {"tags": ["A"], "points": [{"x": 1, "y": 1}, {"x": 9, "y": 1},
+                                           {"x": 5, "y": 9}]}
+            ],
+        }
+        src = write_json(tmp_path / "x.json", vott)
+        assert main(
+            ["convert", "--vott", str(src), "--out", str(tmp_path / "o.json")]
+        ) == 2
+        assert "asset.size: 'width'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300, "abc"])
     def test_bad_point_exits_2_naming_the_region(self, tmp_path, capsys, bad):
         vott = {
@@ -634,6 +722,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "evaluate" in proc.stdout
+
+    def test_library_and_cli_do_not_import_the_oracle(self):
+        # the oracle holds test references; importing it from the package
+        # would load them into every run
+        import deteval
+
+        env = dict(os.environ, PYTHONPATH=str(Path(deteval.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, deteval, deteval.cli; print('deteval.oracle' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_determinism_of_evaluate(self, tmp_path):
         gt, det = road_pair(tmp_path)

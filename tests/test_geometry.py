@@ -9,18 +9,16 @@ from deteval import geometry
 from deteval.errors import GeometryError
 from deteval.geometry import (
     BBox,
-    BitMask,
     InstanceMask,
     Polygon,
     RLEMask,
     SizeClass,
     box_iou,
-    mask_iou,
-    rasterize,
     rle_decode,
     rle_encode,
     size_class,
 )
+from deteval.oracle import full_grid, mask_iou, rasterize
 
 
 def grid_iou(a: BBox, b: BBox, step: float = 0.05) -> float:
@@ -43,7 +41,7 @@ def grid_iou(a: BBox, b: BBox, step: float = 0.05) -> float:
 def supersampled_area(polygon: Polygon, width: int, height: int, factor: int = 16) -> float:
     """Polygon area oracle: 256x supersampling (factor^2 points per pixel)."""
     fine = rasterize(polygon.scaled(factor, factor), width * factor, height * factor)
-    return fine.area / factor**2
+    return np.count_nonzero(fine) / factor**2
 
 
 class TestBoxIou:
@@ -122,14 +120,14 @@ class TestBoxIou:
 class TestRasterize:
     def test_square_fills_grid(self):
         sq = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
-        assert rasterize(sq, 2, 2).area == 4
+        assert np.count_nonzero(rasterize(sq, 2, 2)) == 4
 
     def test_square_on_larger_grid(self):
         sq = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         m = rasterize(sq, 4, 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[:2, :2] = True
-        assert np.array_equal(m.bits, expected)
+        assert np.array_equal(m, expected)
 
     def test_right_triangle_area(self):
         # Degenerate alignment: the hypotenuse passes exactly through the
@@ -139,15 +137,15 @@ class TestRasterize:
         tri = Polygon.from_points([(0, 0), (4, 0), (0, 4)])
         oracle = supersampled_area(tri, 4, 4)
         assert oracle == pytest.approx(7.875, abs=1e-9)
-        assert rasterize(tri, 4, 4).area == 6
-        assert abs(rasterize(tri, 4, 4).area - oracle) <= 2.0
+        assert np.count_nonzero(rasterize(tri, 4, 4)) == 6
+        assert abs(np.count_nonzero(rasterize(tri, 4, 4)) - oracle) <= 2.0
 
     def test_right_triangle_area_gentle_slope(self):
         # a non-45-degree hypotenuse staircases one pixel at a time, so the
         # raster stays within one pixel of the supersampled coverage
         tri = Polygon.from_points([(0, 0), (4, 0), (0, 2)])
         oracle = supersampled_area(tri, 4, 2)
-        assert abs(rasterize(tri, 4, 2).area - oracle) <= 1.0
+        assert abs(np.count_nonzero(rasterize(tri, 4, 2)) - oracle) <= 1.0
         assert oracle == pytest.approx(4.0, abs=0.2)
 
     def test_too_few_vertices(self):
@@ -156,12 +154,12 @@ class TestRasterize:
 
     def test_clipping(self):
         sq = Polygon.from_points([(-5, -5), (3, -5), (3, 3), (-5, 3)])
-        assert rasterize(sq, 8, 8).area == 9
+        assert np.count_nonzero(rasterize(sq, 8, 8)) == 9
 
     def test_orientation_independent(self):
         cw = Polygon.from_points([(1, 1), (1, 6), (6, 6), (6, 1)])
         ccw = Polygon.from_points([(1, 1), (6, 1), (6, 6), (1, 6)])
-        assert rasterize(cw, 8, 8) == rasterize(ccw, 8, 8)
+        assert np.array_equal(rasterize(cw, 8, 8), rasterize(ccw, 8, 8))
 
     def test_nearly_horizontal_edge_is_stable(self):
         # an edge with a denormal-scale rise crossing a row of pixel centers
@@ -175,7 +173,7 @@ class TestRasterize:
         expected[1:5, :6] = True
         # row 0 centers sit within eps of the top edge; either side is fine,
         # but the rest of the grid must be exact and finite
-        assert np.array_equal(m.bits[1:], expected[1:])
+        assert np.array_equal(m[1:], expected[1:])
 
     @given(
         st.integers(2, 12),
@@ -186,7 +184,7 @@ class TestRasterize:
     @settings(max_examples=60, deadline=None)
     def test_matches_supersampling_oracle(self, size, points):
         poly = Polygon.from_points(points)
-        fast = rasterize(poly, size, size).area
+        fast = np.count_nonzero(rasterize(poly, size, size))
         slow = supersampled_area(poly, size, size, factor=8)
         # pixel-center sampling can differ from true coverage by the
         # boundary band, which is bounded by the perimeter in pixels
@@ -205,16 +203,16 @@ class TestMaskIou:
         assert mask_iou(m, m) == 1.0
 
     def test_disjoint(self):
-        a = BitMask(np.array([[1, 0], [0, 0]], dtype=bool))
-        b = BitMask(np.array([[0, 0], [0, 1]], dtype=bool))
+        a = np.array([[1, 0], [0, 0]], dtype=bool)
+        b = np.array([[0, 0], [0, 1]], dtype=bool)
         assert mask_iou(a, b) == 0.0
 
     def test_both_empty(self):
-        assert mask_iou(BitMask.zeros(3, 3), BitMask.zeros(3, 3)) == 0.0
+        assert mask_iou(np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            mask_iou(BitMask.zeros(3, 3), BitMask.zeros(4, 3))
+            mask_iou(np.zeros((3, 3), dtype=bool), np.zeros((3, 4), dtype=bool))
 
     def test_matches_box_iou_for_integer_boxes(self):
         a = BBox(0, 0, 2, 2)
@@ -242,13 +240,13 @@ def _box_poly(b: BBox) -> Polygon:
 
 class TestRle:
     def test_all_zero(self):
-        assert rle_encode(BitMask.zeros(3, 3)).runs.tolist() == [9]
+        assert rle_encode(np.zeros((3, 3), dtype=bool)).runs.tolist() == [9]
 
     def test_all_one(self):
-        assert rle_encode(BitMask(np.ones((3, 3), dtype=bool))).runs.tolist() == [0, 9]
+        assert rle_encode(np.ones((3, 3), dtype=bool)).runs.tolist() == [0, 9]
 
     def test_alternating(self):
-        m = BitMask(np.array([[1, 0], [0, 1]], dtype=bool))
+        m = np.array([[1, 0], [0, 1]], dtype=bool)
         assert rle_encode(m).runs.tolist() == [0, 1, 2, 1]
 
     def test_corrupt_run_sum(self):
@@ -264,14 +262,14 @@ class TestRle:
         for _ in range(1000):
             w = int(rng.integers(1, 24))
             h = int(rng.integers(1, 24))
-            m = BitMask(rng.random((h, w)) < rng.random())
-            assert rle_decode(rle_encode(m)) == m
+            m = rng.random((h, w)) < rng.random()
+            assert np.array_equal(rle_decode(rle_encode(m)), m)
 
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, w, h, seed):
-        m = BitMask(np.random.default_rng(seed).random((h, w)) < 0.5)
+        m = np.random.default_rng(seed).random((h, w)) < 0.5
         back = rle_decode(rle_encode(m))
-        assert back == m
+        assert np.array_equal(back, m)
 
 
 class TestSizeClass:
@@ -298,8 +296,8 @@ class TestInstanceMask:
     def test_window_matches_full_canvas(self):
         poly = Polygon.from_points([(2.5, 1.5), (9, 2), (7, 8), (3, 6)])
         inst = InstanceMask(polygons=[poly], canvas=(12, 10))
-        assert inst.to_bitmask(12, 10) == rasterize(poly, 12, 10)
-        assert inst.area == rasterize(poly, 12, 10).area
+        assert np.array_equal(full_grid(inst.window(), 12, 10), rasterize(poly, 12, 10))
+        assert inst.area == np.count_nonzero(rasterize(poly, 12, 10))
 
     def test_anchored_iou_matches_full_mask_iou(self):
         rng = np.random.default_rng(3)
@@ -312,19 +310,19 @@ class TestInstanceMask:
             assert ia.iou(ib) == pytest.approx(full, abs=1e-12)
 
     def test_rle_instance(self):
-        m = BitMask(np.eye(4, dtype=bool))
+        m = np.eye(4, dtype=bool)
         inst = InstanceMask(rle=rle_encode(m), canvas=(4, 4))
         assert inst.area == 4
-        assert inst.to_bitmask(4, 4) == m
+        assert np.array_equal(full_grid(inst.window(), 4, 4), m)
 
     def test_mismatched_rle_canvas(self):
-        m = rle_encode(BitMask.zeros(4, 4))
+        m = rle_encode(np.zeros((4, 4), dtype=bool))
         with pytest.raises(GeometryError):
             InstanceMask(rle=m, canvas=(5, 4))
 
     def test_canvas_conflict_on_iou(self):
-        a = InstanceMask(rle=rle_encode(BitMask.zeros(4, 4)), canvas=(4, 4))
-        b = InstanceMask(rle=rle_encode(BitMask.zeros(5, 5)), canvas=(5, 5))
+        a = InstanceMask(rle=rle_encode(np.zeros((4, 4), dtype=bool)), canvas=(4, 4))
+        b = InstanceMask(rle=rle_encode(np.zeros((5, 5), dtype=bool)), canvas=(5, 5))
         with pytest.raises(GeometryError):
             a.iou(b)
 
@@ -372,11 +370,11 @@ class TestCroppedRleWindow:
     def assert_round_trip(rle):
         inst = InstanceMask(rle=rle)
         full = rle_decode(rle)
-        assert inst.to_bitmask(rle.width, rle.height) == full
-        assert inst.area == full.area
+        assert np.array_equal(full_grid(inst.window(), rle.width, rle.height), full)
+        assert inst.area == np.count_nonzero(full)
         bits, x0, y0 = inst.window()
-        if full.area:
-            rows = np.flatnonzero(full.bits.any(axis=1))
+        if full.any():
+            rows = np.flatnonzero(full.any(axis=1))
             assert (y0, bits.shape[0]) == (rows[0], rows[-1] - rows[0] + 1)
             assert bits.any(axis=0)[[0, -1]].all() or bits.shape[1] == rle.width
         else:
@@ -405,7 +403,7 @@ class TestCroppedRleWindow:
     def test_window_is_cropped_to_the_object(self):
         bits = np.zeros((540, 960), dtype=bool)
         bits[200:210, 500:510] = True
-        inst = InstanceMask(rle=rle_encode(BitMask(bits)), canvas=(960, 540))
+        inst = InstanceMask(rle=rle_encode(bits), canvas=(960, 540))
         window, x0, y0 = inst.window()
         assert window.size <= 100
         assert (x0, y0) == (500, 200)
@@ -512,7 +510,7 @@ class TestBatchedRasterDifferential:
         from deteval.oracle import reference_raster_window
 
         expected = reference_raster_window([ring], 0, 0, width, height)
-        assert np.array_equal(rasterize(ring, width, height).bits, expected)
+        assert np.array_equal(rasterize(ring, width, height), expected)
 
 
 class TestBatchedRleDifferential:

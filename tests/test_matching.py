@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from deteval.annotations import Annotation, Detection, LabelMap
 from deteval.errors import ConfigError
-from deteval.geometry import BBox, BitMask, InstanceMask, Polygon, rle_encode
+from deteval.geometry import BBox, InstanceMask, Polygon, rle_encode
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
     accumulate,
     iou_matrix,
     iou_table,
-    pair_iou,
     match_conventional,
     match_modified,
 )
-from deteval.oracle import ScenarioConfig, generate, max_matching
+from deteval.oracle import ScenarioConfig, generate, max_matching, pair_iou
 
 LABELS = LabelMap([(1, "X"), (2, "Y"), (3, "Z")])
 T = Thresholds()
@@ -396,7 +395,7 @@ def masked_item(draw):
         bits[y0 : y0 + bh, x0 : x0 + bw] = True
         if draw(st.booleans()):  # knock holes in the block
             bits &= np.random.default_rng(draw(st.integers(0, 99))).random((h, w)) < 0.7
-        mask = InstanceMask(rle=rle_encode(BitMask(bits)))
+        mask = InstanceMask(rle=rle_encode(bits))
     elif kind == "polygon" and bw and bh:
         mask = InstanceMask(
             polygons=[Polygon.from_flat([x0, y0, x0 + bw, y0, x0 + bw, y0 + bh, x0, y0 + bh])]
@@ -497,12 +496,12 @@ class TestIouMatrixDifferential:
 class TestMaskGeometryErrors:
     def test_rle_size_mismatch_raises(self):
         from deteval.errors import GeometryError
-        from deteval.geometry import BitMask, InstanceMask, rle_encode
+        from deteval.geometry import InstanceMask, rle_encode
 
         g_mask = InstanceMask(
-            rle=rle_encode(BitMask(np.ones((8, 8), dtype=bool))), canvas=(8, 8)
+            rle=rle_encode(np.ones((8, 8), dtype=bool)), canvas=(8, 8)
         )
-        d_mask = InstanceMask(rle=rle_encode(BitMask(np.ones((6, 6), dtype=bool))))
+        d_mask = InstanceMask(rle=rle_encode(np.ones((6, 6), dtype=bool)))
         gt = Annotation(1, 1, 1, BBox(0, 0, 8, 8), mask=g_mask, area=64.0)
         det = Detection(0, 1, 1, BBox(0, 0, 8, 8), score=0.9, mask=d_mask)
         with pytest.raises(GeometryError, match="canvases differ"):
@@ -515,19 +514,19 @@ class TestMaskGeometryErrors:
         g_bits[6:, 6:] = True
         d_bits = np.zeros((6, 6), dtype=bool)
         d_bits[:2, :2] = True
-        g_mask = InstanceMask(rle=rle_encode(BitMask(g_bits)), canvas=(8, 8))
-        d_mask = InstanceMask(rle=rle_encode(BitMask(d_bits)))
+        g_mask = InstanceMask(rle=rle_encode(g_bits), canvas=(8, 8))
+        d_mask = InstanceMask(rle=rle_encode(d_bits))
         gt = Annotation(1, 1, 1, BBox(6, 6, 2, 2), mask=g_mask, area=4.0)
         det = Detection(0, 1, 1, BBox(0, 0, 2, 2), score=0.9, mask=d_mask)
         with pytest.raises(GeometryError, match="canvases differ"):
             iou_matrix([gt], [det], "masks")
 
     def test_matching_rle_sizes_work(self):
-        from deteval.geometry import BitMask, InstanceMask, rle_encode
+        from deteval.geometry import InstanceMask, rle_encode
 
         bits = np.zeros((8, 8), dtype=bool)
         bits[:4, :4] = True
-        mask = InstanceMask(rle=rle_encode(BitMask(bits)))
+        mask = InstanceMask(rle=rle_encode(bits))
         gt = Annotation(1, 1, 1, BBox(0, 0, 4, 4), mask=mask, area=16.0)
         det = Detection(0, 1, 1, BBox(0, 0, 4, 4), score=0.9, mask=mask)
         pairs = iou_table([gt], [det], Thresholds(geometry_mode="masks"))

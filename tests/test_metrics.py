@@ -17,9 +17,10 @@ from deteval.errors import ConfigError
 from deteval.geometry import BBox, SizeClass
 from deteval.matching import ConfusionMatrix, Thresholds, accumulate, match_conventional
 from deteval.metrics import (
-    GreedyEvaluator,
     IOU_SWEEP,
     STRATA,
+    _curves,
+    _match_cells,
     average_precision,
     average_recall,
     full_report,
@@ -247,13 +248,13 @@ class TestMeanAp:
             ScenarioConfig(seed=5, image_count=4, gts_per_image=(2, 8),
                            image_size=(256, 256), jitter_px=3, clutter_rate=0.3)
         )
-        ev = GreedyEvaluator(gt_set, det_set, "boxes")
+        pools = _match_cells(gt_set, det_set, "boxes")
         for cid in gt_set.label_map.ids():
             total = sum(1 for a in gt_set.annotations if a.class_id == cid)
             parts = 0
             for size in (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE):
-                acc = ev.accumulate(cid, size, 100)
-                parts += acc.eligible_gts if acc else 0
+                pool = pools.get(cid)
+                parts += pool[3][STRATA.index(size)] if pool else 0
             assert parts == total
 
 
@@ -336,7 +337,7 @@ def reference_class_eval(gt_set, det_set, class_id, iou_t, size_filter, k, mode)
     (tp flags in global score order, eligible gt count). Shares only the
     pair-IoU kernel with the evaluator under test."""
     from deteval.geometry import size_class
-    from deteval.matching import pair_iou
+    from deteval.oracle import pair_iou
 
     entries = []
     eligible = 0
@@ -535,20 +536,20 @@ class TestPooledDifferential:
             if mode == "boxes":
                 scenes.append(grid_scene(seed))
             for gt_set, det_set in scenes:
-                ev = GreedyEvaluator(gt_set, det_set, mode)
+                pools = _match_cells(gt_set, det_set, mode)
                 for cid in gt_set.label_map.ids():
                     for size in STRATA:
                         for cap in (1, 2) + CAPS:
-                            got = ev.accumulate(cid, size, cap)
+                            got = _curves(pools.get(cid), STRATA.index(size), cap)
                             ref = reference_accumulate(
                                 gt_set, det_set, cid, size, cap, mode
                             )
                             if ref is None:
                                 assert got is None
                                 continue
-                            assert np.array_equal(got.precision, ref[0])
-                            assert np.array_equal(got.final_recall, ref[1])
-                            assert got.eligible_gts == ref[2]
+                            assert np.array_equal(got[0], ref[0])
+                            assert np.array_equal(got[1], ref[1])
+                            assert pools[cid][3][STRATA.index(size)] == ref[2]
 
 
 class TestGreedyVsOracleMonotonicity:
@@ -567,17 +568,17 @@ class TestGreedyVsOracleMonotonicity:
                 cdets = [d for d in dets if d.class_id == cid]
                 if not cgts or len(cgts) > 12 or len(cdets) > 12:
                     continue
-                ev = GreedyEvaluator(gt_set, det_set, "boxes")
-                acc = ev.accumulate(cid, None, 100)
-                tp50 = round(acc.final_recall[IOU_SWEEP.index(0.5)] * acc.eligible_gts)
-                tp75 = round(acc.final_recall[IOU_SWEEP.index(0.75)] * acc.eligible_gts)
+                pool = _match_cells(gt_set, det_set, "boxes")[cid]
+                precision, final_recall = _curves(pool, 0, 100)
+                eligible = pool[3][0]
+                tp50 = round(final_recall[IOU_SWEEP.index(0.5)] * eligible)
+                tp75 = round(final_recall[IOU_SWEEP.index(0.75)] * eligible)
                 if tp50 == max_matching(cgts, cdets, 0.5, class_constrained=True) and (
                     tp75 == max_matching(cgts, cdets, 0.75, class_constrained=True)
                 ):
                     hits += 1
-                    assert acc.ap(IOU_SWEEP.index(0.75)) <= acc.ap(
-                        IOU_SWEEP.index(0.5)
-                    )
+                    per_t = precision.mean(axis=1)
+                    assert per_t[IOU_SWEEP.index(0.75)] <= per_t[IOU_SWEEP.index(0.5)]
         assert hits > 50  # the conditional check must actually exercise
 
 
@@ -589,6 +590,30 @@ class TestFullReport:
         assert cm.counts.sum() == 2
         assert report.map_50 == 0.0
         assert report.ar_100 == 0.0
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_public_helpers_equal_report_fields(self, mode):
+        strata = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
+        seen = set()
+        for seed in range(3):
+            gt_set, det_set = generate(
+                ScenarioConfig(seed=seed, image_count=4, gts_per_image=(0, 14),
+                               jitter_px=6, class_swap_rate=0.3, clutter_rate=0.5,
+                               drop_rate=0.2, image_size=(320, 320))
+            )
+            report, _ = full_report(gt_set, det_set, Thresholds(geometry_mode=mode))
+            fields = report.aggregate_fields()
+            maps = mean_ap(gt_set, det_set, mode=mode)
+            assert maps == {key: fields[key] for key in maps}
+            assert len(maps) == 6
+            for k in (1, 10, 100):
+                assert average_recall(gt_set, det_set, k, mode=mode) == fields[f"ar_{k}"]
+            for size in strata:
+                got = average_recall(gt_set, det_set, 100, size, mode=mode)
+                assert got == fields[f"ar_100_{size.value}"]
+                if got != -1.0:
+                    seen.add(size)
+        assert seen == set(strata)  # every size filter has an eligible class
 
     def test_road_label_order(self):
         labels = LabelMap.road_default()

@@ -19,7 +19,6 @@ from .annotations import (
     load_ground_truth,
     rescale,
     stratified_split,
-    validate,
 )
 from .geometry import (
     BBox,
@@ -92,5 +91,4 @@ __all__ = [
     "rle_encode",
     "size_class",
     "stratified_split",
-    "validate",
 ]

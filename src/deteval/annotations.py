@@ -8,10 +8,11 @@ every operation returns new values.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,13 @@ class ImageRecord:
     width: int
     height: int
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValidationError(
+                f"image {self.image_id}: dimensions must be >= 1, got "
+                f"{self.width}x{self.height}"
+            )
+
 
 @dataclass(frozen=True)
 class Annotation:
@@ -143,8 +151,8 @@ class SplitRatios:
 
     def __post_init__(self):
         for name, r in (("train", self.train), ("val", self.val), ("test", self.test)):
-            if r < 0:
-                raise ConfigError(f"split ratio {name} is negative: {r}")
+            if not r >= 0:  # NaN included
+                raise ConfigError(f"split ratio {name} must be >= 0, got {r}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError(
                 f"split ratios sum to {self.train + self.val + self.test}, expected 1"
@@ -180,10 +188,7 @@ class GroundTruthSet:
             isinstance(other, GroundTruthSet)
             and self.images == other.images
             and self.label_map == other.label_map
-            and len(self.annotations) == len(other.annotations)
-            and all(
-                _ann_eq(a, b) for a, b in zip(self.annotations, other.annotations)
-            )
+            and self.annotations == other.annotations
         )
 
     def to_json(self) -> dict:
@@ -226,8 +231,7 @@ class DetectionSet:
         return (
             isinstance(other, DetectionSet)
             and self.label_map == other.label_map
-            and len(self.detections) == len(other.detections)
-            and all(_det_eq(a, b) for a, b in zip(self.detections, other.detections))
+            and self.detections == other.detections
         )
 
     def to_json(self) -> list[dict]:
@@ -236,34 +240,6 @@ class DetectionSet:
     def save(self, path) -> None:
         text = json.dumps(self.to_json(), indent=2, ensure_ascii=False)
         write_text_atomic(path, text + "\n")
-
-
-def _mask_eq(a: InstanceMask | None, b: InstanceMask | None) -> bool:
-    if (a is None) != (b is None):
-        return False
-    if a is None:
-        return True
-    if (a.polygons is None) != (b.polygons is None):
-        return False
-    if a.polygons is not None:
-        return a.polygons == b.polygons
-    return a.rle == b.rle
-
-
-def _ann_eq(a: Annotation, b: Annotation) -> bool:
-    return (
-        (a.ann_id, a.image_id, a.class_id, a.bbox, a.area)
-        == (b.ann_id, b.image_id, b.class_id, b.bbox, b.area)
-        and _mask_eq(a.mask, b.mask)
-    )
-
-
-def _det_eq(a: Detection, b: Detection) -> bool:
-    return (
-        (a.det_id, a.image_id, a.class_id, a.bbox, a.score)
-        == (b.det_id, b.image_id, b.class_id, b.bbox, b.score)
-        and _mask_eq(a.mask, b.mask)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +350,6 @@ def load_ground_truth(path) -> GroundTruthSet:
             width=_req(entry, "width", where, int),
             height=_req(entry, "height", where, int),
         )
-        if img.width < 1 or img.height < 1:
-            raise ValidationError(
-                f"image {img.image_id}: dimensions must be >= 1, got "
-                f"{img.width}x{img.height}"
-            )
         images.append(img)
 
     by_id = {}
@@ -407,7 +378,7 @@ def load_ground_truth(path) -> GroundTruthSet:
             area = _parse_area(area, where)
         elif mask is None:
             area = bbox.area
-        # an area still None is taken from the mask below
+        # an area still None is taken from the mask by _finish
         annotations.append(
             Annotation(
                 ann_id=ann_id,
@@ -419,7 +390,79 @@ def load_ground_truth(path) -> GroundTruthSet:
             )
         )
 
-    # each image's masks that give an area are prepared in one batch
+    return _finish(
+        images, label_map, annotations, lambda k: f"annotation {annotations[k].ann_id}"
+    )
+
+
+def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
+    """Load a VoTT-subset export as a one-image ground-truth set.
+
+    Region ``k`` becomes the polygon annotation ``k + 1``, classed by its
+    first tag and boxed by its points' bounds clipped to the asset. Without
+    ``labels``, the classes are the tags in order of first use, numbered
+    from 1.
+    """
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("regions"), list):
+        raise ParseError(f"{path}: expected a VoTT export with asset and regions")
+    asset = _req(raw, "asset", path)
+    size = _req(asset, "size", f"{path}: asset")
+    width = _req(size, "width", f"{path}: asset.size", int)
+    height = _req(size, "height", f"{path}: asset.size", int)
+    file_name = str(asset.get("name") or Path(path).stem + ".png")
+    image = ImageRecord(1, file_name, width, height)
+
+    class_ids = {} if labels is None else {name: i for i, name in labels.entries}
+    annotations = []
+    for idx, region in enumerate(raw["regions"]):
+        where = f"{path}: region {idx}"
+        if not isinstance(region, dict):
+            raise ParseError(f"{where} is not an object")
+        tags = region.get("tags") or []
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ParseError(f"{where}: tags must be an array of strings")
+        if not tags:
+            raise ParseError(f"{where} has no tags")
+        if labels is None:  # classes numbered in order of first use
+            for tag in tags:
+                class_ids.setdefault(tag, len(class_ids) + 1)
+        class_id = class_ids.get(tags[0])
+        if class_id is None:
+            raise ParseError(f"{where} tag {tags[0]!r} not in label map")
+        points = region.get("points") or []
+        try:
+            poly = Polygon.from_points((p["x"], p["y"]) for p in points)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where} has malformed points") from exc
+        except GeometryError as exc:
+            raise GeometryError(f"{where}: {exc}") from exc
+        if len(poly.vertices) < 3:
+            raise ParseError(f"{where} needs at least 3 points")
+        x0, y0, x1, y1 = poly.bounds()
+        x0, y0 = max(x0, 0.0), max(y0, 0.0)
+        x1, y1 = min(x1, float(width)), min(y1, float(height))
+        if x1 <= x0 or y1 <= y0:
+            raise ParseError(f"{where} lies outside the image")
+        mask = InstanceMask(polygons=[poly], canvas=(width, height))
+        bbox = BBox(x0, y0, x1 - x0, y1 - y0)
+        annotations.append(Annotation(idx + 1, 1, class_id, bbox, mask, area=None))
+
+    if labels is None:
+        if not class_ids:
+            raise ParseError(f"{path}: no tags found in regions")
+        labels = LabelMap((i, tag) for tag, i in class_ids.items())
+    return _finish([image], labels, annotations, lambda k: f"{path}: region {k}")
+
+
+def _finish(images, label_map, annotations, name) -> GroundTruthSet:
+    """The ground-truth set of loaded records, once every annotation's area
+    is known and positive and every annotation id is unique.
+
+    An area still None is taken from the annotation's mask; each image's
+    such masks are prepared in one batch. ``name(k)`` names annotation ``k``
+    in an error.
+    """
     unsized = [k for k, ann in enumerate(annotations) if ann.area is None]
     masks_by_image: dict[int, list[InstanceMask]] = {}
     for k in unsized:
@@ -429,9 +472,14 @@ def load_ground_truth(path) -> GroundTruthSet:
     for k in unsized:
         annotations[k] = replace(annotations[k], area=float(annotations[k].mask.area))
 
-    gt = GroundTruthSet(images, label_map, annotations)
-    _raise_first(validate(gt))
-    return gt
+    seen = set()
+    for k, ann in enumerate(annotations):
+        if ann.ann_id in seen:
+            raise ValidationError(f"{name(k)}: ann_id occurs more than once")
+        seen.add(ann.ann_id)
+        if not ann.area > 0:
+            raise GeometryError(f"{name(k)}: area is {ann.area} (must be > 0)")
+    return GroundTruthSet(images, label_map, annotations)
 
 
 def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
@@ -531,62 +579,20 @@ def _mask_to_json(mask: InstanceMask):
 
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` as UTF-8 to a file beside ``path``, then rename it over
-    ``path``, so a reader never sees a partial file."""
+    ``path``, so a reader never sees a partial file. Missing parent
+    directories are created. A path that cannot be written, or text that
+    has no UTF-8 form (a lone surrogate read from a JSON escape), raises
+    ConfigError naming the path and leaves no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate(dataset) -> list[str]:
-    """Collect invariant violations without raising; empty means valid."""
-    violations: list[str] = []
-    if isinstance(dataset, GroundTruthSet):
-        seen = set()
-        for ann in dataset.annotations:
-            where = f"annotation {ann.ann_id}"
-            if ann.ann_id in seen:
-                violations.append(f"duplicate: {where}: ann_id occurs more than once")
-            seen.add(ann.ann_id)
-            if ann.image_id not in dataset.images_by_id:
-                violations.append(f"reference: {where}: unknown image_id {ann.image_id}")
-            if ann.class_id not in dataset.label_map:
-                violations.append(f"reference: {where}: unknown class_id {ann.class_id}")
-            if ann.mask is not None and ann.mask.polygons is not None:
-                for poly in ann.mask.polygons:
-                    if len(poly.vertices) < 3:
-                        violations.append(
-                            f"geometry: {where}: polygon has "
-                            f"{len(poly.vertices)} vertices (need >= 3)"
-                        )
-            if not ann.area > 0:
-                violations.append(f"geometry: {where}: area is {ann.area} (must be > 0)")
-    elif isinstance(dataset, DetectionSet):
-        for det in dataset.detections:
-            where = f"detection {det.det_id}"
-            if det.class_id not in dataset.label_map:
-                violations.append(f"reference: {where}: unknown class_id {det.class_id}")
-            if not 0.0 <= det.score <= 1.0:
-                violations.append(f"range: {where}: score {det.score} outside [0, 1]")
-    else:
-        raise ConfigError(f"cannot validate object of type {type(dataset).__name__}")
-    return violations
-
-
-def _raise_first(violations: list[str]) -> None:
-    if not violations:
-        return
-    first = violations[0]
-    kind, _, message = first.partition(": ")
-    if kind == "reference":
-        raise MissingReferenceError(message)
-    if kind == "geometry":
-        raise GeometryError(message)
-    raise ValidationError(message)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except (OSError, UnicodeEncodeError) as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,17 @@ import json
 import sys
 from pathlib import Path
 
-from . import annotations as ann_mod
 from .annotations import (
-    GroundTruthSet,
     LabelMap,
     SplitRatios,
     load_detections,
     load_ground_truth,
+    load_vott,
+    rescale,
     stratified_split,
-    validate,
     write_text_atomic,
 )
-from .errors import EvalError, GeometryError, ParseError
-from .geometry import BBox, InstanceMask, Polygon
+from .errors import EvalError, ParseError
 from .matching import ALGORITHMS, GEOMETRY_MODES, Thresholds, match_dataset
 from .metrics import full_report
 from .reports import (
@@ -130,12 +128,6 @@ def _thresholds(args) -> Thresholds:
     )
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_evaluate(args) -> int:
     thresholds = _thresholds(args)
     formats = _formats(args)
@@ -143,7 +135,7 @@ def cmd_evaluate(args) -> int:
     det = load_detections(args.det, gt.label_map, gt.images)
     report, cm = full_report(gt, det, thresholds, args.algorithm)
 
-    out = _outdir(args)
+    out = Path(args.out)
     if "json" in formats:
         write_text_atomic(out / "report.json", report_json(report, thresholds))
     if "csv" in formats:
@@ -166,7 +158,7 @@ def cmd_compare(args) -> int:
     _, mod = match_dataset(gt, det, thresholds, "modified")
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)
 
-    out = _outdir(args)
+    out = Path(args.out)
     write_text_atomic(out / "confusion_conventional.csv", confusion_csv(conv))
     write_text_atomic(out / "confusion_modified.csv", confusion_csv(mod))
     write_text_atomic(out / "class_deltas.csv", delta_table_csv(stats))
@@ -192,7 +184,7 @@ def cmd_split(args) -> int:
     gt = load_ground_truth(args.gt)
     train, val, test = stratified_split(gt, ratios, args.seed)
 
-    out = _outdir(args)
+    out = Path(args.out)
     manifest = {
         "seed": args.seed,
         "ratios": {"train": ratios.train, "val": ratios.val, "test": ratios.test},
@@ -216,77 +208,13 @@ def cmd_split(args) -> int:
 
 def cmd_rescale(args) -> int:
     gt = load_ground_truth(args.gt)
-    rescaled = ann_mod.rescale(gt, args.width, args.height, force=args.force)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    rescaled.save(args.out)
+    rescale(gt, args.width, args.height, force=args.force).save(args.out)
     return 0
 
 
 def cmd_convert(args) -> int:
-    raw = ann_mod._read_json(args.vott)
-    if not isinstance(raw, dict) or "asset" not in raw or "regions" not in raw:
-        raise ParseError(f"{args.vott}: expected a VoTT export with asset and regions")
-    size = ann_mod._req(raw["asset"], "size", f"{args.vott}: asset")
-    width = ann_mod._req(size, "width", f"{args.vott}: asset.size", int)
-    height = ann_mod._req(size, "height", f"{args.vott}: asset.size", int)
-    file_name = raw["asset"].get("name") or Path(args.vott).stem + ".png"
-
     labels = LabelMap.from_file(args.labels) if args.labels else None
-    if labels is None:
-        seen = []
-        for region in raw["regions"]:
-            for tag in region.get("tags", []):
-                if tag not in seen:
-                    seen.append(tag)
-        if not seen:
-            raise ParseError(f"{args.vott}: no tags found in regions")
-        labels = LabelMap((i + 1, tag) for i, tag in enumerate(seen))
-
-    image = ann_mod.ImageRecord(1, str(file_name), width, height)
-    anns = []
-    for idx, region in enumerate(raw["regions"]):
-        where = f"region {idx}"
-        tags = region.get("tags") or []
-        if not tags:
-            raise ParseError(f"{args.vott}: {where} has no tags")
-        try:
-            class_id = labels.id_of(tags[0])
-        except KeyError:
-            raise ParseError(
-                f"{args.vott}: {where} tag {tags[0]!r} not in label map"
-            ) from None
-        points = region.get("points") or []
-        try:
-            poly = Polygon.from_points((p["x"], p["y"]) for p in points)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{args.vott}: {where} has malformed points") from exc
-        except GeometryError as exc:
-            raise GeometryError(f"{args.vott}: {where}: {exc}") from exc
-        if len(poly.vertices) < 3:
-            raise ParseError(f"{args.vott}: {where} needs at least 3 points")
-        x0, y0, x1, y1 = poly.bounds()
-        x0, y0 = max(x0, 0.0), max(y0, 0.0)
-        x1, y1 = min(x1, float(width)), min(y1, float(height))
-        if x1 <= x0 or y1 <= y0:
-            raise ParseError(f"{args.vott}: {where} lies outside the image")
-        mask = InstanceMask(polygons=[poly], canvas=(width, height))
-        anns.append(
-            ann_mod.Annotation(
-                ann_id=idx + 1,
-                image_id=1,
-                class_id=class_id,
-                bbox=BBox(x0, y0, x1 - x0, y1 - y0),
-                mask=mask,
-                area=float(mask.area),
-            )
-        )
-
-    gt = GroundTruthSet([image], labels, anns)
-    problems = validate(gt)
-    if problems:
-        raise ParseError(f"{args.vott}: {problems[0]}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    gt.save(args.out)
+    load_vott(args.vott, labels).save(args.out)
     return 0
 
 
@@ -296,7 +224,6 @@ def cmd_render(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot read {args.matrix}: {exc}") from exc
     names, counts = parse_confusion_csv(text)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(args.out, matrix_svg(names, counts))
     return 0
 

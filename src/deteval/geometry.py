@@ -479,7 +479,7 @@ class InstanceMask:
     def __init__(self, polygons=None, rle: RLEMask | None = None, canvas=None):
         if (polygons is None) == (rle is None):
             raise GeometryError("instance mask needs polygons or an RLE grid, not both")
-        self.polygons = list(polygons) if polygons is not None else None
+        self.polygons = tuple(polygons) if polygons is not None else None
         self.rle = rle
         self.canvas = tuple(canvas) if canvas is not None else None
         if rle is not None:
@@ -492,6 +492,15 @@ class InstanceMask:
             self.canvas = (rle.width, rle.height)
         self._window = None
         self._area = None
+
+    def __eq__(self, other) -> bool:
+        """Masks with equal sources are equal, whatever their canvases."""
+        if not isinstance(other, InstanceMask):
+            return NotImplemented
+        return (self.polygons, self.rle) == (other.polygons, other.rle)
+
+    def __hash__(self) -> int:
+        return hash((self.polygons, self.rle))
 
     def window(self) -> tuple[np.ndarray, int, int]:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""

@@ -15,19 +15,21 @@ from deteval.annotations import (
     SplitRatios,
     load_detections,
     load_ground_truth,
+    load_vott,
     rescale,
     stratified_split,
-    validate,
 )
+from deteval.cli import main
 from deteval.errors import (
     ConfigError,
+    EvalError,
     GeometryError,
     LossyRescaleError,
     MissingReferenceError,
     ParseError,
     ValidationError,
 )
-from deteval.geometry import BBox, InstanceMask, Polygon, rle_encode
+from deteval.geometry import BBox, rle_encode
 from deteval.oracle import full_grid
 
 # Per-class testing-split sizes of the 12-class road dataset the default
@@ -188,6 +190,58 @@ class TestLoadGroundTruth:
         assert load_ground_truth(tmp_path / "copy.json") == gt
 
 
+def vott_exports(width, height):
+    """VoTT exports on a ``width`` x ``height`` asset whose regions have
+    fractional points inside it."""
+    point = st.fixed_dictionaries(
+        {"x": st.floats(0, width), "y": st.floats(0, height)}
+    )
+    region = st.fixed_dictionaries(
+        {
+            "tags": st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=2),
+            "points": st.lists(point, min_size=3, max_size=6),
+        }
+    )
+    return st.fixed_dictionaries(
+        {
+            "asset": st.just({"size": {"width": width, "height": height}}),
+            "regions": st.lists(region, min_size=1, max_size=4),
+        }
+    )
+
+
+class TestLoadVott:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 64), st.integers(1, 64)).flatmap(
+            lambda size: vott_exports(*size)
+        )
+    )
+    def test_convert_output_loads_to_the_same_set(self, tmp_path_factory, export):
+        tmp = tmp_path_factory.mktemp("vott")
+        src, out = write_json(tmp / "export.json", export), tmp / "gt.json"
+        code = main(["convert", "--vott", str(src), "--out", str(out)])
+        try:
+            expected = load_vott(src)
+        except EvalError:  # a region clipped to a sliver, or rasterized to nothing
+            assert code == 2 and not out.exists()
+            return
+        assert code == 0
+        assert load_ground_truth(out) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(width=st.sampled_from([100, 960, 3840]), data=st.data())
+    def test_clamped_box_keeps_its_width(self, width, data):
+        # convert writes the width x1 - x0; the loader recomputes it as
+        # (x0 + w) - x0 after clamping to the image
+        from deteval.annotations import _clamp_bbox
+
+        x0 = data.draw(st.floats(0, width, exclude_max=True))
+        x1 = data.draw(st.floats(x0, width, exclude_min=True))
+        box = BBox(x0, 0.0, x1 - x0, 1.0)
+        assert _clamp_bbox(box, ImageRecord(1, "a.png", width, 1)).w == x1 - x0
+
+
 class TestLoadDetections:
     def test_empty(self, tmp_path):
         path = write_json(tmp_path / "det.json", [])
@@ -237,30 +291,6 @@ class TestLoadDetections:
         ]
         with pytest.raises(GeometryError, match="detection 0"):
             load_detections(write_json(tmp_path / "det.json", rows), LabelMap([(1, "t")]))
-
-
-class TestValidate:
-    def test_valid_set_empty_report(self, gt_file):
-        assert validate(load_ground_truth(gt_file)) == []
-
-    def test_duplicate_ann_id(self):
-        labels = LabelMap([(1, "t")])
-        img = ImageRecord(1, "a.png", 64, 64)
-        ann = Annotation(1, 1, 1, BBox(0, 0, 5, 5), area=25.0)
-        report = validate(GroundTruthSet([img], labels, [ann, ann]))
-        assert len(report) == 1
-        assert "duplicate" in report[0]
-
-    def test_two_vertex_polygon(self):
-        labels = LabelMap([(1, "t")])
-        img = ImageRecord(1, "a.png", 64, 64)
-        bad = InstanceMask(
-            polygons=[Polygon.from_points([(0, 0), (5, 5)])], canvas=(64, 64)
-        )
-        ann = Annotation(1, 1, 1, BBox(0, 0, 5, 5), mask=bad, area=25.0)
-        report = validate(GroundTruthSet([img], labels, [ann]))
-        assert len(report) == 1
-        assert report[0].startswith("geometry")
 
 
 class TestRescale:

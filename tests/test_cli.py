@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -412,6 +413,108 @@ class TestGroundTruthArea:
         assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(out)]) == 0
 
 
+VOTT_EXPORT = {
+    "asset": {"size": {"width": 64, "height": 64}, "name": "a.png"},
+    "regions": [
+        {"tags": ["A"], "points": [{"x": 4, "y": 4}, {"x": 14, "y": 4}, {"x": 9, "y": 14}]},
+        {"tags": ["B", "A"], "points": [{"x": 20.5, "y": 20}, {"x": 40, "y": 22.25},
+                                        {"x": 30, "y": 41}]},
+    ],
+}
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 naming it, and leaves
+    no temporary file behind."""
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            ("evaluate", "afile"),
+            ("compare", "afile"),
+            ("split", "afile"),
+            ("rescale", "afile/x.json"),
+            ("rescale", "adir"),
+            ("convert", "adir"),
+        ],
+    )
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, out):
+        gt, det = simple_pair(tmp_path)
+        vott = write_json(tmp_path / "v.json", VOTT_EXPORT)
+        (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        inputs = {
+            "evaluate": ["--gt", gt, "--det", det],
+            "compare": ["--gt", gt, "--det", det],
+            "split": ["--gt", gt],
+            "rescale": ["--gt", gt, "--width", "32", "--height", "32"],
+            "convert": ["--vott", vott],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        code = main([command, *map(str, inputs), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert f"cannot write {tmp_path / out.split('/')[0]}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert not list((tmp_path / "adir").iterdir())
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+
+SLIVER = [[1, 1, 9, 1.2, 5, 1.1]]  # a non-empty box whose raster is empty
+
+
+class TestLoaderRules:
+    """A record that breaks a rule of the loader's final step (unique
+    annotation ids, positive areas) exits 2 and names the record."""
+
+    @pytest.mark.parametrize("variant", ["boxes", "masks"])
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            pytest.param("id", "repeated", "annotation 1: ann_id occurs more than once",
+                         id="repeated-id"),
+            pytest.param("area", 0, "annotation 1: area is 0.0 (must be > 0)", id="area-0"),
+            pytest.param("area", -5, "annotation 1: area is -5.0 (must be > 0)",
+                         id="area-minus-5"),
+            pytest.param("bbox", [4, 4, 0, 10], "annotation 1: area is 0.0 (must be > 0)",
+                         id="zero-width-box"),
+            pytest.param("segmentation", SLIVER, "annotation 1: area is 0.0 (must be > 0)",
+                         id="empty-raster-polygon"),
+            pytest.param("vott", SLIVER, "v.json: region 0: area is 0.0 (must be > 0)",
+                         id="vott-sliver"),
+        ],
+    )
+    def test_exits_2_naming_the_record(self, tmp_path, capsys, variant, field, value,
+                                       named):
+        _, det = simple_pair(tmp_path)
+        doc = minimal_gt_dict()
+        if field == "id":
+            doc["annotations"].append(dict(doc["annotations"][0]))
+        elif field != "vott":
+            doc["annotations"][0][field] = value
+        gt = write_json(tmp_path / "gt.json", doc)
+        out = tmp_path / "o"
+        if field == "vott":
+            # convert has no geometry mode; its second variant names the
+            # classes with a label map
+            points = [{"x": x, "y": y} for x, y in zip(value[0][::2], value[0][1::2])]
+            vott = write_json(tmp_path / "v.json", {
+                "asset": {"size": {"width": 64, "height": 64}},
+                "regions": [{"tags": ["thing"], "points": points}],
+            })
+            argv = ["convert", "--vott", str(vott), "--out", str(out / "gt.json")]
+            if variant == "masks":
+                labels = write_json(tmp_path / "l.json", [{"id": 3, "name": "thing"}])
+                argv += ["--labels", str(labels)]
+        else:
+            argv = ["evaluate", "--gt", str(gt), "--det", str(det), "--mode", variant,
+                    "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "geometry:" not in err
+        assert not out.exists()
+
+
 class TestCompare:
     def test_crafted_conflict_shows_diagonal_gain(self, tmp_path):
         gt, det = road_pair(tmp_path)
@@ -497,6 +600,15 @@ class TestSplit:
             ["split", "--gt", str(gt), "--ratios", "0.5,0.5,0.5",
              "--out", str(tmp_path / "o")]
         ) == 2
+
+    def test_nan_ratio_exits_2_without_manifest(self, tmp_path, capsys):
+        gt = self._gt_file(tmp_path)
+        out = tmp_path / "o"
+        assert main(
+            ["split", "--gt", str(gt), "--ratios", "nan,0,0", "--out", str(out)]
+        ) == 2
+        assert "split ratio train must be >= 0, got nan" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestRescale:
@@ -670,6 +782,69 @@ class TestConvert:
         assert main(
             ["convert", "--vott", str(src), "--out", str(tmp_path / "o.json")]
         ) == 2
+
+
+# where a value is replaced: the regions, one region, its tags, its points,
+# one point, the asset name
+VOTT_FIELDS = (
+    ("regions",),
+    ("regions", 1),
+    ("regions", 1, "tags"),
+    ("regions", 1, "points"),
+    ("regions", 1, "points", 0),
+    ("asset", "name"),
+)
+
+
+def _convert_with_replaced(tmp, field, value, labels):
+    doc = copy.deepcopy(VOTT_EXPORT)
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    src = write_json(Path(tmp) / "v.json", doc)
+    argv = ["convert", "--vott", str(src), "--out", str(Path(tmp) / "gt.json")]
+    if labels:
+        names = write_json(Path(tmp) / "labels.json",
+                           [{"id": 1, "name": "A"}, {"id": 2, "name": "B"}])
+        argv += ["--labels", str(names)]
+    return main(argv)
+
+
+class TestVottFuzz:
+    """Any JSON value in place of one part of a VoTT export is either
+    converted or rejected as bad input: exit 0 or 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(VOTT_FIELDS), value=JSON_VALUES)
+    def test_exit_code_is_0_or_2(self, field, value):
+        for labels in (False, True):
+            with tempfile.TemporaryDirectory() as tmp:
+                assert _convert_with_replaced(tmp, field, value, labels) in (0, 2)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            pytest.param(("regions",), ["x"], "region 0 is not an object",
+                         id="regions-of-strings"),
+            pytest.param(("regions",), "abc", "expected a VoTT export with asset and regions",
+                         id="regions-string"),
+            pytest.param(("regions",), 5, "expected a VoTT export with asset and regions",
+                         id="regions-number"),
+            pytest.param(("regions", 1, "tags"), 5, "region 1: tags must be an array of strings",
+                         id="tags-number"),
+            pytest.param(("regions", 1, "tags"), [[1]],
+                         "region 1: tags must be an array of strings", id="tags-nested"),
+            # a JSON escape of a lone surrogate reads as a string with no UTF-8 form
+            pytest.param(("asset", "name"), "\ud800", "gt.json: 'utf-8' codec can't encode",
+                         id="name-lone-surrogate"),
+        ],
+    )
+    def test_malformed_part_exits_2(self, tmp_path, capsys, labels, field, value, named):
+        assert _convert_with_replaced(tmp_path, field, value, labels) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("gt.json*"))
 
 
 class TestRender:

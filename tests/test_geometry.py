@@ -326,6 +326,35 @@ class TestInstanceMask:
         with pytest.raises(GeometryError):
             a.iou(b)
 
+    def test_equal_polygon_sources_are_equal_and_hash_equal(self):
+        ring = [(0, 0), (2.5, 0), (2, 2)]
+        a = InstanceMask(polygons=[Polygon.from_points(ring)], canvas=(8, 8))
+        b = InstanceMask(polygons=(Polygon.from_points(ring),), canvas=(8, 8))
+        assert a == b and hash(a) == hash(b)
+        moved = InstanceMask(polygons=[Polygon.from_points(ring[::-1])], canvas=(8, 8))
+        assert a != moved
+
+    def test_equal_rle_grids_are_equal_and_hash_equal(self):
+        bits = np.eye(4, dtype=bool)
+        a = InstanceMask(rle=rle_encode(bits))
+        b = InstanceMask(rle=RLEMask(4, 4, rle_encode(bits).runs.tolist()))
+        assert a == b and hash(a) == hash(b)
+        assert a != InstanceMask(rle=rle_encode(~bits))
+
+    def test_polygon_mask_never_equals_rle_mask(self):
+        square = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        poly = InstanceMask(polygons=[square], canvas=(4, 4))
+        rle = InstanceMask(rle=rle_encode(full_grid(poly.window(), 4, 4)))
+        assert poly.area == rle.area
+        assert poly != rle and rle != poly
+
+    def test_canvas_is_not_compared(self):
+        square = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        a = InstanceMask(polygons=[square], canvas=(4, 4))
+        b = InstanceMask(polygons=[square], canvas=(64, 48))
+        c = InstanceMask(polygons=[square])
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+
     def test_multi_polygon_union(self):
         p1 = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         p2 = Polygon.from_points([(3, 3), (5, 3), (5, 5), (3, 5)])

@@ -69,7 +69,6 @@ class LabelMap:
         if any(i <= 0 for i in ids):
             raise ValidationError("class ids must be positive integers")
         self._name_of = dict(self.entries)
-        self._id_of = {n: i for i, n in self.entries}
         self._index_of = {i: k for k, (i, _) in enumerate(self.entries)}
 
     @classmethod
@@ -88,9 +87,6 @@ class LabelMap:
 
     def name_of(self, class_id: int) -> str:
         return self._name_of[class_id]
-
-    def id_of(self, name: str) -> int:
-        return self._id_of[name]
 
     def index_of(self, class_id: int) -> int:
         return self._index_of[class_id]
@@ -346,7 +342,7 @@ def load_ground_truth(path) -> GroundTruthSet:
         where = f"{path}: image at index {k}"
         img = ImageRecord(
             image_id=_req(entry, "id", where, int),
-            file_name=_req(entry, "file_name", where, str),
+            file_name=_req(entry, "file_name", where, _string),
             width=_req(entry, "width", where, int),
             height=_req(entry, "height", where, int),
         )
@@ -410,8 +406,8 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
     size = _req(asset, "size", f"{path}: asset")
     width = _req(size, "width", f"{path}: asset.size", int)
     height = _req(size, "height", f"{path}: asset.size", int)
-    file_name = str(asset.get("name") or Path(path).stem + ".png")
-    image = ImageRecord(1, file_name, width, height)
+    name = _req(asset, "name", f"{path}: asset", _string) if "name" in asset else ""
+    image = ImageRecord(1, name or Path(path).stem + ".png", width, height)
 
     class_ids = {} if labels is None else {name: i for i, name in labels.entries}
     annotations = []
@@ -530,8 +526,16 @@ def _req(entry, key, where, convert=None):
         return convert(entry[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(
-            f"{where}: '{key}' is {entry[key]!r}, not a valid {convert.__name__}"
+            f"{where}: '{key}' is {entry[key]!r}, "
+            f"not a valid {convert.__name__.lstrip('_')}"
         ) from exc
+
+
+def _string(value) -> str:
+    """``value`` when it is a string with a UTF-8 form, which a lone
+    surrogate read from a JSON ``\\ud800`` escape lacks."""
+    str.encode(value, "utf-8")  # TypeError for a non-string
+    return value
 
 
 def _label_map(records, path) -> LabelMap:
@@ -539,7 +543,8 @@ def _label_map(records, path) -> LabelMap:
     entries = []
     for k, entry in enumerate(records):
         where = f"{path}: category at index {k}"
-        entries.append((_req(entry, "id", where, int), _req(entry, "name", where)))
+        class_id = _req(entry, "id", where, int)
+        entries.append((class_id, _req(entry, "name", where, _string)))
     return LabelMap(entries)
 
 

@@ -24,7 +24,7 @@ from .annotations import (
     write_text_atomic,
 )
 from .errors import EvalError, ParseError
-from .matching import ALGORITHMS, GEOMETRY_MODES, Thresholds, match_dataset
+from .matching import ALGORITHMS, GEOMETRY_MODES, Thresholds, image_ious, match_images
 from .metrics import full_report
 from .reports import (
     DeltaStats,
@@ -154,8 +154,9 @@ def cmd_compare(args) -> int:
     formats = _formats(args)
     gt = load_ground_truth(args.gt)
     det = load_detections(args.det, gt.label_map, gt.images)
-    _, conv = match_dataset(gt, det, thresholds, "conventional")
-    _, mod = match_dataset(gt, det, thresholds, "modified")
+    table = image_ious(gt, det, thresholds.geometry_mode)
+    _, conv = match_images(table, gt.label_map, thresholds, "conventional")
+    _, mod = match_images(table, gt.label_map, thresholds, "modified")
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)
 
     out = Path(args.out)

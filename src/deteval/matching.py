@@ -158,7 +158,10 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     Detections are expected to be pre-filtered to the confidence threshold;
     all items must belong to one image.
     """
-    ious = iou_matrix(gts, dets, t.geometry_mode)
+    return _pairs(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
+
+
+def _pairs(gts, dets, ious, t: Thresholds) -> list[MatchPair]:
     pairs = []
     for i, j in zip(*np.nonzero(ious >= t.iou_threshold)):
         gt, det = gts[i], dets[j]
@@ -166,8 +169,33 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     return pairs
 
 
-def _conf_filter(dets, t: Thresholds):
-    return [d for d in dets if d.score >= t.confidence_threshold]
+def _candidates(gts, dets, ious, t: Thresholds):
+    """The detections at or above the confidence threshold, and their
+    :func:`iou_table` pairs taken from ``ious``, the image's full matrix."""
+    keep = [j for j, d in enumerate(dets) if d.score >= t.confidence_threshold]
+    kept = [dets[j] for j in keep]
+    return kept, _pairs(gts, kept, ious[:, keep], t)
+
+
+def image_ious(gt_set, det_set, mode: str) -> list[tuple]:
+    """``(image_id, gts, dets, ious)`` of every ground-truth image, in image
+    order: its ground truths and detections, each in load order, and their
+    :func:`iou_matrix` in geometry ``mode``. Raises when a detection names
+    an image the ground truth does not have."""
+    if mode not in GEOMETRY_MODES:
+        raise ConfigError(f"unknown geometry mode {mode!r}")
+    dets_by_image = det_set.by_image()
+    for image_id, ds in dets_by_image.items():
+        if image_id not in gt_set.images_by_id:
+            raise MissingReferenceError(
+                f"detection {ds[0].det_id}: unknown image_id {image_id}"
+            )
+    table = []
+    for img in gt_set.images:
+        gts = gt_set.by_image()[img.image_id]
+        dets = dets_by_image.get(img.image_id, [])
+        table.append((img.image_id, gts, dets, iou_matrix(gts, dets, mode)))
+    return table
 
 
 def _pair_order(p: MatchPair):
@@ -185,8 +213,12 @@ def match_conventional(gts, dets, t: Thresholds) -> MatchingResult:
     maximum matching: a detection contested away from a ground truth is not
     revisited, so pairable items can end up unmatched.
     """
-    dets = _conf_filter(dets, t)
-    pairs = sorted(iou_table(gts, dets, t), key=_pair_order)
+    return _conventional(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
+
+
+def _conventional(gts, dets, ious, t: Thresholds) -> MatchingResult:
+    dets, pairs = _candidates(gts, dets, ious, t)
+    pairs.sort(key=_pair_order)
 
     best_for_gt: dict[int, MatchPair] = {}
     for p in pairs:
@@ -213,9 +245,11 @@ def match_modified(gts, dets, t: Thresholds) -> MatchingResult:
     the detection's held pair under that order, so the loop terminates; a
     defensive pass cap guards regardless.
     """
-    dets = _conf_filter(dets, t)
-    pairs = iou_table(gts, dets, t)
+    return _modified(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
 
+
+def _modified(gts, dets, ious, t: Thresholds) -> MatchingResult:
+    dets, pairs = _candidates(gts, dets, ious, t)
     candidates: dict[int, list[MatchPair]] = {}
     for p in pairs:
         candidates.setdefault(p.gt.ann_id, []).append(p)
@@ -269,7 +303,8 @@ def _assemble(gts, dets, matched) -> MatchingResult:
     )
 
 
-MATCHERS = {"conventional": match_conventional, "modified": match_modified}
+# each algorithm's matcher over an image's precomputed IoU matrix
+_MATCHERS = {"conventional": _conventional, "modified": _modified}
 
 
 @dataclass
@@ -343,18 +378,14 @@ def accumulate(results, labels: LabelMap) -> ConfusionMatrix:
 def match_dataset(gt_set, det_set, t: Thresholds, algorithm: str):
     """Run one matcher over every image; returns per-image results in image
     order plus the accumulated matrix."""
-    if algorithm not in MATCHERS:
+    table = image_ious(gt_set, det_set, t.geometry_mode)
+    return match_images(table, gt_set.label_map, t, algorithm)
+
+
+def match_images(table, labels: LabelMap, t: Thresholds, algorithm: str):
+    """:func:`match_dataset` over the rows of :func:`image_ious`."""
+    if algorithm not in _MATCHERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    matcher = MATCHERS[algorithm]
-    dets_by_image = det_set.by_image()
-    for image_id, ds in dets_by_image.items():
-        if image_id not in gt_set.images_by_id:
-            raise MissingReferenceError(
-                f"detection {ds[0].det_id}: unknown image_id {image_id}"
-            )
-    results = []
-    for img in gt_set.images:
-        gts = gt_set.by_image().get(img.image_id, [])
-        dets = dets_by_image.get(img.image_id, [])
-        results.append(matcher(gts, dets, t))
-    return results, accumulate(results, gt_set.label_map)
+    matcher = _MATCHERS[algorithm]
+    results = [matcher(gts, dets, ious, t) for _, gts, dets, ious in table]
+    return results, accumulate(results, labels)

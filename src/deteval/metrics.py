@@ -13,7 +13,8 @@ Each (image, class) cell is matched once, in one pass over its detections
 in score order. Each step matches one detection under all four size filters
 and all ten thresholds at once, against a (filter, threshold, ground truth)
 array of the ground truths still free; the filters differ only in what they
-ignore, so they share the cell's IoU block. The pass applies no detection
+ignore, so they share the cell's IoU block, sliced from the image's matrix
+that the confusion-matrix matchers read. The pass applies no detection
 cap: a detection's match depends only on the detections ranked above it in
 its cell, so the matches under a cap of k are the pass's first k steps, and
 every cap is a prefix. Each class's cells are pooled once in global score
@@ -28,13 +29,7 @@ import numpy as np
 
 from .annotations import DetectionSet, GroundTruthSet
 from .errors import ConfigError
-from .matching import (
-    GEOMETRY_MODES,
-    ConfusionMatrix,
-    Thresholds,
-    iou_matrix,
-    match_dataset,
-)
+from .matching import ConfusionMatrix, Thresholds, image_ious, match_images
 from .geometry import SizeClass, size_class
 
 IOU_SWEEP = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -167,45 +162,34 @@ def _interpolate(recall, envelope) -> np.ndarray:
     return np.where(idx < n, picked, 0.0)
 
 
-def _match_cells(gt_set: GroundTruthSet, det_set: DetectionSet, mode: str) -> dict:
-    """Match every (image, class) cell once and pool each class's cells in
-    global score order: score, then image id, then rank in the cell.
+def _match_cells(table, mode: str) -> dict:
+    """Match every (image, class) cell of the :func:`image_ious` rows once
+    and pool each class's cells in global score order: score, then image id,
+    then rank in the cell.
 
     Maps each class id with a ground truth or detection to its pool
     ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
     cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
     """
-    image_gts = gt_set.by_image()
-    image_dets = det_set.by_image()
     parts: dict[int, list] = {}
-    for img in gt_set.images:
-        gts = image_gts.get(img.image_id, [])
-        dets = sorted(
-            image_dets.get(img.image_id, []), key=lambda d: (-d.score, d.det_id)
-        )
-        if not gts and not dets:
-            continue
-        # group each class's rows and columns, keeping their order
-        gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
-        det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
-        g_order = np.argsort(gt_cls, kind="stable")
-        d_order = np.argsort(det_cls, kind="stable")
-        gt_cls, det_cls = gt_cls[g_order], det_cls[d_order]
-        ious = iou_matrix(gts, dets, mode)[np.ix_(g_order, d_order)].T
-        gt_ignore = outside_strata([gts[k].area for k in g_order])
+    for image_id, gts, dets, ious in table:
+        gt_ignore = outside_strata([g.area for g in gts])
         det_outside = outside_strata([
             d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
-            for d in (dets[k] for k in d_order)
+            for d in dets
         ])
-        scores = np.array([dets[k].score for k in d_order], dtype=float)
-        classes = np.array(sorted({*gt_cls.tolist(), *det_cls.tolist()}))
-        g_bounds = np.searchsorted(gt_cls, [classes, classes + 1])
-        d_bounds = np.searchsorted(det_cls, [classes, classes + 1])
-        for cid, g0, g1, d0, d1 in zip(classes.tolist(), *g_bounds, *d_bounds):
-            cell = greedy_cell(
-                ious[d0:d1, g0:g1], gt_ignore[:, g0:g1], det_outside[:, d0:d1]
-            )
-            parts.setdefault(cid, []).append((scores[d0:d1], img.image_id) + cell)
+        by_score = sorted(
+            range(len(dets)), key=lambda j: (-dets[j].score, dets[j].det_id)
+        )
+        # a cell's rows stay in load order and its columns go in score order
+        for cid in sorted({x.class_id for x in (*gts, *dets)}):
+            rows = [i for i, g in enumerate(gts) if g.class_id == cid]
+            cols = [j for j in by_score if dets[j].class_id == cid]
+            block = ious.take(rows, 0).take(cols, 1).T
+            ignore, outside = gt_ignore.take(rows, 1), det_outside.take(cols, 1)
+            cell = greedy_cell(block, ignore, outside)
+            scores = np.array([dets[j].score for j in cols], dtype=float)
+            parts.setdefault(cid, []).append((scores, image_id) + cell)
 
     pools = {}
     for cid, cells in parts.items():
@@ -246,22 +230,21 @@ def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:
     return _interpolate(recall, envelope), final_recall
 
 
-def _aggregates(gt_set, det_set, mode, specs, class_ids=None) -> dict:
+def _aggregates(table, mode, class_ids, specs) -> dict:
     """The value of each ``(key, kind, sweep index, size filter, cap)`` spec,
-    in the form of :data:`AGGREGATES`, by key.
+    in the form of :data:`AGGREGATES`, by key, over the :func:`image_ious`
+    rows ``table``.
 
-    A value is the mean, over the classes (``class_ids``, or the label map's)
-    with an eligible ground truth, of each class's AP (at one threshold, or
-    over the sweep) or AR; -1 when no class has one. The cells are matched
-    once per call, and each (class, filter, cap) curve is computed once."""
-    if mode not in GEOMETRY_MODES:
-        raise ConfigError(f"unknown geometry mode {mode!r}")
-    pools = _match_cells(gt_set, det_set, mode)
+    A value is the mean, over the classes ``class_ids`` with an eligible
+    ground truth, of each class's AP (at one threshold, or over the sweep) or
+    AR; -1 when no class has one. The cells are matched once per call, and
+    each (class, filter, cap) curve is computed once."""
+    pools = _match_cells(table, mode)
     curves: dict = {}
     out = {}
     for key, kind, t_index, size, cap in specs:
         values = []
-        for cid in gt_set.label_map.ids() if class_ids is None else class_ids:
+        for cid in class_ids:
             if (cid, size, cap) not in curves:
                 curves[cid, size, cap] = _curves(
                     pools.get(cid), STRATA.index(size), cap
@@ -293,7 +276,8 @@ def average_precision(
     if iou_t not in IOU_SWEEP:
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
     spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets)
-    return _aggregates(gt_set, det_set, mode, [spec], [class_id])["ap"]
+    table = image_ious(gt_set, det_set, mode)
+    return _aggregates(table, mode, [class_id], [spec])["ap"]
 
 
 def average_recall(
@@ -308,7 +292,8 @@ def average_recall(
     if k < 1:
         raise ConfigError(f"max detections must be >= 1, got {k}")
     spec = ("ar", "ar", None, size_filter, k)
-    return _aggregates(gt_set, det_set, mode, [spec])["ar"]
+    table = image_ious(gt_set, det_set, mode)
+    return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]
 
 
 def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
@@ -319,30 +304,18 @@ def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
         for key, kind, t_index, size, _cap in AGGREGATES
         if kind == "ap"
     ]
-    return _aggregates(gt_set, det_set, mode, specs)
+    table = image_ious(gt_set, det_set, mode)
+    return _aggregates(table, mode, gt_set.label_map.ids(), specs)
 
 
 @dataclass
 class MetricsReport:
     per_class: list[PerClassMetrics]
-    map_50_95: float
-    map_50: float
-    map_75: float
-    map_small: float
-    map_medium: float
-    map_large: float
-    ar_1: float
-    ar_10: float
-    ar_100: float
-    ar_100_small: float
-    ar_100_medium: float
-    ar_100_large: float
+    # the twelve aggregate indices by key, in AGGREGATES order
+    aggregates: dict[str, float]
     geometry_mode: str
     algorithm: str
     mask_fallback_items: int = 0
-
-    def aggregate_fields(self) -> dict:
-        return {key: getattr(self, key) for key, *_spec in AGGREGATES}
 
 
 def full_report(
@@ -352,23 +325,18 @@ def full_report(
     algorithm: str = "conventional",
 ) -> tuple[MetricsReport, ConfusionMatrix]:
     """Confusion matrix plus per-class P/R from the selected algorithm, and
-    the algorithm-independent AP/AR aggregate suite, for one geometry mode."""
-    _, cm = match_dataset(gt_set, det_set, thresholds, algorithm)
-    per_class = precision_recall(cm)
-
+    the algorithm-independent AP/AR aggregate suite, for one geometry mode.
+    Each image's IoU matrix is computed once and serves both."""
     mode = thresholds.geometry_mode
-    aggregates = _aggregates(gt_set, det_set, mode, AGGREGATES)
-
-    fallbacks = 0
-    if mode == "masks":
-        fallbacks += sum(1 for a in gt_set.annotations if a.mask is None)
-        fallbacks += sum(1 for d in det_set.detections if d.mask is None)
-
+    table = image_ious(gt_set, det_set, mode)
+    _, cm = match_images(table, gt_set.label_map, thresholds, algorithm)
+    # in masks mode, the items without a mask fall back to their boxes
+    items = (*gt_set.annotations, *det_set.detections) if mode == "masks" else ()
     report = MetricsReport(
-        per_class=per_class,
-        **aggregates,
+        per_class=precision_recall(cm),
+        aggregates=_aggregates(table, mode, gt_set.label_map.ids(), AGGREGATES),
         geometry_mode=mode,
         algorithm=algorithm,
-        mask_fallback_items=fallbacks,
+        mask_fallback_items=sum(1 for x in items if x.mask is None),
     )
     return report, cm

@@ -49,15 +49,15 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _pr_cells(name: str, m) -> list[str]:
+    return [name, format_ratio(m.precision_at_05), format_ratio(m.recall_at_05)]
+
+
 def per_class_csv(report: MetricsReport, labels) -> str:
     """Two-panel per-class table: class P/R rows on the left, the twelve
     aggregate indices on the right, padded to equal length."""
-    aggregates = report.aggregate_fields()
-    left = [
-        [labels.name_of(m.class_id), format_ratio(m.precision_at_05),
-         format_ratio(m.recall_at_05)]
-        for m in report.per_class
-    ]
+    aggregates = report.aggregates
+    left = [_pr_cells(labels.name_of(m.class_id), m) for m in report.per_class]
     right = [
         [name, format_ratio(aggregates[key])] for name, key in AGGREGATE_INDEX_ROWS
     ]
@@ -100,20 +100,12 @@ def delta_table_csv(stats: DeltaStats) -> str:
     raw count deltas."""
     conv_pr = {m.class_id: m for m in precision_recall(stats.conventional)}
     mod_pr = {m.class_id: m for m in precision_recall(stats.modified)}
-    lines = [
-        "category,precision_@0.5IoU,recall_@0.5IoU,"
-        "category,precision_@0.5IoU,recall_@0.5IoU,"
-        "tp_delta,fp_delta,fn_delta"
-    ]
+    pr_header = ["category", "precision_@0.5IoU", "recall_@0.5IoU"]
+    rows = [pr_header * 2 + ["tp_delta", "fp_delta", "fn_delta"]]
     for cid, name in stats.labels.entries:
-        c, m = conv_pr[cid], mod_pr[cid]
-        tp, fp, fn = stats.per_class[cid]
-        lines.append(
-            f"{name},{c.precision_at_05:.4f},{c.recall_at_05:.4f},"
-            f"{name},{m.precision_at_05:.4f},{m.recall_at_05:.4f},"
-            f"{tp},{fp},{fn}"
-        )
-    return "\n".join(lines) + "\n"
+        conv, mod = _pr_cells(name, conv_pr[cid]), _pr_cells(name, mod_pr[cid])
+        rows.append(conv + mod + list(stats.per_class[cid]))
+    return _csv_text(rows)
 
 
 def confusion_csv(cm: ConfusionMatrix) -> str:
@@ -164,7 +156,7 @@ def report_json(report: MetricsReport, thresholds) -> str:
         "mask_fallback_items": report.mask_fallback_items,
         # the keys follow PerClassMetrics' field order, which fixes the bytes
         "per_class": [asdict(m) for m in report.per_class],
-        "aggregates": report.aggregate_fields(),
+        "aggregates": report.aggregates,
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -298,6 +299,51 @@ class TestScalarFields:
         assert named in capsys.readouterr().err
 
 
+class TestTextFields:
+    """A category name, an image file name or a VoTT asset name that is not
+    a JSON string with a UTF-8 form exits 2 at load, names its record and
+    writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, field, value, named",
+        [
+            pytest.param("evaluate", "name", "bad\udc00",
+                         "category at index 0: 'name' is 'bad\\udc00'",
+                         id="evaluate-name-lone-surrogate"),
+            pytest.param("evaluate", "name", 5, "category at index 0: 'name' is 5",
+                         id="evaluate-name-number"),
+            pytest.param("evaluate", "name", None,
+                         "category at index 0: 'name' is None", id="evaluate-name-null"),
+            pytest.param("split", "file_name", "a\ud800.png",
+                         "image at index 0: 'file_name' is 'a\\ud800.png'",
+                         id="split-file-name-lone-surrogate"),
+            pytest.param("split", "file_name", 5, "image at index 0: 'file_name' is 5",
+                         id="split-file-name-number"),
+            pytest.param("convert", "asset.name", [1], "asset: 'name' is [1]",
+                         id="convert-asset-name-list"),
+        ],
+    )
+    def test_exits_2_writing_nothing(self, tmp_path, capsys, command, field, value,
+                                     named):
+        if command == "convert":
+            doc = copy.deepcopy(VOTT_EXPORT)
+            doc["asset"]["name"] = value
+            inputs = ["--vott", str(write_json(tmp_path / "v.json", doc))]
+            out = tmp_path / "out" / "gt.json"
+        else:
+            doc = minimal_gt_dict()
+            record = doc["categories" if field == "name" else "images"][0]
+            record[field] = value
+            inputs = ["--gt", str(write_json(tmp_path / "gt.json", doc))]
+            if command == "evaluate":
+                det = write_json(tmp_path / "det.json", [])
+                inputs += ["--det", str(det), "--format", "json,csv,svg"]
+            out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPolygonVertexFuzz:
     """Any vertex value in a ground-truth or detection polygon is either
     evaluated or rejected as bad input: exit 0 or 2, never an internal error."""
@@ -554,6 +600,60 @@ class TestCompare:
             "Crack1", "Crack2", "Joint", "Patching", "Filling", "Pothole",
             "Manhole", "Stain", "Shadow", "Marking", "Scratch", "Patching2",
         ]
+
+
+    def test_names_with_commas_and_quotes_stay_one_field(self, tmp_path):
+        doc = minimal_gt_dict()
+        doc["categories"] = [{"id": 1, "name": "crack, wide"},
+                             {"id": 2, "name": 'say "hi"'}]
+        gt = write_json(tmp_path / "gt.json", doc)
+        det = write_json(tmp_path / "det.json", [])
+        out = tmp_path / "cmp"
+        assert main(
+            ["compare", "--gt", str(gt), "--det", str(det), "--out", str(out)]
+        ) == 0
+        with open(out / "class_deltas.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [(row[0], row[3]) for row in rows[1:]] == [
+            ("crack, wide", "crack, wide"), ('say "hi"', 'say "hi"')
+        ]
+
+
+class TestIouOncePerImage:
+    """Each command computes each image's IoU matrix once, for the
+    matchers and the AP suite together."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_one_matrix_per_image(self, tmp_path, monkeypatch, command, mode):
+        from deteval.oracle import ScenarioConfig, generate
+
+        gt_set, det_set = generate(
+            ScenarioConfig(seed=4, image_count=5, jitter_px=4, clutter_rate=0.5)
+        )
+        gt_set.save(tmp_path / "gt.json")
+        det_set.save(tmp_path / "det.json")
+        import deteval.matching
+
+        seen = []
+        original = deteval.matching.iou_matrix
+
+        def counting(gts, dets, mode):
+            seen.append(gts[0].image_id if gts else dets[0].image_id)
+            return original(gts, dets, mode)
+
+        # wherever a deteval module holds the function
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("deteval") and (
+                getattr(module, "iou_matrix", None) is original
+            ):
+                monkeypatch.setattr(module, "iou_matrix", counting)
+        code = main([command, "--gt", str(tmp_path / "gt.json"),
+                     "--det", str(tmp_path / "det.json"), "--mode", mode,
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
 
 
 class TestSplit:
@@ -837,7 +937,7 @@ class TestVottFuzz:
             pytest.param(("regions", 1, "tags"), [[1]],
                          "region 1: tags must be an array of strings", id="tags-nested"),
             # a JSON escape of a lone surrogate reads as a string with no UTF-8 form
-            pytest.param(("asset", "name"), "\ud800", "gt.json: 'utf-8' codec can't encode",
+            pytest.param(("asset", "name"), "\ud800", "v.json: asset: 'name' is '\\ud800'",
                          id="name-lone-surrogate"),
         ],
     )

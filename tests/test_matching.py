@@ -12,9 +12,11 @@ from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
     accumulate,
+    image_ious,
     iou_matrix,
     iou_table,
     match_conventional,
+    match_dataset,
     match_modified,
 )
 from deteval.oracle import ScenarioConfig, generate, max_matching, pair_iou
@@ -547,3 +549,46 @@ class TestThresholds:
     def test_matrix_shape_guard(self):
         with pytest.raises(ConfigError):
             ConfusionMatrix(LABELS, np.zeros((3, 3)))
+
+
+class TestImageIous:
+    """The per-image table that every command builds once."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_match_dataset_equals_per_image_matchers(self, mode):
+        t = Thresholds(geometry_mode=mode)
+        for seed in range(8):
+            gt_set, det_set = generate(
+                ScenarioConfig(seed=seed, image_count=4, gts_per_image=(0, 8),
+                               jitter_px=6, class_swap_rate=0.3, clutter_rate=0.5,
+                               drop_rate=0.2, image_size=(160, 160))
+            )
+            for algorithm, matcher in (
+                ("conventional", match_conventional), ("modified", match_modified)
+            ):
+                results, _ = match_dataset(gt_set, det_set, t, algorithm)
+                expected = [
+                    matcher(
+                        gt_set.by_image()[img.image_id],
+                        det_set.by_image().get(img.image_id, []),
+                        t,
+                    )
+                    for img in gt_set.images
+                ]
+                assert results == expected
+
+    def test_rows_follow_image_and_load_order(self):
+        gt_set, det_set = generate(
+            ScenarioConfig(seed=3, image_count=3, clutter_rate=0.5)
+        )
+        table = image_ious(gt_set, det_set, "boxes")
+        assert [row[0] for row in table] == [img.image_id for img in gt_set.images]
+        for image_id, gts, dets, ious in table:
+            assert gts == gt_set.by_image()[image_id]
+            assert dets == det_set.by_image().get(image_id, [])
+            assert np.array_equal(ious, iou_matrix(gts, dets, "boxes"))
+
+    def test_unknown_mode_raises(self):
+        gt_set, det_set = generate(ScenarioConfig(seed=1))
+        with pytest.raises(ConfigError, match="unknown geometry mode"):
+            image_ious(gt_set, det_set, "pixels")

@@ -13,9 +13,16 @@ from deteval.annotations import (
     ImageRecord,
     LabelMap,
 )
-from deteval.errors import ConfigError
+from deteval.errors import ConfigError, MissingReferenceError
 from deteval.geometry import BBox, SizeClass
-from deteval.matching import ConfusionMatrix, Thresholds, accumulate, match_conventional
+from deteval.matching import (
+    ConfusionMatrix,
+    Thresholds,
+    accumulate,
+    image_ious,
+    match_conventional,
+    match_dataset,
+)
 from deteval.metrics import (
     IOU_SWEEP,
     STRATA,
@@ -248,7 +255,7 @@ class TestMeanAp:
             ScenarioConfig(seed=5, image_count=4, gts_per_image=(2, 8),
                            image_size=(256, 256), jitter_px=3, clutter_rate=0.3)
         )
-        pools = _match_cells(gt_set, det_set, "boxes")
+        pools = _match_cells(image_ious(gt_set, det_set, "boxes"), "boxes")
         for cid in gt_set.label_map.ids():
             total = sum(1 for a in gt_set.annotations if a.class_id == cid)
             parts = 0
@@ -536,7 +543,7 @@ class TestPooledDifferential:
             if mode == "boxes":
                 scenes.append(grid_scene(seed))
             for gt_set, det_set in scenes:
-                pools = _match_cells(gt_set, det_set, mode)
+                pools = _match_cells(image_ious(gt_set, det_set, mode), mode)
                 for cid in gt_set.label_map.ids():
                     for size in STRATA:
                         for cap in (1, 2) + CAPS:
@@ -568,7 +575,7 @@ class TestGreedyVsOracleMonotonicity:
                 cdets = [d for d in dets if d.class_id == cid]
                 if not cgts or len(cgts) > 12 or len(cdets) > 12:
                     continue
-                pool = _match_cells(gt_set, det_set, "boxes")[cid]
+                pool = _match_cells(image_ious(gt_set, det_set, "boxes"), "boxes")[cid]
                 precision, final_recall = _curves(pool, 0, 100)
                 eligible = pool[3][0]
                 tp50 = round(final_recall[IOU_SWEEP.index(0.5)] * eligible)
@@ -588,8 +595,8 @@ class TestFullReport:
         report, cm = full_report(gt, DetectionSet(LABELS, []), Thresholds())
         assert cm.counts[:, -1].sum() == 2
         assert cm.counts.sum() == 2
-        assert report.map_50 == 0.0
-        assert report.ar_100 == 0.0
+        assert report.aggregates["map_50"] == 0.0
+        assert report.aggregates["ar_100"] == 0.0
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     def test_public_helpers_equal_report_fields(self, mode):
@@ -602,7 +609,7 @@ class TestFullReport:
                                drop_rate=0.2, image_size=(320, 320))
             )
             report, _ = full_report(gt_set, det_set, Thresholds(geometry_mode=mode))
-            fields = report.aggregate_fields()
+            fields = report.aggregates
             maps = mean_ap(gt_set, det_set, mode=mode)
             assert maps == {key: fields[key] for key in maps}
             assert len(maps) == 6
@@ -614,6 +621,23 @@ class TestFullReport:
                 if got != -1.0:
                     seen.add(size)
         assert seen == set(strata)  # every size filter has an eligible class
+
+    def test_unknown_image_raises_in_every_entry_point(self):
+        # a detection on an image the ground truth lacks is an error, not a
+        # detection to drop: dropped, it would leave the helpers a perfect 1.0
+        gt, det = scene([(1, (0, 0, 10, 10))], [(1, (0, 0, 10, 10), 0.9)])
+        stray = Detection(1, 99, 1, BBox(0, 0, 10, 10), score=0.9)
+        det = DetectionSet(LABELS, [*det.detections, stray])
+        calls = [
+            lambda: match_dataset(gt, det, Thresholds(), "modified"),
+            lambda: full_report(gt, det, Thresholds()),
+            lambda: mean_ap(gt, det),
+            lambda: average_recall(gt, det, 100),
+            lambda: average_precision(gt, det, 1),
+        ]
+        for call in calls:
+            with pytest.raises(MissingReferenceError, match="unknown image_id 99"):
+                call()
 
     def test_road_label_order(self):
         labels = LabelMap.road_default()
@@ -633,7 +657,7 @@ class TestFullReport:
         )
         conv, _ = full_report(gt_set, det_set, Thresholds(), "conventional")
         mod, _ = full_report(gt_set, det_set, Thresholds(), "modified")
-        assert conv.aggregate_fields() == mod.aggregate_fields()
+        assert conv.aggregates == mod.aggregates
 
     def test_per_class_can_differ_between_algorithms(self):
         g = Annotation(1, 1, 1, BBox(0, 0, 10, 10), area=100.0)

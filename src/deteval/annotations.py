@@ -203,8 +203,7 @@ class GroundTruthSet:
         }
 
     def save(self, path) -> None:
-        text = json.dumps(self.to_json(), indent=2, ensure_ascii=False)
-        write_text_atomic(path, text + "\n")
+        write_text_atomic([(path, json_text(self.to_json()))])
 
 
 class DetectionSet:
@@ -234,8 +233,7 @@ class DetectionSet:
         return [_det_to_json(d) for d in self.detections]
 
     def save(self, path) -> None:
-        text = json.dumps(self.to_json(), indent=2, ensure_ascii=False)
-        write_text_atomic(path, text + "\n")
+        write_text_atomic([(path, json_text(self.to_json()))])
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +414,12 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
         if not isinstance(region, dict):
             raise ParseError(f"{where} is not an object")
         tags = region.get("tags") or []
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise ParseError(f"{where}: tags must be an array of strings")
+        try:
+            if not isinstance(tags, list):
+                raise TypeError(tags)
+            tags = [_string(t) for t in tags]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: tags must be an array of strings") from exc
         if not tags:
             raise ParseError(f"{where} has no tags")
         if labels is None:  # classes numbered in order of first use
@@ -582,21 +584,35 @@ def _mask_to_json(mask: InstanceMask):
     }
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a file beside ``path``, then rename it over
-    ``path``, so a reader never sees a partial file. Missing parent
-    directories are created. A path that cannot be written, or text that
-    has no UTF-8 form (a lone surrogate read from a JSON escape), raises
-    ConfigError naming the path and leaves no temporary file behind."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def json_text(doc) -> str:
+    """``doc`` as the indented, UTF-8 JSON text of every JSON file written."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_text_atomic(files) -> None:
+    """Write each ``(path, text)`` of ``files`` as UTF-8, all or none.
+
+    Every text goes to a temporary file beside its path first, and only then
+    is each renamed over its path, so a reader never sees a partial file.
+    Missing parent directories are created. A path that cannot be written, or
+    text that has no UTF-8 form (a lone surrogate read from a JSON escape),
+    raises ConfigError naming the path, after the temporary files and the
+    outputs already renamed into place are removed."""
+    files = [(Path(path), text) for path, text in files]
+    made = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        for path, text in files:
+            tmp = path.with_name(path.name + ".tmp")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made.append(tmp)
+            tmp.write_text(text, encoding="utf-8")
+        for path, _ in files:
+            path.with_name(path.name + ".tmp").replace(path)
+            made.append(path)
     except (OSError, UnicodeEncodeError) as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for leftover in made:
+            with contextlib.suppress(OSError):
+                leftover.unlink()
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 

@@ -9,13 +9,13 @@ inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .annotations import (
     LabelMap,
     SplitRatios,
+    json_text,
     load_detections,
     load_ground_truth,
     load_vott,
@@ -136,16 +136,16 @@ def cmd_evaluate(args) -> int:
     report, cm = full_report(gt, det, thresholds, args.algorithm)
 
     out = Path(args.out)
+    files = []
     if "json" in formats:
-        write_text_atomic(out / "report.json", report_json(report, thresholds))
+        files.append((out / "report.json", report_json(report, thresholds)))
     if "csv" in formats:
-        write_text_atomic(
-            out / "class_metrics.csv", per_class_csv(report, gt.label_map)
-        )
-        write_text_atomic(out / "confusion_matrix.csv", confusion_csv(cm))
+        files.append((out / "class_metrics.csv", per_class_csv(report, gt.label_map)))
+        files.append((out / "confusion_matrix.csv", confusion_csv(cm)))
     if "svg" in formats:
         names = [name for _, name in gt.label_map.entries]
-        write_text_atomic(out / "confusion_matrix.svg", matrix_svg(names, cm.counts))
+        files.append((out / "confusion_matrix.svg", matrix_svg(names, cm.counts)))
+    write_text_atomic(files)
     return 0
 
 
@@ -160,17 +160,16 @@ def cmd_compare(args) -> int:
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)
 
     out = Path(args.out)
-    write_text_atomic(out / "confusion_conventional.csv", confusion_csv(conv))
-    write_text_atomic(out / "confusion_modified.csv", confusion_csv(mod))
-    write_text_atomic(out / "class_deltas.csv", delta_table_csv(stats))
+    files = [
+        (out / "confusion_conventional.csv", confusion_csv(conv)),
+        (out / "confusion_modified.csv", confusion_csv(mod)),
+        (out / "class_deltas.csv", delta_table_csv(stats)),
+    ]
     if "svg" in formats:
         names = [name for _, name in gt.label_map.entries]
-        write_text_atomic(
-            out / "confusion_conventional.svg", matrix_svg(names, conv.counts)
-        )
-        write_text_atomic(
-            out / "confusion_modified.svg", matrix_svg(names, mod.counts)
-        )
+        for kind, cm in (("conventional", conv), ("modified", mod)):
+            files.append((out / f"confusion_{kind}.svg", matrix_svg(names, cm.counts)))
+    write_text_atomic(files)
     return 0
 
 
@@ -191,8 +190,9 @@ def cmd_split(args) -> int:
         "ratios": {"train": ratios.train, "val": ratios.val, "test": ratios.test},
         "splits": {},
     }
+    files = []
     for name, part in (("train", train), ("val", val), ("test", test)):
-        part.save(out / f"{name}.json")
+        files.append((out / f"{name}.json", json_text(part.to_json())))
         manifest["splits"][name] = {
             "images": len(part.images),
             "annotations": len(part.annotations),
@@ -201,9 +201,8 @@ def cmd_split(args) -> int:
                 for cid, n in sorted(part.per_class_counts().items())
             },
         }
-    write_text_atomic(
-        out / "manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
-    )
+    files.append((out / "manifest.json", json_text(manifest)))
+    write_text_atomic(files)
     return 0
 
 
@@ -225,7 +224,7 @@ def cmd_render(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot read {args.matrix}: {exc}") from exc
     names, counts = parse_confusion_csv(text)
-    write_text_atomic(args.out, matrix_svg(names, counts))
+    write_text_atomic([(args.out, matrix_svg(names, counts))])
     return 0
 
 

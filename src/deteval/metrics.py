@@ -9,16 +9,17 @@ stratification with ignore-region semantics, and -1 as the "no eligible
 ground truth" sentinel. The aggregates never consult the confusion-matrix
 algorithms, so conventional and modified runs report identical AP/AR.
 
-Each (image, class) cell is matched once, in one pass over its detections
-in score order. Each step matches one detection under all four size filters
-and all ten thresholds at once, against a (filter, threshold, ground truth)
-array of the ground truths still free; the filters differ only in what they
-ignore, so they share the cell's IoU block, sliced from the image's matrix
-that the confusion-matrix matchers read. The pass applies no detection
-cap: a detection's match depends only on the detections ranked above it in
-its cell, so the matches under a cap of k are the pass's first k steps, and
-every cap is a prefix. Each class's cells are pooled once in global score
-order, and each index takes its filter and its cap's prefix from the pool.
+Each (image, class) cell is matched once, under all four size filters and
+all ten thresholds at once; the filters differ only in what they ignore, so
+they share the cell's IoU block, read from the image's matrix that the
+confusion-matrix matchers read. The cells step together: those whose
+detection counts share a next power of two are padded into one block, and
+step k matches detection k of every cell in it that has a candidate. The
+match applies no detection cap: a detection's match depends only on the
+detections ranked above it in its cell, so the matches under a cap of k are
+the first k steps, and every cap is a prefix. One sort pools the cells of
+every class in global score order, and each index takes its filter and its
+cap's prefix from its class's pool.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .annotations import DetectionSet, GroundTruthSet
 from .errors import ConfigError
 from .matching import ConfusionMatrix, Thresholds, image_ious, match_images
-from .geometry import SizeClass, size_class
+from .geometry import MEDIUM_AREA_MAX, SMALL_AREA_MAX, SizeClass
 
 IOU_SWEEP = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -56,7 +57,6 @@ AGGREGATES = (
 )
 
 _SWEEP = np.array(IOU_SWEEP)
-_STRATUM_INDEX = {size: s for s, size in enumerate(STRATA)}
 
 
 @dataclass(frozen=True)
@@ -94,53 +94,80 @@ def precision_recall(cm: ConfusionMatrix) -> list[PerClassMetrics]:
     return out
 
 
+def _strata(areas) -> np.ndarray:
+    """Each area's size filter, as its index in :data:`STRATA` (1, 2 or 3)."""
+    edges = (SMALL_AREA_MAX, MEDIUM_AREA_MAX)
+    return np.searchsorted(edges, np.asarray(areas, dtype=float), side="right") + 1
+
+
+def _outside(codes) -> np.ndarray:
+    """(..., S, n) flags from (..., n) stratum codes: True where an item falls
+    outside each filter; nothing falls outside the first, which keeps all."""
+    outside = codes[..., None, :] != np.arange(len(STRATA))[:, None]
+    outside[..., 0, :] = False
+    return outside
+
+
 def outside_strata(areas) -> np.ndarray:
     """(S, n) flags: True where an item's area falls outside each filter."""
-    codes = np.array([_STRATUM_INDEX[size_class(a)] for a in areas], dtype=np.int64)
-    outside = codes[None, :] != np.arange(len(STRATA))[:, None]
-    outside[0] = False
-    return outside
+    return _outside(_strata(areas))
 
 
 def greedy_cell(ious, gt_ignore, det_outside):
     """Greedy matches of one (image, class) cell under every size filter and
-    sweep threshold, in one pass over its detections.
+    sweep threshold: :func:`_lockstep` on a batch of one.
 
     ``ious`` is the (D, G) IoU block with detections in score order;
     ``gt_ignore`` (S, G) and ``det_outside`` (S, D) come from
-    :func:`outside_strata`. Each detection takes the first highest-IoU free
-    in-filter ground truth at or above the threshold; only when there is none
-    does it take the first highest-IoU free ignored one. Ignored matches, and
-    unmatched detections outside the filter, count as ignored. Returns
-    ``(tp, ignored, eligible)``: two (S, T, D) flag arrays and the (S,)
-    in-filter ground-truth counts.
+    :func:`outside_strata`. Returns ``(tp, ignored, eligible)``: two
+    (S, T, D) flag arrays and the (S,) in-filter ground-truth counts.
     """
-    (D, G), S, T = ious.shape, len(gt_ignore), len(IOU_SWEEP)
-    eligible = G - gt_ignore.sum(axis=1)
-    # filled detection by detection, (D, S, T); unmatched means ignored
-    # exactly when the detection is outside the filter
-    tp = np.zeros((D, S, T), dtype=bool)
-    ignored = np.repeat(det_outside.T[:, :, None], T, axis=2)
-    over = ious[:, None, :] >= _SWEEP[:, None]  # (D, T, G)
-    free = np.ones((S, T, G), dtype=bool)
-    gt_ignore = gt_ignore[:, None, :]
-    in_filter = ~gt_ignore
-    # a detection with no ground truth at the lowest threshold stays unmatched
-    for i in np.flatnonzero(over[:, 0].any(axis=1)):
-        open_ = over[i] & free
-        keep = open_ & in_filter
-        spare = open_ & gt_ignore
-        got = keep.any(axis=2)
-        spare_any = spare.any(axis=2)
-        best = np.where(keep, ious[i], -1.0).argmax(axis=2)
-        best_ignored = np.where(spare, ious[i], -1.0).argmax(axis=2)
-        j = np.where(got, best, best_ignored)
-        hit = got | spare_any
-        s_hit, t_hit = np.nonzero(hit)
-        free[s_hit, t_hit, j[hit]] = False
-        tp[i] = got
-        ignored[i] = ~got & (spare_any | ignored[i])
-    return tp.transpose(1, 2, 0), ignored.transpose(1, 2, 0), eligible
+    tp, ignored = _lockstep(ious[None], gt_ignore[None], det_outside[None])
+    eligible = ious.shape[1] - gt_ignore.sum(axis=1)
+    return tp[0].transpose(1, 2, 0), ignored[0].transpose(1, 2, 0), eligible
+
+
+def _lockstep(ious, gt_ignore, det_outside):
+    """Greedy matches of a batch of B cells, padded to one (B, D, G) IoU block
+    with detections in score order; padding is -1, so it is never a candidate.
+    ``gt_ignore`` is (B, S, G) and ``det_outside`` (B, S, D).
+
+    Step k matches detection k of every cell that has a ground truth at or
+    above the lowest threshold, under all filters and thresholds at once.
+    Each detection takes the first highest-IoU free in-filter ground truth at
+    or above the threshold; only when there is none does it take the first
+    highest-IoU free ignored one. Ignored matches, and unmatched detections
+    outside the filter, count as ignored. Returns ``(tp, ignored)``, two
+    (B, D, S, T) flag arrays.
+    """
+    (B, D, G), S, T = ious.shape, len(STRATA), len(IOU_SWEEP)
+    # each detection's preference among the ground truths, (B, D, S, G): the
+    # in-filter ones rank 0..G-1 by IoU, then load order, and the ignored
+    # ones after them; 2G marks a ground truth that is taken or too far
+    small = np.min_scalar_type(2 * G)
+    rank = np.empty((B, D, G), dtype=small)
+    by_iou = np.argsort(-ious, axis=2, kind="stable")
+    np.put_along_axis(rank, by_iou, np.arange(G, dtype=small), axis=2)
+    preference = rank[:, :, None, :] + gt_ignore[:, None] * small.type(G)
+    tp = np.zeros((B, D, S, T), dtype=bool)
+    # unmatched means ignored exactly when the detection is outside the filter
+    ignored = np.repeat(det_outside.transpose(0, 2, 1)[..., None], T, axis=3)
+    free = np.ones((B, S, T, G), dtype=bool)
+    candidate = (ious >= _SWEEP[0]).any(axis=2)  # (B, D)
+    for k in np.flatnonzero(candidate.any(axis=0)):
+        a = np.flatnonzero(candidate[:, k])
+        over = ious[a, k][:, None, :] >= _SWEEP[:, None]  # (A, T, G)
+        choice = np.where(
+            over[:, None] & free[a], preference[a, k][:, :, None, :], 2 * G
+        )  # (A, S, T, G)
+        j = choice.argmin(axis=3)
+        best = np.take_along_axis(choice, j[..., None], axis=3)[..., 0]
+        got, hit = best < G, best < 2 * G
+        c_hit, s_hit, t_hit = np.nonzero(hit)
+        free[a[c_hit], s_hit, t_hit, j[hit]] = False
+        tp[a, k] = got
+        ignored[a, k] = ~got & (hit | ignored[a, k])
+    return tp, ignored
 
 
 def _interpolate(recall, envelope) -> np.ndarray:
@@ -162,6 +189,26 @@ def _interpolate(recall, envelope) -> np.ndarray:
     return np.where(idx < n, picked, 0.0)
 
 
+def _positions(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """For items grouped in runs of ``sizes``: each item's run and its
+    position in the run."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    run = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return run, np.arange(run.size) - starts[run]
+
+
+def _read_pairs(table, image, rows, cols) -> np.ndarray:
+    """``ious[rows[k], cols[k]]`` of the :func:`image_ious` row ``image[k]``,
+    for every k; ``image`` is sorted, so each matrix is read once."""
+    out = np.empty(image.size)
+    bounds = np.searchsorted(image, np.arange(len(table) + 1))
+    for n in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[n], bounds[n + 1]
+        out[lo:hi] = table[n][3][rows[lo:hi], cols[lo:hi]]
+    return out
+
+
 def _match_cells(table, mode: str) -> dict:
     """Match every (image, class) cell of the :func:`image_ious` rows once
     and pool each class's cells in global score order: score, then image id,
@@ -171,39 +218,85 @@ def _match_cells(table, mode: str) -> dict:
     ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
     cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
     """
-    parts: dict[int, list] = {}
-    for image_id, gts, dets, ious in table:
-        gt_ignore = outside_strata([g.area for g in gts])
-        det_outside = outside_strata([
-            d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
-            for d in dets
-        ])
-        by_score = sorted(
-            range(len(dets)), key=lambda j: (-dets[j].score, dets[j].det_id)
-        )
-        # a cell's rows stay in load order and its columns go in score order
-        for cid in sorted({x.class_id for x in (*gts, *dets)}):
-            rows = [i for i, g in enumerate(gts) if g.class_id == cid]
-            cols = [j for j in by_score if dets[j].class_id == cid]
-            block = ious.take(rows, 0).take(cols, 1).T
-            ignore, outside = gt_ignore.take(rows, 1), det_outside.take(cols, 1)
-            cell = greedy_cell(block, ignore, outside)
-            scores = np.array([dets[j].score for j in cols], dtype=float)
-            parts.setdefault(cid, []).append((scores, image_id) + cell)
+    S, T = len(STRATA), len(IOU_SWEEP)
+    gts = [g for row in table for g in row[1]]
+    dets = [d for row in table for d in row[2]]
+    classes, class_index = np.unique(
+        np.array([x.class_id for x in (*gts, *dets)], dtype=np.int64),
+        return_inverse=True,
+    )
+    K = classes.size
+    gt_class, det_class = np.split(class_index, [len(gts)])
+    gt_code = _strata([g.area for g in gts])
+    eligible = np.bincount(gt_class * S + gt_code, minlength=K * S).reshape(K, S)
+    eligible[:, 0] = eligible.sum(axis=1)
 
-    pools = {}
-    for cid, cells in parts.items():
-        scores = np.concatenate([c[0] for c in cells])
-        img_ids = np.concatenate([np.full(c[0].size, c[1]) for c in cells])
-        rank = np.concatenate([np.arange(c[0].size) for c in cells])
-        order = np.lexsort((rank, img_ids, -scores))
-        pools[cid] = (
-            rank[order],
-            np.concatenate([c[2] for c in cells], axis=2)[:, :, order],
-            np.concatenate([c[3] for c in cells], axis=2)[:, :, order],
-            sum(c[4] for c in cells),
+    # columns sorted into cell order: (table row, class), then ground truths
+    # in load order and detections by score, then det_id; gt_row and det_col
+    # place an item in its image's matrix
+    gt_image, gt_row = _positions([len(row[1]) for row in table])
+    g_order = np.argsort(gt_image * K + gt_class, kind="stable")
+    gt_key = (gt_image * K + gt_class)[g_order]
+    gt_row, gt_code = gt_row[g_order], gt_code[g_order]
+    det_image, det_col = _positions([len(row[2]) for row in table])
+    score = np.array([d.score for d in dets], dtype=float)
+    det_id = np.array([d.det_id for d in dets], dtype=np.int64)
+    d_order = np.lexsort((det_id, -score, det_class, det_image))
+    det_key = (det_image * K + det_class)[d_order]
+    det_col, det_class, score = det_col[d_order], det_class[d_order], score[d_order]
+    image_id = np.array([row[0] for row in table], dtype=np.int64)[det_image[d_order]]
+    det_code = _strata([
+        d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
+        for d in dets
+    ])[d_order]
+
+    # the cells that hold a detection, with D detections and G ground truths,
+    # each cell's items starting at det_start and gt_start
+    cells, D = np.unique(det_key, return_counts=True)
+    det_start = np.cumsum(D) - D
+    det_rank = _positions(D)[1]
+    gt_start = np.searchsorted(gt_key, cells)
+    G = np.searchsorted(gt_key, cells, side="right") - gt_start
+
+    # cells whose detection counts share a next power of two step together,
+    # padded into one (B, D, G) block that is filled image by image
+    bucket = np.frexp(D - 1)[1]
+    tp = np.zeros((det_key.size, S, T), dtype=bool)
+    ignored = np.zeros_like(tp)
+    for b in np.flatnonzero(np.bincount(bucket)):
+        cell = np.flatnonzero(bucket == b)
+        B, Dm, Gm = cell.size, D[cell].max(), G[cell].max()
+        pair_slot, pair_gt = _positions(D[cell] * G[cell])
+        pair_det, pair_gt = np.divmod(pair_gt, G[cell][pair_slot])
+        pair_cell = cell[pair_slot]
+        ious = np.full((B, Dm, Gm), -1.0)
+        ious[pair_slot, pair_det, pair_gt] = _read_pairs(
+            table,
+            cells[pair_cell] // K,
+            gt_row[gt_start[pair_cell] + pair_gt],
+            det_col[det_start[pair_cell] + pair_det],
         )
-    return pools
+        gt_slot, gt_pos = _positions(G[cell])
+        gt_codes = np.zeros((B, Gm), dtype=np.int64)
+        gt_codes[gt_slot, gt_pos] = gt_code[gt_start[cell][gt_slot] + gt_pos]
+        det_slot, det_pos = _positions(D[cell])
+        here = det_start[cell][det_slot] + det_pos
+        det_codes = np.zeros((B, Dm), dtype=np.int64)
+        det_codes[det_slot, det_pos] = det_code[here]
+        cell_tp, cell_ignored = _lockstep(ious, _outside(gt_codes), _outside(det_codes))
+        tp[here] = cell_tp[det_slot, det_pos]
+        ignored[here] = cell_ignored[det_slot, det_pos]
+
+    # one sort pools every class: class, then score, image id and rank
+    order = np.lexsort((det_rank, image_id, -score, det_class))
+    bounds = np.searchsorted(det_class[order], np.arange(K + 1))
+    rank = det_rank[order]
+    tp = np.ascontiguousarray(tp[order].transpose(1, 2, 0))
+    ignored = np.ascontiguousarray(ignored[order].transpose(1, 2, 0))
+    return {
+        int(cid): (rank[lo:hi], tp[:, :, lo:hi], ignored[:, :, lo:hi], eligible[k])
+        for k, (cid, lo, hi) in enumerate(zip(classes, bounds[:-1], bounds[1:]))
+    }
 
 
 def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:

@@ -504,6 +504,28 @@ class TestUnwritableOutput:
         assert not list((tmp_path / "adir").iterdir())
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("evaluate", "class_metrics.csv"), ("compare", "class_deltas.csv"),
+         ("split", "manifest.json")],
+    )
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, command, blocked):
+        """One output that cannot be written, a directory in its place, fails
+        the whole run: the outputs already renamed into place and every
+        temporary file are removed."""
+        gt, det = simple_pair(tmp_path)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        inputs = {
+            "evaluate": ["--gt", gt, "--det", det, "--format", "json,csv,svg"],
+            "compare": ["--gt", gt, "--det", det, "--format", "json,csv,svg"],
+            "split": ["--gt", gt],
+        }[command]
+        code = main([command, *map(str, inputs), "--out", str(out)])
+        assert code == 2
+        assert f"cannot write {out / blocked}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [blocked]
+
 
 SLIVER = [[1, 1, 9, 1.2, 5, 1.1]]  # a non-empty box whose raster is empty
 
@@ -654,6 +676,54 @@ class TestIouOncePerImage:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
+
+
+class TestLockstepCalls:
+    """The AP suite runs its greedy kernel once per bucket of cells whose
+    detection counts share a next power of two, not once per cell."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_one_kernel_call_per_bucket(self, tmp_path, monkeypatch, mode):
+        # one single-class image per detection count; the counts fill all
+        # nine buckets from 1 to 256 detections
+        counts = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 130]
+        square = [10, 10, 30, 10, 30, 30, 10, 30]
+        gt = {
+            "images": [{"id": i, "file_name": f"{i}.png", "width": 64, "height": 64}
+                       for i in range(1, len(counts) + 1)],
+            "annotations": [
+                {"id": i, "image_id": i, "category_id": 1, "bbox": [10, 10, 20, 20],
+                 "segmentation": [square]}
+                for i in range(1, len(counts) + 1)
+            ],
+            "categories": [{"id": 1, "name": "t"}],
+        }
+        det = [
+            {"image_id": i, "category_id": 1, "bbox": [10, 10, 20, 20],
+             "segmentation": [square], "score": 1 - k / 200}
+            for i, n in enumerate(counts, start=1) for k in range(n)
+        ]
+        write_json(tmp_path / "gt.json", gt)
+        write_json(tmp_path / "det.json", det)
+        import deteval.metrics
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args):
+                calls.append(args[0].shape)
+                return original(*args)
+            return wrapper
+
+        for name in ("_lockstep", "greedy_cell"):
+            if hasattr(deteval.metrics, name):
+                original = getattr(deteval.metrics, name)
+                monkeypatch.setattr(deteval.metrics, name, counting(original))
+        code = main(["evaluate", "--gt", str(tmp_path / "gt.json"),
+                     "--det", str(tmp_path / "det.json"), "--mode", mode,
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == 9, calls
 
 
 class TestSplit:
@@ -936,6 +1006,10 @@ class TestVottFuzz:
                          id="tags-number"),
             pytest.param(("regions", 1, "tags"), [[1]],
                          "region 1: tags must be an array of strings", id="tags-nested"),
+            # without --labels a tag becomes a category name, which must encode
+            pytest.param(("regions", 1, "tags"), ["bad\udc00"],
+                         "region 1: tags must be an array of strings",
+                         id="tags-lone-surrogate"),
             # a JSON escape of a lone surrogate reads as a string with no UTF-8 form
             pytest.param(("asset", "name"), "\ud800", "v.json: asset: 'name' is '\\ud800'",
                          id="name-lone-surrogate"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from deteval.annotations import (
     LabelMap,
 )
 from deteval.errors import ConfigError, MissingReferenceError
-from deteval.geometry import BBox, SizeClass
+from deteval.geometry import BBox, SizeClass, size_class
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
@@ -27,6 +28,7 @@ from deteval.metrics import (
     IOU_SWEEP,
     STRATA,
     _curves,
+    _lockstep,
     _match_cells,
     average_precision,
     average_recall,
@@ -504,6 +506,79 @@ class TestGreedyCellDifferential:
                 assert eligible[s] == ref_eligible, size
 
 
+# detection counts on both sides of the lockstep bucket edges (powers of two)
+BUCKET_EDGES = (0, 1, 2, 3, 4, 5, 8, 9, 128, 129)
+
+
+@st.composite
+def cell_batches(draw):
+    """1 to 4 cells drawn by :func:`greedy_cells`, some stretched or cut to a
+    detection count at a bucket edge by repeating their drawn rows, so one
+    padded block holds cells of different D and G."""
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        ious, gt_areas, det_areas = draw(greedy_cells())
+        n_det = draw(st.sampled_from((len(det_areas),) + BUCKET_EDGES))
+        if n_det != len(det_areas):
+            rows = ious or [draw(st.lists(IOUS, min_size=len(gt_areas),
+                                          max_size=len(gt_areas)))]
+            ious = [rows[i % len(rows)] for i in range(n_det)]
+            det_areas = draw(st.lists(AREAS, min_size=n_det, max_size=n_det))
+        batch.append((ious, gt_areas, det_areas))
+    return batch
+
+
+class TestLockstepDifferential:
+    """A padded batch of cells through the lockstep kernel against the scalar
+    per-filter, per-threshold, per-cap loop, cell by cell, flag for flag."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=cell_batches())
+    # one block padded in both D and G: a tie on 0.5 beside an empty cell,
+    # a cell without ground truths and one of 9 detections
+    @example(batch=[
+        ([[0.5, 0.5], [0.5, 0.5]], [3000.0, 3000.0], [3000.0, 3000.0]),
+        ([], [4.0], []),
+        ([[], [], []], [], [4.0, 1024.0, 9216.0]),
+        ([[0.9, 0.9, 0.6]] * 9, [4.0, 3000.0, 40000.0], [3000.0] * 9),
+    ])
+    def test_every_cell_matches_scalar_reference(self, batch):
+        B = len(batch)
+        D = max(len(det_areas) for _, _, det_areas in batch)
+        G = max(len(gt_areas) for _, gt_areas, _ in batch)
+        S = len(STRATA)
+        ious = np.full((B, D, G), -1.0)
+        # padded ground truths and detections count as outside every filter
+        gt_ignore = np.ones((B, S, G), dtype=bool)
+        det_outside = np.ones((B, S, D), dtype=bool)
+        for b, (rows, gt_areas, det_areas) in enumerate(batch):
+            d, g = len(det_areas), len(gt_areas)
+            ious[b, :d, :g] = np.array(rows, dtype=float).reshape(d, g)
+            gt_ignore[b, :, :g] = outside_strata(gt_areas)
+            det_outside[b, :, :d] = outside_strata(det_areas)
+        tp, ignored = _lockstep(ious, gt_ignore, det_outside)
+        assert tp.shape == ignored.shape == (B, D, S, len(IOU_SWEEP))
+        for b, (rows, gt_areas, det_areas) in enumerate(batch):
+            for s, size in enumerate(STRATA):
+                for cap in CAPS:
+                    ref_tp, ref_ignore, _ = reference_greedy_cell(
+                        rows, gt_areas, det_areas, size, cap
+                    )
+                    n = min(cap, len(det_areas))
+                    assert np.array_equal(tp[b, :n, s].T, ref_tp), (b, size, cap)
+                    assert np.array_equal(ignored[b, :n, s].T, ref_ignore), (b, size, cap)
+
+
+class TestOutsideStrata:
+    def test_edges_agree_with_size_class(self):
+        areas = [0.0, float(np.nextafter(1024.0, 0)), 1024.0,
+                 float(np.nextafter(9216.0, 0)), 9216.0, 1e12]
+        flags = outside_strata(areas)
+        for s, size in enumerate(STRATA):
+            expected = [size is not None and size_class(a) != size for a in areas]
+            assert flags[s].tolist() == expected, size
+
+
 def grid_scene(seed):
     """Integer boxes on a coarse grid, so IoUs tie and hit sweep thresholds
     exactly, with repeated scores; one image carries 130 detections of one
@@ -525,6 +600,29 @@ def grid_scene(seed):
             dets.append(Detection(len(dets), img.image_id,
                                   1 if crowd else rng.randint(1, 2), box,
                                   score=rng.choice([0.3, 0.5, 0.9])))
+    return GroundTruthSet(images, labels, anns), DetectionSet(labels, dets)
+
+
+def bucket_scene(seed):
+    """Fourteen images, in shuffled id order, whose (image, class) cells hold
+    from 0 to 33 detections, so the cells fall into seven lockstep buckets;
+    grid boxes and repeated scores make IoUs and scores tie."""
+    rng = random.Random(seed)
+    labels = LabelMap([(1, "a"), (2, "b")])
+    images = [ImageRecord(i, "x.png", 200, 200) for i in rng.sample(range(1, 50), 14)]
+    anns, dets = [], []
+    for k, img in enumerate(images):
+        for cid in (1, 2):
+            for _ in range(rng.randint(0, 5)):
+                box = BBox(rng.randint(0, 3) * 4, rng.randint(0, 3) * 4,
+                           rng.choice([4, 8, 32, 33, 96]), rng.choice([4, 8, 32, 96]))
+                anns.append(Annotation(len(anns) + 1, img.image_id, cid, box,
+                                       area=box.area))
+            for _ in range((0, 1, 2, 3, 5, 8, 9, 17, 33)[(k + cid) % 9]):
+                box = BBox(rng.randint(0, 3) * 4, rng.randint(0, 3) * 4,
+                           rng.choice([4, 8, 32, 64, 96]), rng.choice([4, 8, 32, 96]))
+                dets.append(Detection(len(dets), img.image_id, cid, box,
+                                      score=rng.choice([0.3, 0.5, 0.9])))
     return GroundTruthSet(images, labels, anns), DetectionSet(labels, dets)
 
 
@@ -557,6 +655,26 @@ class TestPooledDifferential:
                             assert np.array_equal(got[0], ref[0])
                             assert np.array_equal(got[1], ref[1])
                             assert pools[cid][3][STRATA.index(size)] == ref[2]
+
+    def test_cells_of_many_buckets_equal_reference(self):
+        for seed in range(3):
+            gt_set, det_set = bucket_scene(seed)
+            counts = Counter((d.image_id, d.class_id) for d in det_set.detections)
+            assert len({(n - 1).bit_length() for n in counts.values()}) >= 4
+            pools = _match_cells(image_ious(gt_set, det_set, "boxes"), "boxes")
+            for cid in gt_set.label_map.ids():
+                for size in STRATA:
+                    for cap in (1, 2, 10, 100):
+                        got = _curves(pools.get(cid), STRATA.index(size), cap)
+                        ref = reference_accumulate(
+                            gt_set, det_set, cid, size, cap, "boxes"
+                        )
+                        if ref is None:
+                            assert got is None
+                            continue
+                        assert np.array_equal(got[0], ref[0]), (seed, cid, size, cap)
+                        assert np.array_equal(got[1], ref[1]), (seed, cid, size, cap)
+                        assert pools[cid][3][STRATA.index(size)] == ref[2]
 
 
 class TestGreedyVsOracleMonotonicity:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    MAX_COORD,
     BBox,
     InstanceMask,
     Polygon,
@@ -238,6 +239,15 @@ class DetectionSet:
 
 # ---------------------------------------------------------------------------
 # loading
+#
+# A file is checked a column at a time. Each kind of record has a field table
+# of (key, rule, required, check): a column gathers one key of every record,
+# its rule converts the column in one numpy call, and its check (a range, a
+# reference or the box check) runs on the whole converted column. Integers
+# are JSON integers, or floats with an integral value, below 2**53 in
+# magnitude, so that each is exact as a float; numbers are JSON integers or
+# floats; a bool or a string is neither. An optional field that is null is
+# absent.
 
 
 def _read_json(path):
@@ -250,78 +260,262 @@ def _read_json(path):
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def _parse_bbox(raw, where: str) -> BBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError(f"{where}: bbox must be [x, y, w, h]")
+def _numbers(values):
+    """``values`` as float64, and the mask of those that are not JSON numbers
+    within the float range (read as 0)."""
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the floats
+            return np.array(values, dtype=np.float64), np.zeros(len(values), bool)
+    bad = [not (type(v) is float or type(v) is int and abs(v) <= _MAX) for v in values]
+    return np.array([0 if b else v for v, b in zip(values, bad)], float), np.array(bad)
+
+
+def _integers(values):
+    """``values`` as int64, and the mask of those that are not integers
+    (read as 0)."""
+    x, bad = _numbers(values)
+    bad |= ~((np.abs(x) < 2.0**53) & (x == np.floor(x)))
+    x[bad] = 0
+    return x.astype(np.int64), bad
+
+
+def _is_text(value) -> bool:
+    """Whether ``value`` is a string with a UTF-8 form, which a lone
+    surrogate read from a JSON ``\\ud800`` escape lacks."""
     try:
-        x, y, w, h = (float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric bbox") from exc
-    if not all(map(math.isfinite, (x, y, w, h))):
-        raise GeometryError(f"{where}: non-finite bbox {[x, y, w, h]}")
-    if w < 0 or h < 0:
-        raise GeometryError(f"{where}: negative bbox extent")
-    return BBox(x, y, w, h)
+        str.encode(value, "utf-8")  # TypeError for a non-string
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return True
 
 
-def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
-    if raw is None:
-        return None
-    if isinstance(raw, list):
-        if not raw:
-            return None
-        try:
-            polys = [Polygon.from_flat(p) for p in raw]
-        except (TypeError, ValueError, GeometryError) as exc:
-            raise GeometryError(f"{where}: bad polygon segmentation: {exc}") from exc
-        for poly in polys:
-            if len(poly.vertices) < 3:
-                raise GeometryError(
-                    f"{where}: polygon has {len(poly.vertices)} vertices (need >= 3)"
-                )
-        return InstanceMask(polygons=polys, canvas=canvas)
-    if isinstance(raw, dict):
-        try:
-            h, w = (int(v) for v in raw["size"])
-            rle = RLEMask(w, h, _parse_counts(raw["counts"]))
-            return InstanceMask(rle=rle, canvas=canvas)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where}: bad RLE segmentation") from exc
-        except GeometryError as exc:
-            raise GeometryError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: segmentation must be polygon list or RLE object")
+def _rows(values, width, convert):
+    """``values``, each an array of ``width`` items, as one ``(n, width)``
+    array converted by ``convert``, and the mask of the rows that are not
+    such arrays or hold an item ``convert`` refuses."""
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}):
+        values = [v if type(v) is list and len(v) == width else [None] * width
+                  for v in values]
+    x, bad = convert(list(chain.from_iterable(values)))
+    return x.reshape(-1, width), bad.reshape(-1, width).any(1)
 
 
-def _parse_counts(raw) -> np.ndarray:
-    """RLE counts as one int64 array, each count converted as ``int``
-    converts it. Raises OverflowError for a count beyond int64."""
-    if type(raw) is list:
-        try:
-            counts = np.array(raw)
-        except ValueError:  # lists nested to uneven depths
-            counts = None
-        # a list of ints (bools count as ints) converts in one call
-        if counts is not None and counts.dtype == np.int64 and counts.ndim == 1:
-            return counts
-    return np.array([int(c) for c in raw], dtype=np.int64)
+def _range(lo, hi, error, message):
+    """The check that a number column lies in ``[lo, hi]``; ``message`` is
+    formatted with the field's ``key`` and the record's ``value``."""
+
+    def check(rec, key, array, at):
+        rec.fail(at[~((array >= lo) & (array <= hi))], error,
+                 lambda k: message.format(key=key, value=rec.rows[k][key]))
+
+    return check
 
 
-def _parse_area(raw, where: str) -> float:
-    try:
-        area = float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: non-numeric area {raw!r}") from exc
-    if not math.isfinite(area):
-        raise GeometryError(f"{where}: non-finite area {area}")
-    return area
+def _box(rec, key, array, at):
+    rec.fail(~np.isfinite(array).all(1), GeometryError,
+             lambda k: f"non-finite bbox {array[k].tolist()}")
+    rec.fail((array[:, 2:] < 0).any(1), GeometryError, "negative bbox extent")
 
 
-def _clamp_bbox(bbox: BBox, image: ImageRecord) -> BBox:
-    x0 = min(max(bbox.x, 0.0), float(image.width))
-    y0 = min(max(bbox.y, 0.0), float(image.height))
-    x1 = min(max(bbox.x2, 0.0), float(image.width))
-    y1 = min(max(bbox.y2, 0.0), float(image.height))
-    return BBox(x0, y0, x1 - x0, y1 - y0)
+def _known(rec, key, array, at):
+    """The check that each id names one of the file's images, or one of the
+    label map's classes."""
+    ids = rec.images[0] if key == "image_id" else np.array(rec.labels.ids())
+    rec.fail(_find(ids, array) < 0, MissingReferenceError,
+             lambda k: f"unknown {key} {array[k]}")
+
+
+# a rule is a column's conversion, and the text of a value it refuses
+_INTEGER = (_integers, "'{key}' is {value!r}, not a valid integer")
+_TEXT = (lambda v: (v, np.array([not _is_text(s) for s in v], dtype=bool)),
+         "'{key}' is {value!r}, not a valid string")
+_BOX = (lambda v: _rows(v, 4, _numbers), "bbox {value!r} is not 4 numbers [x, y, w, h]")
+_MASK = (None, None)  # see _Records.masks
+_MAX = float(np.finfo(np.float64).max)
+_AT_LEAST_1 = _range(1, np.inf, ValidationError, "'{key}' is {value}, not >= 1")
+
+_CATEGORY_FIELDS = (("id", _INTEGER, True, None), ("name", _TEXT, True, None))
+_IMAGE_FIELDS = (
+    ("id", _INTEGER, True, None), ("file_name", _TEXT, True, None),
+    ("width", _INTEGER, True, _AT_LEAST_1), ("height", _INTEGER, True, _AT_LEAST_1),
+)
+_ANNOTATION_FIELDS = (
+    ("id", _INTEGER, True, None), ("image_id", _INTEGER, True, _known),
+    ("category_id", _INTEGER, True, _known), ("bbox", _BOX, True, _box),
+    ("segmentation", _MASK, False, None),
+    ("area", (_numbers, "non-numeric area {value!r}"), False,
+     _range(-_MAX, _MAX, GeometryError, "non-finite area {value}")),
+    ("iscrowd", _INTEGER, False, _range(
+        0, 0, ValidationError, "iscrowd is {value}; crowd regions are not supported")),
+)
+_DETECTION_FIELDS = (
+    ("category_id", _INTEGER, True, _known),
+    ("score", (_numbers, "'{key}' is {value!r}, not a valid number"), True,
+     _range(0, 1, ValidationError, "score {value} outside [0, 1]")),
+    ("image_id", _INTEGER, True, None), ("bbox", _BOX, True, _box),
+    ("segmentation", _MASK, False, None),
+)
+
+
+class _Records:
+    """The records of one kind in a file, checked a column at a time.
+
+    ``fail`` notes the records a check refuses. Each check looks only at the
+    records before the first one refused so far, and the checks run in field
+    order, so the error kept is the one a record-by-record pass would raise:
+    that of the lowest-index faulty record, at its first failing check.
+    ``images`` holds the ``(ids, widths, heights)`` columns of the images.
+    """
+
+    def __init__(self, records, name, labels=None, images=None):
+        if not set(map(type, records)) <= {dict}:
+            # a record that is not an object misses every field
+            records = [r if type(r) is dict else {} for r in records]
+        self.rows, self.name, self.labels, self.images = records, name, labels, images
+        self.end, self.error, self.columns = len(records), None, {}
+
+    def fail(self, refused, error, message, sep=": ") -> None:
+        """Note ``error`` for the first record before ``end`` in ``refused``,
+        a mask over the records or an array of their indices. ``message`` is
+        the text, or makes it from the record's index."""
+        if refused.dtype == bool:
+            refused = np.flatnonzero(refused)
+        refused = refused[refused < self.end]
+        if refused.size:
+            k = self.end = int(refused.min())
+            text = message if isinstance(message, str) else message(k)
+            self.error = error(f"{self.name(k)}{sep}{text}")
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+    def table(self, fields) -> dict:
+        """The columns of a field table by key, each converted and checked in
+        order; an optional number column is NaN where absent. Raises the
+        error of the lowest-index faulty record."""
+        cols, rows = self.columns, self.rows
+        for key, (convert, wrong), required, check in fields:
+            values = list(map(dict.get, rows, [key] * len(rows)))
+            if convert is None:
+                cols[key] = self.masks(values)
+                continue
+            at = np.arange(len(rows))
+            if not required and None in values:
+                at = at[[v is not None for v in values]]
+                values = [values[k] for k in at.tolist()]
+            array, bad = convert(values)
+            self.fail(at[bad], ParseError, lambda k: (
+                wrong if key in rows[k] else "missing '{key}'"
+            ).format(key=key, value=rows[k].get(key)))
+            if check is not None:
+                check(self, key, array, at)
+            if at.size < len(rows):
+                array, given = np.full(len(rows), np.nan), array
+                array[at] = given
+            cols[key] = array
+        self.check()
+        return cols
+
+    def masks(self, segs) -> list:
+        """The mask of each record: None where its segmentation is null or an
+        empty list, else the polygons of a list of flat rings, or the runs of
+        a run-length object, on its image's canvas when known."""
+        kinds = list(map(type, segs))
+        self.fail(np.array([t not in (list, dict, type(None)) for t in kinds], bool),
+                  ParseError, "segmentation must be polygon list or RLE object")
+        polys = [k for k, s in enumerate(segs) if type(s) is list and s]
+        rles = [k for k, t in enumerate(kinds) if t is dict]
+        canvases = {}
+        if self.images is not None:
+            ids, widths, heights = self.images
+            sizes = list(zip(widths.tolist(), heights.tolist()))
+            owners = polys + rles
+            index = _find(ids, self.columns["image_id"][owners]).tolist()
+            canvases = {k: sizes[i] for k, i in zip(owners, index) if i >= 0}
+        masks = [None] * len(segs)
+        self.polygons(polys, [segs[k] for k in polys], canvases, masks)
+        self.runs(rles, [segs[k] for k in rles], canvases, masks)
+        return masks
+
+    def polygons(self, owners, rings_of, canvases, masks) -> None:
+        """Set ``masks[k]``, for each ``k`` of ``owners``, to the polygons of
+        its flat rings ``rings_of[j]``, on the canvas ``canvases.get(k)``. All
+        coordinates are checked at once, and each polygon's vertices are a
+        view into one read-only buffer of them."""
+        owners = np.array(owners, dtype=np.int64)
+        count = np.fromiter(map(len, rings_of), np.int64, len(rings_of))
+        rings = list(chain.from_iterable(rings_of))
+        if not set(map(type, rings)) <= {list}:
+            rings = [r if type(r) is list else [None] for r in rings]
+        length = np.fromiter(map(len, rings), np.int64, len(rings))
+        owner = owners.repeat(count)
+        coords, bad = _numbers(list(chain.from_iterable(rings)))
+        bad |= ~(np.abs(coords) <= MAX_COORD)
+        self.fail(np.concatenate([owner[length % 2 == 1], owner.repeat(length)[bad]]),
+                  GeometryError, "bad polygon segmentation: a ring of odd length, or "
+                  "a coordinate not a finite number within +-2**53")
+        self.fail(owner[length < 6], GeometryError, "polygon has < 3 vertices")
+        if (owners < self.end).all():
+            xy = coords.reshape(-1, 2)
+            xy.flags.writeable = False
+            ends = (length // 2).cumsum().tolist()
+            polygons = [Polygon(xy[a:b]) for a, b in zip([0, *ends], ends)]
+            ends = count.cumsum().tolist()
+            for k, a, b in zip(owners.tolist(), [0, *ends], ends):
+                masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvases.get(k))
+
+    def runs(self, owners, objects, canvases, masks) -> None:
+        """Set ``masks[k]``, for each ``k`` of ``owners``, to the run-length
+        grid ``objects[j]``, ``{"size": [h, w], "counts": [...]}``. The counts
+        of all grids are checked as one int64 array, of which each grid's
+        runs are a view."""
+        owners = np.array(owners, dtype=np.int64)
+        size, bad = _rows([o.get("size") for o in objects], 2, _integers)
+        h, w = size.T
+        counts = [o.get("counts") for o in objects]
+        counts = [c if type(c) is list else [None] for c in counts]
+        length = np.fromiter(map(len, counts), np.int64, len(counts))
+        runs, bad_runs = _integers(list(chain.from_iterable(counts)))
+        owner = owners.repeat(length)
+        self.fail(np.concatenate([owners[bad | (size < 0).any(1)], owner[bad_runs]]),
+                  ParseError, "bad RLE segmentation")
+        self.fail(owner[runs < 0], GeometryError, "negative run length")
+        # each grid's partial sums: the runs being non-negative, an int64
+        # overflow shows as a negative one
+        ends = np.concatenate([[0], runs.cumsum()])
+        first = length.cumsum() - length
+        wrong = w > np.iinfo(np.int64).max // np.maximum(h, 1)
+        wrong |= ends[first + length] - ends[first] != w * h
+
+        def corrupt(k):
+            height, width = size[owners == k][0].tolist()
+            total = sum(runs[owner == k].tolist())
+            return f"corrupt mask: runs sum to {total}, expected {width * height}"
+
+        overflow = owner[ends[1:] - ends[first].repeat(length) < 0]
+        self.fail(np.concatenate([overflow, owners[wrong]]), GeometryError, corrupt)
+        canvas = np.array([canvases.get(k, (-1, -1)) for k in owners.tolist()])
+        self.fail(owners[(canvas.reshape(-1, 2) != size[:, ::-1]).any(1)
+                         & (canvas.reshape(-1, 2)[:, 0] >= 0)],
+                  GeometryError, lambda k: "RLE size {1}x{0} does not match image "
+                  "{2}x{3}".format(*size[owners == k][0], *canvases[k]))
+        if (owners < self.end).all():
+            runs.flags.writeable = False
+            for k, a, n, ww, hh in zip(owners.tolist(), first.tolist(),
+                                       length.tolist(), w.tolist(), h.tolist()):
+                rle = RLEMask.of_checked(ww, hh, runs[a : a + n])
+                masks[k] = InstanceMask(rle=rle, canvas=canvases.get(k))
+
+
+def _find(ids, keys) -> np.ndarray:
+    """The index in ``ids`` of the first entry equal to each of ``keys``, or
+    -1."""
+    if not ids.size:
+        return np.full(len(keys), -1)
+    order = np.argsort(ids, kind="stable")
+    at = order[np.minimum(np.searchsorted(ids, keys, sorter=order), ids.size - 1)]
+    return np.where(ids[at] == keys, at, -1)
 
 
 def load_ground_truth(path) -> GroundTruthSet:
@@ -332,61 +526,31 @@ def load_ground_truth(path) -> GroundTruthSet:
     for key in ("images", "annotations", "categories"):
         if key not in raw or not isinstance(raw[key], list):
             raise ParseError(f"{path}: missing or non-array '{key}'")
-
     label_map = _label_map(raw["categories"], path)
+    cols = _Records(raw["images"], lambda k: f"{path}: image at index {k}").table(
+        _IMAGE_FIELDS)
+    table = ids, widths, heights = cols["id"], cols["width"], cols["height"]
+    repeated = np.flatnonzero(_find(ids, ids) != np.arange(ids.size))
+    if repeated.size:
+        raise ValidationError(f"duplicate image id {ids[repeated[0]]}")
+    images = list(map(ImageRecord, ids.tolist(), cols["file_name"], widths.tolist(),
+                      heights.tolist()))
 
-    images = []
-    for k, entry in enumerate(raw["images"]):
-        where = f"{path}: image at index {k}"
-        img = ImageRecord(
-            image_id=_req(entry, "id", where, int),
-            file_name=_req(entry, "file_name", where, _string),
-            width=_req(entry, "width", where, int),
-            height=_req(entry, "height", where, int),
-        )
-        images.append(img)
-
-    by_id = {}
-    for img in images:
-        if img.image_id in by_id:
-            raise ValidationError(f"duplicate image id {img.image_id}")
-        by_id[img.image_id] = img
-
-    annotations = []
-    for k, entry in enumerate(raw["annotations"]):
-        ann_id = _req(entry, "id", f"{path}: annotation at index {k}", int)
-        where = f"annotation {ann_id}"
-        image_id = _req(entry, "image_id", where, int)
-        if image_id not in by_id:
-            raise MissingReferenceError(f"{where}: unknown image_id {image_id}")
-        image = by_id[image_id]
-        class_id = _req(entry, "category_id", where, int)
-        if class_id not in label_map:
-            raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
-        bbox = _clamp_bbox(_parse_bbox(_req(entry, "bbox", where), where), image)
-        mask = _parse_mask(
-            entry.get("segmentation"), where, (image.width, image.height)
-        )
-        area = entry.get("area")
-        if area is not None:
-            area = _parse_area(area, where)
-        elif mask is None:
-            area = bbox.area
-        # an area still None is taken from the mask by _finish
-        annotations.append(
-            Annotation(
-                ann_id=ann_id,
-                image_id=image_id,
-                class_id=class_id,
-                bbox=bbox,
-                mask=mask,
-                area=area,
-            )
-        )
-
-    return _finish(
-        images, label_map, annotations, lambda k: f"annotation {annotations[k].ann_id}"
-    )
+    anns = _Records(raw["annotations"], lambda k: (
+        f"annotation {anns.columns['id'][k]}" if "id" in anns.columns
+        else f"{path}: annotation at index {k}"), label_map, table)
+    cols = anns.table(_ANNOTATION_FIELDS)
+    # each box clamped to its image
+    size = np.stack([widths, heights], 1)[_find(ids, cols["image_id"])].astype(float)
+    x, y, w, h = cols["bbox"].T
+    lo = np.minimum(size, np.maximum(0.0, np.stack([x, y], 1)))
+    hi = np.minimum(size, np.maximum(0.0, np.stack([x + w, y + h], 1)))
+    area, masks = cols["area"], cols["segmentation"]
+    boxed = np.isnan(area) & np.array([m is None for m in masks], dtype=bool)
+    area[boxed] = np.prod(hi - lo, 1)[boxed]
+    boxes = np.concatenate([lo, hi - lo], 1)
+    return _ground_truth(anns, images, label_map, cols["id"], cols["image_id"],
+                         cols["category_id"], boxes, masks, area)
 
 
 def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
@@ -398,86 +562,78 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
     from 1.
     """
     raw = _read_json(path)
-    if not isinstance(raw, dict) or not isinstance(raw.get("regions"), list):
+    asset = raw.get("asset") if isinstance(raw, dict) else None
+    if not (isinstance(asset, dict) and isinstance(asset.get("size"), dict)
+            and isinstance(raw.get("regions"), list)):
         raise ParseError(f"{path}: expected a VoTT export with asset and regions")
-    asset = _req(raw, "asset", path)
-    size = _req(asset, "size", f"{path}: asset")
-    width = _req(size, "width", f"{path}: asset.size", int)
-    height = _req(size, "height", f"{path}: asset.size", int)
-    name = _req(asset, "name", f"{path}: asset", _string) if "name" in asset else ""
-    image = ImageRecord(1, name or Path(path).stem + ".png", width, height)
+    size = _Records([asset["size"]], lambda k: f"{path}: asset.size").table(
+        _IMAGE_FIELDS[2:])
+    width, height = size["width"].item(), size["height"].item()
+    if "name" in asset:
+        _Records([asset], lambda k: f"{path}: asset").table(
+            (("name", _TEXT, True, None),))
+    image = ImageRecord(1, asset.get("name") or Path(path).stem + ".png", width, height)
 
     class_ids = {} if labels is None else {name: i for i, name in labels.entries}
-    annotations = []
-    for idx, region in enumerate(raw["regions"]):
-        where = f"{path}: region {idx}"
-        if not isinstance(region, dict):
-            raise ParseError(f"{where} is not an object")
-        tags = region.get("tags") or []
-        try:
-            if not isinstance(tags, list):
-                raise TypeError(tags)
-            tags = [_string(t) for t in tags]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: tags must be an array of strings") from exc
-        if not tags:
-            raise ParseError(f"{where} has no tags")
+    regions = _Records(raw["regions"], lambda k: f"{path}: region {k}")
+    regions.fail(np.array([type(r) is not dict for r in raw["regions"]], dtype=bool),
+                 ParseError, "is not an object", sep=" ")
+    classes, rings = [], []
+    for k, region in enumerate(regions.rows[: regions.end]):
+        tags = region.get("tags")
+        if not (tags and isinstance(tags, list) and all(map(_is_text, tags))):
+            regions.fail(np.array([k]), ParseError,
+                         f"tags must be an array of strings, not {tags!r}")
+            break
         if labels is None:  # classes numbered in order of first use
             for tag in tags:
                 class_ids.setdefault(tag, len(class_ids) + 1)
-        class_id = class_ids.get(tags[0])
-        if class_id is None:
-            raise ParseError(f"{where} tag {tags[0]!r} not in label map")
+        if tags[0] not in class_ids:
+            regions.fail(np.array([k]), ParseError, f"tag {tags[0]!r} not in label map")
+            break
+        classes.append(class_ids[tags[0]])
         points = region.get("points") or []
-        try:
-            poly = Polygon.from_points((p["x"], p["y"]) for p in points)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where} has malformed points") from exc
-        except GeometryError as exc:
-            raise GeometryError(f"{where}: {exc}") from exc
-        if len(poly.vertices) < 3:
-            raise ParseError(f"{where} needs at least 3 points")
-        x0, y0, x1, y1 = poly.bounds()
-        x0, y0 = max(x0, 0.0), max(y0, 0.0)
-        x1, y1 = min(x1, float(width)), min(y1, float(height))
-        if x1 <= x0 or y1 <= y0:
-            raise ParseError(f"{where} lies outside the image")
-        mask = InstanceMask(polygons=[poly], canvas=(width, height))
-        bbox = BBox(x0, y0, x1 - x0, y1 - y0)
-        annotations.append(Annotation(idx + 1, 1, class_id, bbox, mask, area=None))
-
+        rings.append([c for p in (points if type(points) is list else [None])
+                      for c in ((p.get("x"), p.get("y")) if type(p) is dict else [p])])
+    masks = [None] * len(rings)
+    regions.polygons(range(len(rings)), [[r] for r in rings],
+                     dict.fromkeys(range(len(rings)), (width, height)), masks)
+    regions.check()
+    # a region outside the image has an empty box, and an area of 0
+    bounds = np.array([m.polygons[0].bounds() for m in masks]).reshape(-1, 4)
+    lo = np.maximum(0.0, bounds[:, :2])
+    hi = np.minimum([float(width), float(height)], bounds[:, 2:])
     if labels is None:
         if not class_ids:
             raise ParseError(f"{path}: no tags found in regions")
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
-    return _finish([image], labels, annotations, lambda k: f"{path}: region {k}")
+    n = len(masks)
+    boxes = np.concatenate([lo, hi - lo], 1)
+    return _ground_truth(regions, [image], labels, np.arange(1, n + 1), np.ones(n, int),
+                         np.array(classes, int), boxes, masks, np.full(n, np.nan))
 
 
-def _finish(images, label_map, annotations, name) -> GroundTruthSet:
-    """The ground-truth set of loaded records, once every annotation's area
-    is known and positive and every annotation id is unique.
-
-    An area still None is taken from the annotation's mask; each image's
-    such masks are prepared in one batch. ``name(k)`` names annotation ``k``
-    in an error.
-    """
-    unsized = [k for k, ann in enumerate(annotations) if ann.area is None]
-    masks_by_image: dict[int, list[InstanceMask]] = {}
+def _ground_truth(records, images, label_map, ids, image_ids, class_ids, boxes, masks,
+                  area) -> GroundTruthSet:
+    """The ground-truth set of checked annotation columns, once every area is
+    known and positive and every annotation id unique. An area NaN is taken
+    from the annotation's mask; each image's such masks are prepared in one
+    batch."""
+    unsized = np.flatnonzero(np.isnan(area)).tolist()
+    by_image: dict[int, list[InstanceMask]] = {}
     for k in unsized:
-        masks_by_image.setdefault(annotations[k].image_id, []).append(annotations[k].mask)
-    for masks in masks_by_image.values():
-        prepare_windows(masks)
-    for k in unsized:
-        annotations[k] = replace(annotations[k], area=float(annotations[k].mask.area))
-
-    seen = set()
-    for k, ann in enumerate(annotations):
-        if ann.ann_id in seen:
-            raise ValidationError(f"{name(k)}: ann_id occurs more than once")
-        seen.add(ann.ann_id)
-        if not ann.area > 0:
-            raise GeometryError(f"{name(k)}: area is {ann.area} (must be > 0)")
-    return GroundTruthSet(images, label_map, annotations)
+        by_image.setdefault(image_ids[k], []).append(masks[k])
+    for batch in by_image.values():
+        prepare_windows(batch)
+    area[unsized] = [float(masks[k].area) for k in unsized]
+    records.fail(_find(ids, ids) != np.arange(ids.size), ValidationError,
+                 "ann_id occurs more than once")
+    records.fail(~(area > 0), GeometryError,
+                 lambda k: f"area is {area[k].item()} (must be > 0)")
+    records.check()
+    return GroundTruthSet(images, label_map, map(
+        Annotation, ids.tolist(), image_ids.tolist(), class_ids.tolist(),
+        [BBox(*b) for b in boxes.tolist()], masks, area.tolist()))
 
 
 def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
@@ -490,64 +646,20 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: detections must be a JSON array")
-    canvases = {img.image_id: (img.width, img.height) for img in images}
-    detections = []
-    for idx, entry in enumerate(raw):
-        where = f"detection {idx}"
-        class_id = _req(entry, "category_id", where, int)
-        if class_id not in labels:
-            raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
-        score = _req(entry, "score", where, float)
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"{where}: score {score} outside [0, 1]")
-        image_id = _req(entry, "image_id", where, int)
-        bbox = _parse_bbox(_req(entry, "bbox", where), where)
-        mask = _parse_mask(entry.get("segmentation"), where, canvases.get(image_id))
-        detections.append(
-            Detection(
-                det_id=idx,
-                image_id=image_id,
-                class_id=class_id,
-                bbox=bbox,
-                score=score,
-                mask=mask,
-            )
-        )
-    return DetectionSet(labels, detections)
-
-
-def _req(entry, key, where, convert=None):
-    """``entry[key]``, converted by ``convert`` when given. Raises ParseError
-    naming the record ``where`` when the key is missing or the value does not
-    convert."""
-    if not isinstance(entry, dict) or key not in entry:
-        raise ParseError(f"{where}: missing '{key}'")
-    if convert is None:
-        return entry[key]
-    try:
-        return convert(entry[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(
-            f"{where}: '{key}' is {entry[key]!r}, "
-            f"not a valid {convert.__name__.lstrip('_')}"
-        ) from exc
-
-
-def _string(value) -> str:
-    """``value`` when it is a string with a UTF-8 form, which a lone
-    surrogate read from a JSON ``\\ud800`` escape lacks."""
-    str.encode(value, "utf-8")  # TypeError for a non-string
-    return value
+    table = np.array([(im.image_id, im.width, im.height) for im in images], np.int64)
+    cols = _Records(raw, lambda k: f"detection {k}", labels,
+                    table.reshape(-1, 3).T).table(_DETECTION_FIELDS)
+    return DetectionSet(labels, map(
+        Detection, range(len(raw)), cols["image_id"].tolist(),
+        cols["category_id"].tolist(), [BBox(*b) for b in cols["bbox"].tolist()],
+        cols["score"].tolist(), cols["segmentation"]))
 
 
 def _label_map(records, path) -> LabelMap:
     """A label map from ``{"id", "name"}`` records, each named by its index."""
-    entries = []
-    for k, entry in enumerate(records):
-        where = f"{path}: category at index {k}"
-        class_id = _req(entry, "id", where, int)
-        entries.append((class_id, _req(entry, "name", where, _string)))
-    return LabelMap(entries)
+    cols = _Records(records, lambda k: f"{path}: category at index {k}").table(
+        _CATEGORY_FIELDS)
+    return LabelMap(zip(cols["id"].tolist(), cols["name"]))
 
 
 def _ann_to_json(a: Annotation) -> dict:

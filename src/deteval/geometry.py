@@ -21,10 +21,8 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -100,16 +98,27 @@ def box_iou(a: BBox, b: BBox) -> float:
 MAX_COORD = 2.0**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """A closed polygon ring; the last vertex implicitly connects to the first.
 
+    ``vertices`` is one read-only ``(V, 2)`` float64 array; one given as a
+    read-only float64 array is kept, not copied, so a loaded file's polygons
+    are views into one buffer of all its coordinates.
     Vertex-count validity (>= 3) is checked where it matters (rasterization,
     dataset validation) so that malformed records stay representable and
     reportable.
     """
 
-    vertices: tuple[tuple[float, float], ...]
+    vertices: np.ndarray
+
+    def __post_init__(self):
+        xy = self.vertices
+        if not (isinstance(xy, np.ndarray) and xy.dtype == np.float64
+                and not xy.flags.writeable):
+            xy = np.array(xy, dtype=np.float64).reshape(-1, 2)
+            xy.flags.writeable = False
+            object.__setattr__(self, "vertices", xy)
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
@@ -118,18 +127,14 @@ class Polygon:
         Every coordinate must be finite and within +-2**53: beyond that no
         two pixels are told apart, and rasterization intermediates overflow.
         """
-        vertices = tuple((float(x), float(y)) for x, y in points)
-        # the Euclidean norm of all coordinates bounds each of them (it is
-        # accurate to an ulp) and is not a number below the bound when one
-        # of them is not finite; only large or non-finite coordinates take
-        # the test one by one
-        if not math.hypot(*chain.from_iterable(vertices)) <= MAX_COORD / 2:
-            for c in chain.from_iterable(vertices):
-                if not -MAX_COORD <= c <= MAX_COORD:
-                    raise GeometryError(
-                        f"polygon coordinate {c} is not a finite number within +-2**53"
-                    )
-        return cls(vertices)
+        xy = np.array([(float(x), float(y)) for x, y in points], dtype=np.float64)
+        bad = ~(np.abs(xy) <= MAX_COORD)
+        if bad.any():
+            raise GeometryError(
+                f"polygon coordinate {float(xy[bad][0])} is not a finite number "
+                "within +-2**53"
+            )
+        return cls(xy)
 
     @classmethod
     def from_flat(cls, flat) -> "Polygon":
@@ -140,16 +145,24 @@ class Polygon:
         it = iter(flat)
         return cls.from_points(zip(it, it))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return bool(np.array_equal(self.vertices, other.vertices))
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which it equals
+        return hash((self.vertices + 0.0).tobytes())
+
     def to_flat(self) -> list[float]:
-        return [c for v in self.vertices for c in v]
+        return self.vertices.ravel().tolist()
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        (x0, y0), (x1, y1) = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return float(x0), float(y0), float(x1), float(y1)
 
     def scaled(self, sx: float, sy: float) -> "Polygon":
-        return Polygon(tuple((x * sx, y * sy) for x, y in self.vertices))
+        return Polygon(self.vertices * (sx, sy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +198,14 @@ class RLEMask:
             raise GeometryError(
                 f"corrupt mask: runs sum to {sum(runs.tolist())}, expected {expected}"
             )
+
+    @classmethod
+    def of_checked(cls, width: int, height: int, runs: np.ndarray) -> "RLEMask":
+        """A mask of ``runs``, a read-only int64 view into run lists the
+        loader checked whole, kept as given and not checked again."""
+        rle = object.__new__(cls)
+        rle.__dict__.update(width=width, height=height, runs=runs)
+        return rle
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RLEMask):
@@ -245,12 +266,8 @@ def _ring_arrays(polygon_lists):
     )
     if not (ring_sizes.all() and mask_rings.all()):
         raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
-    xy = np.fromiter(
-        chain.from_iterable(chain.from_iterable(rings)),
-        dtype=np.float64,
-        count=2 * int(ring_sizes.sum()),
-    )
-    return xy.reshape(-1, 2), ring_sizes, mask_rings
+    xy = np.concatenate(rings) if rings else np.empty((0, 2))
+    return xy, ring_sizes, mask_rings
 
 
 def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:

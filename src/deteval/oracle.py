@@ -7,15 +7,18 @@ of the IoU-prioritized matcher that shares no code with
 calls "conventional" (provided for comparison, never substituted), the
 scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
 one-mask-at-a-time polygon rasterizer and run-length window decoder that
-:mod:`deteval.geometry` batched, full-grid mask helpers, the scalar pair IoU,
-and a generator that fabricates ground truth plus noisy detections from a
-seed.
+:mod:`deteval.geometry` batched, the record-by-record file loaders that
+:mod:`deteval.annotations` made column-wise, full-grid mask helpers, the
+scalar pair IoU, and a generator that fabricates ground truth plus noisy
+detections from a seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +29,16 @@ from .annotations import (
     GroundTruthSet,
     ImageRecord,
     LabelMap,
+    _read_json,
 )
-from .errors import ConfigError, GeometryError, InstanceTooLargeError
+from .errors import (
+    ConfigError,
+    GeometryError,
+    InstanceTooLargeError,
+    MissingReferenceError,
+    ParseError,
+    ValidationError,
+)
 from .geometry import (
     BBox,
     InstanceMask,
@@ -36,6 +47,7 @@ from .geometry import (
     _raster_rings,
     _ring_arrays,
     box_iou,
+    prepare_windows,
     size_class,
 )
 from .matching import (
@@ -625,3 +637,315 @@ def compare(configs, t: Thresholds) -> DeltaStats:
     if labels is None:
         raise ConfigError("compare needs at least one scenario config")
     return DeltaStats.from_matrices(conv_total, mod_total, labels, count)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference loaders
+#
+# The record-by-record loaders that :mod:`deteval.annotations` replaced with
+# column-wise ones. They accept some values the column-wise loaders refuse:
+# integers given as bools, strings or fractional floats (truncated), numbers
+# given as bools or numeric strings, integers of 2**53 or more in magnitude,
+# polygon rings and RLE sizes or counts that are not arrays, and ``iscrowd``
+# other than 0 (ignored). An integer polygon coordinate beyond the float
+# range raises OverflowError.
+
+
+def _parse_bbox(raw, where: str) -> BBox:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise ParseError(f"{where}: bbox must be [x, y, w, h]")
+    try:
+        x, y, w, h = (float(v) for v in raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: non-numeric bbox") from exc
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise GeometryError(f"{where}: non-finite bbox {[x, y, w, h]}")
+    if w < 0 or h < 0:
+        raise GeometryError(f"{where}: negative bbox extent")
+    return BBox(x, y, w, h)
+
+
+def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
+    if raw is None:
+        return None
+    if isinstance(raw, list):
+        if not raw:
+            return None
+        try:
+            polys = [Polygon.from_flat(p) for p in raw]
+        except (TypeError, ValueError, GeometryError) as exc:
+            raise GeometryError(f"{where}: bad polygon segmentation: {exc}") from exc
+        for poly in polys:
+            if len(poly.vertices) < 3:
+                raise GeometryError(
+                    f"{where}: polygon has {len(poly.vertices)} vertices (need >= 3)"
+                )
+        return InstanceMask(polygons=polys, canvas=canvas)
+    if isinstance(raw, dict):
+        try:
+            h, w = (int(v) for v in raw["size"])
+            rle = RLEMask(w, h, _parse_counts(raw["counts"]))
+            return InstanceMask(rle=rle, canvas=canvas)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where}: bad RLE segmentation") from exc
+        except GeometryError as exc:
+            raise GeometryError(f"{where}: {exc}") from exc
+    raise ParseError(f"{where}: segmentation must be polygon list or RLE object")
+
+
+def _parse_counts(raw) -> np.ndarray:
+    """RLE counts as one int64 array, each count converted as ``int``
+    converts it. Raises OverflowError for a count beyond int64."""
+    if type(raw) is list:
+        try:
+            counts = np.array(raw)
+        except ValueError:  # lists nested to uneven depths
+            counts = None
+        # a list of ints (bools count as ints) converts in one call
+        if counts is not None and counts.dtype == np.int64 and counts.ndim == 1:
+            return counts
+    return np.array([int(c) for c in raw], dtype=np.int64)
+
+
+def _parse_area(raw, where: str) -> float:
+    try:
+        area = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: non-numeric area {raw!r}") from exc
+    if not math.isfinite(area):
+        raise GeometryError(f"{where}: non-finite area {area}")
+    return area
+
+
+def _clamp_bbox(bbox: BBox, image: ImageRecord) -> BBox:
+    x0 = min(max(bbox.x, 0.0), float(image.width))
+    y0 = min(max(bbox.y, 0.0), float(image.height))
+    x1 = min(max(bbox.x2, 0.0), float(image.width))
+    y1 = min(max(bbox.y2, 0.0), float(image.height))
+    return BBox(x0, y0, x1 - x0, y1 - y0)
+
+
+def reference_load_ground_truth(path) -> GroundTruthSet:
+    """Load and fully validate a ground-truth file."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: ground truth must be a JSON object")
+    for key in ("images", "annotations", "categories"):
+        if key not in raw or not isinstance(raw[key], list):
+            raise ParseError(f"{path}: missing or non-array '{key}'")
+
+    label_map = _label_map(raw["categories"], path)
+
+    images = []
+    for k, entry in enumerate(raw["images"]):
+        where = f"{path}: image at index {k}"
+        img = ImageRecord(
+            image_id=_req(entry, "id", where, int),
+            file_name=_req(entry, "file_name", where, _string),
+            width=_req(entry, "width", where, int),
+            height=_req(entry, "height", where, int),
+        )
+        images.append(img)
+
+    by_id = {}
+    for img in images:
+        if img.image_id in by_id:
+            raise ValidationError(f"duplicate image id {img.image_id}")
+        by_id[img.image_id] = img
+
+    annotations = []
+    for k, entry in enumerate(raw["annotations"]):
+        ann_id = _req(entry, "id", f"{path}: annotation at index {k}", int)
+        where = f"annotation {ann_id}"
+        image_id = _req(entry, "image_id", where, int)
+        if image_id not in by_id:
+            raise MissingReferenceError(f"{where}: unknown image_id {image_id}")
+        image = by_id[image_id]
+        class_id = _req(entry, "category_id", where, int)
+        if class_id not in label_map:
+            raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
+        bbox = _clamp_bbox(_parse_bbox(_req(entry, "bbox", where), where), image)
+        mask = _parse_mask(
+            entry.get("segmentation"), where, (image.width, image.height)
+        )
+        area = entry.get("area")
+        if area is not None:
+            area = _parse_area(area, where)
+        elif mask is None:
+            area = bbox.area
+        # an area still None is taken from the mask by _finish
+        annotations.append(
+            Annotation(
+                ann_id=ann_id,
+                image_id=image_id,
+                class_id=class_id,
+                bbox=bbox,
+                mask=mask,
+                area=area,
+            )
+        )
+
+    return _finish(
+        images, label_map, annotations, lambda k: f"annotation {annotations[k].ann_id}"
+    )
+
+
+def reference_load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
+    """Load a VoTT-subset export as a one-image ground-truth set.
+
+    Region ``k`` becomes the polygon annotation ``k + 1``, classed by its
+    first tag and boxed by its points' bounds clipped to the asset. Without
+    ``labels``, the classes are the tags in order of first use, numbered
+    from 1.
+    """
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("regions"), list):
+        raise ParseError(f"{path}: expected a VoTT export with asset and regions")
+    asset = _req(raw, "asset", path)
+    size = _req(asset, "size", f"{path}: asset")
+    width = _req(size, "width", f"{path}: asset.size", int)
+    height = _req(size, "height", f"{path}: asset.size", int)
+    name = _req(asset, "name", f"{path}: asset", _string) if "name" in asset else ""
+    image = ImageRecord(1, name or Path(path).stem + ".png", width, height)
+
+    class_ids = {} if labels is None else {name: i for i, name in labels.entries}
+    annotations = []
+    for idx, region in enumerate(raw["regions"]):
+        where = f"{path}: region {idx}"
+        if not isinstance(region, dict):
+            raise ParseError(f"{where} is not an object")
+        tags = region.get("tags") or []
+        try:
+            if not isinstance(tags, list):
+                raise TypeError(tags)
+            tags = [_string(t) for t in tags]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: tags must be an array of strings") from exc
+        if not tags:
+            raise ParseError(f"{where} has no tags")
+        if labels is None:  # classes numbered in order of first use
+            for tag in tags:
+                class_ids.setdefault(tag, len(class_ids) + 1)
+        class_id = class_ids.get(tags[0])
+        if class_id is None:
+            raise ParseError(f"{where} tag {tags[0]!r} not in label map")
+        points = region.get("points") or []
+        try:
+            poly = Polygon.from_points((p["x"], p["y"]) for p in points)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where} has malformed points") from exc
+        except GeometryError as exc:
+            raise GeometryError(f"{where}: {exc}") from exc
+        if len(poly.vertices) < 3:
+            raise ParseError(f"{where} needs at least 3 points")
+        x0, y0, x1, y1 = poly.bounds()
+        x0, y0 = max(x0, 0.0), max(y0, 0.0)
+        x1, y1 = min(x1, float(width)), min(y1, float(height))
+        if x1 <= x0 or y1 <= y0:
+            raise ParseError(f"{where} lies outside the image")
+        mask = InstanceMask(polygons=[poly], canvas=(width, height))
+        bbox = BBox(x0, y0, x1 - x0, y1 - y0)
+        annotations.append(Annotation(idx + 1, 1, class_id, bbox, mask, area=None))
+
+    if labels is None:
+        if not class_ids:
+            raise ParseError(f"{path}: no tags found in regions")
+        labels = LabelMap((i, tag) for tag, i in class_ids.items())
+    return _finish([image], labels, annotations, lambda k: f"{path}: region {k}")
+
+
+def _finish(images, label_map, annotations, name) -> GroundTruthSet:
+    """The ground-truth set of loaded records, once every annotation's area
+    is known and positive and every annotation id is unique.
+
+    An area still None is taken from the annotation's mask; each image's
+    such masks are prepared in one batch. ``name(k)`` names annotation ``k``
+    in an error.
+    """
+    unsized = [k for k, ann in enumerate(annotations) if ann.area is None]
+    masks_by_image: dict[int, list[InstanceMask]] = {}
+    for k in unsized:
+        masks_by_image.setdefault(annotations[k].image_id, []).append(annotations[k].mask)
+    for masks in masks_by_image.values():
+        prepare_windows(masks)
+    for k in unsized:
+        annotations[k] = replace(annotations[k], area=float(annotations[k].mask.area))
+
+    seen = set()
+    for k, ann in enumerate(annotations):
+        if ann.ann_id in seen:
+            raise ValidationError(f"{name(k)}: ann_id occurs more than once")
+        seen.add(ann.ann_id)
+        if not ann.area > 0:
+            raise GeometryError(f"{name(k)}: area is {ann.area} (must be > 0)")
+    return GroundTruthSet(images, label_map, annotations)
+
+
+def reference_load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
+    """Load a detections file (COCO results-compatible JSON array).
+
+    ``images`` are the ground truth's image records. A detection on one of
+    them gets the image as its mask canvas, so its polygons are rasterized
+    within the image, as the ground truth's are.
+    """
+    raw = _read_json(path)
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: detections must be a JSON array")
+    canvases = {img.image_id: (img.width, img.height) for img in images}
+    detections = []
+    for idx, entry in enumerate(raw):
+        where = f"detection {idx}"
+        class_id = _req(entry, "category_id", where, int)
+        if class_id not in labels:
+            raise MissingReferenceError(f"{where}: unknown category_id {class_id}")
+        score = _req(entry, "score", where, float)
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"{where}: score {score} outside [0, 1]")
+        image_id = _req(entry, "image_id", where, int)
+        bbox = _parse_bbox(_req(entry, "bbox", where), where)
+        mask = _parse_mask(entry.get("segmentation"), where, canvases.get(image_id))
+        detections.append(
+            Detection(
+                det_id=idx,
+                image_id=image_id,
+                class_id=class_id,
+                bbox=bbox,
+                score=score,
+                mask=mask,
+            )
+        )
+    return DetectionSet(labels, detections)
+
+
+def _req(entry, key, where, convert=None):
+    """``entry[key]``, converted by ``convert`` when given. Raises ParseError
+    naming the record ``where`` when the key is missing or the value does not
+    convert."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ParseError(f"{where}: missing '{key}'")
+    if convert is None:
+        return entry[key]
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{where}: '{key}' is {entry[key]!r}, "
+            f"not a valid {convert.__name__.lstrip('_')}"
+        ) from exc
+
+
+def _string(value) -> str:
+    """``value`` when it is a string with a UTF-8 form, which a lone
+    surrogate read from a JSON ``\\ud800`` escape lacks."""
+    str.encode(value, "utf-8")  # TypeError for a non-string
+    return value
+
+
+def _label_map(records, path) -> LabelMap:
+    """A label map from ``{"id", "name"}`` records, each named by its index."""
+    entries = []
+    for k, entry in enumerate(records):
+        where = f"{path}: category at index {k}"
+        class_id = _req(entry, "id", where, int)
+        entries.append((class_id, _req(entry, "name", where, _string)))
+    return LabelMap(entries)

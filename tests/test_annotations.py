@@ -231,15 +231,16 @@ class TestLoadVott:
 
     @settings(max_examples=500, deadline=None)
     @given(width=st.sampled_from([100, 960, 3840]), data=st.data())
-    def test_clamped_box_keeps_its_width(self, width, data):
+    def test_clamped_box_keeps_its_width(self, tmp_path_factory, width, data):
         # convert writes the width x1 - x0; the loader recomputes it as
         # (x0 + w) - x0 after clamping to the image
-        from deteval.annotations import _clamp_bbox
-
         x0 = data.draw(st.floats(0, width, exclude_max=True))
         x1 = data.draw(st.floats(x0, width, exclude_min=True))
-        box = BBox(x0, 0.0, x1 - x0, 1.0)
-        assert _clamp_bbox(box, ImageRecord(1, "a.png", width, 1)).w == x1 - x0
+        doc = minimal_gt_dict()
+        doc["images"][0].update(width=width, height=1)
+        doc["annotations"][0].update(bbox=[x0, 0.0, x1 - x0, 1.0], area=1.0)
+        path = write_json(tmp_path_factory.mktemp("clamp") / "gt.json", doc)
+        assert load_ground_truth(path).annotations[0].bbox.w == x1 - x0
 
 
 class TestLoadDetections:
@@ -473,7 +474,9 @@ class TestRleCounts:
                      COUNT_VALUES))
     @settings(max_examples=500, deadline=None)
     def test_matches_int_conversion(self, raw):
-        from deteval.annotations import _parse_counts
+        # the count parser of the record-by-record reference loader, which
+        # the loader's differential tests compare against
+        from deteval.oracle import _parse_counts
 
         try:
             expected = [int(c) for c in raw]
@@ -497,6 +500,14 @@ class TestRleCounts:
             ({"size": [2, 2], "counts": [2**63, 1]}, "bad RLE"),
             ({"size": [2, 2], "counts": [1, -1, 4]}, "negative run"),
             ({"size": [2, 2], "counts": [1, 2]}, "runs sum to 3"),
+            # counts are integers: no fractions, bools or strings
+            ({"size": [2, 2], "counts": [1.5, 2.5]}, "bad RLE"),
+            ({"size": [2, 2], "counts": [True, 3]}, "bad RLE"),
+            ({"size": [2, 2], "counts": ["1", 3]}, "bad RLE"),
+            ({"size": [2, 2], "counts": "13"}, "bad RLE"),
+            ({"size": [2.0, True], "counts": [1, 3]}, "bad RLE"),
+            # 4097 runs of 2**52 wrap around int64 to 2**52, the pixel count
+            ({"size": [2**26, 2**26], "counts": [2**52] * 4097}, "corrupt mask"),
         ],
     )
     def test_bad_counts_name_the_detection(self, tmp_path, seg, error):

@@ -450,13 +450,14 @@ class TestGroundTruthArea:
         assert code == 2
         assert f"annotation 1: {message}" in capsys.readouterr().err
 
-    def test_numeric_area_string_still_accepted(self, tmp_path):
+    def test_numeric_area_string_exits_2(self, tmp_path, capsys):
         _, det = simple_pair(tmp_path)
         doc = minimal_gt_dict()
         doc["annotations"][0]["area"] = "100"
         gt = write_json(tmp_path / "gt.json", doc)
         out = tmp_path / "o"
-        assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(out)]) == 0
+        assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(out)]) == 2
+        assert "annotation 1: non-numeric area '100'" in capsys.readouterr().err
 
 
 VOTT_EXPORT = {

@@ -191,7 +191,7 @@ class TestRasterize:
         perimeter = sum(
             np.hypot(x2 - x1, y2 - y1)
             for (x1, y1), (x2, y2) in zip(
-                poly.vertices, poly.vertices[1:] + poly.vertices[:1]
+                poly.vertices, np.roll(poly.vertices, -1, axis=0)
             )
         )
         assert abs(fast - slow) <= perimeter + 2

@@ -107,17 +107,13 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class ImageRecord:
+    """An image's id, file name and size; loading checks the size is at
+    least 1x1."""
+
     image_id: int
     file_name: str
     width: int
     height: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValidationError(
-                f"image {self.image_id}: dimensions must be >= 1, got "
-                f"{self.width}x{self.height}"
-            )
 
 
 @dataclass(frozen=True)
@@ -320,8 +316,8 @@ def _box(rec, key, array, at):
 def _known(rec, key, array, at):
     """The check that each id names one of the file's images, or one of the
     label map's classes."""
-    ids = rec.images[0] if key == "image_id" else np.array(rec.labels.ids())
-    rec.fail(_find(ids, array) < 0, MissingReferenceError,
+    ids = rec.canvas_of if key == "image_id" else rec.labels.ids()
+    rec.fail(~np.isin(array, np.array(list(ids), np.int64)), MissingReferenceError,
              lambda k: f"unknown {key} {array[k]}")
 
 
@@ -364,14 +360,15 @@ class _Records:
     records before the first one refused so far, and the checks run in field
     order, so the error kept is the one a record-by-record pass would raise:
     that of the lowest-index faulty record, at its first failing check.
-    ``images`` holds the ``(ids, widths, heights)`` columns of the images.
+    ``canvas_of`` maps each image id to its ``(width, height)``.
     """
 
-    def __init__(self, records, name, labels=None, images=None):
+    def __init__(self, records, name, labels=None, canvas_of=None):
         if not set(map(type, records)) <= {dict}:
             # a record that is not an object misses every field
             records = [r if type(r) is dict else {} for r in records]
-        self.rows, self.name, self.labels, self.images = records, name, labels, images
+        self.rows, self.name, self.labels = records, name, labels
+        self.canvas_of = canvas_of
         self.end, self.error, self.columns = len(records), None, {}
 
     def fail(self, refused, error, message, sep=": ") -> None:
@@ -426,13 +423,8 @@ class _Records:
                   ParseError, "segmentation must be polygon list or RLE object")
         polys = [k for k, s in enumerate(segs) if type(s) is list and s]
         rles = [k for k, t in enumerate(kinds) if t is dict]
-        canvases = {}
-        if self.images is not None:
-            ids, widths, heights = self.images
-            sizes = list(zip(widths.tolist(), heights.tolist()))
-            owners = polys + rles
-            index = _find(ids, self.columns["image_id"][owners]).tolist()
-            canvases = {k: sizes[i] for k, i in zip(owners, index) if i >= 0}
+        image_ids = self.columns["image_id"].tolist()
+        canvases = {k: self.canvas_of.get(image_ids[k]) for k in polys + rles}
         masks = [None] * len(segs)
         self.polygons(polys, [segs[k] for k in polys], canvases, masks)
         self.runs(rles, [segs[k] for k in rles], canvases, masks)
@@ -440,7 +432,7 @@ class _Records:
 
     def polygons(self, owners, rings_of, canvases, masks) -> None:
         """Set ``masks[k]``, for each ``k`` of ``owners``, to the polygons of
-        its flat rings ``rings_of[j]``, on the canvas ``canvases.get(k)``. All
+        its flat rings ``rings_of[j]``, on the canvas ``canvases[k]``. All
         coordinates are checked at once, and each polygon's vertices are a
         view into one read-only buffer of them."""
         owners = np.array(owners, dtype=np.int64)
@@ -463,59 +455,37 @@ class _Records:
             polygons = [Polygon(xy[a:b]) for a, b in zip([0, *ends], ends)]
             ends = count.cumsum().tolist()
             for k, a, b in zip(owners.tolist(), [0, *ends], ends):
-                masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvases.get(k))
+                masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvases[k])
 
     def runs(self, owners, objects, canvases, masks) -> None:
         """Set ``masks[k]``, for each ``k`` of ``owners``, to the run-length
         grid ``objects[j]``, ``{"size": [h, w], "counts": [...]}``. The counts
-        of all grids are checked as one int64 array, of which each grid's
+        of all grids are converted as one int64 array, of which each grid's
         runs are a view."""
-        owners = np.array(owners, dtype=np.int64)
         size, bad = _rows([o.get("size") for o in objects], 2, _integers)
-        h, w = size.T
         counts = [o.get("counts") for o in objects]
         counts = [c if type(c) is list else [None] for c in counts]
         length = np.fromiter(map(len, counts), np.int64, len(counts))
         runs, bad_runs = _integers(list(chain.from_iterable(counts)))
-        owner = owners.repeat(length)
-        self.fail(np.concatenate([owners[bad | (size < 0).any(1)], owner[bad_runs]]),
+        owners = np.array(owners, dtype=np.int64)
+        self.fail(np.concatenate([owners[bad], owners.repeat(length)[bad_runs]]),
                   ParseError, "bad RLE segmentation")
-        self.fail(owner[runs < 0], GeometryError, "negative run length")
-        # each grid's partial sums: the runs being non-negative, an int64
-        # overflow shows as a negative one
-        ends = np.concatenate([[0], runs.cumsum()])
-        first = length.cumsum() - length
-        wrong = w > np.iinfo(np.int64).max // np.maximum(h, 1)
-        wrong |= ends[first + length] - ends[first] != w * h
-
-        def corrupt(k):
-            height, width = size[owners == k][0].tolist()
-            total = sum(runs[owner == k].tolist())
-            return f"corrupt mask: runs sum to {total}, expected {width * height}"
-
-        overflow = owner[ends[1:] - ends[first].repeat(length) < 0]
-        self.fail(np.concatenate([overflow, owners[wrong]]), GeometryError, corrupt)
-        canvas = np.array([canvases.get(k, (-1, -1)) for k in owners.tolist()])
-        self.fail(owners[(canvas.reshape(-1, 2) != size[:, ::-1]).any(1)
-                         & (canvas.reshape(-1, 2)[:, 0] >= 0)],
-                  GeometryError, lambda k: "RLE size {1}x{0} does not match image "
-                  "{2}x{3}".format(*size[owners == k][0], *canvases[k]))
-        if (owners < self.end).all():
-            runs.flags.writeable = False
-            for k, a, n, ww, hh in zip(owners.tolist(), first.tolist(),
-                                       length.tolist(), w.tolist(), h.tolist()):
-                rle = RLEMask.of_checked(ww, hh, runs[a : a + n])
-                masks[k] = InstanceMask(rle=rle, canvas=canvases.get(k))
+        runs.flags.writeable = False
+        ends = length.cumsum().tolist()
+        for k, (h, w), a, b in zip(owners.tolist(), size.tolist(), [0, *ends], ends):
+            if k >= self.end:
+                break
+            try:
+                masks[k] = InstanceMask(rle=RLEMask(w, h, runs[a:b]), canvas=canvases[k])
+            except GeometryError as exc:
+                self.fail(np.array([k]), GeometryError, str(exc))
 
 
-def _find(ids, keys) -> np.ndarray:
-    """The index in ``ids`` of the first entry equal to each of ``keys``, or
-    -1."""
-    if not ids.size:
-        return np.full(len(keys), -1)
-    order = np.argsort(ids, kind="stable")
-    at = order[np.minimum(np.searchsorted(ids, keys, sorter=order), ids.size - 1)]
-    return np.where(ids[at] == keys, at, -1)
+def _repeated(ids) -> np.ndarray:
+    """The mask of the ids that occur at a lower index too."""
+    repeated = np.ones(ids.size, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    return repeated
 
 
 def load_ground_truth(path) -> GroundTruthSet:
@@ -529,26 +499,24 @@ def load_ground_truth(path) -> GroundTruthSet:
     label_map = _label_map(raw["categories"], path)
     cols = _Records(raw["images"], lambda k: f"{path}: image at index {k}").table(
         _IMAGE_FIELDS)
-    table = ids, widths, heights = cols["id"], cols["width"], cols["height"]
-    repeated = np.flatnonzero(_find(ids, ids) != np.arange(ids.size))
+    ids = cols["id"]
+    repeated = np.flatnonzero(_repeated(ids))
     if repeated.size:
         raise ValidationError(f"duplicate image id {ids[repeated[0]]}")
-    images = list(map(ImageRecord, ids.tolist(), cols["file_name"], widths.tolist(),
-                      heights.tolist()))
+    images = list(map(ImageRecord, ids.tolist(), cols["file_name"],
+                      cols["width"].tolist(), cols["height"].tolist()))
 
+    canvas_of = {im.image_id: (im.width, im.height) for im in images}
     anns = _Records(raw["annotations"], lambda k: (
         f"annotation {anns.columns['id'][k]}" if "id" in anns.columns
-        else f"{path}: annotation at index {k}"), label_map, table)
+        else f"{path}: annotation at index {k}"), label_map, canvas_of)
     cols = anns.table(_ANNOTATION_FIELDS)
-    # each box clamped to its image
-    size = np.stack([widths, heights], 1)[_find(ids, cols["image_id"])].astype(float)
-    x, y, w, h = cols["bbox"].T
-    lo = np.minimum(size, np.maximum(0.0, np.stack([x, y], 1)))
-    hi = np.minimum(size, np.maximum(0.0, np.stack([x + w, y + h], 1)))
+    size = np.array(list(map(canvas_of.get, cols["image_id"].tolist())), float)
+    xy, wh = np.split(cols["bbox"], 2, axis=1)
+    boxes = _clamped(xy, xy + wh, size.reshape(-1, 2))
     area, masks = cols["area"], cols["segmentation"]
     boxed = np.isnan(area) & np.array([m is None for m in masks], dtype=bool)
-    area[boxed] = np.prod(hi - lo, 1)[boxed]
-    boxes = np.concatenate([lo, hi - lo], 1)
+    area[boxed] = np.prod(boxes[:, 2:], 1)[boxed]
     return _ground_truth(anns, images, label_map, cols["id"], cols["image_id"],
                          cols["category_id"], boxes, masks, area)
 
@@ -592,42 +560,43 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
             regions.fail(np.array([k]), ParseError, f"tag {tags[0]!r} not in label map")
             break
         classes.append(class_ids[tags[0]])
+        # a point that is not an {x, y} object fails the number check
         points = region.get("points") or []
-        rings.append([c for p in (points if type(points) is list else [None])
-                      for c in ((p.get("x"), p.get("y")) if type(p) is dict else [p])])
+        rings.append(list(chain.from_iterable(
+            (p.get("x"), p.get("y")) if type(p) is dict else (None, None)
+            for p in (points if type(points) is list else [None]))))
     masks = [None] * len(rings)
     regions.polygons(range(len(rings)), [[r] for r in rings],
-                     dict.fromkeys(range(len(rings)), (width, height)), masks)
+                     [(width, height)] * len(rings), masks)
     regions.check()
-    # a region outside the image has an empty box, and an area of 0
-    bounds = np.array([m.polygons[0].bounds() for m in masks]).reshape(-1, 4)
-    lo = np.maximum(0.0, bounds[:, :2])
-    hi = np.minimum([float(width), float(height)], bounds[:, 2:])
     if labels is None:
         if not class_ids:
             raise ParseError(f"{path}: no tags found in regions")
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
     n = len(masks)
-    boxes = np.concatenate([lo, hi - lo], 1)
+    # a region outside the image has an area of 0, which is refused
+    bounds = np.array([m.polygons[0].bounds() for m in masks]).reshape(-1, 4)
+    boxes = _clamped(bounds[:, :2], bounds[:, 2:], [float(width), float(height)])
     return _ground_truth(regions, [image], labels, np.arange(1, n + 1), np.ones(n, int),
                          np.array(classes, int), boxes, masks, np.full(n, np.nan))
+
+
+def _clamped(lo, hi, size) -> np.ndarray:
+    """The ``(x, y, w, h)`` boxes of the corners ``lo`` and ``hi``, each
+    clamped to ``[0, size]``."""
+    lo, hi = (np.minimum(size, np.maximum(0.0, c)) for c in (lo, hi))
+    return np.concatenate([lo, hi - lo], 1)
 
 
 def _ground_truth(records, images, label_map, ids, image_ids, class_ids, boxes, masks,
                   area) -> GroundTruthSet:
     """The ground-truth set of checked annotation columns, once every area is
     known and positive and every annotation id unique. An area NaN is taken
-    from the annotation's mask; each image's such masks are prepared in one
-    batch."""
+    from the annotation's mask; all such masks are prepared in one batch."""
     unsized = np.flatnonzero(np.isnan(area)).tolist()
-    by_image: dict[int, list[InstanceMask]] = {}
-    for k in unsized:
-        by_image.setdefault(image_ids[k], []).append(masks[k])
-    for batch in by_image.values():
-        prepare_windows(batch)
+    prepare_windows([masks[k] for k in unsized])
     area[unsized] = [float(masks[k].area) for k in unsized]
-    records.fail(_find(ids, ids) != np.arange(ids.size), ValidationError,
-                 "ann_id occurs more than once")
+    records.fail(_repeated(ids), ValidationError, "ann_id occurs more than once")
     records.fail(~(area > 0), GeometryError,
                  lambda k: f"area is {area[k].item()} (must be > 0)")
     records.check()
@@ -646,9 +615,9 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: detections must be a JSON array")
-    table = np.array([(im.image_id, im.width, im.height) for im in images], np.int64)
-    cols = _Records(raw, lambda k: f"detection {k}", labels,
-                    table.reshape(-1, 3).T).table(_DETECTION_FIELDS)
+    canvas_of = {im.image_id: (im.width, im.height) for im in images}
+    cols = _Records(raw, lambda k: f"detection {k}", labels, canvas_of).table(
+        _DETECTION_FIELDS)
     return DetectionSet(labels, map(
         Detection, range(len(raw)), cols["image_id"].tolist(),
         cols["category_id"].tolist(), [BBox(*b) for b in cols["bbox"].tolist()],
@@ -752,36 +721,24 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     else:
         raise ConfigError(f"cannot rescale object of type {type(dataset).__name__}")
 
-    def factors(image_id):
-        img = source.get(image_id)
+    def scaled(item, where):
+        img = source.get(item.image_id)
         if img is None:
-            raise MissingReferenceError(f"unknown image_id {image_id} during rescale")
-        return to_width / img.width, to_height / img.height
+            raise MissingReferenceError(f"unknown image_id {item.image_id} during rescale")
+        sx, sy = to_width / img.width, to_height / img.height
+        mask = _rescale_mask(item.mask, sx, sy, (to_width, to_height), force, where)
+        return replace(item, bbox=item.bbox.scaled(sx, sy), mask=mask)
 
-    if isinstance(dataset, GroundTruthSet):
-        new_images = [
-            replace(im, width=to_width, height=to_height) for im in dataset.images
-        ]
-        new_anns = []
-        for ann in dataset.annotations:
-            sx, sy = factors(ann.image_id)
-            mask = _rescale_mask(
-                ann.mask, sx, sy, (to_width, to_height), force, f"annotation {ann.ann_id}"
-            )
-            area = float(mask.area) if mask is not None else ann.bbox.scaled(sx, sy).area
-            new_anns.append(
-                replace(ann, bbox=ann.bbox.scaled(sx, sy), mask=mask, area=area)
-            )
-        return GroundTruthSet(new_images, dataset.label_map, new_anns)
-
-    new_dets = []
-    for det in dataset.detections:
-        sx, sy = factors(det.image_id)
-        mask = _rescale_mask(
-            det.mask, sx, sy, (to_width, to_height), force, f"detection {det.det_id}"
-        )
-        new_dets.append(replace(det, bbox=det.bbox.scaled(sx, sy), mask=mask))
-    return DetectionSet(dataset.label_map, new_dets)
+    if isinstance(dataset, DetectionSet):
+        return DetectionSet(dataset.label_map, [
+            scaled(det, f"detection {det.det_id}") for det in dataset.detections])
+    anns = [scaled(ann, f"annotation {ann.ann_id}") for ann in dataset.annotations]
+    return GroundTruthSet(
+        [replace(im, width=to_width, height=to_height) for im in dataset.images],
+        dataset.label_map,
+        [replace(a, area=float(a.mask.area) if a.mask is not None else a.bbox.area)
+         for a in anns],
+    )
 
 
 def _rescale_mask(mask, sx, sy, canvas, force, where):

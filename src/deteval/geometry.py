@@ -95,7 +95,19 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+# the bound on a polygon coordinate's magnitude: beyond it no two pixels are
+# told apart, and rasterization intermediates overflow
 MAX_COORD = 2.0**53
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``; one that is already
+    such an array is kept, not copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,37 +125,8 @@ class Polygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        xy = self.vertices
-        if not (isinstance(xy, np.ndarray) and xy.dtype == np.float64
-                and not xy.flags.writeable):
-            xy = np.array(xy, dtype=np.float64).reshape(-1, 2)
-            xy.flags.writeable = False
-            object.__setattr__(self, "vertices", xy)
-
-    @classmethod
-    def from_points(cls, points) -> "Polygon":
-        """Build from ``(x, y)`` pairs, each coordinate converted by ``float``.
-
-        Every coordinate must be finite and within +-2**53: beyond that no
-        two pixels are told apart, and rasterization intermediates overflow.
-        """
-        xy = np.array([(float(x), float(y)) for x, y in points], dtype=np.float64)
-        bad = ~(np.abs(xy) <= MAX_COORD)
-        if bad.any():
-            raise GeometryError(
-                f"polygon coordinate {float(xy[bad][0])} is not a finite number "
-                "within +-2**53"
-            )
-        return cls(xy)
-
-    @classmethod
-    def from_flat(cls, flat) -> "Polygon":
-        """Build from a flat ``[x1, y1, x2, y2, ...]`` coordinate list, with
-        the checks of :meth:`from_points`."""
-        if len(flat) % 2 != 0:
-            raise GeometryError("flat polygon list has odd length")
-        it = iter(flat)
-        return cls.from_points(zip(it, it))
+        xy = _read_only(self.vertices, np.float64)
+        object.__setattr__(self, "vertices", xy.reshape(-1, 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polygon):
@@ -170,8 +153,10 @@ class RLEMask:
     """Run-length encoded mask: alternating zero/one run counts in row-major
     order, starting with the zero count.
 
-    ``runs`` is kept as one read-only int64 array. Every run must be
-    non-negative and the runs must sum to ``width * height``.
+    ``runs`` is one read-only int64 array; one given as such is kept, not
+    copied, so a loaded file's grids are views into one buffer of all its
+    counts. Every run must be non-negative and the runs must sum to
+    ``width * height``.
     """
 
     width: int
@@ -179,8 +164,7 @@ class RLEMask:
     runs: np.ndarray
 
     def __post_init__(self):
-        runs = np.array(self.runs, dtype=np.int64)
-        runs.flags.writeable = False
+        runs = _read_only(self.runs, np.int64)
         object.__setattr__(self, "runs", runs)
         if runs.ndim != 1:
             raise GeometryError(f"runs must be a flat list, got shape {runs.shape}")
@@ -198,14 +182,6 @@ class RLEMask:
             raise GeometryError(
                 f"corrupt mask: runs sum to {sum(runs.tolist())}, expected {expected}"
             )
-
-    @classmethod
-    def of_checked(cls, width: int, height: int, runs: np.ndarray) -> "RLEMask":
-        """A mask of ``runs``, a read-only int64 view into run lists the
-        loader checked whole, kept as given and not checked again."""
-        rle = object.__new__(cls)
-        rle.__dict__.update(width=width, height=height, runs=runs)
-        return rle
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RLEMask):

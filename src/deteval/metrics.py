@@ -113,20 +113,6 @@ def outside_strata(areas) -> np.ndarray:
     return _outside(_strata(areas))
 
 
-def greedy_cell(ious, gt_ignore, det_outside):
-    """Greedy matches of one (image, class) cell under every size filter and
-    sweep threshold: :func:`_lockstep` on a batch of one.
-
-    ``ious`` is the (D, G) IoU block with detections in score order;
-    ``gt_ignore`` (S, G) and ``det_outside`` (S, D) come from
-    :func:`outside_strata`. Returns ``(tp, ignored, eligible)``: two
-    (S, T, D) flag arrays and the (S,) in-filter ground-truth counts.
-    """
-    tp, ignored = _lockstep(ious[None], gt_ignore[None], det_outside[None])
-    eligible = ious.shape[1] - gt_ignore.sum(axis=1)
-    return tp[0].transpose(1, 2, 0), ignored[0].transpose(1, 2, 0), eligible
-
-
 def _lockstep(ious, gt_ignore, det_outside):
     """Greedy matches of a batch of B cells, padded to one (B, D, G) IoU block
     with detections in score order; padding is -1, so it is never a candidate.

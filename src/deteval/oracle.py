@@ -8,7 +8,8 @@ calls "conventional" (provided for comparison, never substituted), the
 scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
 one-mask-at-a-time polygon rasterizer and run-length window decoder that
 :mod:`deteval.geometry` batched, the record-by-record file loaders that
-:mod:`deteval.annotations` made column-wise, full-grid mask helpers, the
+:mod:`deteval.annotations` made column-wise, with their scalar polygon
+constructors, full-grid mask helpers, the
 scalar pair IoU, and a generator that fabricates ground truth plus noisy
 detections from a seed.
 """
@@ -40,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    MAX_COORD,
     BBox,
     InstanceMask,
     Polygon,
@@ -190,17 +192,46 @@ def _star_polygon(rng: random.Random, box: BBox) -> Polygon:
         pts.append(
             (cx + np.cos(a) * r * box.w / 2, cy + np.sin(a) * r * box.h / 2)
         )
-    return Polygon.from_points(pts)
+    return polygon_from_points(pts)
 
 
 def _fit_polygon(poly: Polygon, src: BBox, dst: BBox) -> Polygon:
     """Map a polygon from one box frame to another (shift plus stretch)."""
     sx = dst.w / src.w
     sy = dst.h / src.h
-    return Polygon.from_points(
+    return polygon_from_points(
         (dst.x + (x - src.x) * sx, dst.y + (y - src.y) * sy)
         for x, y in poly.vertices
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar polygon construction
+
+
+def polygon_from_points(points) -> Polygon:
+    """A polygon of ``(x, y)`` pairs, each coordinate converted by ``float``.
+
+    Every coordinate must be finite and within +-2**53: beyond that no two
+    pixels are told apart, and rasterization intermediates overflow.
+    """
+    xy = np.array([(float(x), float(y)) for x, y in points], dtype=np.float64)
+    bad = ~(np.abs(xy) <= MAX_COORD)
+    if bad.any():
+        raise GeometryError(
+            f"polygon coordinate {float(xy[bad][0])} is not a finite number "
+            "within +-2**53"
+        )
+    return Polygon(xy)
+
+
+def polygon_from_flat(flat) -> Polygon:
+    """A polygon of a flat ``[x1, y1, x2, y2, ...]`` coordinate list, with
+    the checks of :func:`polygon_from_points`."""
+    if len(flat) % 2 != 0:
+        raise GeometryError("flat polygon list has odd length")
+    it = iter(flat)
+    return polygon_from_points(zip(it, it))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +703,7 @@ def _parse_mask(raw, where: str, canvas) -> InstanceMask | None:
         if not raw:
             return None
         try:
-            polys = [Polygon.from_flat(p) for p in raw]
+            polys = [polygon_from_flat(p) for p in raw]
         except (TypeError, ValueError, GeometryError) as exc:
             raise GeometryError(f"{where}: bad polygon segmentation: {exc}") from exc
         for poly in polys:
@@ -739,11 +770,11 @@ def reference_load_ground_truth(path) -> GroundTruthSet:
     images = []
     for k, entry in enumerate(raw["images"]):
         where = f"{path}: image at index {k}"
-        img = ImageRecord(
-            image_id=_req(entry, "id", where, int),
-            file_name=_req(entry, "file_name", where, _string),
-            width=_req(entry, "width", where, int),
-            height=_req(entry, "height", where, int),
+        img = _image(
+            _req(entry, "id", where, int),
+            _req(entry, "file_name", where, _string),
+            _req(entry, "width", where, int),
+            _req(entry, "height", where, int),
         )
         images.append(img)
 
@@ -806,7 +837,7 @@ def reference_load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
     width = _req(size, "width", f"{path}: asset.size", int)
     height = _req(size, "height", f"{path}: asset.size", int)
     name = _req(asset, "name", f"{path}: asset", _string) if "name" in asset else ""
-    image = ImageRecord(1, name or Path(path).stem + ".png", width, height)
+    image = _image(1, name or Path(path).stem + ".png", width, height)
 
     class_ids = {} if labels is None else {name: i for i, name in labels.entries}
     annotations = []
@@ -831,7 +862,7 @@ def reference_load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
             raise ParseError(f"{where} tag {tags[0]!r} not in label map")
         points = region.get("points") or []
         try:
-            poly = Polygon.from_points((p["x"], p["y"]) for p in points)
+            poly = polygon_from_points((p["x"], p["y"]) for p in points)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where} has malformed points") from exc
         except GeometryError as exc:
@@ -852,6 +883,15 @@ def reference_load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
             raise ParseError(f"{path}: no tags found in regions")
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
     return _finish([image], labels, annotations, lambda k: f"{path}: region {k}")
+
+
+def _image(image_id, file_name, width, height) -> ImageRecord:
+    """The image record, once its width and height are at least 1."""
+    if width < 1 or height < 1:
+        raise ValidationError(
+            f"image {image_id}: dimensions must be >= 1, got {width}x{height}"
+        )
+    return ImageRecord(image_id, file_name, width, height)
 
 
 def _finish(images, label_map, annotations, name) -> GroundTruthSet:

@@ -14,7 +14,6 @@ from deteval.annotations import LabelMap
 from deteval.cli import main
 from deteval.geometry import (
     BBox,
-    Polygon,
     box_iou,
     rle_decode,
     rle_encode,
@@ -33,6 +32,7 @@ from deteval.oracle import (
     generate,
     mask_iou,
     max_matching,
+    polygon_from_points,
     rasterize,
     reference_conventional,
 )
@@ -256,8 +256,8 @@ def test_criterion_9_geometry_consistency():
         a, b = BBox(ax, ay, aw, ah), BBox(bx, by, bw, bh)
         w = max(int(a.x2), int(b.x2))
         h = max(int(a.y2), int(b.y2))
-        pa = Polygon.from_points([(a.x, a.y), (a.x2, a.y), (a.x2, a.y2), (a.x, a.y2)])
-        pb = Polygon.from_points([(b.x, b.y), (b.x2, b.y), (b.x2, b.y2), (b.x, b.y2)])
+        pa = polygon_from_points([(a.x, a.y), (a.x2, a.y), (a.x2, a.y2), (a.x, a.y2)])
+        pb = polygon_from_points([(b.x, b.y), (b.x2, b.y), (b.x2, b.y2), (b.x, b.y2)])
         assert mask_iou(rasterize(pa, w, h), rasterize(pb, w, h)) == box_iou(a, b)
 
     for _ in range(1000):

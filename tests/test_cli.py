@@ -1014,6 +1014,9 @@ class TestVottFuzz:
             # a JSON escape of a lone surrogate reads as a string with no UTF-8 form
             pytest.param(("asset", "name"), "\ud800", "v.json: asset: 'name' is '\\ud800'",
                          id="name-lone-surrogate"),
+            # points are {x, y} objects, not a flat list of coordinates
+            pytest.param(("regions", 0, "points"), [0, 0, 4, 0, 4, 4],
+                         "region 0: bad polygon segmentation", id="points-flat-numbers"),
         ],
     )
     def test_malformed_part_exits_2(self, tmp_path, capsys, labels, field, value, named):

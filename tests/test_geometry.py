@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import minimal_gt_dict, write_json
 from deteval import geometry
+from deteval.annotations import load_ground_truth
 from deteval.errors import GeometryError
 from deteval.geometry import (
     BBox,
@@ -18,7 +20,13 @@ from deteval.geometry import (
     rle_encode,
     size_class,
 )
-from deteval.oracle import full_grid, mask_iou, rasterize
+from deteval.oracle import (
+    full_grid,
+    mask_iou,
+    polygon_from_flat,
+    polygon_from_points,
+    rasterize,
+)
 
 
 def grid_iou(a: BBox, b: BBox, step: float = 0.05) -> float:
@@ -119,11 +127,11 @@ class TestBoxIou:
 
 class TestRasterize:
     def test_square_fills_grid(self):
-        sq = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        sq = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         assert np.count_nonzero(rasterize(sq, 2, 2)) == 4
 
     def test_square_on_larger_grid(self):
-        sq = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        sq = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         m = rasterize(sq, 4, 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[:2, :2] = True
@@ -134,7 +142,7 @@ class TestRasterize:
         # centers of the four diagonal pixels, so a strict pixel-center rule
         # counts 6 (an inclusive one would count 10; no binary rule lands on
         # the half-covered 8). The supersampling oracle bounds the error.
-        tri = Polygon.from_points([(0, 0), (4, 0), (0, 4)])
+        tri = polygon_from_points([(0, 0), (4, 0), (0, 4)])
         oracle = supersampled_area(tri, 4, 4)
         assert oracle == pytest.approx(7.875, abs=1e-9)
         assert np.count_nonzero(rasterize(tri, 4, 4)) == 6
@@ -143,29 +151,29 @@ class TestRasterize:
     def test_right_triangle_area_gentle_slope(self):
         # a non-45-degree hypotenuse staircases one pixel at a time, so the
         # raster stays within one pixel of the supersampled coverage
-        tri = Polygon.from_points([(0, 0), (4, 0), (0, 2)])
+        tri = polygon_from_points([(0, 0), (4, 0), (0, 2)])
         oracle = supersampled_area(tri, 4, 2)
         assert abs(np.count_nonzero(rasterize(tri, 4, 2)) - oracle) <= 1.0
         assert oracle == pytest.approx(4.0, abs=0.2)
 
     def test_too_few_vertices(self):
         with pytest.raises(GeometryError):
-            rasterize(Polygon.from_points([(0, 0), (1, 1)]), 4, 4)
+            rasterize(polygon_from_points([(0, 0), (1, 1)]), 4, 4)
 
     def test_clipping(self):
-        sq = Polygon.from_points([(-5, -5), (3, -5), (3, 3), (-5, 3)])
+        sq = polygon_from_points([(-5, -5), (3, -5), (3, 3), (-5, 3)])
         assert np.count_nonzero(rasterize(sq, 8, 8)) == 9
 
     def test_orientation_independent(self):
-        cw = Polygon.from_points([(1, 1), (1, 6), (6, 6), (6, 1)])
-        ccw = Polygon.from_points([(1, 1), (6, 1), (6, 6), (1, 6)])
+        cw = polygon_from_points([(1, 1), (1, 6), (6, 6), (6, 1)])
+        ccw = polygon_from_points([(1, 1), (6, 1), (6, 6), (1, 6)])
         assert np.array_equal(rasterize(cw, 8, 8), rasterize(ccw, 8, 8))
 
     def test_nearly_horizontal_edge_is_stable(self):
         # an edge with a denormal-scale rise crossing a row of pixel centers
         # must not overflow the crossing computation
         eps = 1e-300
-        poly = Polygon.from_points(
+        poly = polygon_from_points(
             [(0, 0.5 - eps), (6, 0.5 + eps), (6, 5), (0, 5)]
         )
         m = rasterize(poly, 8, 8)
@@ -183,7 +191,7 @@ class TestRasterize:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_supersampling_oracle(self, size, points):
-        poly = Polygon.from_points(points)
+        poly = polygon_from_points(points)
         fast = np.count_nonzero(rasterize(poly, size, size))
         slow = supersampled_area(poly, size, size, factor=8)
         # pixel-center sampling can differ from true coverage by the
@@ -199,7 +207,7 @@ class TestRasterize:
 
 class TestMaskIou:
     def test_identical(self):
-        m = rasterize(Polygon.from_points([(0, 0), (3, 0), (3, 3), (0, 3)]), 4, 4)
+        m = rasterize(polygon_from_points([(0, 0), (3, 0), (3, 3), (0, 3)]), 4, 4)
         assert mask_iou(m, m) == 1.0
 
     def test_disjoint(self):
@@ -217,8 +225,8 @@ class TestMaskIou:
     def test_matches_box_iou_for_integer_boxes(self):
         a = BBox(0, 0, 2, 2)
         b = BBox(1, 0, 2, 2)
-        pa = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
-        pb = Polygon.from_points([(1, 0), (3, 0), (3, 2), (1, 2)])
+        pa = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        pb = polygon_from_points([(1, 0), (3, 0), (3, 2), (1, 2)])
         assert mask_iou(rasterize(pa, 4, 4), rasterize(pb, 4, 4)) == box_iou(a, b)
 
     def test_box_mask_consistency_randomized(self):
@@ -235,7 +243,7 @@ class TestMaskIou:
 
 
 def _box_poly(b: BBox) -> Polygon:
-    return Polygon.from_points([(b.x, b.y), (b.x2, b.y), (b.x2, b.y2), (b.x, b.y2)])
+    return polygon_from_points([(b.x, b.y), (b.x2, b.y), (b.x2, b.y2), (b.x, b.y2)])
 
 
 class TestRle:
@@ -294,7 +302,7 @@ class TestSizeClass:
 
 class TestInstanceMask:
     def test_window_matches_full_canvas(self):
-        poly = Polygon.from_points([(2.5, 1.5), (9, 2), (7, 8), (3, 6)])
+        poly = polygon_from_points([(2.5, 1.5), (9, 2), (7, 8), (3, 6)])
         inst = InstanceMask(polygons=[poly], canvas=(12, 10))
         assert np.array_equal(full_grid(inst.window(), 12, 10), rasterize(poly, 12, 10))
         assert inst.area == np.count_nonzero(rasterize(poly, 12, 10))
@@ -328,10 +336,10 @@ class TestInstanceMask:
 
     def test_equal_polygon_sources_are_equal_and_hash_equal(self):
         ring = [(0, 0), (2.5, 0), (2, 2)]
-        a = InstanceMask(polygons=[Polygon.from_points(ring)], canvas=(8, 8))
-        b = InstanceMask(polygons=(Polygon.from_points(ring),), canvas=(8, 8))
+        a = InstanceMask(polygons=[polygon_from_points(ring)], canvas=(8, 8))
+        b = InstanceMask(polygons=(polygon_from_points(ring),), canvas=(8, 8))
         assert a == b and hash(a) == hash(b)
-        moved = InstanceMask(polygons=[Polygon.from_points(ring[::-1])], canvas=(8, 8))
+        moved = InstanceMask(polygons=[polygon_from_points(ring[::-1])], canvas=(8, 8))
         assert a != moved
 
     def test_equal_rle_grids_are_equal_and_hash_equal(self):
@@ -342,47 +350,55 @@ class TestInstanceMask:
         assert a != InstanceMask(rle=rle_encode(~bits))
 
     def test_polygon_mask_never_equals_rle_mask(self):
-        square = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        square = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         poly = InstanceMask(polygons=[square], canvas=(4, 4))
         rle = InstanceMask(rle=rle_encode(full_grid(poly.window(), 4, 4)))
         assert poly.area == rle.area
         assert poly != rle and rle != poly
 
     def test_canvas_is_not_compared(self):
-        square = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        square = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
         a = InstanceMask(polygons=[square], canvas=(4, 4))
         b = InstanceMask(polygons=[square], canvas=(64, 48))
         c = InstanceMask(polygons=[square])
         assert a == b == c and hash(a) == hash(b) == hash(c)
 
     def test_multi_polygon_union(self):
-        p1 = Polygon.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
-        p2 = Polygon.from_points([(3, 3), (5, 3), (5, 5), (3, 5)])
+        p1 = polygon_from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
+        p2 = polygon_from_points([(3, 3), (5, 3), (5, 5), (3, 5)])
         inst = InstanceMask(polygons=[p1, p2], canvas=(6, 6))
         assert inst.area == 8
 
     @pytest.mark.parametrize("dx, dy", [(-20, 0), (0, -20), (20, 0), (0, 20)])
     def test_polygon_off_the_canvas_is_empty(self, dx, dy):
-        poly = Polygon.from_points(
+        poly = polygon_from_points(
             [(2 + dx, 2 + dy), (8 + dx, 2 + dy), (8 + dx, 8 + dy)]
         )
         inst = InstanceMask(polygons=[poly], canvas=(10, 10))
         assert inst.area == 0
-        inside = InstanceMask(polygons=[Polygon.from_points([(0, 0), (9, 0), (9, 9)])],
+        inside = InstanceMask(polygons=[polygon_from_points([(0, 0), (9, 0), (9, 9)])],
                               canvas=(10, 10))
         assert inst.iou(inside) == 0.0
 
 
 class TestPolygonCoordinates:
+    """Loading bounds every polygon coordinate by +-2**53."""
+
+    @staticmethod
+    def load_ring(tmp_path, ring):
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["segmentation"] = [ring]
+        return load_ground_truth(write_json(tmp_path / "gt.json", doc))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308,
                                      -(2.0**53) - 2])
-    def test_out_of_range_coordinate_rejected(self, bad):
+    def test_out_of_range_coordinate_rejected(self, tmp_path, bad):
         with pytest.raises(GeometryError, match="not a finite number"):
-            Polygon.from_flat([0, 0, 4, 0, bad, 4])
+            self.load_ring(tmp_path, [0, 0, 4, 0, bad, 4])
 
-    def test_largest_coordinates_accepted(self):
-        poly = Polygon.from_flat([-(2.0**53), 0, 2.0**53, 0, 0, 2.0**53])
-        assert InstanceMask(polygons=[poly], canvas=(8, 8)).area > 0
+    def test_largest_coordinates_accepted(self, tmp_path):
+        gt = self.load_ring(tmp_path, [-(2.0**53), 0, 2.0**53, 0, 0, 2.0**53])
+        assert gt.annotations[0].area == 64 * 64
 
 
 @st.composite
@@ -445,7 +461,7 @@ def _random_star(rng, size):
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=k))
     radii = rng.uniform(1.0, 3.5, size=k)
     pts = [(cx + r * np.cos(a), cy + r * np.sin(a)) for a, r in zip(angles, radii)]
-    return Polygon.from_points(pts)
+    return polygon_from_points(pts)
 
 
 # coordinates anywhere around a 16x12 canvas, on half-pixel centres, on
@@ -462,7 +478,7 @@ BATCH_COORD = st.one_of(
 BATCH_RING = st.tuples(
     st.lists(st.tuples(BATCH_COORD, BATCH_COORD), min_size=3, max_size=7),
     st.sampled_from([0.0, 0.0, -30.0, 40.0]),
-).map(lambda r: Polygon.from_points((x + r[1], y + r[1]) for x, y in r[0]))
+).map(lambda r: polygon_from_points((x + r[1], y + r[1]) for x, y in r[0]))
 BATCH_MASK = st.builds(
     lambda rings, canvas: InstanceMask(polygons=rings, canvas=canvas),
     st.lists(BATCH_RING, min_size=1, max_size=3),
@@ -495,23 +511,23 @@ class TestBatchedRasterDifferential:
         self.assert_matches_reference(masks)
 
     def test_edge_cases_in_one_batch(self):
-        square = Polygon.from_points([(2, 2), (8, 2), (8, 7), (2, 7)])
+        square = polygon_from_points([(2, 2), (8, 2), (8, 7), (2, 7)])
         masks = [
             # two overlapping rings, one a bow tie crossing itself
-            InstanceMask(polygons=[square, Polygon.from_points(
+            InstanceMask(polygons=[square, polygon_from_points(
                 [(1, 1), (9, 6), (9, 1), (1, 6)])], canvas=(16, 12)),
             # every vertex on a half-pixel center, with horizontal edges
-            InstanceMask(polygons=[Polygon.from_points(
+            InstanceMask(polygons=[polygon_from_points(
                 [(0.5, 0.5), (5.5, 0.5), (5.5, 3.5), (2.5, 3.5), (2.5, 5.5), (0.5, 5.5)])],
                 canvas=(16, 12)),
             # wholly off the canvas: an empty window
-            InstanceMask(polygons=[Polygon.from_points([(-9, -9), (-2, -9), (-2, -1)])],
+            InstanceMask(polygons=[polygon_from_points([(-9, -9), (-2, -9), (-2, -1)])],
                          canvas=(16, 12)),
             # a flat ring: a window of no rows
-            InstanceMask(polygons=[Polygon.from_points([(1, 4), (9, 4), (5, 4)])],
+            InstanceMask(polygons=[polygon_from_points([(1, 4), (9, 4), (5, 4)])],
                          canvas=(16, 12)),
             # no canvas: the window follows the vertices past the origin
-            InstanceMask(polygons=[Polygon.from_points([(-3.2, -1.7), (4.4, 0.2), (0.1, 5.9)])]),
+            InstanceMask(polygons=[polygon_from_points([(-3.2, -1.7), (4.4, 0.2), (0.1, 5.9)])]),
             InstanceMask(polygons=[square], canvas=(16, 12)),
         ]
         self.assert_matches_reference(masks)
@@ -520,16 +536,16 @@ class TestBatchedRasterDifferential:
         from deteval.geometry import polygon_windows
         from deteval.oracle import reference_window
 
-        good = InstanceMask(polygons=[Polygon.from_points([(0, 0), (4, 0), (4, 4)])],
+        good = InstanceMask(polygons=[polygon_from_points([(0, 0), (4, 0), (4, 4)])],
                             canvas=(16, 12))
-        short = InstanceMask(polygons=[Polygon.from_points([(0, 0), (5, 5)])],
+        short = InstanceMask(polygons=[polygon_from_points([(0, 0), (5, 5)])],
                              canvas=(16, 12))
         with pytest.raises(GeometryError, match="2 vertices"):
             reference_window(short)
         with pytest.raises(GeometryError, match="2 vertices"):
             polygon_windows([good.polygons, short.polygons], [good.canvas, short.canvas])
         # a short ring whose window is empty is not rasterized, and not checked
-        off = InstanceMask(polygons=[Polygon.from_points([(-9, -9), (-5, -5)])],
+        off = InstanceMask(polygons=[polygon_from_points([(-9, -9), (-5, -5)])],
                            canvas=(16, 12))
         self.assert_matches_reference([good, off])
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import minimal_gt_dict, write_json
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deteval.annotations as annotations
@@ -416,6 +416,9 @@ class TestReferenceDifferential:
     @settings(max_examples=200, deadline=None)
     @given(path=st.sampled_from(VOTT_PATHS), value=VALUES,
            labels=st.sampled_from([None, [(1, "A"), (2, "B")], [(7, "B")]]))
+    @example(path=("regions", 0, "points"), value=[0, 0, 4, 0, 4, 4], labels=None)
+    @example(path=("regions", 1, "points"), value=[0, 0, 4, 0, 4, 4],
+             labels=[(1, "A"), (2, "B")])
     def test_fuzzed_vott_exports(self, path, value, labels):
         from deteval.annotations import LabelMap
 

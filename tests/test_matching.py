@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deteval.annotations import Annotation, Detection, LabelMap
 from deteval.errors import ConfigError
-from deteval.geometry import BBox, InstanceMask, Polygon, rle_encode
+from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
@@ -19,7 +19,13 @@ from deteval.matching import (
     match_dataset,
     match_modified,
 )
-from deteval.oracle import ScenarioConfig, generate, max_matching, pair_iou
+from deteval.oracle import (
+    ScenarioConfig,
+    generate,
+    max_matching,
+    pair_iou,
+    polygon_from_flat,
+)
 
 LABELS = LabelMap([(1, "X"), (2, "Y"), (3, "Z")])
 T = Thresholds()
@@ -400,7 +406,7 @@ def masked_item(draw):
         mask = InstanceMask(rle=rle_encode(bits))
     elif kind == "polygon" and bw and bh:
         mask = InstanceMask(
-            polygons=[Polygon.from_flat([x0, y0, x0 + bw, y0, x0 + bw, y0 + bh, x0, y0 + bh])]
+            polygons=[polygon_from_flat([x0, y0, x0 + bw, y0, x0 + bw, y0 + bh, x0, y0 + bh])]
         )
     box = draw(st.one_of(st.just((x0, y0, bw, bh)), BOX))
     return box, mask

@@ -33,7 +33,6 @@ from deteval.metrics import (
     average_precision,
     average_recall,
     full_report,
-    greedy_cell,
     mean_ap,
     outside_strata,
     precision_recall,
@@ -42,6 +41,7 @@ from deteval.oracle import (
     ScenarioConfig,
     generate,
     max_matching,
+    polygon_from_points,
     reference_accumulate,
     reference_greedy_cell,
 )
@@ -271,10 +271,10 @@ class TestMaskMode:
     def test_mask_iou_drives_masks_mode(self):
         # thin diagonal-ish mask inside the same bbox: box IoU is 1.0 but
         # mask IoU is far below 0.5, so only boxes mode scores the hit at 0.5
-        from deteval.geometry import InstanceMask, Polygon
+        from deteval.geometry import InstanceMask
 
-        tall = Polygon.from_points([(0, 0), (4, 0), (4, 20), (0, 20)])
-        wide = Polygon.from_points([(0, 0), (20, 0), (20, 4), (0, 4)])
+        tall = polygon_from_points([(0, 0), (4, 0), (4, 20), (0, 20)])
+        wide = polygon_from_points([(0, 0), (20, 0), (20, 4), (0, 4)])
         img = ImageRecord(1, "a.png", 64, 64)
         ann = Annotation(
             1, 1, 1, BBox(0, 0, 20, 20),
@@ -458,6 +458,20 @@ AREAS = st.sampled_from(
     [4.0, float(np.nextafter(1024.0, 0)), 1024.0, 3000.0, 9215.5, 9216.0, 40000.0]
 )
 CAPS = (1, 10, 100, 150)
+
+
+def greedy_cell(ious, gt_ignore, det_outside):
+    """Greedy matches of one (image, class) cell under every size filter and
+    sweep threshold: :func:`_lockstep` on a batch of one.
+
+    ``ious`` is the (D, G) IoU block with detections in score order;
+    ``gt_ignore`` (S, G) and ``det_outside`` (S, D) come from
+    :func:`outside_strata`. Returns ``(tp, ignored, eligible)``: two
+    (S, T, D) flag arrays and the (S,) in-filter ground-truth counts.
+    """
+    tp, ignored = _lockstep(ious[None], gt_ignore[None], det_outside[None])
+    eligible = ious.shape[1] - gt_ignore.sum(axis=1)
+    return tp[0].transpose(1, 2, 0), ignored[0].transpose(1, 2, 0), eligible
 
 
 @st.composite

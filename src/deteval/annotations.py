@@ -460,8 +460,8 @@ class _Records:
     def runs(self, owners, objects, canvases, masks) -> None:
         """Set ``masks[k]``, for each ``k`` of ``owners``, to the run-length
         grid ``objects[j]``, ``{"size": [h, w], "counts": [...]}``. The counts
-        of all grids are converted as one int64 array, of which each grid's
-        runs are a view."""
+        of all grids are converted and checked as one int64 array, of which
+        each grid's runs are a view."""
         size, bad = _rows([o.get("size") for o in objects], 2, _integers)
         counts = [o.get("counts") for o in objects]
         counts = [c if type(c) is list else [None] for c in counts]
@@ -471,12 +471,14 @@ class _Records:
         self.fail(np.concatenate([owners[bad], owners.repeat(length)[bad_runs]]),
                   ParseError, "bad RLE segmentation")
         runs.flags.writeable = False
-        ends = length.cumsum().tolist()
-        for k, (h, w), a, b in zip(owners.tolist(), size.tolist(), [0, *ends], ends):
+        grids, fault = RLEMask.batch(size[:, ::-1], runs, np.append(0, length.cumsum()))
+        if fault is not None:
+            self.fail(owners[[fault[0]]], GeometryError, fault[1])
+        for k, grid in zip(owners.tolist(), grids):
             if k >= self.end:
                 break
             try:
-                masks[k] = InstanceMask(rle=RLEMask(w, h, runs[a:b]), canvas=canvases[k])
+                masks[k] = InstanceMask(rle=grid, canvas=canvases[k])
             except GeometryError as exc:
                 self.fail(np.array([k]), GeometryError, str(exc))
 

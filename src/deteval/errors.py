@@ -37,7 +37,3 @@ class LossyRescaleError(EvalError):
 
 class InstanceTooLargeError(EvalError):
     """An exhaustive oracle was asked to enumerate an instance beyond its cap."""
-
-
-class NonTerminationError(RuntimeError):
-    """Defensive guard: the iterative matcher exceeded its pass budget."""

@@ -5,8 +5,9 @@ small/medium/large area classification. All operations are stateless and safe
 to call concurrently, except that an :class:`InstanceMask` caches its window.
 
 Masks are prepared in batches: :func:`prepare_windows` rasterizes the polygon
-rings of many masks (one image's, say) in a few numpy calls over one flat
-buffer, and decodes their run-length windows the same way. A single mask's
+rings of many masks (a dataset's, say) in a few numpy calls per pass over one
+flat buffer, and decodes their run-length windows the same way; the passes
+are bounded in cells, which bounds their temporary arrays. A single mask's
 :meth:`InstanceMask.window` is a batch of one.
 
 Conventions:
@@ -168,20 +169,56 @@ class RLEMask:
         object.__setattr__(self, "runs", runs)
         if runs.ndim != 1:
             raise GeometryError(f"runs must be a flat list, got shape {runs.shape}")
-        if self.width < 0 or self.height < 0:
-            raise GeometryError(f"negative mask size {self.width}x{self.height}")
-        if runs.size and runs.min() < 0:
-            raise GeometryError("negative run length")
-        expected = self.width * self.height
-        ends = np.cumsum(runs)
-        # the runs are non-negative, so an int64 overflow shows as a
-        # negative partial sum
-        if (int(ends[-1]) if ends.size else 0) != expected or (
-            ends.size and ends.min() < 0
-        ):
-            raise GeometryError(
-                f"corrupt mask: runs sum to {sum(runs.tolist())}, expected {expected}"
-            )
+        fault = RLEMask.batch([(self.width, self.height)], runs, [0, runs.size])[1]
+        if fault is not None:
+            raise GeometryError(fault[1])
+
+    @classmethod
+    def batch(cls, sizes, runs, bounds) -> tuple[list[RLEMask], tuple[int, str] | None]:
+        """Many grids checked at once: grid k is ``(width, height)``
+        ``sizes[k]`` with the runs ``runs[bounds[k]:bounds[k + 1]]``, a view.
+
+        Returns the grids before the first one that breaks a rule, and that
+        grid's index and error text, or None when every grid is sound. A
+        grid's size must not be negative, nor any of its runs, and its runs
+        must sum to ``width * height``.
+        """
+        runs, bounds = _read_only(runs, np.int64), np.asarray(bounds, dtype=np.int64)
+        w, h = np.asarray(sizes, dtype=np.int64).reshape(-1, 2).T
+        # each grid's sum and partial sums, exact modulo 2**64 in int64; the
+        # runs are non-negative, so an int64 overflow shows as a negative
+        # partial sum
+        ends = np.zeros(runs.size + 1, dtype=np.int64)
+        np.cumsum(runs, out=ends[1:])
+        before = ends[bounds[:-1]]
+        total = ends[bounds[1:]] - before
+        ends[1:] -= before.repeat(bounds[1:] - bounds[:-1])
+        # run position p is in grid searchsorted(bounds, p, "right") - 1
+        negative_run = np.zeros(w.size, dtype=bool)
+        negative_run[np.searchsorted(bounds, (runs < 0).nonzero()[0], "right") - 1] = True
+        corrupt = total != w * h
+        corrupt[np.searchsorted(bounds, (ends[1:] < 0).nonzero()[0], "right") - 1] = True
+        # a pixel count beyond int64 is no sum of runs that did not overflow
+        corrupt |= (h > 0) & (w > np.iinfo(np.int64).max // np.maximum(h, 1))
+        bad = np.flatnonzero((w < 0) | (h < 0) | negative_run | corrupt)
+        k = int(bad[0]) if bad.size else w.size
+        grids = []
+        for width, height, a, b in zip(w[:k].tolist(), h[:k].tolist(),
+                                       bounds[:k].tolist(), bounds[1 : k + 1].tolist()):
+            grid = object.__new__(cls)  # checked above: no __post_init__
+            object.__setattr__(grid, "width", width)
+            object.__setattr__(grid, "height", height)
+            object.__setattr__(grid, "runs", runs[a:b])
+            grids.append(grid)
+        if k == w.size:
+            return grids, None
+        if w[k] < 0 or h[k] < 0:
+            return grids, (k, f"negative mask size {w[k]}x{h[k]}")
+        if negative_run[k]:
+            return grids, (k, "negative run length")
+        grid_sum = sum(runs[bounds[k] : bounds[k + 1]].tolist())
+        expected = int(w[k]) * int(h[k])
+        return grids, (k, f"corrupt mask: runs sum to {grid_sum}, expected {expected}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RLEMask):
@@ -220,9 +257,14 @@ def rle_decode(rle: RLEMask) -> np.ndarray:
     return np.repeat(values, rle.runs).reshape(rle.height, rle.width)
 
 
-# cells of (h, w + 1) ring blocks rasterized in one pass; masks that need
-# more are rasterized in several passes, to bound memory
-RASTER_CHUNK_CELLS = 1 << 20
+# the cells of one preparation pass: the (h, w + 1) ring blocks of a raster
+# pass, or _RUN_CELLS per run of a decode pass. Masks that need more are
+# prepared in several passes, which bounds the temporary arrays; a mask that
+# alone needs more is a pass of its own.
+RASTER_CHUNK_CELLS = 1 << 16
+# a decode pass takes about 64 bytes of temporaries per run, a raster pass
+# about 11 per cell
+_RUN_CELLS = 6
 # the limits (x0, y0, x1, y1) of a window without a canvas, beyond any
 # polygon coordinate
 _UNCLIPPED = (-(2**62), -(2**62), 2**62, 2**62)
@@ -263,26 +305,31 @@ def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:
 
 def _raster_rings(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
     """Rasterize the union of each mask's rings onto its window ``rects``
-    row ``(x0, y0, x1, y1)``, in passes of at most about
-    ``RASTER_CHUNK_CELLS`` cells. Returns one ``(y1 - y0, x1 - x0)`` bool
+    row ``(x0, y0, x1, y1)``, in passes of at most ``RASTER_CHUNK_CELLS``
+    cells (see :func:`_passes`). Returns one ``(y1 - y0, x1 - x0)`` bool
     grid per mask."""
     w, h = rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]
-    cells = mask_rings * h * (w + 1)
-    if cells.sum() <= RASTER_CHUNK_CELLS:
-        return _raster_chunk(xy, ring_sizes, mask_rings, rects)
-    chunk = (cells.cumsum() - cells) // RASTER_CHUNK_CELLS
-    # the first mask, ring and vertex of each pass, and the ends
-    masks = np.append(0, (chunk[1:] != chunk[:-1]).nonzero()[0] + 1)
-    masks = np.append(masks, mask_rings.size)
-    rings = np.append(0, mask_rings.cumsum())[masks]
-    vertices = np.append(0, ring_sizes.cumsum())[rings]
-    cuts = list(zip(masks.tolist(), rings.tolist(), vertices.tolist()))
+    rings = np.append(0, mask_rings.cumsum())
+    vertices = np.append(0, ring_sizes.cumsum())
     out = []
-    for (m0, r0, v0), (m1, r1, v1) in zip(cuts, cuts[1:]):
-        out += _raster_chunk(
-            xy[v0:v1], ring_sizes[r0:r1], mask_rings[m0:m1], rects[m0:m1]
-        )
+    for m0, m1 in _passes(mask_rings * h * (w + 1)):
+        r0, r1 = rings[m0], rings[m1]
+        out += _raster_chunk(xy[vertices[r0] : vertices[r1]], ring_sizes[r0:r1],
+                             mask_rings[m0:m1], rects[m0:m1])
     return out
+
+
+def _passes(cells) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each pass over items of ``cells`` cells each,
+    in order: as many items as fit in ``RASTER_CHUNK_CELLS``, or one that
+    does not."""
+    bounds, total = [0], 0
+    for k, c in enumerate(cells.tolist()):
+        if total + c > RASTER_CHUNK_CELLS and k > bounds[-1]:
+            bounds.append(k)
+            total = 0
+        total += c
+    return list(zip(bounds, bounds[1:] + [len(cells)]))
 
 
 def _raster_chunk(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
@@ -376,14 +423,24 @@ _NO_RUN = np.zeros(1, dtype=np.int64)
 
 
 def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
-    """``(bits, x0, y0)`` of each run-length grid, as
+    """``(bits, x0, y0)`` of each run-length grid of the list ``rles``, as
     :meth:`InstanceMask.window` returns it.
 
     Only the rows and columns a grid occupies are decoded; an empty grid
     gives a 0x0 window at the origin, and a one-run that wraps onto the next
-    row widens its window to the full width. All windows are decoded by one
-    ``np.repeat`` into one buffer, of which each window is a view.
+    row widens its window to the full width. The grids are decoded in passes
+    of at most ``RASTER_CHUNK_CELLS`` cells, a run counting ``_RUN_CELLS``.
     """
+    cells = np.fromiter((r.runs.size for r in rles), np.int64, len(rles))
+    out = []
+    for a, b in _passes(cells * _RUN_CELLS):
+        out += _rle_pass(rles[a:b])
+    return out
+
+
+def _rle_pass(rles) -> list[tuple[np.ndarray, int, int]]:
+    """One pass of :func:`rle_windows`: all windows are decoded by one
+    ``np.repeat`` into one buffer, of which each window is a view."""
     # with each odd run list padded, every list starts at an even position
     # and the one-runs are the odd positions
     parts = []
@@ -438,7 +495,8 @@ def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
 
 def prepare_windows(masks) -> None:
     """Compute and cache the window of every mask not yet prepared: the
-    polygon masks in one batch and the run-length masks in another."""
+    polygon masks in one batch and the run-length masks in another, each in
+    passes of bounded size."""
     todo = [m for m in masks if m._window is None]
     polys = [m for m in todo if m.rle is None]
     rles = [m for m in todo if m.rle is not None]
@@ -449,6 +507,18 @@ def prepare_windows(masks) -> None:
     if rles:
         for m, win in zip(rles, rle_windows([m.rle for m in rles])):
             m._window = win
+
+
+def window_rects(masks) -> np.ndarray:
+    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask; the
+    windows not yet prepared are prepared in one batch."""
+    if any(m._window is None for m in masks):
+        prepare_windows(masks)
+    rects = [
+        (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
+        for bits, x0, y0 in (m._window for m in masks)
+    ]
+    return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
 class InstanceMask:
@@ -462,9 +532,10 @@ class InstanceMask:
     canvas. A run-length window covers only the occupied rows and columns.
 
     The window is computed once and cached. :func:`prepare_windows` computes
-    the windows of many masks in one batch (matching does so for each
-    image's ground truths and detections); :meth:`window` prepares a mask
-    not yet prepared as a batch of one, with the same result.
+    the windows of many masks in one batch (matching does so for all the
+    ground truths of a dataset, then all its detections); :meth:`window`
+    prepares a mask not yet prepared as a batch of one, with the same
+    result.
     """
 
     __slots__ = ("polygons", "rle", "canvas", "_window", "_area")

@@ -1,6 +1,6 @@
 """Confusion-matrix construction from localized detections.
 
-Two per-image matchers are provided:
+Two matchers are provided, each run over all images of a dataset at once:
 
 * :func:`match_conventional` is the widely used IoU-prioritized procedure:
   keep each ground truth's maximum-IoU candidate, then each detection's
@@ -9,33 +9,35 @@ Two per-image matchers are provided:
 * :func:`match_modified` is the class-prioritized iterative procedure: a
   ground truth prefers same-class candidates over any higher-IoU cross-class
   candidate, a contested detection goes to the same-class ground truth first,
-  and displaced ground truths re-enter the pool until a fixed point.
+  and displaced ground truths propose again until none is left with a
+  candidate. This is gt-proposing deferred acceptance (Gale & Shapley 1962).
+  Both sides' preferences are strict, so it ends in the same matching, the
+  gt-optimal stable one, whatever the order of the proposals; it runs in
+  rounds in which every free ground truth proposes at once.
 
-Both are pure functions per image; :func:`accumulate` reduces any number of
-per-image results into one ``(C+1) x (C+1)`` count grid whose final column
-holds unmatched ground truths ("left detections") and whose final row holds
-unmatched detections ("unclassified detections").
+Both read every pair at or above the IoU and confidence thresholds as
+columns, gathered once from the IoU matrices of all images; a pair never
+spans two images, so no per-image pass is needed. :func:`accumulate` reduces
+any number of per-image results into one ``(C+1) x (C+1)`` count grid whose
+final column holds unmatched ground truths ("left detections") and whose
+final row holds unmatched detections ("unclassified detections").
 
 Determinism: all orderings use the total tie-break (higher IoU, higher score,
 lower det_id, lower gt_id); the modified matcher's priority order is
-(same class, IoU, score, det_id, gt_id).
+(same class, IoU, score, det_id) for a ground truth and (same class, IoU,
+lower gt_id) for a detection.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annotations import Annotation, Detection, LabelMap
-from .errors import (
-    ConfigError,
-    GeometryError,
-    MissingReferenceError,
-    NonTerminationError,
-)
-from .geometry import prepare_windows
+from .errors import ConfigError, GeometryError, MissingReferenceError
+from .geometry import prepare_windows, window_rects
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -98,17 +100,6 @@ def _box_iou_matrix(gts, dets) -> np.ndarray:
         return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0))
 
 
-def _window_rects(masks) -> np.ndarray:
-    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask; the
-    windows not yet prepared are prepared in one batch."""
-    prepare_windows(masks)
-    rects = [
-        (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
-        for bits, x0, y0 in (m.window() for m in masks)
-    ]
-    return np.array(rects, dtype=np.int64).reshape(-1, 4)
-
-
 def iou_matrix(gts, dets, mode: str) -> np.ndarray:
     """IoU of every (gt, det) pair as a ``(len(gts), len(dets))`` float64 array.
 
@@ -128,7 +119,7 @@ def iou_matrix(gts, dets, mode: str) -> np.ndarray:
     gmasks = [gts[i].mask for i in rows]
     dmasks = [dets[j].mask for j in cols]
     _check_canvases(gmasks, dmasks)
-    a, b = _window_rects(gmasks)[:, None], _window_rects(dmasks)[None, :]
+    a, b = window_rects(gmasks)[:, None], window_rects(dmasks)[None, :]
     lo = np.maximum(a[..., :2], b[..., :2])
     hi = np.minimum(a[..., 2:], b[..., 2:])
     overlap = (lo < hi).all(axis=2)
@@ -152,36 +143,30 @@ def _check_canvases(gmasks, dmasks) -> None:
                 raise GeometryError(f"mask canvases differ: {g.canvas} vs {d.canvas}")
 
 
+def _pair(gts, dets, ious, i, j) -> MatchPair:
+    gt, det = gts[i], dets[j]
+    return MatchPair(gt, det, float(ious[i, j]), gt.class_id == det.class_id)
+
+
 def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     """All (gt, det) pairs at or above the IoU threshold, in (gt, det) order.
 
     Detections are expected to be pre-filtered to the confidence threshold;
     all items must belong to one image.
     """
-    return _pairs(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
-
-
-def _pairs(gts, dets, ious, t: Thresholds) -> list[MatchPair]:
-    pairs = []
-    for i, j in zip(*np.nonzero(ious >= t.iou_threshold)):
-        gt, det = gts[i], dets[j]
-        pairs.append(MatchPair(gt, det, float(ious[i, j]), gt.class_id == det.class_id))
-    return pairs
-
-
-def _candidates(gts, dets, ious, t: Thresholds):
-    """The detections at or above the confidence threshold, and their
-    :func:`iou_table` pairs taken from ``ious``, the image's full matrix."""
-    keep = [j for j, d in enumerate(dets) if d.score >= t.confidence_threshold]
-    kept = [dets[j] for j in keep]
-    return kept, _pairs(gts, kept, ious[:, keep], t)
+    ious = iou_matrix(gts, dets, t.geometry_mode)
+    over = zip(*np.nonzero(ious >= t.iou_threshold))
+    return [_pair(gts, dets, ious, i, j) for i, j in over]
 
 
 def image_ious(gt_set, det_set, mode: str) -> list[tuple]:
     """``(image_id, gts, dets, ious)`` of every ground-truth image, in image
     order: its ground truths and detections, each in load order, and their
     :func:`iou_matrix` in geometry ``mode``. Raises when a detection names
-    an image the ground truth does not have."""
+    an image the ground truth does not have.
+
+    In masks mode, once the canvases of every image with masks on both sides
+    are checked, those masks are prepared in one call per set."""
     if mode not in GEOMETRY_MODES:
         raise ConfigError(f"unknown geometry mode {mode!r}")
     dets_by_image = det_set.by_image()
@@ -190,21 +175,145 @@ def image_ious(gt_set, det_set, mode: str) -> list[tuple]:
             raise MissingReferenceError(
                 f"detection {ds[0].det_id}: unknown image_id {image_id}"
             )
-    table = []
-    for img in gt_set.images:
-        gts = gt_set.by_image()[img.image_id]
-        dets = dets_by_image.get(img.image_id, [])
-        table.append((img.image_id, gts, dets, iou_matrix(gts, dets, mode)))
-    return table
+    rows = [(img.image_id, gt_set.by_image()[img.image_id],
+             dets_by_image.get(img.image_id, [])) for img in gt_set.images]
+    if mode == "masks":
+        sets = ([], [])
+        for _, gts, dets in rows:
+            gmasks = [g.mask for g in gts if g.mask is not None]
+            dmasks = [d.mask for d in dets if d.mask is not None]
+            if gmasks and dmasks:
+                _check_canvases(gmasks, dmasks)
+                sets[0].extend(gmasks)
+                sets[1].extend(dmasks)
+        for masks in sets:
+            prepare_windows(masks)
+    return [(i, gts, dets, iou_matrix(gts, dets, mode)) for i, gts, dets in rows]
 
 
-def _pair_order(p: MatchPair):
-    # higher IoU, then higher score, then lower det_id, then lower gt_id
-    return (-p.iou, -p.det.score, p.det.det_id, p.gt.ann_id)
+# the items of image_ious rows, taken in row order, as columns, and their
+# pairs at or above both thresholds in (row, gt, det) order: each pair's gt
+# and det positions among the items, and its IoU
+_Pairs = namedtuple("_Pairs", "gt_id gt_class det_id det_class score visible gt det iou")
+
+
+def _columns(pairs) -> np.ndarray:
+    """The two int64 columns of a list of pairs."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _pair_columns(table, t: Thresholds) -> _Pairs:
+    gts = [g for row in table for g in row[1]]
+    dets = [d for row in table for d in row[2]]
+    gt_id, gt_class = _columns([(g.ann_id, g.class_id) for g in gts])
+    det_id, det_class = _columns([(d.det_id, d.class_id) for d in dets])
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    visible = score >= t.confidence_threshold
+    # every row's matrix, flattened into one buffer of cells
+    n_gts, n_dets = _columns([(len(row[1]), len(row[2])) for row in table])
+    cells = n_gts * n_dets
+    ends = cells.cumsum()
+    flat = np.concatenate([row[3] for row in table] or [np.empty(0)], axis=None)
+    hit = np.flatnonzero(flat >= t.iou_threshold)
+    row = np.searchsorted(ends, hit, side="right")
+    gt, det = np.divmod(hit - (ends - cells)[row], n_dets[row])
+    gt += (n_gts.cumsum() - n_gts)[row]
+    det += (n_dets.cumsum() - n_dets)[row]
+    keep = visible[det]
+    return _Pairs(gt_id, gt_class, det_id, det_class, score, visible,
+                  gt[keep], det[keep], flat[hit[keep]])
+
+
+def _conventional(p: _Pairs) -> np.ndarray:
+    """The matched pairs of the IoU-prioritized matcher, as indices into the
+    pair columns: in the order (higher IoU, higher score, lower det_id,
+    lower gt_id), the first pair of each ground truth, then the first of
+    each detection among those."""
+    order = np.lexsort((p.gt_id[p.gt], p.det_id[p.det], -p.score[p.det], -p.iou))
+    survivors = order[np.sort(np.unique(p.gt[order], return_index=True)[1])]
+    return survivors[np.unique(p.det[survivors], return_index=True)[1]]
+
+
+def _deferred_acceptance(p: _Pairs) -> tuple[np.ndarray, int]:
+    """The matched pairs of the class-prioritized matcher, as indices into
+    the pair columns, and the number of rounds it took.
+
+    In each round every free ground truth with a candidate left proposes to
+    its next one, under (same class, IoU, score, lower det_id), and each
+    detection keeps the best of its holder and its proposers under (same
+    class, IoU, lower gt_id). Every round makes a proposal and no pair is
+    proposed twice, so there are no more rounds than pairs.
+    """
+    n = p.iou.size
+    same = p.gt_class[p.gt] == p.det_class[p.det]
+    # each ground truth's candidates, best first, one slice per ground truth
+    proposals = np.lexsort((p.det_id[p.det], -p.score[p.det], -p.iou, ~same, p.gt))
+    bounds = np.searchsorted(p.gt[proposals], np.arange(p.gt_id.size + 1))
+    cursor, end = bounds[:-1].copy(), bounds[1:]
+    # the pairs grouped by detection, each group best first; a pair's rank
+    # is its position, so sorted ranks group the proposals by detection
+    by_det = np.lexsort((p.gt_id[p.gt], -p.iou, ~same, p.det))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_det] = np.arange(n)
+    held = np.full(p.det_id.size, n)  # the rank each detection holds; n: none
+    holding = np.zeros(p.gt_id.size, dtype=bool)
+    free = np.flatnonzero(cursor < end)
+    rounds = 0
+    while free.size:
+        rounds += 1
+        offers = np.sort(rank[proposals[cursor[free]]])
+        cursor[free] += 1
+        dets = p.det[by_det[offers]]
+        best = np.append(True, dets[1:] != dets[:-1])
+        won = best & (offers < held[dets])
+        offers, dets = offers[won], dets[won]
+        displaced = held[dets]
+        displaced = p.gt[by_det[displaced[displaced < n]]]
+        holding[displaced] = False
+        holding[p.gt[by_det[offers]]] = True
+        held[dets] = offers
+        free = np.append(free, displaced)
+        free = free[~holding[free] & (cursor[free] < end[free])]
+    return by_det[held[held < n]], rounds
+
+
+_MATCHERS = {
+    "conventional": _conventional,
+    "modified": lambda p: _deferred_acceptance(p)[0],
+}
+
+
+def _results(table, matched, t: Thresholds) -> list[MatchingResult]:
+    """The :class:`MatchingResult` of each :func:`image_ious` row, from the
+    matched positions that :func:`match_images` returns: the pairs in
+    (gt_id, det_id) order, and the unmatched ground truths and visible
+    detections in load order."""
+    partner = dict(matched.tolist())
+    taken = set(partner.values())
+    results, g0, d0 = [], 0, 0
+    for _, gts, dets, ious in table:
+        pairs = [_pair(gts, dets, ious, i - g0, partner[i] - d0)
+                 for i in range(g0, g0 + len(gts)) if i in partner]
+        pairs.sort(key=lambda p: (p.gt.ann_id, p.det.det_id))
+        results.append(MatchingResult(
+            tuple(pairs),
+            tuple(g for i, g in enumerate(gts, g0) if i not in partner),
+            tuple(d for j, d in enumerate(dets, d0)
+                  if j not in taken and d.score >= t.confidence_threshold),
+        ))
+        g0, d0 = g0 + len(gts), d0 + len(dets)
+    return results
+
+
+def _match_image(gts, dets, t: Thresholds, algorithm: str) -> MatchingResult:
+    table = [(None, gts, dets, iou_matrix(gts, dets, t.geometry_mode))]
+    p = _pair_columns(table, t)
+    won = _MATCHERS[algorithm](p)
+    return _results(table, np.stack([p.gt[won], p.det[won]], axis=1), t)[0]
 
 
 def match_conventional(gts, dets, t: Thresholds) -> MatchingResult:
-    """IoU-prioritized matching.
+    """IoU-prioritized matching of one image.
 
     Over-threshold pairs are sorted by descending IoU; each ground truth
     discards all but its maximum-IoU candidate, then each detection discards
@@ -213,98 +322,20 @@ def match_conventional(gts, dets, t: Thresholds) -> MatchingResult:
     maximum matching: a detection contested away from a ground truth is not
     revisited, so pairable items can end up unmatched.
     """
-    return _conventional(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
-
-
-def _conventional(gts, dets, ious, t: Thresholds) -> MatchingResult:
-    dets, pairs = _candidates(gts, dets, ious, t)
-    pairs.sort(key=_pair_order)
-
-    best_for_gt: dict[int, MatchPair] = {}
-    for p in pairs:
-        if p.gt.ann_id not in best_for_gt:
-            best_for_gt[p.gt.ann_id] = p
-
-    survivors = sorted(best_for_gt.values(), key=_pair_order)
-    best_for_det: dict[int, MatchPair] = {}
-    for p in survivors:
-        if p.det.det_id not in best_for_det:
-            best_for_det[p.det.det_id] = p
-
-    return _assemble(gts, dets, list(best_for_det.values()))
+    return _match_image(gts, dets, t, "conventional")
 
 
 def match_modified(gts, dets, t: Thresholds) -> MatchingResult:
-    """Class-prioritized matching, iterated to a fixed point.
+    """Class-prioritized matching of one image, iterated to a fixed point.
 
     Each unmatched ground truth claims its best remaining candidate under the
     order (same class, IoU, score, lower det_id). A detection claimed by
     several ground truths keeps the one preferred under (same class, IoU,
     lower gt_id); the displaced ground truth returns to the pool and may claim
-    another candidate in a later pass. Every reassignment strictly improves
-    the detection's held pair under that order, so the loop terminates; a
-    defensive pass cap guards regardless.
+    another candidate in a later round. No pair is claimed twice, so the
+    rounds end.
     """
-    return _modified(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t)
-
-
-def _modified(gts, dets, ious, t: Thresholds) -> MatchingResult:
-    dets, pairs = _candidates(gts, dets, ious, t)
-    candidates: dict[int, list[MatchPair]] = {}
-    for p in pairs:
-        candidates.setdefault(p.gt.ann_id, []).append(p)
-    for cand in candidates.values():
-        # preference of the ground truth: same class first, then best IoU
-        cand.sort(key=lambda p: (not p.same_class, -p.iou, -p.det.score, p.det.det_id))
-
-    holder: dict[int, MatchPair] = {}
-    cursor = {gid: 0 for gid in candidates}
-    queue = deque(gid for gid in (g.ann_id for g in gts) if gid in candidates)
-
-    passes = 0
-    cap = (len(gts) + 1) * (len(dets) + 1)
-    while queue:
-        passes += 1
-        if passes > cap:
-            raise NonTerminationError(
-                f"matcher exceeded {cap} passes on {len(gts)} gts x {len(dets)} dets"
-            )
-        gid = queue.popleft()
-        cand = candidates[gid]
-        while cursor[gid] < len(cand):
-            p = cand[cursor[gid]]
-            cursor[gid] += 1
-            held = holder.get(p.det.det_id)
-            if held is None:
-                holder[p.det.det_id] = p
-                break
-            # preference of the detection: same class first, then IoU
-            if (p.same_class, p.iou, -p.gt.ann_id) > (
-                held.same_class,
-                held.iou,
-                -held.gt.ann_id,
-            ):
-                holder[p.det.det_id] = p
-                queue.append(held.gt.ann_id)
-                break
-        # candidate list exhausted: the ground truth stays unmatched
-
-    return _assemble(gts, dets, list(holder.values()))
-
-
-def _assemble(gts, dets, matched) -> MatchingResult:
-    matched = sorted(matched, key=lambda p: (p.gt.ann_id, p.det.det_id))
-    matched_gts = {p.gt.ann_id for p in matched}
-    matched_dets = {p.det.det_id for p in matched}
-    return MatchingResult(
-        matched=tuple(matched),
-        unmatched_gts=tuple(g for g in gts if g.ann_id not in matched_gts),
-        unmatched_dets=tuple(d for d in dets if d.det_id not in matched_dets),
-    )
-
-
-# each algorithm's matcher over an image's precomputed IoU matrix
-_MATCHERS = {"conventional": _conventional, "modified": _modified}
+    return _match_image(gts, dets, t, "modified")
 
 
 @dataclass
@@ -357,35 +388,60 @@ class ConfusionMatrix:
         )
 
 
+def _matrix(labels: LabelMap, rows, cols) -> ConfusionMatrix:
+    """The matrix counting one item per (row, col) code pair."""
+    n = len(labels) + 1
+    counts = np.bincount(rows * n + cols, minlength=n * n).reshape(n, n)
+    return ConfusionMatrix(labels, counts)
+
+
 def accumulate(results, labels: LabelMap) -> ConfusionMatrix:
     """Sum per-image matching results into one confusion matrix.
 
     Pure commutative summation: any ordering or grouping of the per-image
     results yields the identical matrix.
     """
-    cm = ConfusionMatrix(labels)
-    idx = labels.index_of
+    idx, none = labels.index_of, len(labels)
+    cells = []
     for res in results:
-        for p in res.matched:
-            cm.counts[idx(p.gt.class_id), idx(p.det.class_id)] += 1
-        for g in res.unmatched_gts:
-            cm.counts[idx(g.class_id), -1] += 1
-        for d in res.unmatched_dets:
-            cm.counts[-1, idx(d.class_id)] += 1
-    return cm
+        cells += [(idx(p.gt.class_id), idx(p.det.class_id)) for p in res.matched]
+        cells += [(idx(g.class_id), none) for g in res.unmatched_gts]
+        cells += [(none, idx(d.class_id)) for d in res.unmatched_dets]
+    return _matrix(labels, *np.array(cells, dtype=np.int64).reshape(-1, 2).T)
+
+
+def _codes(labels: LabelMap, class_ids) -> np.ndarray:
+    """Each class id's row or column in a matrix of ``labels``."""
+    classes, inverse = np.unique(class_ids, return_inverse=True)
+    return np.array([labels.index_of(c) for c in classes.tolist()], np.int64)[inverse]
 
 
 def match_dataset(gt_set, det_set, t: Thresholds, algorithm: str):
     """Run one matcher over every image; returns per-image results in image
     order plus the accumulated matrix."""
     table = image_ious(gt_set, det_set, t.geometry_mode)
-    return match_images(table, gt_set.label_map, t, algorithm)
+    matched, cm = match_images(table, gt_set.label_map, t, algorithm)
+    return _results(table, matched, t), cm
 
 
 def match_images(table, labels: LabelMap, t: Thresholds, algorithm: str):
-    """:func:`match_dataset` over the rows of :func:`image_ious`."""
+    """:func:`match_dataset` over the rows of :func:`image_ious`, in one pass
+    over all of them. Returns the matched pairs as an ``(M, 2)`` array of
+    (ground truth, detection) positions among the rows' items taken in row
+    order, and the accumulated matrix."""
     if algorithm not in _MATCHERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    matcher = _MATCHERS[algorithm]
-    results = [matcher(gts, dets, ious, t) for _, gts, dets, ious in table]
-    return results, accumulate(results, labels)
+    p = _pair_columns(table, t)
+    won = _MATCHERS[algorithm](p)
+    gt, det = p.gt[won], p.det[won]
+    # a code pair per ground truth, and per unmatched visible detection
+    none = len(labels)
+    det_code = np.full(p.det_id.size, none)
+    det_code[p.visible] = _codes(labels, p.det_class[p.visible])
+    gt_col = np.full(p.gt_id.size, none)
+    gt_col[gt] = det_code[det]
+    left = p.visible.copy()
+    left[det] = False
+    rows = np.append(_codes(labels, p.gt_class), np.full(np.count_nonzero(left), none))
+    cols = np.append(gt_col, det_code[left])
+    return np.stack([gt, det], axis=1), _matrix(labels, rows, cols)

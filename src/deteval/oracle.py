@@ -3,8 +3,9 @@
 Everything here exists to check the matching and metric code from a second
 angle: an exhaustive maximum-matching bound, a straight-line re-transcription
 of the IoU-prioritized matcher that shares no code with
-:mod:`deteval.matching`, the greedy global-IoU variant some of the literature
-calls "conventional" (provided for comparison, never substituted), the
+:mod:`deteval.matching`, the per-image matchers that :mod:`deteval.matching`
+replaced with dataset-wide passes, the greedy global-IoU variant some of the
+literature calls "conventional" (provided for comparison, never substituted), the
 scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
 one-mask-at-a-time polygon rasterizer and run-length window decoder that
 :mod:`deteval.geometry` batched, the record-by-record file loaders that
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,8 +60,7 @@ from .matching import (
     MatchPair,
     Thresholds,
     accumulate,
-    match_conventional,
-    match_modified,
+    match_dataset,
 )
 from .metrics import IOU_SWEEP, RECALL_POINTS
 from .reports import DeltaStats
@@ -393,6 +394,109 @@ def reference_conventional(gts, dets, t: Thresholds) -> MatchingResult:
     return MatchingResult(tuple(matched), leftover_gts, leftover_dets)
 
 
+# ---------------------------------------------------------------------------
+# the per-image matchers that the dataset-wide passes of deteval.matching
+# replaced, each over one image's IoU matrix
+
+
+def _candidates(gts, dets, ious, t: Thresholds):
+    """The detections at or above the confidence threshold, and their pairs
+    at or above the IoU threshold taken from ``ious``, the image's full
+    matrix, in (gt, det) order."""
+    keep = [j for j, d in enumerate(dets) if d.score >= t.confidence_threshold]
+    kept = [dets[j] for j in keep]
+    pairs = []
+    for i, j in zip(*np.nonzero(ious[:, keep] >= t.iou_threshold)):
+        gt, det = gts[i], kept[j]
+        iou = float(ious[i, keep[j]])
+        pairs.append(MatchPair(gt, det, iou, gt.class_id == det.class_id))
+    return kept, pairs
+
+
+def _pair_order(p: MatchPair):
+    # higher IoU, then higher score, then lower det_id, then lower gt_id
+    return (-p.iou, -p.det.score, p.det.det_id, p.gt.ann_id)
+
+
+def image_conventional(gts, dets, ious, t: Thresholds) -> MatchingResult:
+    """IoU-prioritized matching of one image, as a sort of its pairs and two
+    first-of-each filters over dicts."""
+    dets, pairs = _candidates(gts, dets, ious, t)
+    pairs.sort(key=_pair_order)
+
+    best_for_gt: dict[int, MatchPair] = {}
+    for p in pairs:
+        if p.gt.ann_id not in best_for_gt:
+            best_for_gt[p.gt.ann_id] = p
+
+    survivors = sorted(best_for_gt.values(), key=_pair_order)
+    best_for_det: dict[int, MatchPair] = {}
+    for p in survivors:
+        if p.det.det_id not in best_for_det:
+            best_for_det[p.det.det_id] = p
+
+    return _assemble(gts, dets, list(best_for_det.values()))
+
+
+def image_modified(gts, dets, ious, t: Thresholds) -> MatchingResult:
+    """Class-prioritized matching of one image, as a queue of ground truths
+    that each propose down their candidate list until one accepts."""
+    dets, pairs = _candidates(gts, dets, ious, t)
+    candidates: dict[int, list[MatchPair]] = {}
+    for p in pairs:
+        candidates.setdefault(p.gt.ann_id, []).append(p)
+    for cand in candidates.values():
+        # preference of the ground truth: same class first, then best IoU
+        cand.sort(key=lambda p: (not p.same_class, -p.iou, -p.det.score, p.det.det_id))
+
+    holder: dict[int, MatchPair] = {}
+    cursor = {gid: 0 for gid in candidates}
+    queue = deque(gid for gid in (g.ann_id for g in gts) if gid in candidates)
+    while queue:
+        gid = queue.popleft()
+        cand = candidates[gid]
+        while cursor[gid] < len(cand):
+            p = cand[cursor[gid]]
+            cursor[gid] += 1
+            held = holder.get(p.det.det_id)
+            if held is None:
+                holder[p.det.det_id] = p
+                break
+            # preference of the detection: same class first, then IoU
+            if (p.same_class, p.iou, -p.gt.ann_id) > (
+                held.same_class,
+                held.iou,
+                -held.gt.ann_id,
+            ):
+                holder[p.det.det_id] = p
+                queue.append(held.gt.ann_id)
+                break
+        # candidate list exhausted: the ground truth stays unmatched
+
+    return _assemble(gts, dets, list(holder.values()))
+
+
+def _assemble(gts, dets, matched) -> MatchingResult:
+    matched = sorted(matched, key=lambda p: (p.gt.ann_id, p.det.det_id))
+    matched_gts = {p.gt.ann_id for p in matched}
+    matched_dets = {p.det.det_id for p in matched}
+    return MatchingResult(
+        matched=tuple(matched),
+        unmatched_gts=tuple(g for g in gts if g.ann_id not in matched_gts),
+        unmatched_dets=tuple(d for d in dets if d.det_id not in matched_dets),
+    )
+
+
+def reference_match_images(table, labels: LabelMap, t: Thresholds, algorithm: str):
+    """The per-image results of every :func:`deteval.matching.image_ious`
+    row under the per-image matcher of ``algorithm``, and their accumulated
+    matrix."""
+    matcher = {"conventional": image_conventional, "modified": image_modified}
+    matcher = matcher[algorithm]
+    results = [matcher(gts, dets, ious, t) for _, gts, dets, ious in table]
+    return results, accumulate(results, labels)
+
+
 def greedy_iou_matching(gts, dets, t: Thresholds) -> MatchingResult:
     """The global greedy variant: sort all over-threshold pairs by IoU and
     accept a pair when both endpoints are still free.
@@ -654,16 +758,8 @@ def compare(configs, t: Thresholds) -> DeltaStats:
             mod_total = ConfusionMatrix(labels)
         elif gt_set.label_map != labels:
             raise ConfigError("compare needs a uniform class_count across configs")
-        dets_by_image = det_set.by_image()
-        for img in gt_set.images:
-            gts = gt_set.by_image().get(img.image_id, [])
-            dets = dets_by_image.get(img.image_id, [])
-            conv_total.counts += accumulate(
-                [match_conventional(gts, dets, t)], labels
-            ).counts
-            mod_total.counts += accumulate(
-                [match_modified(gts, dets, t)], labels
-            ).counts
+        conv_total.counts += match_dataset(gt_set, det_set, t, "conventional")[1].counts
+        mod_total.counts += match_dataset(gt_set, det_set, t, "modified")[1].counts
         count += 1
     if labels is None:
         raise ConfigError("compare needs at least one scenario config")

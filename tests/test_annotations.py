@@ -530,3 +530,28 @@ class TestRleCounts:
         again = json.loads((tmp_path / "again.json").read_text())
         assert again[0]["segmentation"] == seg
         assert load_detections(tmp_path / "again.json", LabelMap([(1, "t")])) == dets
+
+
+class TestRleGridErrors:
+    """The RLE grids of a file are checked together, and the error names the
+    lowest-index faulty record, as a record-by-record check would."""
+
+    @pytest.mark.parametrize(
+        "segs, error",
+        [
+            # the first faulty grid is named, whatever rule a later one breaks
+            ([([2, 2], [4]), ([2, 2], [1, 2]), ([2, 2], [1, -1, 4])], "detection 1: corrupt"),
+            ([([2, 2], [1, 3]), ([2, 2], [2, -1, 3]), ([-1, 2], [2])],
+             "detection 1: negative run"),
+            # a grid of another size than its image before a corrupt one, and after it
+            ([([2, 3], [6]), ([2, 2], [1, 2]), ([2, 2], [4])], "detection 0: RLE size 3x2"),
+            ([([2, 2], [4]), ([2, 2], [1, 2]), ([2, 3], [6])], "detection 1: corrupt"),
+        ],
+    )
+    def test_lowest_faulty_grid_named(self, tmp_path, segs, error):
+        rows = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 2, 2], "score": 0.9,
+                 "segmentation": {"size": size, "counts": counts}} for size, counts in segs]
+        path = write_json(tmp_path / "det.json", rows)
+        image = ImageRecord(1, "a.png", 2, 2)
+        with pytest.raises(GeometryError, match=error):
+            load_detections(path, LabelMap([(1, "t")]), [image])

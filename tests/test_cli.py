@@ -727,6 +727,71 @@ class TestLockstepCalls:
         assert len(calls) == 9, calls
 
 
+class TestPreparePasses:
+    """In masks mode a command prepares each set's masks in one
+    prepare_windows call, whose raster and decode passes each stay within
+    the cell budget, unless one mask alone exceeds it."""
+
+    @pytest.mark.parametrize("budget", [None, 1 << 10])
+    def test_one_call_per_set_and_passes_within_budget(self, tmp_path, monkeypatch, budget):
+        from deteval import geometry
+        from deteval.geometry import InstanceMask, rle_encode
+        from deteval.oracle import ScenarioConfig, full_grid, generate
+
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=6, image_count=8, gts_per_image=(1, 6), jitter_px=4, clutter_rate=0.5,
+            image_size=(96, 80),
+        ))
+        gt_set.save(tmp_path / "gt.json")
+        # the detections as run-length grids on their images
+        rows = [dict(row, segmentation={
+            "size": [80, 96],
+            "counts": rle_encode(full_grid(InstanceMask(
+                polygons=d.mask.polygons, canvas=(96, 80)).window(), 96, 80)).runs.tolist(),
+        }) for row, d in zip(det_set.to_json(), det_set.detections)]
+        write_json(tmp_path / "det.json", rows)
+        if budget is not None:
+            monkeypatch.setattr(geometry, "RASTER_CHUNK_CELLS", budget)
+
+        calls, passes = [], []
+        prepare, raster, decode = (
+            geometry.prepare_windows, geometry._raster_chunk, geometry._rle_pass)
+
+        def counted_prepare(masks):
+            calls.append(len(masks))
+            return prepare(masks)
+
+        def counted_raster(xy, ring_sizes, mask_rings, rects):
+            w, h = rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]
+            passes.append(("raster", int((mask_rings * h * (w + 1)).sum()), len(rects)))
+            return raster(xy, ring_sizes, mask_rings, rects)
+
+        def counted_decode(rles):
+            cells = sum(r.runs.size for r in rles) * geometry._RUN_CELLS
+            passes.append(("decode", cells, len(rles)))
+            return decode(rles)
+
+        # wherever a deteval module holds the function
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("deteval") and (
+                getattr(module, "prepare_windows", None) is prepare
+            ):
+                monkeypatch.setattr(module, "prepare_windows", counted_prepare)
+        monkeypatch.setattr(geometry, "_raster_chunk", counted_raster)
+        monkeypatch.setattr(geometry, "_rle_pass", counted_decode)
+        code = main(["compare", "--gt", str(tmp_path / "gt.json"),
+                     "--det", str(tmp_path / "det.json"), "--mode", "masks",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        # loading asks for the masks whose area is not given: none here
+        assert calls == [0, len(gt_set.annotations), len(det_set.detections)]
+        assert {kind for kind, _, _ in passes} == {"raster", "decode"}
+        for kind, cells, masks in passes:
+            assert cells <= geometry.RASTER_CHUNK_CELLS or masks == 1, (kind, cells, masks)
+        if budget is not None:
+            assert len(passes) > 4 * len({kind for kind, _, _ in passes})
+
+
 class TestSplit:
     def _gt_file(self, tmp_path, n=40):
         doc = {

@@ -567,13 +567,15 @@ class TestBatchedRleDifferential:
         from deteval.geometry import rle_windows
         from deteval.oracle import reference_rle_window
 
-        got = rle_windows(rles)
-        assert len(got) == len(rles)
-        for rle, (bits, x0, y0) in zip(rles, got):
-            ref_bits, rx0, ry0 = reference_rle_window(rle)
-            assert (x0, y0) == (rx0, ry0)
-            assert bits.dtype == bool and bits.shape == ref_bits.shape
-            assert np.array_equal(bits, ref_bits)
+        for chunk_cells in (geometry.RASTER_CHUNK_CELLS, 16):
+            with mock.patch.object(geometry, "RASTER_CHUNK_CELLS", chunk_cells):
+                got = rle_windows(rles)
+            assert len(got) == len(rles)
+            for rle, (bits, x0, y0) in zip(rles, got):
+                ref_bits, rx0, ry0 = reference_rle_window(rle)
+                assert (x0, y0) == (rx0, ry0)
+                assert bits.dtype == bool and bits.shape == ref_bits.shape
+                assert np.array_equal(bits, ref_bits)
 
     def test_edge_cases_in_one_batch(self):
         self.assert_matches_reference([
@@ -611,6 +613,41 @@ class TestRleRuns:
         with pytest.raises(GeometryError, match="corrupt mask"):
             RLEMask(2**31, 2**31, (2**62,) * 5)
 
+    def test_pixel_count_beyond_int64_is_corrupt(self):
+        # 2**32 x 2**32 pixels wrap around int64 to 0, the sum of the runs
+        with pytest.raises(GeometryError, match="corrupt mask"):
+            RLEMask(2**32, 2**32, (0,))
+
+    def test_batch_sums_each_grid_alone(self):
+        # two sound grids of 2**62 pixels: the running sum of both wraps
+        # around int64, the sum of each does not
+        grids, fault = RLEMask.batch([(2**31, 2**31)] * 2, [2**62] * 2, [0, 1, 2])
+        assert fault is None and grids == [RLEMask(2**31, 2**31, (2**62,))] * 2
+
     def test_negative_size_rejected(self):
         with pytest.raises(GeometryError, match="negative mask size"):
             RLEMask(-1, -1, (1,))
+
+    @given(st.lists(st.tuples(
+        st.integers(-2, 4), st.integers(-2, 4),
+        st.lists(st.one_of(st.integers(-1, 9), st.just(2**62)), max_size=6),
+    ), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_batch_checks_as_single_grids_do(self, grids):
+        # each grid alone: the grid, or the text of the error it raises
+        single = []
+        for w, h, runs in grids:
+            try:
+                single.append(RLEMask(w, h, runs))
+            except GeometryError as exc:
+                single.append(str(exc))
+        bounds = np.cumsum([0] + [len(runs) for _, _, runs in grids])
+        runs = np.array([r for _, _, rs in grids for r in rs], dtype=np.int64)
+        runs.flags.writeable = False  # kept, not copied: each grid's runs are views
+        got, fault = RLEMask.batch([(w, h) for w, h, _ in grids], runs, bounds)
+        first = next((k for k, g in enumerate(single) if isinstance(g, str)), len(grids))
+        assert got == single[:first]
+        assert fault == (None if first == len(grids) else (first, single[first]))
+        for grid, (w, h, _) in zip(got, grids):
+            assert (type(grid.width), type(grid.height)) == (int, int)
+            assert grid.runs.base is runs and not grid.runs.flags.writeable

@@ -1,30 +1,44 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval.annotations import Annotation, Detection, LabelMap
-from deteval.errors import ConfigError
+from deteval.annotations import (
+    Annotation,
+    Detection,
+    DetectionSet,
+    GroundTruthSet,
+    ImageRecord,
+    LabelMap,
+)
+from deteval.errors import ConfigError, GeometryError
 from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
+    _deferred_acceptance,
+    _pair_columns,
     accumulate,
     image_ious,
     iou_matrix,
     iou_table,
     match_conventional,
     match_dataset,
+    match_images,
     match_modified,
 )
 from deteval.oracle import (
     ScenarioConfig,
     generate,
+    image_modified,
     max_matching,
     pair_iou,
     polygon_from_flat,
+    polygon_from_points,
+    reference_match_images,
 )
 
 LABELS = LabelMap([(1, "X"), (2, "Y"), (3, "Z")])
@@ -310,13 +324,119 @@ class TestInvariants:
             for matcher in (match_conventional, match_modified):
                 assert matcher(gts, dets, t) == matcher(list(gts), list(dets), t)
 
-    def test_modified_terminates_well_under_cap(self):
-        # dense contested scenarios; the defensive cap must never fire
+    def test_modified_rounds_within_pairs(self):
+        # dense contested scenarios: the rounds give the per-image reference's
+        # matching, and there are no more rounds than pairs
         for seed in range(500):
             gts, dets, t, _ = scenario_results(
                 seed, jitter_px=8.0, class_swap_rate=0.5, clutter_rate=0.5
             )
-            match_modified(gts, dets, t)
+            ious = iou_matrix(gts, dets, t.geometry_mode)
+            assert match_modified(gts, dets, t) == image_modified(gts, dets, ious, t)
+            pairs = _pair_columns([(1, gts, dets, ious)], t)
+            assert _deferred_acceptance(pairs)[1] <= pairs.iou.size
+
+
+def tie_heavy_scene(seed, mode):
+    """A multi-image scene on a small canvas with heavy overlap. On odd seeds
+    every item has a twin of the same box, mask and class, so IoUs tie; a
+    twin detection has the same score, so only the ids break the ties, or a
+    score of exactly 0.5, or another score."""
+    gt_set, det_set = generate(ScenarioConfig(
+        seed=seed, image_count=4, gts_per_image=(0, 7), jitter_px=8.0,
+        class_swap_rate=0.4, clutter_rate=0.5, drop_rate=0.2, image_size=(64, 64),
+    ))
+    if seed % 2:
+        anns, dets = gt_set.annotations, det_set.detections
+        gt_set = GroundTruthSet(gt_set.images, gt_set.label_map, anns + tuple(
+            replace(a, ann_id=a.ann_id + 1000) for a in anns))
+        det_set = DetectionSet(det_set.label_map, dets + tuple(
+            replace(d, det_id=d.det_id + 1000, score=(d.score, 0.5, 1 - d.score / 2)[d.det_id % 3])
+            for d in dets))
+    return gt_set, det_set
+
+
+SWEEP = [(mode, iou, conf) for mode in ("boxes", "masks")
+         for iou in (0.1, 0.5) for conf in (0.05, 0.5)]
+
+
+def _ground_truth_key(p):
+    # a ground truth's preference among its candidates: larger is better
+    return (p.same_class, p.iou, p.det.score, -p.det.det_id)
+
+
+def _detection_key(p):
+    # a detection's preference among its candidates: larger is better
+    return (p.same_class, p.iou, -p.gt.ann_id)
+
+
+def _pair_order(p):
+    return (-p.iou, -p.det.score, p.det.det_id, p.gt.ann_id)
+
+
+class TestDatasetMatchers:
+    """The dataset-wide matchers give exactly the per-image references'
+    results, and meet the properties that define them."""
+
+    @pytest.mark.parametrize("mode, iou, conf", SWEEP)
+    def test_equal_to_per_image_reference(self, mode, iou, conf):
+        t = Thresholds(iou, conf, mode)
+        for seed in range(12):
+            gt_set, det_set = tie_heavy_scene(seed, mode)
+            labels = gt_set.label_map
+            table = image_ious(gt_set, det_set, mode)
+            for algorithm in ("conventional", "modified"):
+                ref_results, ref_cm = reference_match_images(table, labels, t, algorithm)
+                results, cm = match_dataset(gt_set, det_set, t, algorithm)
+                # the pairs, and the unmatched lists in order
+                assert results == ref_results
+                assert cm == ref_cm
+                matched, cm = match_images(table, labels, t, algorithm)
+                assert cm == ref_cm
+                gts = [g for row in table for g in row[1]]
+                dets = [d for row in table for d in row[2]]
+                assert sorted((gts[i].ann_id, dets[j].det_id) for i, j in matched) == sorted(
+                    (p.gt.ann_id, p.det.det_id) for r in ref_results for p in r.matched)
+
+    @staticmethod
+    def candidates(gt_set, det_set, t):
+        """Each image's (results of both matchers, over-threshold pairs)."""
+        conv, _ = match_dataset(gt_set, det_set, t, "conventional")
+        mod, _ = match_dataset(gt_set, det_set, t, "modified")
+        for img, c, m in zip(gt_set.images, conv, mod):
+            dets = [d for d in det_set.by_image().get(img.image_id, [])
+                    if d.score >= t.confidence_threshold]
+            yield c, m, iou_table(gt_set.by_image()[img.image_id], dets, t)
+
+    @pytest.mark.parametrize("mode, iou, conf", SWEEP)
+    def test_modified_has_no_blocking_pair(self, mode, iou, conf):
+        t = Thresholds(iou, conf, mode)
+        for seed in range(12):
+            for _, res, pairs in self.candidates(*tie_heavy_scene(seed, mode), t):
+                of_gt = {p.gt.ann_id: p for p in res.matched}
+                of_det = {p.det.det_id: p for p in res.matched}
+                for p in pairs:
+                    held_g, held_d = of_gt.get(p.gt.ann_id), of_det.get(p.det.det_id)
+                    gt_wants = held_g is None or _ground_truth_key(p) > _ground_truth_key(held_g)
+                    det_wants = held_d is None or _detection_key(p) > _detection_key(held_d)
+                    assert not (gt_wants and det_wants), p
+
+    @pytest.mark.parametrize("mode, iou, conf", SWEEP)
+    def test_conventional_keeps_first_pairs(self, mode, iou, conf):
+        t = Thresholds(iou, conf, mode)
+        for seed in range(12):
+            for res, _, pairs in self.candidates(*tie_heavy_scene(seed, mode), t):
+                first_of_gt = {}
+                for p in sorted(pairs, key=_pair_order):
+                    first_of_gt.setdefault(p.gt.ann_id, p)
+                survivors = sorted(first_of_gt.values(), key=_pair_order)
+                for p in res.matched:
+                    assert first_of_gt[p.gt.ann_id] == p
+                    assert min((s for s in survivors if s.det.det_id == p.det.det_id),
+                               key=_pair_order) == p
+                # every detection with a survivor is matched
+                assert {p.det.det_id for p in res.matched} == {
+                    s.det.det_id for s in survivors}
 
 
 @st.composite
@@ -539,6 +659,29 @@ class TestMaskGeometryErrors:
         det = Detection(0, 1, 1, BBox(0, 0, 4, 4), score=0.9, mask=mask)
         pairs = iou_table([gt], [det], Thresholds(geometry_mode="masks"))
         assert len(pairs) == 1 and pairs[0].iou == 1.0
+
+
+class TestErrorOrder:
+    def test_canvases_are_checked_before_any_mask_is_prepared(self):
+        # image 1 has masks on different canvases; image 2 a ring of two
+        # vertices inside its canvas, which its preparation would refuse
+        image_1 = (Annotation(1, 1, 1, BBox(0, 0, 4, 4), area=16.0,
+                              mask=InstanceMask(rle=rle_encode(np.ones((8, 8), bool)))),
+                   Detection(0, 1, 1, BBox(0, 0, 4, 4), score=0.9,
+                             mask=InstanceMask(rle=rle_encode(np.ones((6, 6), bool)))))
+        square = polygon_from_points([(1, 1), (6, 1), (6, 6), (1, 6)])
+        image_2 = (Annotation(2, 2, 1, BBox(1, 1, 5, 5), area=25.0, mask=InstanceMask(
+                       polygons=[polygon_from_points([(1, 1), (5, 5)])], canvas=(16, 12))),
+                   Detection(1, 2, 1, BBox(1, 1, 5, 5), score=0.9,
+                             mask=InstanceMask(polygons=[square], canvas=(16, 12))))
+        images = [ImageRecord(1, "a.png", 8, 8), ImageRecord(2, "b.png", 16, 12)]
+        gt_set = GroundTruthSet(images, LABELS, [image_1[0], image_2[0]])
+        det_set = DetectionSet(LABELS, [image_1[1], image_2[1]])
+        with pytest.raises(GeometryError, match="mask canvases differ"):
+            image_ious(gt_set, det_set, "masks")
+        with pytest.raises(GeometryError, match="invalid polygon: 2 vertices"):
+            image_ious(GroundTruthSet(images[1:], LABELS, image_2[:1]),
+                       DetectionSet(LABELS, image_2[1:]), "masks")
 
 
 class TestThresholds:

@@ -154,7 +154,7 @@ def cmd_compare(args) -> int:
     formats = _formats(args)
     gt = load_ground_truth(args.gt)
     det = load_detections(args.det, gt.label_map, gt.images)
-    table = image_ious(gt, det, thresholds.geometry_mode)
+    table = image_ious(gt, det, thresholds.geometry_mode, thresholds.iou_threshold)
     _, conv = match_images(table, gt.label_map, thresholds, "conventional")
     _, mod = match_images(table, gt.label_map, thresholds, "modified")
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)

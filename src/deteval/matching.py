@@ -15,9 +15,11 @@ Two matchers are provided, each run over all images of a dataset at once:
   gt-optimal stable one, whatever the order of the proposals; it runs in
   rounds in which every free ground truth proposes at once.
 
-Both read every pair at or above the IoU and confidence thresholds as
-columns, gathered once from the IoU matrices of all images; a pair never
-spans two images, so no per-image pass is needed. :func:`accumulate` reduces
+Both read the pair table of :func:`image_ious`: the items of all images as
+columns, and every pair whose IoU is at or above a floor, taken once from
+each image's IoU matrix, which is then dropped. The matchers keep the pairs
+at or above the IoU and confidence thresholds; a pair never spans two
+images, so no per-image pass is needed. :func:`accumulate` reduces
 any number of per-image results into one ``(C+1) x (C+1)`` count grid whose
 final column holds unmatched ground truths ("left detections") and whose
 final row holds unmatched detections ("unclassified detections").
@@ -143,9 +145,10 @@ def _check_canvases(gmasks, dmasks) -> None:
                 raise GeometryError(f"mask canvases differ: {g.canvas} vs {d.canvas}")
 
 
-def _pair(gts, dets, ious, i, j) -> MatchPair:
-    gt, det = gts[i], dets[j]
-    return MatchPair(gt, det, float(ious[i, j]), gt.class_id == det.class_id)
+def _pair(table, k) -> MatchPair:
+    i, j = table.gt[k], table.det[k]
+    same = bool(table.gt_class[i] == table.det_class[j])
+    return MatchPair(table.gts[i], table.dets[j], float(table.iou[k]), same)
 
 
 def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
@@ -154,16 +157,49 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     Detections are expected to be pre-filtered to the confidence threshold;
     all items must belong to one image.
     """
-    ious = iou_matrix(gts, dets, t.geometry_mode)
-    over = zip(*np.nonzero(ious >= t.iou_threshold))
-    return [_pair(gts, dets, ious, i, j) for i, j in over]
+    table = _pair_table([(None, gts, dets)], t.geometry_mode, t.iou_threshold)
+    return [_pair(table, k) for k in range(table.iou.size)]
 
 
-def image_ious(gt_set, det_set, mode: str) -> list[tuple]:
-    """``(image_id, gts, dets, ious)`` of every ground-truth image, in image
-    order: its ground truths and detections, each in load order, and their
-    :func:`iou_matrix` in geometry ``mode``. Raises when a detection names
-    an image the ground truth does not have.
+# the items of all images, in image order and in load order within an image,
+# as record lists, per-image counts and columns; and every pair at or above
+# ``floor``, in (image, gt, det) order, as its gt and det positions and its IoU
+PairTable = namedtuple("PairTable", "floor image_id gts dets n_gts n_dets gt_id "
+                       "gt_class det_id det_class score gt det iou")
+
+
+def _columns(pairs) -> np.ndarray:
+    """The two int64 columns of a list of pairs."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _pair_table(rows, mode: str, floor: float) -> PairTable:
+    """The :class:`PairTable` of ``(image_id, gts, dets)`` rows: each row's
+    :func:`iou_matrix` is written into one buffer of cells and dropped."""
+    gts = [g for row in rows for g in row[1]]
+    dets = [d for row in rows for d in row[2]]
+    gt_id, gt_class = _columns([(g.ann_id, g.class_id) for g in gts])
+    det_id, det_class = _columns([(d.det_id, d.class_id) for d in dets])
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    n_gts, n_dets = _columns([(len(row[1]), len(row[2])) for row in rows])
+    cells = n_gts * n_dets
+    ends = cells.cumsum()
+    flat = np.empty(cells.sum())
+    for (_, row_gts, row_dets), lo, hi in zip(rows, ends - cells, ends):
+        flat[lo:hi] = iou_matrix(row_gts, row_dets, mode).ravel()
+    hit = np.flatnonzero(flat >= floor)
+    image = np.searchsorted(ends, hit, side="right")
+    gt, det = np.divmod(hit - (ends - cells)[image], n_dets[image])
+    gt += (n_gts.cumsum() - n_gts)[image]
+    det += (n_dets.cumsum() - n_dets)[image]
+    return PairTable(floor, [row[0] for row in rows], gts, dets, n_gts, n_dets,
+                     gt_id, gt_class, det_id, det_class, score, gt, det, flat[hit])
+
+
+def image_ious(gt_set, det_set, mode: str, floor: float) -> PairTable:
+    """The :class:`PairTable` of every ground-truth image at IoU ``floor`` in
+    geometry ``mode``. Raises when a detection names an image the ground
+    truth does not have.
 
     In masks mode, once the canvases of every image with masks on both sides
     are checked, those masks are prepared in one call per set."""
@@ -188,43 +224,10 @@ def image_ious(gt_set, det_set, mode: str) -> list[tuple]:
                 sets[1].extend(dmasks)
         for masks in sets:
             prepare_windows(masks)
-    return [(i, gts, dets, iou_matrix(gts, dets, mode)) for i, gts, dets in rows]
+    return _pair_table(rows, mode, floor)
 
 
-# the items of image_ious rows, taken in row order, as columns, and their
-# pairs at or above both thresholds in (row, gt, det) order: each pair's gt
-# and det positions among the items, and its IoU
-_Pairs = namedtuple("_Pairs", "gt_id gt_class det_id det_class score visible gt det iou")
-
-
-def _columns(pairs) -> np.ndarray:
-    """The two int64 columns of a list of pairs."""
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-
-
-def _pair_columns(table, t: Thresholds) -> _Pairs:
-    gts = [g for row in table for g in row[1]]
-    dets = [d for row in table for d in row[2]]
-    gt_id, gt_class = _columns([(g.ann_id, g.class_id) for g in gts])
-    det_id, det_class = _columns([(d.det_id, d.class_id) for d in dets])
-    score = np.array([d.score for d in dets], dtype=np.float64)
-    visible = score >= t.confidence_threshold
-    # every row's matrix, flattened into one buffer of cells
-    n_gts, n_dets = _columns([(len(row[1]), len(row[2])) for row in table])
-    cells = n_gts * n_dets
-    ends = cells.cumsum()
-    flat = np.concatenate([row[3] for row in table] or [np.empty(0)], axis=None)
-    hit = np.flatnonzero(flat >= t.iou_threshold)
-    row = np.searchsorted(ends, hit, side="right")
-    gt, det = np.divmod(hit - (ends - cells)[row], n_dets[row])
-    gt += (n_gts.cumsum() - n_gts)[row]
-    det += (n_dets.cumsum() - n_dets)[row]
-    keep = visible[det]
-    return _Pairs(gt_id, gt_class, det_id, det_class, score, visible,
-                  gt[keep], det[keep], flat[hit[keep]])
-
-
-def _conventional(p: _Pairs) -> np.ndarray:
+def _conventional(p: PairTable) -> np.ndarray:
     """The matched pairs of the IoU-prioritized matcher, as indices into the
     pair columns: in the order (higher IoU, higher score, lower det_id,
     lower gt_id), the first pair of each ground truth, then the first of
@@ -234,7 +237,7 @@ def _conventional(p: _Pairs) -> np.ndarray:
     return survivors[np.unique(p.det[survivors], return_index=True)[1]]
 
 
-def _deferred_acceptance(p: _Pairs) -> tuple[np.ndarray, int]:
+def _deferred_acceptance(p: PairTable) -> tuple[np.ndarray, int]:
     """The matched pairs of the class-prioritized matcher, as indices into
     the pair columns, and the number of rounds it took.
 
@@ -283,33 +286,42 @@ _MATCHERS = {
 }
 
 
-def _results(table, matched, t: Thresholds) -> list[MatchingResult]:
-    """The :class:`MatchingResult` of each :func:`image_ious` row, from the
-    matched positions that :func:`match_images` returns: the pairs in
+def _match(table: PairTable, t: Thresholds, algorithm: str) -> np.ndarray:
+    """The positions of the table's pairs that ``algorithm`` matches."""
+    if t.iou_threshold < table.floor:
+        raise ConfigError(f"iou_threshold {t.iou_threshold} is below the "
+                          f"pair table's floor {table.floor}")
+    visible = table.score[table.det] >= t.confidence_threshold
+    keep = np.flatnonzero((table.iou >= t.iou_threshold) & visible)
+    cut = table._replace(gt=table.gt[keep], det=table.det[keep], iou=table.iou[keep])
+    return keep[_MATCHERS[algorithm](cut)]
+
+
+def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
+    """The :class:`MatchingResult` of each image of the table, from the
+    matched pair positions that :func:`match_images` returns: the pairs in
     (gt_id, det_id) order, and the unmatched ground truths and visible
     detections in load order."""
-    partner = dict(matched.tolist())
-    taken = set(partner.values())
+    pair_of = dict(zip(table.gt[matched].tolist(), matched.tolist()))
+    taken = set(table.det[matched].tolist())
+    visible = (table.score >= t.confidence_threshold).tolist()
     results, g0, d0 = [], 0, 0
-    for _, gts, dets, ious in table:
-        pairs = [_pair(gts, dets, ious, i - g0, partner[i] - d0)
-                 for i in range(g0, g0 + len(gts)) if i in partner]
-        pairs.sort(key=lambda p: (p.gt.ann_id, p.det.det_id))
+    for n_g, n_d in zip(table.n_gts.tolist(), table.n_dets.tolist()):
+        gts, dets = range(g0, g0 + n_g), range(d0, d0 + n_d)
+        pairs = sorted((_pair(table, pair_of[i]) for i in gts if i in pair_of),
+                       key=lambda p: (p.gt.ann_id, p.det.det_id))
         results.append(MatchingResult(
             tuple(pairs),
-            tuple(g for i, g in enumerate(gts, g0) if i not in partner),
-            tuple(d for j, d in enumerate(dets, d0)
-                  if j not in taken and d.score >= t.confidence_threshold),
+            tuple(table.gts[i] for i in gts if i not in pair_of),
+            tuple(table.dets[j] for j in dets if j not in taken and visible[j]),
         ))
-        g0, d0 = g0 + len(gts), d0 + len(dets)
+        g0, d0 = g0 + n_g, d0 + n_d
     return results
 
 
 def _match_image(gts, dets, t: Thresholds, algorithm: str) -> MatchingResult:
-    table = [(None, gts, dets, iou_matrix(gts, dets, t.geometry_mode))]
-    p = _pair_columns(table, t)
-    won = _MATCHERS[algorithm](p)
-    return _results(table, np.stack([p.gt[won], p.det[won]], axis=1), t)[0]
+    table = _pair_table([(None, gts, dets)], t.geometry_mode, t.iou_threshold)
+    return _results(table, _match(table, t, algorithm), t)[0]
 
 
 def match_conventional(gts, dets, t: Thresholds) -> MatchingResult:
@@ -419,29 +431,28 @@ def _codes(labels: LabelMap, class_ids) -> np.ndarray:
 def match_dataset(gt_set, det_set, t: Thresholds, algorithm: str):
     """Run one matcher over every image; returns per-image results in image
     order plus the accumulated matrix."""
-    table = image_ious(gt_set, det_set, t.geometry_mode)
+    table = image_ious(gt_set, det_set, t.geometry_mode, t.iou_threshold)
     matched, cm = match_images(table, gt_set.label_map, t, algorithm)
     return _results(table, matched, t), cm
 
 
-def match_images(table, labels: LabelMap, t: Thresholds, algorithm: str):
-    """:func:`match_dataset` over the rows of :func:`image_ious`, in one pass
-    over all of them. Returns the matched pairs as an ``(M, 2)`` array of
-    (ground truth, detection) positions among the rows' items taken in row
-    order, and the accumulated matrix."""
+def match_images(table: PairTable, labels: LabelMap, t: Thresholds, algorithm: str):
+    """:func:`match_dataset` over a :func:`image_ious` table whose floor is at
+    most the IoU threshold. Returns the positions of the matched pairs among
+    the table's pairs, and the accumulated matrix."""
     if algorithm not in _MATCHERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    p = _pair_columns(table, t)
-    won = _MATCHERS[algorithm](p)
-    gt, det = p.gt[won], p.det[won]
+    matched = _match(table, t, algorithm)
+    gt, det = table.gt[matched], table.det[matched]
     # a code pair per ground truth, and per unmatched visible detection
     none = len(labels)
-    det_code = np.full(p.det_id.size, none)
-    det_code[p.visible] = _codes(labels, p.det_class[p.visible])
-    gt_col = np.full(p.gt_id.size, none)
+    visible = table.score >= t.confidence_threshold
+    det_code = np.full(table.det_id.size, none)
+    det_code[visible] = _codes(labels, table.det_class[visible])
+    gt_col = np.full(table.gt_id.size, none)
     gt_col[gt] = det_code[det]
-    left = p.visible.copy()
+    left = visible.copy()
     left[det] = False
-    rows = np.append(_codes(labels, p.gt_class), np.full(np.count_nonzero(left), none))
+    rows = np.append(_codes(labels, table.gt_class), np.full(np.count_nonzero(left), none))
     cols = np.append(gt_col, det_code[left])
-    return np.stack([gt, det], axis=1), _matrix(labels, rows, cols)
+    return matched, _matrix(labels, rows, cols)

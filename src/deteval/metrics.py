@@ -11,8 +11,9 @@ algorithms, so conventional and modified runs report identical AP/AR.
 
 Each (image, class) cell is matched once, under all four size filters and
 all ten thresholds at once; the filters differ only in what they ignore, so
-they share the cell's IoU block, read from the image's matrix that the
-confusion-matrix matchers read. The cells step together: those whose
+they share the cell's IoU block. The block holds the cell's pairs at or above
+0.50 from the pair table that the confusion-matrix matchers read; every other
+slot is padding that no threshold matches. The cells step together: those whose
 detection counts share a next power of two are padded into one block, and
 step k matches detection k of every cell in it that has a candidate. The
 match applies no detection cap: a detection's match depends only on the
@@ -158,19 +159,11 @@ def _lockstep(ious, gt_ignore, det_outside):
 
 def _interpolate(recall, envelope) -> np.ndarray:
     """101-point samples of each threshold's precision envelope, taken at
-    the first position whose recall reaches the recall point (0 past the end).
-
-    A stable sort of the recall points placed ahead of a row's recalls puts
-    each point after exactly the recalls below it, which is what a per-row
-    ``searchsorted(..., side="left")`` counts; no value is altered.
-    """
+    the first position whose recall reaches the recall point (0 past the end)."""
     T, n = recall.shape
-    P = RECALL_POINTS.size
     if not n:
-        return np.zeros((T, P))
-    merged = np.concatenate([np.broadcast_to(RECALL_POINTS, (T, P)), recall], axis=1)
-    rank = np.argsort(np.argsort(merged, axis=1, kind="stable"), axis=1)
-    idx = rank[:, :P] - np.arange(P)
+        return np.zeros((T, RECALL_POINTS.size))
+    idx = np.array([np.searchsorted(r, RECALL_POINTS, side="left") for r in recall])
     picked = np.take_along_axis(envelope, np.minimum(idx, n - 1), axis=1)
     return np.where(idx < n, picked, 0.0)
 
@@ -184,84 +177,67 @@ def _positions(sizes) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - starts[run]
 
 
-def _read_pairs(table, image, rows, cols) -> np.ndarray:
-    """``ious[rows[k], cols[k]]`` of the :func:`image_ious` row ``image[k]``,
-    for every k; ``image`` is sorted, so each matrix is read once."""
-    out = np.empty(image.size)
-    bounds = np.searchsorted(image, np.arange(len(table) + 1))
-    for n in np.flatnonzero(np.diff(bounds)):
-        lo, hi = bounds[n], bounds[n + 1]
-        out[lo:hi] = table[n][3][rows[lo:hi], cols[lo:hi]]
-    return out
-
-
 def _match_cells(table, mode: str) -> dict:
-    """Match every (image, class) cell of the :func:`image_ious` rows once
-    and pool each class's cells in global score order: score, then image id,
-    then rank in the cell.
+    """Match every (image, class) cell of a :func:`image_ious` table, at a
+    floor no higher than 0.50, once and pool each class's cells in global
+    score order: score, then image id, then rank in the cell.
 
     Maps each class id with a ground truth or detection to its pool
     ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
     cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
     """
     S, T = len(STRATA), len(IOU_SWEEP)
-    gts = [g for row in table for g in row[1]]
-    dets = [d for row in table for d in row[2]]
     classes, class_index = np.unique(
-        np.array([x.class_id for x in (*gts, *dets)], dtype=np.int64),
-        return_inverse=True,
+        np.append(table.gt_class, table.det_class), return_inverse=True
     )
     K = classes.size
-    gt_class, det_class = np.split(class_index, [len(gts)])
-    gt_code = _strata([g.area for g in gts])
+    gt_class, det_class = np.split(class_index, [table.gt_class.size])
+    gt_code = _strata([g.area for g in table.gts])
     eligible = np.bincount(gt_class * S + gt_code, minlength=K * S).reshape(K, S)
     eligible[:, 0] = eligible.sum(axis=1)
+    # the same-class pairs that a sweep threshold can match
+    same = gt_class[table.gt] == det_class[table.det]
+    pair = np.flatnonzero(same & (table.iou >= _SWEEP[0]))
 
-    # columns sorted into cell order: (table row, class), then ground truths
-    # in load order and detections by score, then det_id; gt_row and det_col
-    # place an item in its image's matrix
-    gt_image, gt_row = _positions([len(row[1]) for row in table])
+    # items sorted into cell order: (image, class), then ground truths in
+    # load order and detections by score, then det_id
+    gt_image = _positions(table.n_gts)[0]
     g_order = np.argsort(gt_image * K + gt_class, kind="stable")
-    gt_key = (gt_image * K + gt_class)[g_order]
-    gt_row, gt_code = gt_row[g_order], gt_code[g_order]
-    det_image, det_col = _positions([len(row[2]) for row in table])
-    score = np.array([d.score for d in dets], dtype=float)
-    det_id = np.array([d.det_id for d in dets], dtype=np.int64)
-    d_order = np.lexsort((det_id, -score, det_class, det_image))
+    gt_key, gt_code = (gt_image * K + gt_class)[g_order], gt_code[g_order]
+    det_image = _positions(table.n_dets)[0]
+    d_order = np.lexsort((table.det_id, -table.score, det_class, det_image))
     det_key = (det_image * K + det_class)[d_order]
-    det_col, det_class, score = det_col[d_order], det_class[d_order], score[d_order]
-    image_id = np.array([row[0] for row in table], dtype=np.int64)[det_image[d_order]]
+    det_class, score = det_class[d_order], table.score[d_order]
+    image_id = np.array(table.image_id, dtype=np.int64)[det_image[d_order]]
     det_code = _strata([
         d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
-        for d in dets
+        for d in table.dets
     ])[d_order]
 
     # the cells that hold a detection, with D detections and G ground truths,
     # each cell's items starting at det_start and gt_start
     cells, D = np.unique(det_key, return_counts=True)
     det_start = np.cumsum(D) - D
-    det_rank = _positions(D)[1]
+    det_cell, det_rank = _positions(D)
     gt_start = np.searchsorted(gt_key, cells)
     G = np.searchsorted(gt_key, cells, side="right") - gt_start
+    # each pair's cell, detection rank and ground-truth position in the cell
+    at = np.argsort(d_order)[table.det[pair]]
+    pair_cell, pair_det = det_cell[at], det_rank[at]
+    pair_gt = np.argsort(g_order)[table.gt[pair]] - gt_start[pair_cell]
 
     # cells whose detection counts share a next power of two step together,
-    # padded into one (B, D, G) block that is filled image by image
+    # padded into one (B, D, G) block
     bucket = np.frexp(D - 1)[1]
     tp = np.zeros((det_key.size, S, T), dtype=bool)
     ignored = np.zeros_like(tp)
     for b in np.flatnonzero(np.bincount(bucket)):
         cell = np.flatnonzero(bucket == b)
         B, Dm, Gm = cell.size, D[cell].max(), G[cell].max()
-        pair_slot, pair_gt = _positions(D[cell] * G[cell])
-        pair_det, pair_gt = np.divmod(pair_gt, G[cell][pair_slot])
-        pair_cell = cell[pair_slot]
+        at = np.flatnonzero(bucket[pair_cell] == b)
         ious = np.full((B, Dm, Gm), -1.0)
-        ious[pair_slot, pair_det, pair_gt] = _read_pairs(
-            table,
-            cells[pair_cell] // K,
-            gt_row[gt_start[pair_cell] + pair_gt],
-            det_col[det_start[pair_cell] + pair_det],
-        )
+        slot = np.searchsorted(cell, pair_cell[at])
+        ious[slot, pair_det[at], pair_gt[at]] = table.iou[pair[at]]
         gt_slot, gt_pos = _positions(G[cell])
         gt_codes = np.zeros((B, Gm), dtype=np.int64)
         gt_codes[gt_slot, gt_pos] = gt_code[gt_start[cell][gt_slot] + gt_pos]
@@ -311,8 +287,8 @@ def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _aggregates(table, mode, class_ids, specs) -> dict:
     """The value of each ``(key, kind, sweep index, size filter, cap)`` spec,
-    in the form of :data:`AGGREGATES`, by key, over the :func:`image_ious`
-    rows ``table``.
+    in the form of :data:`AGGREGATES`, by key, over a :func:`image_ious`
+    ``table``.
 
     A value is the mean, over the classes ``class_ids`` with an eligible
     ground truth, of each class's AP (at one threshold, or over the sweep) or
@@ -355,7 +331,7 @@ def average_precision(
     if iou_t not in IOU_SWEEP:
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
     spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets)
-    table = image_ious(gt_set, det_set, mode)
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, [class_id], [spec])["ap"]
 
 
@@ -371,7 +347,7 @@ def average_recall(
     if k < 1:
         raise ConfigError(f"max detections must be >= 1, got {k}")
     spec = ("ar", "ar", None, size_filter, k)
-    table = image_ious(gt_set, det_set, mode)
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]
 
 
@@ -383,7 +359,7 @@ def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
         for key, kind, t_index, size, _cap in AGGREGATES
         if kind == "ap"
     ]
-    table = image_ious(gt_set, det_set, mode)
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, gt_set.label_map.ids(), specs)
 
 
@@ -405,9 +381,9 @@ def full_report(
 ) -> tuple[MetricsReport, ConfusionMatrix]:
     """Confusion matrix plus per-class P/R from the selected algorithm, and
     the algorithm-independent AP/AR aggregate suite, for one geometry mode.
-    Each image's IoU matrix is computed once and serves both."""
+    One pair table, at the lowest threshold either reads, serves both."""
     mode = thresholds.geometry_mode
-    table = image_ious(gt_set, det_set, mode)
+    table = image_ious(gt_set, det_set, mode, min(thresholds.iou_threshold, IOU_SWEEP[0]))
     _, cm = match_images(table, gt_set.label_map, thresholds, algorithm)
     # in masks mode, the items without a mask fall back to their boxes
     items = (*gt_set.annotations, *det_set.detections) if mode == "masks" else ()

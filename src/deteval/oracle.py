@@ -60,6 +60,7 @@ from .matching import (
     MatchPair,
     Thresholds,
     accumulate,
+    iou_matrix,
     match_dataset,
 )
 from .metrics import IOU_SWEEP, RECALL_POINTS
@@ -488,12 +489,17 @@ def _assemble(gts, dets, matched) -> MatchingResult:
 
 
 def reference_match_images(table, labels: LabelMap, t: Thresholds, algorithm: str):
-    """The per-image results of every :func:`deteval.matching.image_ious`
-    row under the per-image matcher of ``algorithm``, and their accumulated
-    matrix."""
+    """The per-image results of every image of a
+    :func:`deteval.matching.image_ious` table under the per-image matcher of
+    ``algorithm``, each on its image's :func:`deteval.matching.iou_matrix`
+    built again, and their accumulated matrix."""
     matcher = {"conventional": image_conventional, "modified": image_modified}
     matcher = matcher[algorithm]
-    results = [matcher(gts, dets, ious, t) for _, gts, dets, ious in table]
+    g_ends, d_ends = table.n_gts.cumsum(), table.n_dets.cumsum()
+    results = []
+    for g0, g1, d0, d1 in zip(g_ends - table.n_gts, g_ends, d_ends - table.n_dets, d_ends):
+        gts, dets = table.gts[g0:g1], table.dets[d0:d1]
+        results.append(matcher(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t))
     return results, accumulate(results, labels)
 
 

@@ -644,8 +644,8 @@ class TestCompare:
 
 
 class TestIouOncePerImage:
-    """Each command computes each image's IoU matrix once, for the
-    matchers and the AP suite together."""
+    """Each command builds one pair table, and in it each image's IoU matrix
+    once, for the matchers and the AP suite together."""
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -659,24 +659,35 @@ class TestIouOncePerImage:
         det_set.save(tmp_path / "det.json")
         import deteval.matching
 
-        seen = []
+        seen, tables = [], []
         original = deteval.matching.iou_matrix
+        build = deteval.matching._pair_table
 
         def counting(gts, dets, mode):
             seen.append(gts[0].image_id if gts else dets[0].image_id)
             return original(gts, dets, mode)
 
+        def counting_tables(rows, mode, floor):
+            tables.append(floor)
+            return build(rows, mode, floor)
+
+        monkeypatch.setattr(deteval.matching, "_pair_table", counting_tables)
         # wherever a deteval module holds the function
         for module in list(sys.modules.values()):
             if module and module.__name__.startswith("deteval") and (
                 getattr(module, "iou_matrix", None) is original
             ):
                 monkeypatch.setattr(module, "iou_matrix", counting)
-        code = main([command, "--gt", str(tmp_path / "gt.json"),
-                     "--det", str(tmp_path / "det.json"), "--mode", mode,
-                     "--out", str(tmp_path / "out")])
-        assert code == 0
-        assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
+        for iou in (0.3, 0.5, 0.75):
+            seen.clear()
+            tables.clear()
+            code = main([command, "--gt", str(tmp_path / "gt.json"),
+                         "--det", str(tmp_path / "det.json"), "--mode", mode,
+                         "--iou", str(iou), "--out", str(tmp_path / "out")])
+            assert code == 0
+            # the AP suite of evaluate reads pairs down to the sweep's 0.5
+            assert tables == [min(iou, 0.5) if command == "evaluate" else iou]
+            assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
 
 
 class TestLockstepCalls:

@@ -17,10 +17,11 @@ from deteval.annotations import (
 from deteval.errors import ConfigError, GeometryError
 from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
+    ALGORITHMS,
     ConfusionMatrix,
     Thresholds,
     _deferred_acceptance,
-    _pair_columns,
+    _pair_table,
     accumulate,
     image_ious,
     iou_matrix,
@@ -30,6 +31,7 @@ from deteval.matching import (
     match_images,
     match_modified,
 )
+from deteval.metrics import _match_cells
 from deteval.oracle import (
     ScenarioConfig,
     generate,
@@ -333,7 +335,8 @@ class TestInvariants:
             )
             ious = iou_matrix(gts, dets, t.geometry_mode)
             assert match_modified(gts, dets, t) == image_modified(gts, dets, ious, t)
-            pairs = _pair_columns([(1, gts, dets, ious)], t)
+            visible = [d for d in dets if d.score >= t.confidence_threshold]
+            pairs = _pair_table([(1, gts, visible)], t.geometry_mode, t.iou_threshold)
             assert _deferred_acceptance(pairs)[1] <= pairs.iou.size
 
 
@@ -384,19 +387,20 @@ class TestDatasetMatchers:
         for seed in range(12):
             gt_set, det_set = tie_heavy_scene(seed, mode)
             labels = gt_set.label_map
-            table = image_ious(gt_set, det_set, mode)
             for algorithm in ("conventional", "modified"):
-                ref_results, ref_cm = reference_match_images(table, labels, t, algorithm)
                 results, cm = match_dataset(gt_set, det_set, t, algorithm)
-                # the pairs, and the unmatched lists in order
-                assert results == ref_results
-                assert cm == ref_cm
-                matched, cm = match_images(table, labels, t, algorithm)
-                assert cm == ref_cm
-                gts = [g for row in table for g in row[1]]
-                dets = [d for row in table for d in row[2]]
-                assert sorted((gts[i].ann_id, dets[j].det_id) for i, j in matched) == sorted(
-                    (p.gt.ann_id, p.det.det_id) for r in ref_results for p in r.matched)
+                # a table at a lower floor is cut to the thresholds
+                for floor in sorted({0.1, iou}):
+                    table = image_ious(gt_set, det_set, mode, floor)
+                    ref_results, ref_cm = reference_match_images(table, labels, t, algorithm)
+                    # the pairs, and the unmatched lists in order
+                    assert results == ref_results
+                    assert cm == ref_cm
+                    matched, cm_images = match_images(table, labels, t, algorithm)
+                    assert cm_images == ref_cm
+                    got = zip(table.gt_id[table.gt[matched]], table.det_id[table.det[matched]])
+                    assert sorted(got) == sorted(
+                        (p.gt.ann_id, p.det.det_id) for r in ref_results for p in r.matched)
 
     @staticmethod
     def candidates(gt_set, det_set, t):
@@ -678,10 +682,10 @@ class TestErrorOrder:
         gt_set = GroundTruthSet(images, LABELS, [image_1[0], image_2[0]])
         det_set = DetectionSet(LABELS, [image_1[1], image_2[1]])
         with pytest.raises(GeometryError, match="mask canvases differ"):
-            image_ious(gt_set, det_set, "masks")
+            image_ious(gt_set, det_set, "masks", 0.5)
         with pytest.raises(GeometryError, match="invalid polygon: 2 vertices"):
             image_ious(GroundTruthSet(images[1:], LABELS, image_2[:1]),
-                       DetectionSet(LABELS, image_2[1:]), "masks")
+                       DetectionSet(LABELS, image_2[1:]), "masks", 0.5)
 
 
 class TestThresholds:
@@ -726,18 +730,60 @@ class TestImageIous:
                 ]
                 assert results == expected
 
-    def test_rows_follow_image_and_load_order(self):
-        gt_set, det_set = generate(
-            ScenarioConfig(seed=3, image_count=3, clutter_rate=0.5)
-        )
-        table = image_ious(gt_set, det_set, "boxes")
-        assert [row[0] for row in table] == [img.image_id for img in gt_set.images]
-        for image_id, gts, dets, ious in table:
-            assert gts == gt_set.by_image()[image_id]
-            assert dets == det_set.by_image().get(image_id, [])
-            assert np.array_equal(ious, iou_matrix(gts, dets, "boxes"))
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("floor", [0.1, 0.5])
+    def test_pairs_are_the_matrix_cells_over_the_floor(self, mode, floor):
+        for seed in range(8):
+            gt_set, det_set = tie_heavy_scene(seed, mode)
+            table = image_ious(gt_set, det_set, mode, floor)
+            gts, dets, pairs = [], [], []
+            for img in gt_set.images:
+                image_gts = gt_set.by_image()[img.image_id]
+                image_dets = det_set.by_image().get(img.image_id, [])
+                ious = iou_matrix(image_gts, image_dets, mode)
+                i, j = np.nonzero(ious >= floor)
+                pairs.append((i + len(gts), j + len(dets), ious[i, j]))
+                gts += image_gts
+                dets += image_dets
+            assert table.floor == floor
+            assert table.image_id == [img.image_id for img in gt_set.images]
+            assert table.gts == gts and table.dets == dets
+            assert table.n_gts.tolist() == [len(gt_set.by_image()[i]) for i in table.image_id]
+            assert table.n_dets.tolist() == [
+                len(det_set.by_image().get(i, [])) for i in table.image_id]
+            assert table.gt_id.tolist() == [g.ann_id for g in gts]
+            assert table.gt_class.tolist() == [g.class_id for g in gts]
+            assert table.det_id.tolist() == [d.det_id for d in dets]
+            assert table.det_class.tolist() == [d.class_id for d in dets]
+            assert table.score.tolist() == [d.score for d in dets]
+            for column, expected in zip((table.gt, table.det, table.iou), zip(*pairs)):
+                expected = np.concatenate(expected)
+                assert column.dtype == expected.dtype
+                assert np.array_equal(column, expected)
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_ap_pools_do_not_depend_on_the_floor(self, mode):
+        # the AP suite reads same-class pairs at or above the sweep's lowest
+        # threshold only, so a lower floor changes no pool
+        for seed in range(8):
+            gt_set, det_set = tie_heavy_scene(seed, mode)
+            low, high = (image_ious(gt_set, det_set, mode, f) for f in (0.1, 0.5))
+            assert low.iou.size > high.iou.size
+            low, high = _match_cells(low, mode), _match_cells(high, mode)
+            assert low.keys() == high.keys()
+            for cid in low:
+                for a, b in zip(low[cid], high[cid]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_matcher_below_the_floor_raises(self):
+        gt_set, det_set = tie_heavy_scene(1, "boxes")
+        table = image_ious(gt_set, det_set, "boxes", 0.5)
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ConfigError, match="below the pair table's floor"):
+                match_images(table, gt_set.label_map, Thresholds(0.3), algorithm)
+            match_images(table, gt_set.label_map, Thresholds(0.5), algorithm)
 
     def test_unknown_mode_raises(self):
         gt_set, det_set = generate(ScenarioConfig(seed=1))
         with pytest.raises(ConfigError, match="unknown geometry mode"):
-            image_ious(gt_set, det_set, "pixels")
+            image_ious(gt_set, det_set, "pixels", 0.5)

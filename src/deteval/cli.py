@@ -117,6 +117,8 @@ def _formats(args) -> set[str]:
     bad = chosen - set(FORMATS)
     if bad:
         raise ParseError(f"unknown output format(s): {sorted(bad)}")
+    if not chosen:
+        raise ParseError(f"--format chooses no output: {args.format!r}")
     return chosen
 
 

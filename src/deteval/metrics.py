@@ -11,11 +11,9 @@ algorithms, so conventional and modified runs report identical AP/AR.
 
 Each (image, class) cell is matched once, under all four size filters and
 all ten thresholds at once; the filters differ only in what they ignore, so
-they share the cell's IoU block. The block holds the cell's pairs at or above
-0.50 from the pair table that the confusion-matrix matchers read; every other
-slot is padding that no threshold matches. The cells step together: those whose
-detection counts share a next power of two are padded into one block, and
-step k matches detection k of every cell in it that has a candidate. The
+they share the cell's pairs. Those are the same-class pairs at or above 0.50
+from the pair table that the confusion-matrix matchers read, and all cells
+step together: step k matches the detection of rank k in every cell. The
 match applies no detection cap: a detection's match depends only on the
 detections ranked above it in its cell, so the matches under a cap of k are
 the first k steps, and every cap is a prefix. One sort pools the cells of
@@ -102,10 +100,10 @@ def _strata(areas) -> np.ndarray:
 
 
 def _outside(codes) -> np.ndarray:
-    """(..., S, n) flags from (..., n) stratum codes: True where an item falls
-    outside each filter; nothing falls outside the first, which keeps all."""
-    outside = codes[..., None, :] != np.arange(len(STRATA))[:, None]
-    outside[..., 0, :] = False
+    """(S, n) flags from (n,) stratum codes: True where an item falls outside
+    each filter; nothing falls outside the first, which keeps all."""
+    outside = codes != np.arange(len(STRATA))[:, None]
+    outside[0] = False
     return outside
 
 
@@ -114,46 +112,51 @@ def outside_strata(areas) -> np.ndarray:
     return _outside(_strata(areas))
 
 
-def _lockstep(ious, gt_ignore, det_outside):
-    """Greedy matches of a batch of B cells, padded to one (B, D, G) IoU block
-    with detections in score order; padding is -1, so it is never a candidate.
-    ``gt_ignore`` is (B, S, G) and ``det_outside`` (B, S, D).
+def _greedy(gt, det, iou, rank, gt_ignore, det_outside):
+    """Greedy matches of every (image, class) cell from its candidate pairs:
+    ground truth ``gt`` and detection ``det`` of one cell, with their ``iou``
+    at or above the lowest threshold. ``rank`` is each detection's position
+    in its cell's score order; ``gt_ignore`` is (S, n_gt) and ``det_outside``
+    (S, n_det).
 
-    Step k matches detection k of every cell that has a ground truth at or
-    above the lowest threshold, under all filters and thresholds at once.
-    Each detection takes the first highest-IoU free in-filter ground truth at
-    or above the threshold; only when there is none does it take the first
-    highest-IoU free ignored one. Ignored matches, and unmatched detections
-    outside the filter, count as ignored. Returns ``(tp, ignored)``, two
-    (B, D, S, T) flag arrays.
+    Step k matches every detection of rank k under all filters and thresholds
+    at once: a ground truth meets only its own cell's detections, and a cell
+    has one detection of each rank, so none of them compete. Each detection
+    takes the first highest-IoU free in-filter ground truth at or above the
+    threshold; only when there is none does it take the first highest-IoU
+    free ignored one. Ignored matches, and unmatched detections outside the
+    filter, count as ignored. Returns ``(tp, ignored)``, two (S, T, n_det)
+    flag arrays.
     """
-    (B, D, G), S, T = ious.shape, len(STRATA), len(IOU_SWEEP)
-    # each detection's preference among the ground truths, (B, D, S, G): the
-    # in-filter ones rank 0..G-1 by IoU, then load order, and the ignored
-    # ones after them; 2G marks a ground truth that is taken or too far
-    small = np.min_scalar_type(2 * G)
-    rank = np.empty((B, D, G), dtype=small)
-    by_iou = np.argsort(-ious, axis=2, kind="stable")
-    np.put_along_axis(rank, by_iou, np.arange(G, dtype=small), axis=2)
-    preference = rank[:, :, None, :] + gt_ignore[:, None] * small.type(G)
-    tp = np.zeros((B, D, S, T), dtype=bool)
+    order = np.lexsort((gt, -iou, det, rank[det]))
+    gt, det, iou = gt[order], det[order], iou[order]
+    # each detection's pairs are a run between two bounds; a pair's key is
+    # its position in the run, plus n when its ground truth is ignored
+    bounds = np.flatnonzero(np.diff(det, prepend=-1, append=-1))
+    sizes = np.diff(bounds)
+    n = int(sizes.max(initial=0))
+    key = np.arange(det.size) - np.repeat(bounds[:-1], sizes) + n * gt_ignore[:, gt]
+    key = key.astype(np.min_scalar_type(2 * n))  # (S, P)
+    # the runs of each step
+    steps = np.flatnonzero(np.diff(rank[det[bounds[:-1]]], prepend=-1, append=-1))
+    tp = np.zeros((len(STRATA), len(IOU_SWEEP), rank.size), dtype=bool)
     # unmatched means ignored exactly when the detection is outside the filter
-    ignored = np.repeat(det_outside.transpose(0, 2, 1)[..., None], T, axis=3)
-    free = np.ones((B, S, T, G), dtype=bool)
-    candidate = (ious >= _SWEEP[0]).any(axis=2)  # (B, D)
-    for k in np.flatnonzero(candidate.any(axis=0)):
-        a = np.flatnonzero(candidate[:, k])
-        over = ious[a, k][:, None, :] >= _SWEEP[:, None]  # (A, T, G)
-        choice = np.where(
-            over[:, None] & free[a], preference[a, k][:, :, None, :], 2 * G
-        )  # (A, S, T, G)
-        j = choice.argmin(axis=3)
-        best = np.take_along_axis(choice, j[..., None], axis=3)[..., 0]
-        got, hit = best < G, best < 2 * G
-        c_hit, s_hit, t_hit = np.nonzero(hit)
-        free[a[c_hit], s_hit, t_hit, j[hit]] = False
-        tp[a, k] = got
-        ignored[a, k] = ~got & (hit | ignored[a, k])
+    ignored = np.repeat(det_outside[:, None], len(IOU_SWEEP), axis=1)
+    free = np.ones((len(STRATA), len(IOU_SWEEP), gt_ignore.shape[1]), dtype=bool)
+    for a, b in zip(steps[:-1], steps[1:]):
+        lo, hi = bounds[a], bounds[b]
+        g, runs = gt[lo:hi], bounds[a:b] - lo
+        over = iou[lo:hi] >= _SWEEP[:, None]  # (T, P_k)
+        choice = np.where(over & free[:, :, g], key[:, None, lo:hi], 2 * n)
+        best = np.minimum.reduceat(choice, runs, axis=2)  # (S, T, D_k)
+        got, hit = best < n, best < 2 * n
+        # keys are distinct within a run, and a step holds each ground truth
+        # at most once
+        won = (choice == np.repeat(best, sizes[a:b], axis=2)) & (choice < 2 * n)
+        free[:, :, g] &= ~won
+        d = det[lo + runs]
+        tp[:, :, d] = got
+        ignored[:, :, d] = ~got & (hit | ignored[:, :, d])
     return tp, ignored
 
 
@@ -168,25 +171,17 @@ def _interpolate(recall, envelope) -> np.ndarray:
     return np.where(idx < n, picked, 0.0)
 
 
-def _positions(sizes) -> tuple[np.ndarray, np.ndarray]:
-    """For items grouped in runs of ``sizes``: each item's run and its
-    position in the run."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    run = np.repeat(np.arange(sizes.size), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return run, np.arange(run.size) - starts[run]
-
-
 def _match_cells(table, mode: str) -> dict:
     """Match every (image, class) cell of a :func:`image_ious` table, at a
-    floor no higher than 0.50, once and pool each class's cells in global
+    floor no higher than 0.50, in one :func:`_greedy` pass over its
+    same-class pairs at or above 0.50, and pool each class's cells in global
     score order: score, then image id, then rank in the cell.
 
     Maps each class id with a ground truth or detection to its pool
     ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
     cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
     """
-    S, T = len(STRATA), len(IOU_SWEEP)
+    S = len(STRATA)
     classes, class_index = np.unique(
         np.append(table.gt_class, table.det_class), return_inverse=True
     )
@@ -195,66 +190,26 @@ def _match_cells(table, mode: str) -> dict:
     gt_code = _strata([g.area for g in table.gts])
     eligible = np.bincount(gt_class * S + gt_code, minlength=K * S).reshape(K, S)
     eligible[:, 0] = eligible.sum(axis=1)
-    # the same-class pairs that a sweep threshold can match
-    same = gt_class[table.gt] == det_class[table.det]
-    pair = np.flatnonzero(same & (table.iou >= _SWEEP[0]))
-
-    # items sorted into cell order: (image, class), then ground truths in
-    # load order and detections by score, then det_id
-    gt_image = _positions(table.n_gts)[0]
-    g_order = np.argsort(gt_image * K + gt_class, kind="stable")
-    gt_key, gt_code = (gt_image * K + gt_class)[g_order], gt_code[g_order]
-    det_image = _positions(table.n_dets)[0]
-    d_order = np.lexsort((table.det_id, -table.score, det_class, det_image))
-    det_key = (det_image * K + det_class)[d_order]
-    det_class, score = det_class[d_order], table.score[d_order]
-    image_id = np.array(table.image_id, dtype=np.int64)[det_image[d_order]]
     det_code = _strata([
         d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
         for d in table.dets
-    ])[d_order]
-
-    # the cells that hold a detection, with D detections and G ground truths,
-    # each cell's items starting at det_start and gt_start
-    cells, D = np.unique(det_key, return_counts=True)
-    det_start = np.cumsum(D) - D
-    det_cell, det_rank = _positions(D)
-    gt_start = np.searchsorted(gt_key, cells)
-    G = np.searchsorted(gt_key, cells, side="right") - gt_start
-    # each pair's cell, detection rank and ground-truth position in the cell
-    at = np.argsort(d_order)[table.det[pair]]
-    pair_cell, pair_det = det_cell[at], det_rank[at]
-    pair_gt = np.argsort(g_order)[table.gt[pair]] - gt_start[pair_cell]
-
-    # cells whose detection counts share a next power of two step together,
-    # padded into one (B, D, G) block
-    bucket = np.frexp(D - 1)[1]
-    tp = np.zeros((det_key.size, S, T), dtype=bool)
-    ignored = np.zeros_like(tp)
-    for b in np.flatnonzero(np.bincount(bucket)):
-        cell = np.flatnonzero(bucket == b)
-        B, Dm, Gm = cell.size, D[cell].max(), G[cell].max()
-        at = np.flatnonzero(bucket[pair_cell] == b)
-        ious = np.full((B, Dm, Gm), -1.0)
-        slot = np.searchsorted(cell, pair_cell[at])
-        ious[slot, pair_det[at], pair_gt[at]] = table.iou[pair[at]]
-        gt_slot, gt_pos = _positions(G[cell])
-        gt_codes = np.zeros((B, Gm), dtype=np.int64)
-        gt_codes[gt_slot, gt_pos] = gt_code[gt_start[cell][gt_slot] + gt_pos]
-        det_slot, det_pos = _positions(D[cell])
-        here = det_start[cell][det_slot] + det_pos
-        det_codes = np.zeros((B, Dm), dtype=np.int64)
-        det_codes[det_slot, det_pos] = det_code[here]
-        cell_tp, cell_ignored = _lockstep(ious, _outside(gt_codes), _outside(det_codes))
-        tp[here] = cell_tp[det_slot, det_pos]
-        ignored[here] = cell_ignored[det_slot, det_pos]
+    ])
+    # each detection's rank in its cell, by score, then det_id
+    det_image = np.repeat(np.arange(len(table.n_dets)), table.n_dets)
+    d_order = np.lexsort((table.det_id, -table.score, det_class, det_image))
+    det_key = (det_image * K + det_class)[d_order]
+    rank = np.empty_like(d_order)
+    rank[d_order] = np.arange(det_key.size) - np.searchsorted(det_key, det_key)
+    # the same-class pairs that a sweep threshold can match
+    pair = (gt_class[table.gt] == det_class[table.det]) & (table.iou >= _SWEEP[0])
+    tp, ignored = _greedy(table.gt[pair], table.det[pair], table.iou[pair], rank,
+                          _outside(gt_code), _outside(det_code))
 
     # one sort pools every class: class, then score, image id and rank
-    order = np.lexsort((det_rank, image_id, -score, det_class))
+    image_id = np.array(table.image_id, dtype=np.int64)[det_image]
+    order = np.lexsort((rank, image_id, -table.score, det_class))
     bounds = np.searchsorted(det_class[order], np.arange(K + 1))
-    rank = det_rank[order]
-    tp = np.ascontiguousarray(tp[order].transpose(1, 2, 0))
-    ignored = np.ascontiguousarray(ignored[order].transpose(1, 2, 0))
+    rank, tp, ignored = rank[order], tp.take(order, axis=2), ignored.take(order, axis=2)
     return {
         int(cid): (rank[lo:hi], tp[:, :, lo:hi], ignored[:, :, lo:hi], eligible[k])
         for k, (cid, lo, hi) in enumerate(zip(classes, bounds[:-1], bounds[1:]))
@@ -294,6 +249,9 @@ def _aggregates(table, mode, class_ids, specs) -> dict:
     ground truth, of each class's AP (at one threshold, or over the sweep) or
     AR; -1 when no class has one. The cells are matched once per call, and
     each (class, filter, cap) curve is computed once."""
+    for *_, cap in specs:
+        if cap < 1:
+            raise ConfigError(f"max detections must be >= 1, got {cap}")
     pools = _match_cells(table, mode)
     curves: dict = {}
     out = {}
@@ -344,8 +302,6 @@ def average_recall(
 ) -> float:
     """Recall averaged over the IoU sweep and over classes, allowing at most
     the top-k detections per image and class; -1 when nothing is eligible."""
-    if k < 1:
-        raise ConfigError(f"max detections must be >= 1, got {k}")
     spec = ("ar", "ar", None, size_filter, k)
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]

@@ -116,6 +116,18 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("chosen", [",", ""])
+    def test_empty_format_exits_2_writing_nothing(self, tmp_path, capsys, command,
+                                                  chosen):
+        gt, det = simple_pair(tmp_path)
+        out = tmp_path / "o"
+        code = main([command, "--gt", str(gt), "--det", str(det),
+                     "--out", str(out), "--format", chosen])
+        assert code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_detection_for_unknown_image_exits_2(self, tmp_path):
         gt, _ = simple_pair(tmp_path)
         det = write_json(
@@ -690,14 +702,13 @@ class TestIouOncePerImage:
             assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
 
 
-class TestLockstepCalls:
-    """The AP suite runs its greedy kernel once per bucket of cells whose
-    detection counts share a next power of two, not once per cell."""
+class TestGreedyCalls:
+    """The AP suite runs its greedy kernel once per evaluate, over every
+    cell's pairs together, not once per cell or per detection count."""
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
-    def test_one_kernel_call_per_bucket(self, tmp_path, monkeypatch, mode):
-        # one single-class image per detection count; the counts fill all
-        # nine buckets from 1 to 256 detections
+    def test_one_kernel_call_per_evaluate(self, tmp_path, monkeypatch, mode):
+        # one single-class image per detection count, from 1 to 130
         counts = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 130]
         square = [10, 10, 30, 10, 30, 30, 10, 30]
         gt = {
@@ -720,22 +731,19 @@ class TestLockstepCalls:
         import deteval.metrics
 
         calls = []
+        original = deteval.metrics._greedy
 
-        def counting(original):
-            def wrapper(*args):
-                calls.append(args[0].shape)
-                return original(*args)
-            return wrapper
+        def counting(*args):
+            calls.append(args[0].size)
+            return original(*args)
 
-        for name in ("_lockstep", "greedy_cell"):
-            if hasattr(deteval.metrics, name):
-                original = getattr(deteval.metrics, name)
-                monkeypatch.setattr(deteval.metrics, name, counting(original))
+        monkeypatch.setattr(deteval.metrics, "_greedy", counting)
         code = main(["evaluate", "--gt", str(tmp_path / "gt.json"),
                      "--det", str(tmp_path / "det.json"), "--mode", mode,
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert len(calls) == 9, calls
+        # one call over every pair: each detection covers its image's ground truth
+        assert calls == [sum(counts)]
 
 
 class TestPreparePasses:

@@ -28,7 +28,7 @@ from deteval.metrics import (
     IOU_SWEEP,
     STRATA,
     _curves,
-    _lockstep,
+    _greedy,
     _match_cells,
     average_precision,
     average_recall,
@@ -340,6 +340,17 @@ class TestAverageRecall:
         with pytest.raises(ConfigError):
             average_recall(gt, det, k=0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_every_entry_point_rejects_cap_below_one(self, cap):
+        gt, det = scene([(1, (0, 0, 10, 10))], [(1, (0, 0, 10, 10), 0.9)])
+        for call in (
+            lambda: average_precision(gt, det, 1, max_dets=cap),
+            lambda: mean_ap(gt, det, max_dets=cap),
+            lambda: average_recall(gt, det, k=cap),
+        ):
+            with pytest.raises(ConfigError, match=f"max detections must be >= 1, got {cap}"):
+                call()
+
 
 def reference_class_eval(gt_set, det_set, class_id, iou_t, size_filter, k, mode):
     """Plain-scalar re-derivation of one class's greedy evaluation: returns
@@ -462,16 +473,18 @@ CAPS = (1, 10, 100, 150)
 
 def greedy_cell(ious, gt_ignore, det_outside):
     """Greedy matches of one (image, class) cell under every size filter and
-    sweep threshold: :func:`_lockstep` on a batch of one.
+    sweep threshold: :func:`_greedy` on the cell's pairs at or above 0.50.
 
     ``ious`` is the (D, G) IoU block with detections in score order;
     ``gt_ignore`` (S, G) and ``det_outside`` (S, D) come from
     :func:`outside_strata`. Returns ``(tp, ignored, eligible)``: two
     (S, T, D) flag arrays and the (S,) in-filter ground-truth counts.
     """
-    tp, ignored = _lockstep(ious[None], gt_ignore[None], det_outside[None])
+    det, gt = np.nonzero(ious >= IOU_SWEEP[0])
+    rank = np.arange(ious.shape[0])
+    tp, ignored = _greedy(gt, det, ious[det, gt], rank, gt_ignore, det_outside)
     eligible = ious.shape[1] - gt_ignore.sum(axis=1)
-    return tp[0].transpose(1, 2, 0), ignored[0].transpose(1, 2, 0), eligible
+    return tp, ignored, eligible
 
 
 @st.composite
@@ -520,19 +533,19 @@ class TestGreedyCellDifferential:
                 assert eligible[s] == ref_eligible, size
 
 
-# detection counts on both sides of the lockstep bucket edges (powers of two)
-BUCKET_EDGES = (0, 1, 2, 3, 4, 5, 8, 9, 128, 129)
+# detection counts of none, one, a few, and past the 100 cap
+DET_COUNTS = (0, 1, 2, 3, 4, 5, 8, 9, 128, 129)
 
 
 @st.composite
 def cell_batches(draw):
-    """1 to 4 cells drawn by :func:`greedy_cells`, some stretched or cut to a
-    detection count at a bucket edge by repeating their drawn rows, so one
-    padded block holds cells of different D and G."""
+    """1 to 4 cells drawn by :func:`greedy_cells`, some stretched or cut to
+    another detection count by repeating their drawn rows, so one batch holds
+    cells of different D and G."""
     batch = []
     for _ in range(draw(st.integers(1, 4))):
         ious, gt_areas, det_areas = draw(greedy_cells())
-        n_det = draw(st.sampled_from((len(det_areas),) + BUCKET_EDGES))
+        n_det = draw(st.sampled_from((len(det_areas),) + DET_COUNTS))
         if n_det != len(det_areas):
             rows = ious or [draw(st.lists(IOUS, min_size=len(gt_areas),
                                           max_size=len(gt_areas)))]
@@ -542,45 +555,67 @@ def cell_batches(draw):
     return batch
 
 
-class TestLockstepDifferential:
-    """A padded batch of cells through the lockstep kernel against the scalar
+def interleaved(sizes, rng):
+    """Disjoint item indices for cells of ``sizes`` items, the cells' items
+    shuffled among each other but each cell's kept in order."""
+    cell = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return [np.flatnonzero(cell == b) for b in range(len(sizes))]
+
+
+class TestGreedyBatchDifferential:
+    """A batch of cells through the sparse kernel as one flat pair list, the
+    cells' items interleaved under disjoint indices, against the scalar
     per-filter, per-threshold, per-cap loop, cell by cell, flag for flag."""
 
     @settings(max_examples=150, deadline=None)
-    @given(batch=cell_batches())
-    # one block padded in both D and G: a tie on 0.5 beside an empty cell,
-    # a cell without ground truths and one of 9 detections
+    @given(batch=cell_batches(), seed=st.integers(0, 2**16))
+    # a tie on 0.5 beside an empty cell, a cell without ground truths and
+    # one of 9 detections
     @example(batch=[
         ([[0.5, 0.5], [0.5, 0.5]], [3000.0, 3000.0], [3000.0, 3000.0]),
         ([], [4.0], []),
         ([[], [], []], [], [4.0, 1024.0, 9216.0]),
         ([[0.9, 0.9, 0.6]] * 9, [4.0, 3000.0, 40000.0], [3000.0] * 9),
-    ])
-    def test_every_cell_matches_scalar_reference(self, batch):
-        B = len(batch)
-        D = max(len(det_areas) for _, _, det_areas in batch)
-        G = max(len(gt_areas) for _, gt_areas, _ in batch)
+    ], seed=0)
+    # two cells whose first detections tie on IoU between two ground truths:
+    # each takes the first, which leaves its cell's second detection unmatched
+    @example(batch=[
+        ([[0.6, 0.6], [0.6, 0.0]], [3000.0, 3000.0], [3000.0, 3000.0]),
+        ([[0.7, 0.7], [0.0, 0.7]], [3000.0, 40000.0], [3000.0, 4.0]),
+    ], seed=1)
+    def test_every_cell_matches_scalar_reference(self, batch, seed):
+        rng = np.random.default_rng(seed)
+        gt_at = interleaved([len(gt_areas) for _, gt_areas, _ in batch], rng)
+        det_at = interleaved([len(det_areas) for _, _, det_areas in batch], rng)
+        n_gt, n_det = sum(map(len, gt_at)), sum(map(len, det_at))
         S = len(STRATA)
-        ious = np.full((B, D, G), -1.0)
-        # padded ground truths and detections count as outside every filter
-        gt_ignore = np.ones((B, S, G), dtype=bool)
-        det_outside = np.ones((B, S, D), dtype=bool)
-        for b, (rows, gt_areas, det_areas) in enumerate(batch):
-            d, g = len(det_areas), len(gt_areas)
-            ious[b, :d, :g] = np.array(rows, dtype=float).reshape(d, g)
-            gt_ignore[b, :, :g] = outside_strata(gt_areas)
-            det_outside[b, :, :d] = outside_strata(det_areas)
-        tp, ignored = _lockstep(ious, gt_ignore, det_outside)
-        assert tp.shape == ignored.shape == (B, D, S, len(IOU_SWEEP))
-        for b, (rows, gt_areas, det_areas) in enumerate(batch):
+        gt_ignore = np.zeros((S, n_gt), dtype=bool)
+        det_outside = np.zeros((S, n_det), dtype=bool)
+        rank = np.zeros(n_det, dtype=np.int64)
+        gt, det, iou = [], [], []
+        for (rows, gt_areas, det_areas), g, d in zip(batch, gt_at, det_at):
+            gt_ignore[:, g] = outside_strata(gt_areas)
+            det_outside[:, d] = outside_strata(det_areas)
+            rank[d] = np.arange(d.size)
+            block = np.array(rows, dtype=float).reshape(d.size, g.size)
+            di, gi = np.nonzero(block >= IOU_SWEEP[0])
+            gt.append(g[gi])
+            det.append(d[di])
+            iou.append(block[di, gi])
+        # the kernel sorts the pairs itself
+        order = rng.permutation(sum(map(len, iou)))
+        gt, det, iou = (np.concatenate(c)[order] for c in (gt, det, iou))
+        tp, ignored = _greedy(gt, det, iou, rank, gt_ignore, det_outside)
+        assert tp.shape == ignored.shape == (S, len(IOU_SWEEP), n_det)
+        for b, ((rows, gt_areas, det_areas), d) in enumerate(zip(batch, det_at)):
             for s, size in enumerate(STRATA):
                 for cap in CAPS:
                     ref_tp, ref_ignore, _ = reference_greedy_cell(
                         rows, gt_areas, det_areas, size, cap
                     )
-                    n = min(cap, len(det_areas))
-                    assert np.array_equal(tp[b, :n, s].T, ref_tp), (b, size, cap)
-                    assert np.array_equal(ignored[b, :n, s].T, ref_ignore), (b, size, cap)
+                    n = min(cap, d.size)
+                    assert np.array_equal(tp[s][:, d[:n]], ref_tp), (b, size, cap)
+                    assert np.array_equal(ignored[s][:, d[:n]], ref_ignore), (b, size, cap)
 
 
 class TestOutsideStrata:
@@ -619,8 +654,8 @@ def grid_scene(seed):
 
 def bucket_scene(seed):
     """Fourteen images, in shuffled id order, whose (image, class) cells hold
-    from 0 to 33 detections, so the cells fall into seven lockstep buckets;
-    grid boxes and repeated scores make IoUs and scores tie."""
+    from 0 to 33 detections, so the cells' detection counts span seven powers
+    of two; grid boxes and repeated scores make IoUs and scores tie."""
     rng = random.Random(seed)
     labels = LabelMap([(1, "a"), (2, "b")])
     images = [ImageRecord(i, "x.png", 200, 200) for i in rng.sample(range(1, 50), 14)]

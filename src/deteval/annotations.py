@@ -3,7 +3,8 @@
 Ground truth and detection files are a strict subset of the COCO annotation
 and results formats (see the README for the exact schemas). Unknown fields are
 ignored so COCO-superset files load unchanged. Sets are immutable after load;
-every operation returns new values.
+every operation returns new values. A set keeps the loader's columns
+(:class:`ItemColumns`) and builds its record objects only when asked.
 """
 
 from __future__ import annotations
@@ -152,37 +153,112 @@ class SplitRatios:
             )
 
 
-class GroundTruthSet:
+class ItemColumns:
+    """The items of a set in load order, as columns: ``ids``, ``image_ids``
+    and ``class_ids`` (int64), ``boxes`` (``(N, 4)`` float64 ``x, y, w, h``),
+    ``values`` (float64: the areas of ground truths, the scores of
+    detections) and ``has_mask`` (bool). The masks and the ``record``
+    objects (:class:`Annotation` or :class:`Detection`) are built from them
+    only when asked for; the masks once."""
+
+    def __init__(self, record, ids, image_ids, class_ids, boxes, values, has_mask, masks):
+        self.record, self.ids, self.image_ids, self.class_ids = record, ids, image_ids, class_ids
+        self.boxes, self.values, self.has_mask = boxes, values, has_mask
+        self._masks = masks  # the mask of each item, or the function that builds them
+        self._records = [None] * ids.size  # each item's record, once built
+        self._all = None
+
+    @classmethod
+    def of(cls, record, records) -> "ItemColumns":
+        """The columns of ``record`` objects, which are kept as the records."""
+        records = tuple(records)
+        key, value = ("ann_id", "area") if record is Annotation else ("det_id", "score")
+        ids = np.array([(getattr(r, key), r.image_id, r.class_id) for r in records],
+                       dtype=np.int64).reshape(-1, 3).T
+        boxes = np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in records],
+                         dtype=np.float64).reshape(-1, 4)
+        masks = [r.mask for r in records]
+        items = cls(record, *ids, boxes, np.array([getattr(r, value) for r in records], float),
+                    np.array([m is not None for m in masks], dtype=bool), masks)
+        items._records, items._all = list(records), records
+        return items
+
+    def masks(self) -> list:
+        """The mask of each item, or None; built on first use."""
+        if callable(self._masks):
+            self._masks = self._masks()
+        return self._masks
+
+    def records(self, at=None) -> tuple:
+        """The records at the positions ``at``, or all of them; each record
+        is built once, when first asked for."""
+        if at is None and self._all is None:
+            self._all = self.records(range(self.ids.size))
+        if at is None:
+            return self._all
+        at = np.asarray(at, dtype=np.int64).tolist()
+        todo = [k for k in dict.fromkeys(at) if self._records[k] is None]
+        if todo:
+            masks, values = self.masks(), self.values[todo].tolist()
+            masks = [masks[k] for k in todo]
+            built = map(
+                self.record, self.ids[todo].tolist(), self.image_ids[todo].tolist(),
+                self.class_ids[todo].tolist(), [BBox(*b) for b in self.boxes[todo].tolist()],
+                *((masks, values) if self.record is Annotation else (values, masks)))
+            for k, record in zip(todo, built):
+                self._records[k] = record
+        return tuple(map(self._records.__getitem__, at))
+
+
+class _ItemSet:
+    """A label map and items, held as :class:`ItemColumns` ``items``, given
+    as such or as ``record`` objects; :meth:`by_image` starts from the
+    ``images``."""
+
+    images: tuple = ()
+
+    def __init__(self, label_map: LabelMap, items, record):
+        self.label_map = label_map
+        self.items = items if isinstance(items, ItemColumns) else ItemColumns.of(record, items)
+        self._by_image = None
+
+    def by_image(self) -> dict[int, list]:
+        if self._by_image is None:
+            grouped = {img.image_id: [] for img in self.images}
+            for item in self.items.records():
+                grouped.setdefault(item.image_id, []).append(item)
+            self._by_image = grouped
+        return self._by_image
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.images == other.images
+            and self.label_map == other.label_map
+            and self.items.records() == other.items.records()
+        )
+
+    def save(self, path) -> None:
+        write_text_atomic([(path, json_text(self.to_json()))])
+
+
+class GroundTruthSet(_ItemSet):
     """Validated ground-truth annotations plus their image table."""
 
     def __init__(self, images, label_map: LabelMap, annotations):
         self.images: tuple[ImageRecord, ...] = tuple(images)
-        self.label_map = label_map
-        self.annotations: tuple[Annotation, ...] = tuple(annotations)
+        super().__init__(label_map, annotations, Annotation)
         self.images_by_id = {img.image_id: img for img in self.images}
-        self._by_image = None
 
-    def by_image(self) -> dict[int, list[Annotation]]:
-        if self._by_image is None:
-            grouped = {img.image_id: [] for img in self.images}
-            for ann in self.annotations:
-                grouped.setdefault(ann.image_id, []).append(ann)
-            self._by_image = grouped
-        return self._by_image
+    @property
+    def annotations(self) -> tuple[Annotation, ...]:
+        return self.items.records()
 
     def per_class_counts(self) -> dict[int, int]:
         counts = {cid: 0 for cid in self.label_map.ids()}
-        for ann in self.annotations:
-            counts[ann.class_id] = counts.get(ann.class_id, 0) + 1
+        for cid in self.items.class_ids.tolist():
+            counts[cid] = counts.get(cid, 0) + 1
         return counts
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroundTruthSet)
-            and self.images == other.images
-            and self.label_map == other.label_map
-            and self.annotations == other.annotations
-        )
 
     def to_json(self) -> dict:
         return {
@@ -199,38 +275,19 @@ class GroundTruthSet:
             "categories": self.label_map.to_json(),
         }
 
-    def save(self, path) -> None:
-        write_text_atomic([(path, json_text(self.to_json()))])
 
-
-class DetectionSet:
+class DetectionSet(_ItemSet):
     """Scored detections grouped by image; carries no image table of its own."""
 
     def __init__(self, label_map: LabelMap, detections):
-        self.label_map = label_map
-        self.detections: tuple[Detection, ...] = tuple(detections)
-        self._by_image = None
+        super().__init__(label_map, detections, Detection)
 
-    def by_image(self) -> dict[int, list[Detection]]:
-        if self._by_image is None:
-            grouped: dict[int, list[Detection]] = {}
-            for det in self.detections:
-                grouped.setdefault(det.image_id, []).append(det)
-            self._by_image = grouped
-        return self._by_image
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DetectionSet)
-            and self.label_map == other.label_map
-            and self.detections == other.detections
-        )
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        return self.items.records()
 
     def to_json(self) -> list[dict]:
         return [_det_to_json(d) for d in self.detections]
-
-    def save(self, path) -> None:
-        write_text_atomic([(path, json_text(self.to_json()))])
 
 
 # ---------------------------------------------------------------------------
@@ -414,27 +471,39 @@ class _Records:
         self.check()
         return cols
 
-    def masks(self, segs) -> list:
-        """The mask of each record: None where its segmentation is null or an
-        empty list, else the polygons of a list of flat rings, or the runs of
-        a run-length object, on its image's canvas when known."""
+    def masks(self, segs) -> tuple:
+        """Check the records' segmentations, and return which records have a
+        mask and the function that builds their masks: None where a
+        segmentation is null or an empty list, else the polygons of a list
+        of flat rings, or the runs of a run-length object, on its image's
+        canvas when known."""
         kinds = list(map(type, segs))
         self.fail(np.array([t not in (list, dict, type(None)) for t in kinds], bool),
                   ParseError, "segmentation must be polygon list or RLE object")
         polys = [k for k, s in enumerate(segs) if type(s) is list and s]
         rles = [k for k, t in enumerate(kinds) if t is dict]
-        image_ids = self.columns["image_id"].tolist()
-        canvases = {k: self.canvas_of.get(image_ids[k]) for k in polys + rles}
-        masks = [None] * len(segs)
-        self.polygons(polys, [segs[k] for k in polys], canvases, masks)
-        self.runs(rles, [segs[k] for k in rles], canvases, masks)
-        return masks
+        canvas_of, image_ids = self.canvas_of, self.columns["image_id"]
+        fill_polygons = self.polygons(polys, [segs[k] for k in polys])
+        fill_runs = self.runs(rles, [segs[k] for k in rles],
+                              [canvas_of.get(i) for i in image_ids[rles].tolist()])
+        has_mask = np.zeros(len(segs), dtype=bool)
+        has_mask[polys + rles] = True
 
-    def polygons(self, owners, rings_of, canvases, masks) -> None:
-        """Set ``masks[k]``, for each ``k`` of ``owners``, to the polygons of
-        its flat rings ``rings_of[j]``, on the canvas ``canvases[k]``. All
-        coordinates are checked at once, and each polygon's vertices are a
-        view into one read-only buffer of them."""
+        def build():
+            masks = [None] * len(has_mask)
+            canvases = list(map(canvas_of.get, image_ids.tolist()))
+            fill_polygons(masks, canvases)
+            fill_runs(masks, canvases)
+            return masks
+
+        return has_mask, build
+
+    def polygons(self, owners, rings_of):
+        """Check the flat rings ``rings_of[j]`` of each record ``owners[j]``,
+        all coordinates at once, and return the function that sets
+        ``masks[k]`` of each owner ``k`` to its polygons on the canvas
+        ``canvases[k]``; each polygon's vertices are a view into one
+        read-only buffer of them."""
         owners = np.array(owners, dtype=np.int64)
         count = np.fromiter(map(len, rings_of), np.int64, len(rings_of))
         rings = list(chain.from_iterable(rings_of))
@@ -448,7 +517,8 @@ class _Records:
                   GeometryError, "bad polygon segmentation: a ring of odd length, or "
                   "a coordinate not a finite number within +-2**53")
         self.fail(owner[length < 6], GeometryError, "polygon has < 3 vertices")
-        if (owners < self.end).all():
+
+        def fill(masks, canvases):
             xy = coords.reshape(-1, 2)
             xy.flags.writeable = False
             ends = (length // 2).cumsum().tolist()
@@ -457,11 +527,15 @@ class _Records:
             for k, a, b in zip(owners.tolist(), [0, *ends], ends):
                 masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvases[k])
 
-    def runs(self, owners, objects, canvases, masks) -> None:
-        """Set ``masks[k]``, for each ``k`` of ``owners``, to the run-length
-        grid ``objects[j]``, ``{"size": [h, w], "counts": [...]}``. The counts
-        of all grids are converted and checked as one int64 array, of which
-        each grid's runs are a view."""
+        return fill
+
+    def runs(self, owners, objects, canvases):
+        """Check the run-length grids ``objects[j]``, ``{"size": [h, w],
+        "counts": [...]}``, of each record ``owners[j]``, on its image's
+        canvas ``canvases[j]`` when known, and return the function that sets
+        ``masks[k]`` of each owner ``k`` to its grid. The counts of all
+        grids are converted and checked as one int64 array, of which each
+        grid's runs are a view."""
         size, bad = _rows([o.get("size") for o in objects], 2, _integers)
         counts = [o.get("counts") for o in objects]
         counts = [c if type(c) is list else [None] for c in counts]
@@ -474,13 +548,18 @@ class _Records:
         grids, fault = RLEMask.batch(size[:, ::-1], runs, np.append(0, length.cumsum()))
         if fault is not None:
             self.fail(owners[[fault[0]]], GeometryError, fault[1])
-        for k, grid in zip(owners.tolist(), grids):
-            if k >= self.end:
-                break
-            try:
+        wh = size[: len(grids), ::-1]
+        canvas = np.array([c or (-1, -1) for c in canvases], np.int64).reshape(-1, 2)
+        canvas = canvas[: len(grids)]
+        self.fail(owners[: len(grids)][(canvas[:, 0] >= 0) & (canvas != wh).any(1)],
+                  GeometryError, lambda k: "RLE size {}x{} does not match image {}x{}".format(
+                      *wh[np.searchsorted(owners, k)], *canvas[np.searchsorted(owners, k)]))
+
+        def fill(masks, canvases):
+            for k, grid in zip(owners.tolist(), grids):
                 masks[k] = InstanceMask(rle=grid, canvas=canvases[k])
-            except GeometryError as exc:
-                self.fail(np.array([k]), GeometryError, str(exc))
+
+        return fill
 
 
 def _repeated(ids) -> np.ndarray:
@@ -516,11 +595,12 @@ def load_ground_truth(path) -> GroundTruthSet:
     size = np.array(list(map(canvas_of.get, cols["image_id"].tolist())), float)
     xy, wh = np.split(cols["bbox"], 2, axis=1)
     boxes = _clamped(xy, xy + wh, size.reshape(-1, 2))
-    area, masks = cols["area"], cols["segmentation"]
-    boxed = np.isnan(area) & np.array([m is None for m in masks], dtype=bool)
+    area, (has_mask, masks) = cols["area"], cols["segmentation"]
+    boxed = np.isnan(area) & ~has_mask
     area[boxed] = np.prod(boxes[:, 2:], 1)[boxed]
-    return _ground_truth(anns, images, label_map, cols["id"], cols["image_id"],
-                         cols["category_id"], boxes, masks, area)
+    return _ground_truth(anns, images, label_map, ItemColumns(
+        Annotation, cols["id"], cols["image_id"], cols["category_id"], boxes, area,
+        has_mask, masks))
 
 
 def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
@@ -567,20 +647,21 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
         rings.append(list(chain.from_iterable(
             (p.get("x"), p.get("y")) if type(p) is dict else (None, None)
             for p in (points if type(points) is list else [None]))))
-    masks = [None] * len(rings)
-    regions.polygons(range(len(rings)), [[r] for r in rings],
-                     [(width, height)] * len(rings), masks)
+    fill = regions.polygons(range(len(rings)), [[r] for r in rings])
     regions.check()
     if labels is None:
         if not class_ids:
             raise ParseError(f"{path}: no tags found in regions")
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
-    n = len(masks)
+    n = len(rings)
+    masks = [None] * n
+    fill(masks, [(width, height)] * n)
     # a region outside the image has an area of 0, which is refused
     bounds = np.array([m.polygons[0].bounds() for m in masks]).reshape(-1, 4)
     boxes = _clamped(bounds[:, :2], bounds[:, 2:], [float(width), float(height)])
-    return _ground_truth(regions, [image], labels, np.arange(1, n + 1), np.ones(n, int),
-                         np.array(classes, int), boxes, masks, np.full(n, np.nan))
+    return _ground_truth(regions, [image], labels, ItemColumns(
+        Annotation, np.arange(1, n + 1), np.ones(n, np.int64), np.array(classes, np.int64),
+        boxes, np.full(n, np.nan), np.ones(n, dtype=bool), masks))
 
 
 def _clamped(lo, hi, size) -> np.ndarray:
@@ -590,21 +671,21 @@ def _clamped(lo, hi, size) -> np.ndarray:
     return np.concatenate([lo, hi - lo], 1)
 
 
-def _ground_truth(records, images, label_map, ids, image_ids, class_ids, boxes, masks,
-                  area) -> GroundTruthSet:
+def _ground_truth(records, images, label_map, items) -> GroundTruthSet:
     """The ground-truth set of checked annotation columns, once every area is
     known and positive and every annotation id unique. An area NaN is taken
     from the annotation's mask; all such masks are prepared in one batch."""
+    area = items.values
     unsized = np.flatnonzero(np.isnan(area)).tolist()
-    prepare_windows([masks[k] for k in unsized])
-    area[unsized] = [float(masks[k].area) for k in unsized]
-    records.fail(_repeated(ids), ValidationError, "ann_id occurs more than once")
+    if unsized:
+        masks = items.masks()
+        prepare_windows([masks[k] for k in unsized])
+        area[unsized] = [float(masks[k].area) for k in unsized]
+    records.fail(_repeated(items.ids), ValidationError, "ann_id occurs more than once")
     records.fail(~(area > 0), GeometryError,
                  lambda k: f"area is {area[k].item()} (must be > 0)")
     records.check()
-    return GroundTruthSet(images, label_map, map(
-        Annotation, ids.tolist(), image_ids.tolist(), class_ids.tolist(),
-        [BBox(*b) for b in boxes.tolist()], masks, area.tolist()))
+    return GroundTruthSet(images, label_map, items)
 
 
 def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
@@ -620,10 +701,9 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
     canvas_of = {im.image_id: (im.width, im.height) for im in images}
     cols = _Records(raw, lambda k: f"detection {k}", labels, canvas_of).table(
         _DETECTION_FIELDS)
-    return DetectionSet(labels, map(
-        Detection, range(len(raw)), cols["image_id"].tolist(),
-        cols["category_id"].tolist(), [BBox(*b) for b in cols["bbox"].tolist()],
-        cols["score"].tolist(), cols["segmentation"]))
+    return DetectionSet(labels, ItemColumns(
+        Detection, np.arange(len(raw)), cols["image_id"], cols["category_id"], cols["bbox"],
+        cols["score"], *cols["segmentation"]))
 
 
 def _label_map(records, path) -> LabelMap:

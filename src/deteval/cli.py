@@ -154,6 +154,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     thresholds = _thresholds(args)
     formats = _formats(args)
+    if not formats & {"csv", "svg"}:
+        raise ParseError(f"--format chooses no output of compare (csv, svg): {args.format!r}")
     gt = load_ground_truth(args.gt)
     det = load_detections(args.det, gt.label_map, gt.images)
     table = image_ious(gt, det, thresholds.geometry_mode, thresholds.iou_threshold)
@@ -162,11 +164,11 @@ def cmd_compare(args) -> int:
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)
 
     out = Path(args.out)
-    files = [
-        (out / "confusion_conventional.csv", confusion_csv(conv)),
-        (out / "confusion_modified.csv", confusion_csv(mod)),
-        (out / "class_deltas.csv", delta_table_csv(stats)),
-    ]
+    files = []
+    if "csv" in formats:
+        files += [(out / "confusion_conventional.csv", confusion_csv(conv)),
+                  (out / "confusion_modified.csv", confusion_csv(mod)),
+                  (out / "class_deltas.csv", delta_table_csv(stats))]
     if "svg" in formats:
         names = [name for _, name in gt.label_map.entries]
         for kind, cm in (("conventional", conv), ("modified", mod)):

@@ -16,10 +16,10 @@ Two matchers are provided, each run over all images of a dataset at once:
   rounds in which every free ground truth proposes at once.
 
 Both read the pair table of :func:`image_ious`: the items of all images as
-columns, and every pair whose IoU is at or above a floor, taken once from
-each image's IoU matrix, which is then dropped. The matchers keep the pairs
-at or above the IoU and confidence thresholds; a pair never spans two
-images, so no per-image pass is needed. :func:`accumulate` reduces
+columns, and every pair whose IoU is at or above a floor, from one pass over
+the sets' columns that computes each within-image cell once. The matchers
+keep the pairs at or above the IoU and confidence thresholds; a pair never
+spans two images, so no per-image pass is needed. :func:`accumulate` reduces
 any number of per-image results into one ``(C+1) x (C+1)`` count grid whose
 final column holds unmatched ground truths ("left detections") and whose
 final row holds unmatched detections ("unclassified detections").
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import Annotation, Detection, LabelMap
+from .annotations import Annotation, Detection, ItemColumns, LabelMap
 from .errors import ConfigError, GeometryError, MissingReferenceError
 from .geometry import prepare_windows, window_rects
 
@@ -80,55 +80,42 @@ class MatchingResult:
     unmatched_dets: tuple[Detection, ...]
 
 
-def _box_columns(items) -> tuple[np.ndarray, ...]:
-    xywh = np.array(
-        [(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in items], dtype=np.float64
-    ).reshape(-1, 4)
-    return tuple(xywh.T)
-
-
-def _box_iou_matrix(gts, dets) -> np.ndarray:
-    """:func:`box_iou` of every (gt, det) pair, in its operation order."""
-    ax, ay, aw, ah = (c[:, None] for c in _box_columns(gts))
-    bx, by, bw, bh = (c[None, :] for c in _box_columns(dets))
+def _corners(boxes) -> tuple[np.ndarray, ...]:
+    """The ``x, y, x + w, y + h, w * h`` columns of ``(N, 4)`` boxes, each
+    as :func:`box_iou` computes it."""
+    x, y, w, h = boxes.T
     # overflow to inf is silent, as in the scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        return x, y, x + w, y + h, w * h
+
+
+def _box_iou(a, b) -> np.ndarray:
+    """:func:`box_iou` of each pair of boxes of the :func:`_corners` ``a``
+    and ``b``, in its operation order."""
+    ax, ay, ax2, ay2, area_a = a
+    bx, by, bx2, by2, area_b = b
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(ax2, bx2) - np.maximum(ax, bx)
+        ih = np.minimum(ay2, by2) - np.maximum(ay, by)
         inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-        area_a, area_b = aw * ah, bw * bh
         inter = np.minimum(np.minimum(inter, area_a), area_b)
         union = (area_a + area_b) - inter
         return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0))
 
 
 def iou_matrix(gts, dets, mode: str) -> np.ndarray:
-    """IoU of every (gt, det) pair as a ``(len(gts), len(dets))`` float64 array.
+    """IoU of every (gt, det) pair of one image as a ``(len(gts),
+    len(dets))`` float64 array: the cells of its :class:`PairTable` at no
+    floor.
 
     Each cell equals its pair's :func:`box_iou` exactly, for finite boxes,
     or in masks mode, when both sides have a mask, its
-    :meth:`InstanceMask.iou`. Boxes are computed by broadcasting; pairs whose
-    mask windows are disjoint are exactly 0.0, and only overlapping windows
-    are intersected.
+    :meth:`InstanceMask.iou`; pairs whose mask windows are disjoint are
+    exactly 0.0, and only overlapping windows are intersected.
     """
-    ious = _box_iou_matrix(gts, dets)
-    if mode != "masks":
-        return ious
-    rows = [i for i, g in enumerate(gts) if g.mask is not None]
-    cols = [j for j, d in enumerate(dets) if d.mask is not None]
-    if not rows or not cols:
-        return ious
-    gmasks = [gts[i].mask for i in rows]
-    dmasks = [dets[j].mask for j in cols]
-    _check_canvases(gmasks, dmasks)
-    a, b = window_rects(gmasks)[:, None], window_rects(dmasks)[None, :]
-    lo = np.maximum(a[..., :2], b[..., :2])
-    hi = np.minimum(a[..., 2:], b[..., 2:])
-    overlap = (lo < hi).all(axis=2)
-    masked = np.zeros(overlap.shape)
-    for i, j in zip(*np.nonzero(overlap)):
-        masked[i, j] = gmasks[i].iou(dmasks[j])
-    ious[np.ix_(rows, cols)] = masked
+    table = _image_table(gts, dets, mode, -np.inf)
+    ious = np.zeros((table.gt_id.size, table.det_id.size))
+    ious[table.gt, table.det] = table.iou
     return ious
 
 
@@ -145,10 +132,12 @@ def _check_canvases(gmasks, dmasks) -> None:
                 raise GeometryError(f"mask canvases differ: {g.canvas} vs {d.canvas}")
 
 
-def _pair(table, k) -> MatchPair:
-    i, j = table.gt[k], table.det[k]
-    same = bool(table.gt_class[i] == table.det_class[j])
-    return MatchPair(table.gts[i], table.dets[j], float(table.iou[k]), same)
+def _pairs(table, at) -> list[MatchPair]:
+    """The :class:`MatchPair` of each of the table's pairs at positions ``at``."""
+    gt, det = table.gt[at], table.det[at]
+    return list(map(MatchPair, table.gt_items.records(table.gt_item[gt]),
+                    table.det_items.records(table.det_item[det]), table.iou[at].tolist(),
+                    (table.gt_class[gt] == table.det_class[det]).tolist()))
 
 
 def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
@@ -157,74 +146,125 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     Detections are expected to be pre-filtered to the confidence threshold;
     all items must belong to one image.
     """
-    table = _pair_table([(None, gts, dets)], t.geometry_mode, t.iou_threshold)
-    return [_pair(table, k) for k in range(table.iou.size)]
+    table = _image_table(gts, dets, t.geometry_mode, t.iou_threshold)
+    return _pairs(table, np.arange(table.iou.size))
 
 
-# the items of all images, in image order and in load order within an image,
-# as record lists, per-image counts and columns; and every pair at or above
-# ``floor``, in (image, gt, det) order, as its gt and det positions and its IoU
-PairTable = namedtuple("PairTable", "floor image_id gts dets n_gts n_dets gt_id "
-                       "gt_class det_id det_class score gt det iou")
+# the items of all images, in image order and in load order within an image:
+# the sets' ItemColumns, each item's position there, per-image counts and the
+# id, class and score columns; and every pair at or above ``floor``, in
+# (image, gt, det) order, as its gt and det positions and its IoU
+PairTable = namedtuple("PairTable", "floor image_id gt_items det_items gt_item det_item "
+                       "n_gts n_dets gt_id gt_class det_id det_class score gt det iou")
+# the cells of one pass of :func:`_pair_table`, which bounds its temporaries
+PAIR_CHUNK_CELLS = 1 << 14
 
 
-def _columns(pairs) -> np.ndarray:
-    """The two int64 columns of a list of pairs."""
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: float):
+    """The :class:`PairTable` of the :class:`ItemColumns` ``gts`` and
+    ``dets`` on the images ``image_id``; ``gt_image`` and ``det_image`` give
+    each item's image as a position in ``image_id``, or -1 to leave it out.
+
+    The (gt, det) cells of all images are taken in passes of at most
+    ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
+    are kept. In masks mode, a pair with masks on both sides takes their
+    :meth:`InstanceMask.iou` where their windows overlap, else 0.0."""
+    gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
+                         for at in (gt_image, det_image))
+    n_gts = np.bincount(gt_image[gt_item], minlength=len(image_id))
+    n_dets = np.bincount(det_image[det_item], minlength=len(image_id))
+    # the cells are the ground truths' rows in order, each row the
+    # detections of the ground truth's image
+    row = n_dets[gt_image[gt_item]]
+    row_end = row.cumsum()
+    shift = (n_dets.cumsum() - n_dets)[gt_image[gt_item]] - (row_end - row)
+    a, b = _corners(gts.boxes[gt_item]), _corners(dets.boxes[det_item])
+    if mode == "masks":
+        # a cell with masks on both sides is on an image with masks on both
+        # sides, so _windows has prepared both windows
+        gmasks, dmasks = ([m[k] for k in item.tolist()]
+                          for m, item in ((gts.masks(), gt_item), (dets.masks(), det_item)))
+        g_rect, d_rect = _windows(gmasks, dmasks, n_gts, n_dets)
+        g_has, d_has = gts.has_mask[gt_item], dets.has_mask[det_item]
+    total = int(row_end[-1]) if row.size else 0
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for lo in range(0, total, PAIR_CHUNK_CELLS):
+        cell = np.arange(lo, min(lo + PAIR_CHUNK_CELLS, total))
+        g = np.searchsorted(row_end, cell, side="right")
+        d = cell + shift[g]
+        iou = _box_iou([c[g] for c in a], [c[d] for c in b])
+        if mode == "masks":
+            both = np.flatnonzero(g_has[g] & d_has[d])
+            gb, db = g[both], d[both]
+            over = (np.maximum(g_rect[gb, :2], d_rect[db, :2])
+                    < np.minimum(g_rect[gb, 2:], d_rect[db, 2:])).all(axis=1)
+            iou[both] = 0.0
+            iou[both[over]] = [gmasks[i].iou(dmasks[j])
+                               for i, j in zip(gb[over].tolist(), db[over].tolist())]
+        keep = np.flatnonzero(iou >= floor)
+        parts.append((g[keep], d[keep], iou[keep]))
+    return PairTable(floor, image_id, gts, dets, gt_item, det_item, n_gts, n_dets,
+                     gts.ids[gt_item], gts.class_ids[gt_item], dets.ids[det_item],
+                     dets.class_ids[det_item], dets.values[det_item],
+                     *map(np.concatenate, zip(*parts)))
 
 
-def _pair_table(rows, mode: str, floor: float) -> PairTable:
-    """The :class:`PairTable` of ``(image_id, gts, dets)`` rows: each row's
-    :func:`iou_matrix` is written into one buffer of cells and dropped."""
-    gts = [g for row in rows for g in row[1]]
-    dets = [d for row in rows for d in row[2]]
-    gt_id, gt_class = _columns([(g.ann_id, g.class_id) for g in gts])
-    det_id, det_class = _columns([(d.det_id, d.class_id) for d in dets])
-    score = np.array([d.score for d in dets], dtype=np.float64)
-    n_gts, n_dets = _columns([(len(row[1]), len(row[2])) for row in rows])
-    cells = n_gts * n_dets
-    ends = cells.cumsum()
-    flat = np.empty(cells.sum())
-    for (_, row_gts, row_dets), lo, hi in zip(rows, ends - cells, ends):
-        flat[lo:hi] = iou_matrix(row_gts, row_dets, mode).ravel()
-    hit = np.flatnonzero(flat >= floor)
-    image = np.searchsorted(ends, hit, side="right")
-    gt, det = np.divmod(hit - (ends - cells)[image], n_dets[image])
-    gt += (n_gts.cumsum() - n_gts)[image]
-    det += (n_dets.cumsum() - n_dets)[image]
-    return PairTable(floor, [row[0] for row in rows], gts, dets, n_gts, n_dets,
-                     gt_id, gt_class, det_id, det_class, score, gt, det, flat[hit])
+def _windows(gt_masks, det_masks, n_gts, n_dets) -> list:
+    """The ``(x0, y0, x1, y1)`` windows of the masks ``gt_masks`` and
+    ``det_masks`` of a table's items, in table order, on the images with
+    masks on both sides (zeros elsewhere). The canvases of every such image
+    are checked first; then its masks are prepared, in one call per side."""
+    ready = ([], [])
+    g_end, d_end = n_gts.cumsum().tolist(), n_dets.cumsum().tolist()
+    for g0, g1, d0, d1 in zip([0, *g_end], g_end, [0, *d_end], d_end):
+        gk = [k for k in range(g0, g1) if gt_masks[k] is not None]
+        dk = [k for k in range(d0, d1) if det_masks[k] is not None]
+        if gk and dk:
+            _check_canvases([gt_masks[k] for k in gk], [det_masks[k] for k in dk])
+            ready[0].extend(gk)
+            ready[1].extend(dk)
+    rects = []
+    for masks, at in zip((gt_masks, det_masks), ready):
+        prepare_windows([masks[k] for k in at])
+        rects.append(np.zeros((len(masks), 4), dtype=np.int64))
+        rects[-1][at] = window_rects([masks[k] for k in at])
+    return rects
+
+
+def _positions(keys, values) -> np.ndarray:
+    """The position of each of ``values`` among the distinct ``keys``, -1
+    for a value not there."""
+    if not keys.size:
+        return np.full(values.size, -1)
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, values, sorter=order).clip(max=keys.size - 1)]
+    return np.where(keys[at] == values, at, -1)
+
+
+def _image_table(gts, dets, mode: str, floor: float) -> PairTable:
+    """The :class:`PairTable` of one image's ground truths and detections,
+    given as record lists."""
+    gts, dets = ItemColumns.of(Annotation, gts), ItemColumns.of(Detection, dets)
+    return _pair_table(gts, dets, np.zeros(gts.ids.size, np.int64),
+                       np.zeros(dets.ids.size, np.int64), [None], mode, floor)
 
 
 def image_ious(gt_set, det_set, mode: str, floor: float) -> PairTable:
     """The :class:`PairTable` of every ground-truth image at IoU ``floor`` in
-    geometry ``mode``. Raises when a detection names an image the ground
-    truth does not have.
-
-    In masks mode, once the canvases of every image with masks on both sides
-    are checked, those masks are prepared in one call per set."""
+    geometry ``mode``, from the sets' columns. Raises when a detection
+    names an image the ground truth does not have."""
     if mode not in GEOMETRY_MODES:
         raise ConfigError(f"unknown geometry mode {mode!r}")
-    dets_by_image = det_set.by_image()
-    for image_id, ds in dets_by_image.items():
-        if image_id not in gt_set.images_by_id:
-            raise MissingReferenceError(
-                f"detection {ds[0].det_id}: unknown image_id {image_id}"
-            )
-    rows = [(img.image_id, gt_set.by_image()[img.image_id],
-             dets_by_image.get(img.image_id, [])) for img in gt_set.images]
-    if mode == "masks":
-        sets = ([], [])
-        for _, gts, dets in rows:
-            gmasks = [g.mask for g in gts if g.mask is not None]
-            dmasks = [d.mask for d in dets if d.mask is not None]
-            if gmasks and dmasks:
-                _check_canvases(gmasks, dmasks)
-                sets[0].extend(gmasks)
-                sets[1].extend(dmasks)
-        for masks in sets:
-            prepare_windows(masks)
-    return _pair_table(rows, mode, floor)
+    image_id = [img.image_id for img in gt_set.images]
+    keys, gts, dets = np.array(image_id, dtype=np.int64), gt_set.items, det_set.items
+    det_image = _positions(keys, dets.image_ids)
+    unknown = np.flatnonzero(det_image < 0)
+    if unknown.size:
+        k = unknown[0]
+        raise MissingReferenceError(
+            f"detection {dets.ids[k]}: unknown image_id {dets.image_ids[k]}")
+    return _pair_table(gts, dets, _positions(keys, gts.image_ids), det_image, image_id,
+                       mode, floor)
 
 
 def _conventional(p: PairTable) -> np.ndarray:
@@ -297,30 +337,38 @@ def _match(table: PairTable, t: Thresholds, algorithm: str) -> np.ndarray:
     return keep[_MATCHERS[algorithm](cut)]
 
 
+def _split(items, counts) -> list[tuple]:
+    """``items`` cut into consecutive tuples of ``counts`` items each."""
+    ends = counts.cumsum().tolist()
+    return [tuple(items[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
     """The :class:`MatchingResult` of each image of the table, from the
     matched pair positions that :func:`match_images` returns: the pairs in
     (gt_id, det_id) order, and the unmatched ground truths and visible
-    detections in load order."""
-    pair_of = dict(zip(table.gt[matched].tolist(), matched.tolist()))
-    taken = set(table.det[matched].tolist())
-    visible = (table.score >= t.confidence_threshold).tolist()
-    results, g0, d0 = [], 0, 0
-    for n_g, n_d in zip(table.n_gts.tolist(), table.n_dets.tolist()):
-        gts, dets = range(g0, g0 + n_g), range(d0, d0 + n_d)
-        pairs = sorted((_pair(table, pair_of[i]) for i in gts if i in pair_of),
-                       key=lambda p: (p.gt.ann_id, p.det.det_id))
-        results.append(MatchingResult(
-            tuple(pairs),
-            tuple(table.gts[i] for i in gts if i not in pair_of),
-            tuple(table.dets[j] for j in dets if j not in taken and visible[j]),
-        ))
-        g0, d0 = g0 + n_g, d0 + n_d
-    return results
+    detections in load order. Records are built only for these."""
+    gt_image = np.repeat(np.arange(table.n_gts.size), table.n_gts)
+    det_image = np.repeat(np.arange(table.n_dets.size), table.n_dets)
+    gt, det = table.gt[matched], table.det[matched]
+    matched = matched[np.lexsort((table.det_id[det], table.gt_id[gt], gt_image[gt]))]
+    left = np.ones(table.gt_id.size, dtype=bool)
+    left[table.gt[matched]] = False
+    shown = table.score >= t.confidence_threshold
+    shown[table.det[matched]] = False
+    left, shown = np.flatnonzero(left), np.flatnonzero(shown)
+    n = table.n_gts.size
+    return list(map(
+        MatchingResult,
+        _split(_pairs(table, matched), np.bincount(gt_image[table.gt[matched]], minlength=n)),
+        _split(table.gt_items.records(table.gt_item[left]),
+               np.bincount(gt_image[left], minlength=n)),
+        _split(table.det_items.records(table.det_item[shown]),
+               np.bincount(det_image[shown], minlength=n))))
 
 
 def _match_image(gts, dets, t: Thresholds, algorithm: str) -> MatchingResult:
-    table = _pair_table([(None, gts, dets)], t.geometry_mode, t.iou_threshold)
+    table = _image_table(gts, dets, t.geometry_mode, t.iou_threshold)
     return _results(table, _match(table, t, algorithm), t)[0]
 
 

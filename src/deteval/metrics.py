@@ -187,13 +187,18 @@ def _match_cells(table, mode: str) -> dict:
     )
     K = classes.size
     gt_class, det_class = np.split(class_index, [table.gt_class.size])
-    gt_code = _strata([g.area for g in table.gts])
+    gt_code = _strata(table.gt_items.values[table.gt_item])
     eligible = np.bincount(gt_class * S + gt_code, minlength=K * S).reshape(K, S)
     eligible[:, 0] = eligible.sum(axis=1)
-    det_code = _strata([
-        d.mask.area if mode == "masks" and d.mask is not None else d.bbox.area
-        for d in table.dets
-    ])
+    # a detection's area is its box's, or in masks mode its mask's
+    boxes = table.det_items.boxes[table.det_item]
+    with np.errstate(over="ignore"):  # to inf, as in the scalar float arithmetic
+        det_area = boxes[:, 2] * boxes[:, 3]
+    if mode == "masks":
+        masks = table.det_items.masks()
+        masked = np.flatnonzero(table.det_items.has_mask[table.det_item])
+        det_area[masked] = [masks[k].area for k in table.det_item[masked].tolist()]
+    det_code = _strata(det_area)
     # each detection's rank in its cell, by score, then det_id
     det_image = np.repeat(np.arange(len(table.n_dets)), table.n_dets)
     d_order = np.lexsort((table.det_id, -table.score, det_class, det_image))
@@ -342,12 +347,12 @@ def full_report(
     table = image_ious(gt_set, det_set, mode, min(thresholds.iou_threshold, IOU_SWEEP[0]))
     _, cm = match_images(table, gt_set.label_map, thresholds, algorithm)
     # in masks mode, the items without a mask fall back to their boxes
-    items = (*gt_set.annotations, *det_set.detections) if mode == "masks" else ()
+    fallback = sum(int(np.count_nonzero(~s.items.has_mask)) for s in (gt_set, det_set))
     report = MetricsReport(
         per_class=precision_recall(cm),
         aggregates=_aggregates(table, mode, gt_set.label_map.ids(), AGGREGATES),
         geometry_mode=mode,
         algorithm=algorithm,
-        mask_fallback_items=sum(1 for x in items if x.mask is None),
+        mask_fallback_items=fallback if mode == "masks" else 0,
     )
     return report, cm

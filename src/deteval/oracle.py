@@ -496,9 +496,11 @@ def reference_match_images(table, labels: LabelMap, t: Thresholds, algorithm: st
     matcher = {"conventional": image_conventional, "modified": image_modified}
     matcher = matcher[algorithm]
     g_ends, d_ends = table.n_gts.cumsum(), table.n_dets.cumsum()
+    all_gts = table.gt_items.records(table.gt_item)
+    all_dets = table.det_items.records(table.det_item)
     results = []
     for g0, g1, d0, d1 in zip(g_ends - table.n_gts, g_ends, d_ends - table.n_dets, d_ends):
-        gts, dets = table.gts[g0:g1], table.dets[d0:d1]
+        gts, dets = all_gts[g0:g1], all_dets[d0:d1]
         results.append(matcher(gts, dets, iou_matrix(gts, dets, t.geometry_mode), t))
     return results, accumulate(results, labels)
 
@@ -542,8 +544,8 @@ def reference_greedy_cell(ious, gt_areas, det_areas, size_filter, max_dets):
     one detection cap, one threshold, detection and ground truth at a time.
 
     ``ious`` is the (D, G) IoU block with detections in score order. This is
-    the scalar loop :func:`deteval.metrics.greedy_cell` replaced, kept as its
-    reference. Returns ``(tp, ignore, n_eligible)``: two (T, min(D, max_dets))
+    the scalar loop that :func:`deteval.metrics._greedy` replaced, kept as
+    its reference. Returns ``(tp, ignore, n_eligible)``: two (T, min(D, max_dets))
     flag arrays and the in-filter ground-truth count.
     """
     gt_ignore = [

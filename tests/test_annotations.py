@@ -182,6 +182,27 @@ class TestLoadGroundTruth:
         with pytest.raises(GeometryError, match="annotation 1"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("size", [[64, 32], [32, 64]])
+    def test_rle_size_off_in_one_side_is_refused(self, tmp_path, size):
+        # the grid is checked against its image's canvas at load, for ground
+        # truths and detections, naming the lowest-index record
+        counts = [0, size[0] * size[1]]
+        doc = minimal_gt_dict()
+        doc["annotations"][0]["segmentation"] = {"size": size, "counts": counts}
+        message = f"RLE size {size[1]}x{size[0]} does not match image 64x64"
+        with pytest.raises(GeometryError, match=f"^annotation 1: {message}$"):
+            load_ground_truth(write_json(tmp_path / "bad.json", doc))
+        gt = load_ground_truth(write_json(tmp_path / "gt.json", minimal_gt_dict()))
+        fits = {"size": [64, 64], "counts": [0, 4096]}
+        dets = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 4], "score": 0.5,
+                 "segmentation": seg} for seg in (fits, {"size": size, "counts": counts},
+                                                  {"size": size, "counts": counts})]
+        path = write_json(tmp_path / "det.json", dets)
+        with pytest.raises(GeometryError, match=f"^detection 1: {message}$"):
+            load_detections(path, gt.label_map, gt.images)
+        assert load_detections(path, gt.label_map).detections[1].mask.canvas == (
+            size[1], size[0])
+
     def test_save_load_identity(self, tmp_path):
         doc = road_gt_dict((3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1), images=3)
         doc["annotations"][0]["segmentation"] = [[10, 10, 30, 12, 25, 30]]

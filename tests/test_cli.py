@@ -596,6 +596,10 @@ class TestLoaderRules:
         assert not out.exists()
 
 
+CSVS = ("class_deltas.csv", "confusion_conventional.csv", "confusion_modified.csv")
+SVGS = ("confusion_conventional.svg", "confusion_modified.svg")
+
+
 class TestCompare:
     def test_crafted_conflict_shows_diagonal_gain(self, tmp_path):
         gt, det = road_pair(tmp_path)
@@ -637,6 +641,23 @@ class TestCompare:
         ]
 
 
+    @pytest.mark.parametrize("chosen, written", [
+        ("json,csv", CSVS), ("csv", CSVS), ("svg", SVGS), ("json,csv,svg", CSVS + SVGS),
+        ("json", ()),
+    ])
+    def test_format_chooses_the_files(self, tmp_path, capsys, chosen, written):
+        gt, det = simple_pair(tmp_path)
+        out = tmp_path / "o"
+        code = main(["compare", "--gt", str(gt), "--det", str(det), "--out", str(out),
+                     "--format", chosen])
+        if not written:
+            assert code == 2
+            assert "--format" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
     def test_names_with_commas_and_quotes_stay_one_field(self, tmp_path):
         doc = minimal_gt_dict()
         doc["categories"] = [{"id": 1, "name": "crack, wide"},
@@ -656,8 +677,9 @@ class TestCompare:
 
 
 class TestIouOncePerImage:
-    """Each command builds one pair table, and in it each image's IoU matrix
-    once, for the matchers and the AP suite together."""
+    """Each command builds one pair table, and in it the IoU of each
+    within-image (gt, det) cell once, for the matchers and the AP suite
+    together; no per-image IoU matrix is built."""
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -671,27 +693,27 @@ class TestIouOncePerImage:
         det_set.save(tmp_path / "det.json")
         import deteval.matching
 
-        seen, tables = [], []
-        original = deteval.matching.iou_matrix
-        build = deteval.matching._pair_table
+        cells, tables = [], []
+        box_iou, build = deteval.matching._box_iou, deteval.matching._pair_table
 
-        def counting(gts, dets, mode):
-            seen.append(gts[0].image_id if gts else dets[0].image_id)
-            return original(gts, dets, mode)
+        def counting(a, b):
+            cells.append(a[0].size)
+            return box_iou(a, b)
 
-        def counting_tables(rows, mode, floor):
-            tables.append(floor)
-            return build(rows, mode, floor)
+        def counting_tables(*args):
+            tables.append(args[-1])
+            return build(*args)
 
+        def no_matrix(*args):
+            raise AssertionError("a per-image IoU matrix was built")
+
+        monkeypatch.setattr(deteval.matching, "_box_iou", counting)
         monkeypatch.setattr(deteval.matching, "_pair_table", counting_tables)
-        # wherever a deteval module holds the function
-        for module in list(sys.modules.values()):
-            if module and module.__name__.startswith("deteval") and (
-                getattr(module, "iou_matrix", None) is original
-            ):
-                monkeypatch.setattr(module, "iou_matrix", counting)
+        monkeypatch.setattr(deteval.matching, "iou_matrix", no_matrix)
+        within_image = sum(len(gts) * len(det_set.by_image().get(i, []))
+                           for i, gts in gt_set.by_image().items())
         for iou in (0.3, 0.5, 0.75):
-            seen.clear()
+            cells.clear()
             tables.clear()
             code = main([command, "--gt", str(tmp_path / "gt.json"),
                          "--det", str(tmp_path / "det.json"), "--mode", mode,
@@ -699,7 +721,42 @@ class TestIouOncePerImage:
             assert code == 0
             # the AP suite of evaluate reads pairs down to the sweep's 0.5
             assert tables == [min(iou, 0.5) if command == "evaluate" else iou]
-            assert sorted(seen) == sorted(img.image_id for img in gt_set.images)
+            assert sum(cells) == within_image
+
+
+class TestRecordsOnDemand:
+    """In boxes mode, evaluate and compare read the sets' columns only: they
+    build no record, box, polygon or mask object."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_boxes_mode_builds_no_objects(self, tmp_path, monkeypatch, command):
+        from deteval.annotations import Annotation, Detection
+        from deteval.geometry import BBox, InstanceMask, Polygon
+        from deteval.oracle import ScenarioConfig, generate
+
+        # polygon masks on both sides, and areas given
+        gt_set, det_set = generate(ScenarioConfig(seed=5, image_count=6, clutter_rate=0.5))
+        gt_set.save(tmp_path / "gt.json")
+        det_set.save(tmp_path / "det.json")
+        built = []
+        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        code = main([command, "--gt", str(tmp_path / "gt.json"),
+                     "--det", str(tmp_path / "det.json"), "--iou", "0.3",
+                     "--format", "json,csv,svg", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert built == []
+        # masks mode builds each mask, of one polygon here, once
+        assert main([command, "--gt", str(tmp_path / "gt.json"),
+                     "--det", str(tmp_path / "det.json"), "--mode", "masks",
+                     "--out", str(tmp_path / "out")]) == 0
+        masks = len(gt_set.annotations) + len(det_set.detections)
+        assert built.count("InstanceMask") == built.count("Polygon") == masks
+        assert {"Annotation", "Detection", "BBox"}.isdisjoint(built)
 
 
 class TestGreedyCalls:
@@ -802,8 +859,9 @@ class TestPreparePasses:
                      "--det", str(tmp_path / "det.json"), "--mode", "masks",
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        # loading asks for the masks whose area is not given: none here
-        assert calls == [0, len(gt_set.annotations), len(det_set.detections)]
+        # loading prepares only the masks whose area is not given: none here,
+        # so it makes no call
+        assert calls == [len(gt_set.annotations), len(det_set.detections)]
         assert {kind for kind, _, _ in passes} == {"raster", "decode"}
         for kind, cells, masks in passes:
             assert cells <= geometry.RASTER_CHUNK_CELLS or masks == 1, (kind, cells, masks)

@@ -22,6 +22,7 @@ import deteval.annotations as annotations
 from deteval.annotations import load_detections, load_ground_truth, load_vott
 from deteval.cli import main
 from deteval.errors import EvalError
+from deteval.matching import image_ious
 from deteval.geometry import InstanceMask, rle_encode
 from deteval.oracle import (
     ScenarioConfig,
@@ -442,6 +443,35 @@ class TestReferenceDifferential:
                 map(_is_number, (p.get("x"), p.get("y")))) for p in points) or (
                 isinstance(size, dict) and not all(
                     map(_is_integer, (size.get("width"), size.get("height"))))), error
+
+
+class TestRecordsOnDemand:
+    """The sets keep the loader's columns and build their records only when
+    asked; those equal the reference loaders' records, field types
+    included, whether read before or after a pair table is built."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("table_first", [False, True])
+    def test_records_equal_the_reference(self, tmp_path, mode, table_first):
+        gt_path, det_path = _write(tmp_path, {"gt": BASE_GT, "det": BASE_DET})
+        gt = load_ground_truth(gt_path)
+        det = load_detections(det_path, gt.label_map, gt.images)
+        ref_gt = reference_load_ground_truth(gt_path)
+        ref_det = reference_load_detections(det_path, ref_gt.label_map, ref_gt.images)
+        if table_first:
+            image_ious(gt, det, mode, 0.1)
+        # records at chosen positions before all of them, then all
+        assert gt.items.records([3, 0]) == (ref_gt.annotations[3], ref_gt.annotations[0])
+        assert det.items.records([2]) == (ref_det.detections[2],)
+        assert_same_records(gt, ref_gt)
+        assert_same_records(det, ref_det)
+        # each record is built once, and a later table reads the same
+        assert gt.annotations is gt.annotations
+        assert gt.items.records([3])[0] is gt.annotations[3]
+        assert det.items.records([2, 2]) == (det.detections[2],) * 2
+        image_ious(gt, det, mode, 0.1)
+        assert_same_records(gt, ref_gt)
+        assert_same_records(det, ref_det)
 
 
 class TestOneDecode:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deteval import matching
 from deteval.annotations import (
     Annotation,
     Detection,
@@ -21,7 +23,7 @@ from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
     _deferred_acceptance,
-    _pair_table,
+    _image_table,
     accumulate,
     image_ious,
     iou_matrix,
@@ -336,7 +338,7 @@ class TestInvariants:
             ious = iou_matrix(gts, dets, t.geometry_mode)
             assert match_modified(gts, dets, t) == image_modified(gts, dets, ious, t)
             visible = [d for d in dets if d.score >= t.confidence_threshold]
-            pairs = _pair_table([(1, gts, visible)], t.geometry_mode, t.iou_threshold)
+            pairs = _image_table(gts, visible, t.geometry_mode, t.iou_threshold)
             assert _deferred_acceptance(pairs)[1] <= pairs.iou.size
 
 
@@ -356,6 +358,19 @@ def tie_heavy_scene(seed, mode):
         det_set = DetectionSet(det_set.label_map, dets + tuple(
             replace(d, det_id=d.det_id + 1000, score=(d.score, 0.5, 1 - d.score / 2)[d.det_id % 3])
             for d in dets))
+    return gt_set, det_set
+
+
+def with_empty_sides(gt_set, det_set):
+    """The scene with two images listed first: one with ground truths and no
+    detections, and one with detections and no ground truths. Their items
+    come last in load order."""
+    n = len(gt_set.images)
+    images = (ImageRecord(n + 1, "gts.png", 64, 64), ImageRecord(n + 2, "dets.png", 64, 64))
+    gt_set = GroundTruthSet(images + gt_set.images, gt_set.label_map, gt_set.annotations + tuple(
+        replace(a, ann_id=a.ann_id + 5000, image_id=n + 1) for a in gt_set.annotations[:3]))
+    det_set = DetectionSet(det_set.label_map, det_set.detections + tuple(
+        replace(d, det_id=d.det_id + 5000, image_id=n + 2) for d in det_set.detections[:3]))
     return gt_set, det_set
 
 
@@ -732,30 +747,38 @@ class TestImageIous:
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("floor", [0.1, 0.5])
-    def test_pairs_are_the_matrix_cells_over_the_floor(self, mode, floor):
-        for seed in range(8):
-            gt_set, det_set = tie_heavy_scene(seed, mode)
+    def test_pairs_are_the_matrix_cells_over_the_floor(self, monkeypatch, mode, floor):
+        # at the default cell budget, and at one that cuts images across passes
+        for budget, seed in itertools.product((matching.PAIR_CHUNK_CELLS, 5), range(8)):
+            monkeypatch.setattr(matching, "PAIR_CHUNK_CELLS", budget)
+            gt_set, det_set = with_empty_sides(*tie_heavy_scene(seed, mode))
             table = image_ious(gt_set, det_set, mode, floor)
             gts, dets, pairs = [], [], []
             for img in gt_set.images:
                 image_gts = gt_set.by_image()[img.image_id]
                 image_dets = det_set.by_image().get(img.image_id, [])
                 ious = iou_matrix(image_gts, image_dets, mode)
+                assert ious.tolist() == [
+                    [pair_iou(g, d, mode) for d in image_dets] for g in image_gts]
                 i, j = np.nonzero(ious >= floor)
                 pairs.append((i + len(gts), j + len(dets), ious[i, j]))
                 gts += image_gts
                 dets += image_dets
             assert table.floor == floor
             assert table.image_id == [img.image_id for img in gt_set.images]
-            assert table.gts == gts and table.dets == dets
+            assert table.gt_items is gt_set.items and table.det_items is det_set.items
+            assert list(gt_set.items.records(table.gt_item)) == gts
+            assert list(det_set.items.records(table.det_item)) == dets
             assert table.n_gts.tolist() == [len(gt_set.by_image()[i]) for i in table.image_id]
             assert table.n_dets.tolist() == [
                 len(det_set.by_image().get(i, [])) for i in table.image_id]
-            assert table.gt_id.tolist() == [g.ann_id for g in gts]
-            assert table.gt_class.tolist() == [g.class_id for g in gts]
-            assert table.det_id.tolist() == [d.det_id for d in dets]
-            assert table.det_class.tolist() == [d.class_id for d in dets]
-            assert table.score.tolist() == [d.score for d in dets]
+            columns = (table.gt_id, table.gt_class, table.det_id, table.det_class, table.score)
+            expected = ([g.ann_id for g in gts], [g.class_id for g in gts],
+                        [d.det_id for d in dets], [d.class_id for d in dets],
+                        [d.score for d in dets])
+            for column, values in zip(columns, expected):
+                assert column.dtype == np.array(values).dtype
+                assert column.tolist() == values
             for column, expected in zip((table.gt, table.det, table.iou), zip(*pairs)):
                 expected = np.concatenate(expected)
                 assert column.dtype == expected.dtype

@@ -189,6 +189,12 @@ class ItemColumns:
             self._masks = self._masks()
         return self._masks
 
+    def take(self, at) -> "ItemColumns":
+        """The items at the positions ``at``, sharing this set's masks."""
+        return ItemColumns(self.record, self.ids[at], self.image_ids[at], self.class_ids[at],
+                           self.boxes[at], self.values[at], self.has_mask[at],
+                           lambda: list(map(self.masks().__getitem__, at.tolist())))
+
     def records(self, at=None) -> tuple:
         """The records at the positions ``at``, or all of them; each record
         is built once, when first asked for."""
@@ -248,7 +254,6 @@ class GroundTruthSet(_ItemSet):
     def __init__(self, images, label_map: LabelMap, annotations):
         self.images: tuple[ImageRecord, ...] = tuple(images)
         super().__init__(label_map, annotations, Annotation)
-        self.images_by_id = {img.image_id: img for img in self.images}
 
     @property
     def annotations(self) -> tuple[Annotation, ...]:
@@ -271,7 +276,8 @@ class GroundTruthSet(_ItemSet):
                 }
                 for im in self.images
             ],
-            "annotations": [_ann_to_json(a) for a in self.annotations],
+            "annotations": _items_json(
+                self.items, ("id", "image_id", "category_id", "bbox", "area")),
             "categories": self.label_map.to_json(),
         }
 
@@ -287,7 +293,7 @@ class DetectionSet(_ItemSet):
         return self.items.records()
 
     def to_json(self) -> list[dict]:
-        return [_det_to_json(d) for d in self.detections]
+        return _items_json(self.items, (None, "image_id", "category_id", "bbox", "score"))
 
 
 # ---------------------------------------------------------------------------
@@ -713,38 +719,19 @@ def _label_map(records, path) -> LabelMap:
     return LabelMap(zip(cols["id"].tolist(), cols["name"]))
 
 
-def _ann_to_json(a: Annotation) -> dict:
-    out = {
-        "id": a.ann_id,
-        "image_id": a.image_id,
-        "category_id": a.class_id,
-        "bbox": [a.bbox.x, a.bbox.y, a.bbox.w, a.bbox.h],
-        "area": a.area,
-    }
-    if a.mask is not None:
-        out["segmentation"] = _mask_to_json(a.mask)
-    return out
-
-
-def _det_to_json(d: Detection) -> dict:
-    out = {
-        "image_id": d.image_id,
-        "category_id": d.class_id,
-        "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
-        "score": d.score,
-    }
-    if d.mask is not None:
-        out["segmentation"] = _mask_to_json(d.mask)
-    return out
-
-
-def _mask_to_json(mask: InstanceMask):
-    if mask.polygons is not None:
-        return [p.to_flat() for p in mask.polygons]
-    return {
-        "size": [mask.rle.height, mask.rle.width],
-        "counts": mask.rle.runs.tolist(),
-    }
+def _items_json(items, keys) -> list[dict]:
+    """The JSON objects of ``items``, whose ids, image ids, class ids, boxes
+    and values are written under ``keys``, in that order, unless a key is
+    None; an item with a mask has its "segmentation" last."""
+    columns = (items.ids, items.image_ids, items.class_ids, items.boxes, items.values)
+    named = {key: column.tolist() for key, column in zip(keys, columns) if key}
+    rows = [dict(zip(named, row)) for row in zip(*named.values())]
+    masks = items.masks()
+    for k in np.flatnonzero(items.has_mask).tolist():
+        polygons, rle = masks[k].polygons, masks[k].rle
+        rows[k]["segmentation"] = [p.to_flat() for p in polygons] if rle is None else {
+            "size": [rle.height, rle.width], "counts": rle.runs.tolist()}
+    return rows
 
 
 def json_text(doc) -> str:
@@ -790,56 +777,60 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     Polygon masks are scaled vertex-wise and re-rasterized lazily; an RLE-only
     mask cannot be rescaled losslessly and raises unless ``force`` enables
     nearest-neighbor resampling. Detection sets carry no image table, so their
-    source dimensions must be supplied via ``images``.
+    source dimensions must be supplied via ``images``. A ground truth's area
+    is recomputed from its scaled geometry: its mask's pixel count, else its
+    box's area; it must stay positive, as on loading.
     """
     if to_width < 1 or to_height < 1:
         raise ConfigError(f"target size must be >= 1x1, got {to_width}x{to_height}")
     if isinstance(dataset, GroundTruthSet):
-        source = dataset.images_by_id
+        images, kind = dataset.images, "annotation"
     elif isinstance(dataset, DetectionSet):
         if images is None:
             raise ConfigError("rescaling detections requires the image table")
-        source = {im.image_id: im for im in images}
+        images, kind = tuple(images), "detection"
     else:
         raise ConfigError(f"cannot rescale object of type {type(dataset).__name__}")
+    items, canvas = dataset.items, (to_width, to_height)
+    row_of = {im.image_id: k for k, im in enumerate(images)}
+    rows = np.array([row_of.get(i, -1) for i in items.image_ids.tolist()], np.int64)
+    masks = items.masks()
+    rle = np.array([m is not None and m.rle is not None for m in masks], dtype=bool)
+    fault = np.flatnonzero((rows < 0) | rle & (not force))
+    if fault.size:  # the lowest-index faulty item raises
+        k = fault[0]
+        if rows[k] < 0:
+            raise MissingReferenceError(
+                f"unknown image_id {items.image_ids[k]} during rescale")
+        raise LossyRescaleError(f"{kind} {items.ids[k]}: RLE-only mask cannot be rescaled "
+                                "from polygons; pass force to resample")
+    sizes = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)
+    factors = np.divide(canvas, sizes)[rows]
+    scaled = [m if m is None else _resampled(m.rle, canvas) if m.rle is not None
+              else m.scaled(*f, canvas=canvas) for m, f in zip(masks, factors.tolist())]
+    boxes = items.boxes * np.tile(factors, 2)
+    if kind == "detection":
+        return DetectionSet(dataset.label_map, ItemColumns(
+            Detection, items.ids, items.image_ids, items.class_ids, boxes, items.values,
+            items.has_mask, scaled))
+    # the area of a masked item is NaN, for _ground_truth to take from its mask
+    area = np.where(items.has_mask, np.nan, boxes[:, 2] * boxes[:, 3])
+    return _ground_truth(
+        _Records([{}] * area.size, lambda k: f"annotation {items.ids[k]}"),
+        [replace(im, width=to_width, height=to_height) for im in images], dataset.label_map,
+        ItemColumns(Annotation, items.ids, items.image_ids, items.class_ids, boxes, area,
+                    items.has_mask, scaled))
 
-    def scaled(item, where):
-        img = source.get(item.image_id)
-        if img is None:
-            raise MissingReferenceError(f"unknown image_id {item.image_id} during rescale")
-        sx, sy = to_width / img.width, to_height / img.height
-        mask = _rescale_mask(item.mask, sx, sy, (to_width, to_height), force, where)
-        return replace(item, bbox=item.bbox.scaled(sx, sy), mask=mask)
 
-    if isinstance(dataset, DetectionSet):
-        return DetectionSet(dataset.label_map, [
-            scaled(det, f"detection {det.det_id}") for det in dataset.detections])
-    anns = [scaled(ann, f"annotation {ann.ann_id}") for ann in dataset.annotations]
-    return GroundTruthSet(
-        [replace(im, width=to_width, height=to_height) for im in dataset.images],
-        dataset.label_map,
-        [replace(a, area=float(a.mask.area) if a.mask is not None else a.bbox.area)
-         for a in anns],
-    )
-
-
-def _rescale_mask(mask, sx, sy, canvas, force, where):
-    if mask is None:
-        return None
-    if mask.polygons is not None:
-        return mask.scaled(sx, sy, canvas=canvas)
-    if not force:
-        raise LossyRescaleError(
-            f"{where}: RLE-only mask cannot be rescaled from polygons; "
-            "pass force to resample"
-        )
-    bits = rle_decode(mask.rle)
+def _resampled(rle, canvas) -> InstanceMask:
+    """The mask of the run-length grid ``rle`` resampled onto ``canvas`` by
+    nearest neighbor."""
+    bits = rle_decode(rle)
     src_h, src_w = bits.shape
     to_w, to_h = canvas
     rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)
     cols = np.minimum(((np.arange(to_w) + 0.5) * src_w / to_w).astype(int), src_w - 1)
-    resampled = bits[rows][:, cols]
-    return InstanceMask(rle=rle_encode(resampled), canvas=canvas)
+    return InstanceMask(rle=rle_encode(bits[rows][:, cols]), canvas=canvas)
 
 
 # ---------------------------------------------------------------------------
@@ -856,40 +847,33 @@ def stratified_split(
     classes present in the image, is largest. Ties go to the larger-ratio
     split, then to train < val < test order. Deterministic for a fixed seed.
     """
-    if not dataset.images:
+    images, items = dataset.images, dataset.items
+    if not images:
         raise ConfigError("cannot split an empty ground-truth set")
     ratio_list = [ratios.train, ratios.val, ratios.test]
+    # the row of each image, then of each item, among the image ids, and the
+    # annotation count of each (row, class)
+    image_ids = [im.image_id for im in images]
+    keys, rows = np.unique(np.append(image_ids, items.image_ids), return_inverse=True)
+    classes, cols = np.unique(items.class_ids, return_inverse=True)
+    counts = np.bincount(rows[len(images):] * classes.size + cols,
+                         minlength=keys.size * classes.size).reshape(keys.size, -1)
+    totals = counts.sum(0).tolist()
+    targets = [[r * n for n in totals] for r in ratio_list]
+    assigned = [[0] * classes.size for _ in ratio_list]
 
-    totals = dataset.per_class_counts()
-    targets = [
-        {cid: r * n for cid, n in totals.items()} for r in ratio_list
-    ]
-    assigned = [{cid: 0 for cid in totals} for _ in ratio_list]
-
-    order = sorted(dataset.images, key=lambda im: im.image_id)
-    rng = random.Random(seed)
-    rng.shuffle(order)
-
-    by_image = dataset.by_image()
-    assignment: dict[int, int] = {}
-    for img in order:
-        anns = by_image.get(img.image_id, [])
-        classes_here = sorted({a.class_id for a in anns})
-        best = None
-        for s in range(3):
-            deficit = sum(targets[s][c] - assigned[s][c] for c in classes_here)
-            key = (deficit, ratio_list[s], -s)
-            if best is None or key > best[0]:
-                best = (key, s)
-        split = best[1]
-        assignment[img.image_id] = split
-        for ann in anns:
-            assigned[split][ann.class_id] += 1
-
-    parts = []
-    for s in range(3):
-        imgs = [im for im in dataset.images if assignment[im.image_id] == s]
-        ids = {im.image_id for im in imgs}
-        anns = [a for a in dataset.annotations if a.image_id in ids]
-        parts.append(GroundTruthSet(imgs, dataset.label_map, anns))
-    return tuple(parts)
+    order = sorted(range(len(images)), key=image_ids.__getitem__)
+    random.Random(seed).shuffle(order)
+    split_of = np.full(keys.size, -1)
+    for row in rows[order].tolist():
+        here = counts[row].tolist()
+        present = [c for c, n in enumerate(here) if n]
+        split = max(range(3), key=lambda s: (
+            sum(targets[s][c] - assigned[s][c] for c in present), ratio_list[s], -s))
+        split_of[row] = split
+        for c in present:
+            assigned[split][c] += here[c]
+    image_split, item_split = np.split(split_of[rows], [len(images)])
+    return tuple(GroundTruthSet(
+        [images[k] for k in np.flatnonzero(image_split == s).tolist()], dataset.label_map,
+        items.take(np.flatnonzero(item_split == s))) for s in range(3))

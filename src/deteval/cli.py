@@ -199,7 +199,7 @@ def cmd_split(args) -> int:
         files.append((out / f"{name}.json", json_text(part.to_json())))
         manifest["splits"][name] = {
             "images": len(part.images),
-            "annotations": len(part.annotations),
+            "annotations": part.items.ids.size,
             "per_class": {
                 part.label_map.name_of(cid): n
                 for cid, n in sorted(part.per_class_counts().items())

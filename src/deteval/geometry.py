@@ -78,9 +78,6 @@ class BBox:
     def area(self) -> float:
         return self.w * self.h
 
-    def scaled(self, sx: float, sy: float) -> "BBox":
-        return BBox(self.x * sx, self.y * sy, self.w * sx, self.h * sy)
-
 
 def box_iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when the union is empty."""

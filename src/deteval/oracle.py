@@ -10,7 +10,8 @@ scalar greedy AP/AR matching loop that :mod:`deteval.metrics` vectorized, the
 one-mask-at-a-time polygon rasterizer and run-length window decoder that
 :mod:`deteval.geometry` batched, the record-by-record file loaders that
 :mod:`deteval.annotations` made column-wise, with their scalar polygon
-constructors, full-grid mask helpers, the
+constructors, the record-by-record writers, rescale and stratified split
+that it runs on the item columns, full-grid mask helpers, the
 scalar pair IoU, and a generator that fabricates ground truth plus noisy
 detections from a seed.
 """
@@ -38,6 +39,7 @@ from .errors import (
     ConfigError,
     GeometryError,
     InstanceTooLargeError,
+    LossyRescaleError,
     MissingReferenceError,
     ParseError,
     ValidationError,
@@ -52,6 +54,8 @@ from .geometry import (
     _ring_arrays,
     box_iou,
     prepare_windows,
+    rle_decode,
+    rle_encode,
     size_class,
 )
 from .matching import (
@@ -1093,3 +1097,155 @@ def _label_map(records, path) -> LabelMap:
         class_id = _req(entry, "id", where, int)
         entries.append((class_id, _req(entry, "name", where, _string)))
     return LabelMap(entries)
+
+
+# ---------------------------------------------------------------------------
+# record-by-record writers, rescale and split, which deteval.annotations
+# runs on the item columns
+
+
+def reference_to_json(dataset):
+    """The JSON document of a ground-truth or detection set, written from
+    its records one at a time."""
+    if isinstance(dataset, DetectionSet):
+        return [_det_to_json(d) for d in dataset.detections]
+    return {
+        "images": [
+            {"id": im.image_id, "file_name": im.file_name, "width": im.width,
+             "height": im.height}
+            for im in dataset.images
+        ],
+        "annotations": [_ann_to_json(a) for a in dataset.annotations],
+        "categories": dataset.label_map.to_json(),
+    }
+
+
+def _ann_to_json(a: Annotation) -> dict:
+    out = {
+        "id": a.ann_id,
+        "image_id": a.image_id,
+        "category_id": a.class_id,
+        "bbox": [a.bbox.x, a.bbox.y, a.bbox.w, a.bbox.h],
+        "area": a.area,
+    }
+    if a.mask is not None:
+        out["segmentation"] = _mask_to_json(a.mask)
+    return out
+
+
+def _det_to_json(d: Detection) -> dict:
+    out = {
+        "image_id": d.image_id,
+        "category_id": d.class_id,
+        "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
+        "score": d.score,
+    }
+    if d.mask is not None:
+        out["segmentation"] = _mask_to_json(d.mask)
+    return out
+
+
+def _mask_to_json(mask: InstanceMask):
+    if mask.polygons is not None:
+        return [p.to_flat() for p in mask.polygons]
+    return {
+        "size": [mask.rle.height, mask.rle.width],
+        "counts": mask.rle.runs.tolist(),
+    }
+
+
+def reference_rescale(dataset, to_width: int, to_height: int, *, images=None,
+                      force: bool = False):
+    """:func:`deteval.annotations.rescale`, one record at a time: each
+    record is scaled in order, so the first faulty one raises; then the
+    ground truths' areas are recomputed and checked as on loading."""
+    if to_width < 1 or to_height < 1:
+        raise ConfigError(f"target size must be >= 1x1, got {to_width}x{to_height}")
+    if isinstance(dataset, GroundTruthSet):
+        source = {img.image_id: img for img in dataset.images}
+    elif isinstance(dataset, DetectionSet):
+        if images is None:
+            raise ConfigError("rescaling detections requires the image table")
+        source = {im.image_id: im for im in images}
+    else:
+        raise ConfigError(f"cannot rescale object of type {type(dataset).__name__}")
+
+    def scaled(item, where):
+        img = source.get(item.image_id)
+        if img is None:
+            raise MissingReferenceError(f"unknown image_id {item.image_id} during rescale")
+        sx, sy = to_width / img.width, to_height / img.height
+        mask = _rescale_mask(item.mask, sx, sy, (to_width, to_height), force, where)
+        box = BBox(item.bbox.x * sx, item.bbox.y * sy, item.bbox.w * sx, item.bbox.h * sy)
+        return replace(item, bbox=box, mask=mask)
+
+    if isinstance(dataset, DetectionSet):
+        return DetectionSet(dataset.label_map, [
+            scaled(det, f"detection {det.det_id}") for det in dataset.detections])
+    anns = [scaled(ann, f"annotation {ann.ann_id}") for ann in dataset.annotations]
+    anns = [replace(a, area=float(a.mask.area) if a.mask is not None else a.bbox.area)
+            for a in anns]
+    return _finish(
+        [replace(im, width=to_width, height=to_height) for im in dataset.images],
+        dataset.label_map, anns, lambda k: f"annotation {anns[k].ann_id}")
+
+
+def _rescale_mask(mask, sx, sy, canvas, force, where):
+    if mask is None:
+        return None
+    if mask.polygons is not None:
+        return mask.scaled(sx, sy, canvas=canvas)
+    if not force:
+        raise LossyRescaleError(
+            f"{where}: RLE-only mask cannot be rescaled from polygons; "
+            "pass force to resample"
+        )
+    bits = rle_decode(mask.rle)
+    src_h, src_w = bits.shape
+    to_w, to_h = canvas
+    rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)
+    cols = np.minimum(((np.arange(to_w) + 0.5) * src_w / to_w).astype(int), src_w - 1)
+    resampled = bits[rows][:, cols]
+    return InstanceMask(rle=rle_encode(resampled), canvas=canvas)
+
+
+def reference_stratified_split(dataset: GroundTruthSet, ratios, seed: int):
+    """:func:`deteval.annotations.stratified_split`, walking the records
+    image by image."""
+    if not dataset.images:
+        raise ConfigError("cannot split an empty ground-truth set")
+    ratio_list = [ratios.train, ratios.val, ratios.test]
+
+    totals = dataset.per_class_counts()
+    targets = [
+        {cid: r * n for cid, n in totals.items()} for r in ratio_list
+    ]
+    assigned = [{cid: 0 for cid in totals} for _ in ratio_list]
+
+    order = sorted(dataset.images, key=lambda im: im.image_id)
+    rng = random.Random(seed)
+    rng.shuffle(order)
+
+    by_image = dataset.by_image()
+    assignment: dict[int, int] = {}
+    for img in order:
+        anns = by_image.get(img.image_id, [])
+        classes_here = sorted({a.class_id for a in anns})
+        best = None
+        for s in range(3):
+            deficit = sum(targets[s][c] - assigned[s][c] for c in classes_here)
+            key = (deficit, ratio_list[s], -s)
+            if best is None or key > best[0]:
+                best = (key, s)
+        split = best[1]
+        assignment[img.image_id] = split
+        for ann in anns:
+            assigned[split][ann.class_id] += 1
+
+    parts = []
+    for s in range(3):
+        imgs = [im for im in dataset.images if assignment[im.image_id] == s]
+        ids = {im.image_id for im in imgs}
+        anns = [a for a in dataset.annotations if a.image_id in ids]
+        parts.append(GroundTruthSet(imgs, dataset.label_map, anns))
+    return tuple(parts)

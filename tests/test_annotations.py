@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import minimal_gt_dict, write_json
 from deteval.annotations import (
     Annotation,
     Detection,
+    DetectionSet,
     GroundTruthSet,
     ImageRecord,
     LabelMap,
     SplitRatios,
+    json_text,
     load_detections,
     load_ground_truth,
     load_vott,
@@ -29,8 +32,16 @@ from deteval.errors import (
     ParseError,
     ValidationError,
 )
-from deteval.geometry import BBox, rle_encode
-from deteval.oracle import full_grid
+from deteval.geometry import BBox, InstanceMask, rle_encode
+from deteval.oracle import (
+    ScenarioConfig,
+    full_grid,
+    generate,
+    reference_rescale,
+    reference_stratified_split,
+    reference_to_json,
+)
+from test_loading import assert_same_records
 
 # Per-class testing-split sizes of the 12-class road dataset the default
 # label map mirrors; used to build proportional synthetic sets.
@@ -576,3 +587,149 @@ class TestRleGridErrors:
         image = ImageRecord(1, "a.png", 2, 2)
         with pytest.raises(GeometryError, match=error):
             load_detections(path, LabelMap([(1, "t")]), [image])
+
+
+class TestColumnarDifferential:
+    """The writers, rescale and stratified_split read the item columns; each
+    gives exactly what the record-by-record reference in deteval.oracle
+    gives, the same JSON text and the same error for the same record."""
+
+    SIZE = (97, 61)
+
+    def _scene(self, seed, rle=False):
+        """A generated ground truth and detections; with ``rle``, every
+        second mask is the run-length grid of its pixels on the image, and
+        every third item has no mask."""
+        gt, det = generate(ScenarioConfig(
+            seed=seed, image_count=10, gts_per_image=(0, 6), jitter_px=3, drop_rate=0.2,
+            clutter_rate=0.4, class_swap_rate=0.2, class_count=4, image_size=self.SIZE))
+        if not rle:
+            return gt, det
+
+        def mask(k, m):
+            if k % 3 == 2:
+                return None
+            if k % 2 == 0:
+                return m
+            window = InstanceMask(polygons=m.polygons, canvas=self.SIZE).window()
+            return InstanceMask(rle=rle_encode(full_grid(window, *self.SIZE)))
+
+        return (
+            GroundTruthSet(gt.images, gt.label_map, [
+                replace(a, mask=mask(k, a.mask)) for k, a in enumerate(gt.annotations)]),
+            DetectionSet(det.label_map, [
+                replace(d, mask=mask(k, d.mask)) for k, d in enumerate(det.detections)]),
+        )
+
+    @staticmethod
+    def _same(new, ref):
+        assert_same_records(new, ref)
+        assert json_text(new.to_json()) == json_text(reference_to_json(ref))
+
+    @staticmethod
+    def _same_rescale(dataset, *size, **kwargs):
+        """``rescale`` and ``reference_rescale`` give the same set, or raise
+        the same error; returns the error, or None."""
+        outcomes = []
+        for scale in (rescale, reference_rescale):
+            try:
+                outcomes.append(scale(dataset, *size, **kwargs))
+            except EvalError as exc:
+                outcomes.append(exc)
+        new, ref = outcomes
+        if isinstance(ref, EvalError):
+            assert (type(new), str(new)) == (type(ref), str(ref))
+            return ref
+        TestColumnarDifferential._same(new, ref)
+        return None
+
+    @pytest.mark.parametrize("rle", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_writers(self, tmp_path, seed, rle):
+        gt, det = self._scene(seed, rle)
+        gt.save(tmp_path / "gt.json")
+        det.save(tmp_path / "det.json")
+        # the sets as loaded too, with the loader's columns
+        loaded = load_ground_truth(tmp_path / "gt.json")
+        for dataset in (gt, det, loaded, load_detections(
+                tmp_path / "det.json", loaded.label_map, loaded.images)):
+            assert json_text(dataset.to_json()) == json_text(reference_to_json(dataset))
+
+    @pytest.mark.parametrize("size", [(97, 61), (48, 30), (961, 541), (30, 200)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rescale(self, seed, size):
+        for rle in (False, True):
+            gt, det = self._scene(seed, rle)
+            for force in (False, True):
+                error = self._same_rescale(gt, *size, force=force)
+                # a mask may scale to no pixel
+                ok = error is None or isinstance(error, GeometryError)
+                assert ok == (force or not rle)
+                error = self._same_rescale(det, *size, images=gt.images, force=force)
+                assert (error is None) == (force or not rle)
+
+    def test_rescale_of_loaded_sets(self, tmp_path):
+        gt, det = self._scene(7, rle=True)
+        gt.save(tmp_path / "gt.json")
+        det.save(tmp_path / "det.json")
+        gt = load_ground_truth(tmp_path / "gt.json")
+        det = load_detections(tmp_path / "det.json", gt.label_map, gt.images)
+        for size in ((961, 541), (194, 122)):
+            assert self._same_rescale(gt, *size, force=True) is None
+            assert self._same_rescale(det, *size, images=gt.images, force=True) is None
+
+    @pytest.mark.parametrize("missing_first", [False, True])
+    def test_rescale_raises_for_the_lowest_index(self, missing_first):
+        rle = InstanceMask(rle=rle_encode(np.ones((4, 4), dtype=bool)))
+        image_ids = [99, 1] if missing_first else [1, 99]
+        anns = [Annotation(k + 1, i, 1, BBox(0, 0, 2, 2), mask=rle if i == 1 else None,
+                           area=4.0) for k, i in enumerate(image_ids)]
+        images, labels = [ImageRecord(1, "a.png", 4, 4)], LabelMap([(1, "t")])
+        dets = DetectionSet(labels, [Detection(a.ann_id - 1, a.image_id, 1, a.bbox, 0.5,
+                                               mask=a.mask) for a in anns])
+        for dataset, kwargs in ((GroundTruthSet(images, labels, anns), {}),
+                                (dets, {"images": images})):
+            error = self._same_rescale(dataset, 2, 2, **kwargs)
+            if missing_first:
+                assert str(error) == "unknown image_id 99 during rescale"
+                assert isinstance(error, MissingReferenceError)
+            else:
+                assert isinstance(error, LossyRescaleError)
+                assert str(error).startswith(("annotation 1: ", "detection 0: "))
+            # with force only the missing image is a fault
+            assert isinstance(self._same_rescale(dataset, 2, 2, force=True, **kwargs),
+                              MissingReferenceError)
+
+    def test_rescale_checks_the_set_as_loading_does(self):
+        images, labels = [ImageRecord(1, "a.png", 40, 40)], LabelMap([(1, "t")])
+        twice = [Annotation(5, 1, 1, BBox(0, 0, 8, 8), area=64.0)] * 2
+        error = self._same_rescale(GroundTruthSet(images, labels, twice), 20, 20)
+        assert str(error) == "annotation 5: ann_id occurs more than once"
+        flat = [Annotation(5, 1, 1, BBox(0, 0, 8, 0), area=1.0)]
+        error = self._same_rescale(GroundTruthSet(images, labels, flat), 20, 20)
+        assert str(error) == "annotation 5: area is 0.0 (must be > 0)"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split(self, tmp_path, seed):
+        gt, _ = self._scene(seed, rle=seed % 2 == 1)
+        loaded = load_ground_truth(write_json(
+            tmp_path / "gt.json", road_gt_dict(ROAD_TEST_COUNTS, images=60)))
+        for dataset in (gt, loaded):
+            for ratios in (SplitRatios(0.7, 0.15, 0.15), SplitRatios(0.5, 0.5, 0.0),
+                           SplitRatios(0.2, 0.2, 0.6)):
+                parts = stratified_split(dataset, ratios, seed)
+                for new, ref in zip(parts, reference_stratified_split(dataset, ratios, seed),
+                                    strict=True):
+                    self._same(new, ref)
+
+    def test_split_of_repeated_images_and_unknown_image_ids(self):
+        gt, _ = self._scene(3)
+        images = (*gt.images, gt.images[2], ImageRecord(50, "none.png", 9, 9))
+        anns = (*gt.annotations, Annotation(900, 77, 2, BBox(1, 1, 4, 4), area=16.0))
+        dataset = GroundTruthSet(images, gt.label_map, anns)
+        for seed in range(6):
+            ratios = SplitRatios(0.6, 0.2, 0.2)
+            parts = stratified_split(dataset, ratios, seed)
+            for new, ref in zip(parts, reference_stratified_split(dataset, ratios, seed),
+                                strict=True):
+                self._same(new, ref)

@@ -758,6 +758,36 @@ class TestRecordsOnDemand:
         assert built.count("InstanceMask") == built.count("Polygon") == masks
         assert {"Annotation", "Detection", "BBox"}.isdisjoint(built)
 
+    @pytest.mark.parametrize("command", [
+        ["split", "--seed", "3"], ["rescale", "--width", "61", "--height", "43"]])
+    def test_split_and_rescale_build_no_records(self, tmp_path, monkeypatch, command):
+        from deteval.annotations import Annotation, Detection
+        from deteval.geometry import BBox, InstanceMask, Polygon
+        from deteval.oracle import ScenarioConfig, generate
+
+        gt_set, _ = generate(ScenarioConfig(seed=5, image_count=8, image_size=(122, 86)))
+        doc = gt_set.to_json()
+        write_json(tmp_path / "masks.json", doc)
+        for ann in doc["annotations"]:
+            del ann["segmentation"]
+        write_json(tmp_path / "boxes.json", doc)
+        built = []
+        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        out = str(tmp_path / command[0])
+        assert main([*command, "--gt", str(tmp_path / "boxes.json"), "--out", out]) == 0
+        assert built == []
+        assert main([*command, "--gt", str(tmp_path / "masks.json"), "--out", out]) == 0
+        # each source mask, of one polygon here, is built once; rescale builds
+        # one scaled mask of each too
+        masks = len(gt_set.annotations) * (2 if command[0] == "rescale" else 1)
+        assert built.count("InstanceMask") == built.count("Polygon") == masks
+        assert {"Annotation", "Detection", "BBox"}.isdisjoint(built)
+
 
 class TestGreedyCalls:
     """The AP suite runs its greedy kernel once per evaluate, over every
@@ -964,6 +994,25 @@ class TestRescale:
              "--out", str(out), "--force"]
         ) == 0
         assert out.exists()
+
+    def test_mask_scaled_to_no_pixel_exits_2(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1, "file_name": "a.png", "width": 3840, "height": 2160}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                             "bbox": [100, 100, 2, 2],
+                             "segmentation": [[100, 100, 102, 100, 102, 102, 100, 102]]}],
+            "categories": [{"id": 1, "name": "t"}],
+        }
+        gt = write_json(tmp_path / "gt.json", doc)
+        out = tmp_path / "r.json"
+        assert main(["rescale", "--gt", str(gt), "--width", "960", "--height", "540",
+                     "--out", str(out)]) == 2
+        assert "annotation 1: area is 0.0 (must be > 0)" in capsys.readouterr().err
+        assert not out.exists()
+        # at full size the same file rescales
+        assert main(["rescale", "--gt", str(gt), "--width", "3840", "--height", "2160",
+                     "--out", str(out)]) == 0
+        assert main(["split", "--gt", str(out), "--out", str(tmp_path / "s")]) == 0
 
 
 class TestConvert:

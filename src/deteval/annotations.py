@@ -159,14 +159,15 @@ class ItemColumns:
     ``values`` (float64: the areas of ground truths, the scores of
     detections) and ``has_mask`` (bool). The masks and the ``record``
     objects (:class:`Annotation` or :class:`Detection`) are built from them
-    only when asked for; the masks once."""
+    only when asked for; the masks and their :meth:`windows` once."""
 
     def __init__(self, record, ids, image_ids, class_ids, boxes, values, has_mask, masks):
-        self.record, self.ids, self.image_ids, self.class_ids = record, ids, image_ids, class_ids
-        self.boxes, self.values, self.has_mask = boxes, values, has_mask
+        self.record, self.ids, self.image_ids = record, ids, image_ids
+        self.class_ids, self.boxes = class_ids, boxes
+        self.values, self.has_mask = values, has_mask
         self._masks = masks  # the mask of each item, or the function that builds them
         self._records = [None] * ids.size  # each item's record, once built
-        self._all = None
+        self._all = self._windows = None
 
     @classmethod
     def of(cls, record, records) -> "ItemColumns":
@@ -188,6 +189,21 @@ class ItemColumns:
         if callable(self._masks):
             self._masks = self._masks()
         return self._masks
+
+    def windows(self) -> tuple:
+        """``(rects, areas, bits)`` of the items' masks: each item's window
+        ``(x0, y0, x1, y1)`` as an ``(N, 4)`` int64 array and its pixel count
+        (int64), zeros without a mask, and its window's bit grid, or None.
+        The masks are prepared in one :func:`prepare_windows` call."""
+        if self._windows is None:
+            masks = self.masks()
+            prepare_windows([m for m in masks if m is not None])
+            windows = [(None, 0, 0) if m is None else m._window for m in masks]
+            rows = np.fromiter(chain.from_iterable(
+                (x, y, x + b.shape[1], y + b.shape[0], m.area) if m else (0,) * 5
+                for m, (b, x, y) in zip(masks, windows)), np.int64).reshape(-1, 5)
+            self._windows = rows[:, :4], rows[:, 4], [b for b, _, _ in windows]
+        return self._windows
 
     def take(self, at) -> "ItemColumns":
         """The items at the positions ``at``, sharing this set's masks."""
@@ -747,9 +763,10 @@ def write_text_atomic(files) -> None:
     Missing parent directories are created. A path that cannot be written, or
     text that has no UTF-8 form (a lone surrogate read from a JSON escape),
     raises ConfigError naming the path, after the temporary files and the
-    outputs already renamed into place are removed."""
+    outputs already renamed into place are removed, and the files they
+    replaced, moved aside until all are written, are put back."""
     files = [(Path(path), text) for path, text in files]
-    made = []
+    made, aside = [], []
     try:
         for path, text in files:
             tmp = path.with_name(path.name + ".tmp")
@@ -757,13 +774,20 @@ def write_text_atomic(files) -> None:
             made.append(tmp)
             tmp.write_text(text, encoding="utf-8")
         for path, _ in files:
+            if path.is_file():
+                aside.append((path.replace(path.with_name(path.name + ".old")), path))
             path.with_name(path.name + ".tmp").replace(path)
             made.append(path)
     except (OSError, UnicodeEncodeError) as exc:
         for leftover in made:
             with contextlib.suppress(OSError):
                 leftover.unlink()
+        for old, target in aside:
+            old.replace(target)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    for old, _ in aside:
+        with contextlib.suppress(OSError):
+            old.unlink()
 
 
 # ---------------------------------------------------------------------------

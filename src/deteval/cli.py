@@ -123,11 +123,7 @@ def _formats(args) -> set[str]:
 
 
 def _thresholds(args) -> Thresholds:
-    return Thresholds(
-        iou_threshold=args.iou,
-        confidence_threshold=args.conf,
-        geometry_mode=args.mode,
-    )
+    return Thresholds(args.iou, args.conf, args.mode)
 
 
 def cmd_evaluate(args) -> int:

@@ -8,7 +8,9 @@ Masks are prepared in batches: :func:`prepare_windows` rasterizes the polygon
 rings of many masks (a dataset's, say) in a few numpy calls per pass over one
 flat buffer, and decodes their run-length windows the same way; the passes
 are bounded in cells, which bounds their temporary arrays. A single mask's
-:meth:`InstanceMask.window` is a batch of one.
+:meth:`InstanceMask.window` is a batch of one. Matching reads a set's
+windows as columns (``ItemColumns.windows``) and intersects them itself;
+:meth:`InstanceMask.iou` is the scalar form of that intersection.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -504,18 +506,6 @@ def prepare_windows(masks) -> None:
     if rles:
         for m, win in zip(rles, rle_windows([m.rle for m in rles])):
             m._window = win
-
-
-def window_rects(masks) -> np.ndarray:
-    """``(x0, y0, x1, y1)`` of each mask's window, one row per mask; the
-    windows not yet prepared are prepared in one batch."""
-    if any(m._window is None for m in masks):
-        prepare_windows(masks)
-    rects = [
-        (x0, y0, x0 + bits.shape[1], y0 + bits.shape[0])
-        for bits, x0, y0 in (m._window for m in masks)
-    ]
-    return np.array(rects, dtype=np.int64).reshape(-1, 4)
 
 
 class InstanceMask:

@@ -17,12 +17,16 @@ Two matchers are provided, each run over all images of a dataset at once:
 
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and every pair whose IoU is at or above a floor, from one pass over
-the sets' columns that computes each within-image cell once. The matchers
-keep the pairs at or above the IoU and confidence thresholds; a pair never
-spans two images, so no per-image pass is needed. :func:`accumulate` reduces
-any number of per-image results into one ``(C+1) x (C+1)`` count grid whose
-final column holds unmatched ground truths ("left detections") and whose
-final row holds unmatched detections ("unclassified detections").
+the sets' columns that computes each within-image cell once. In masks mode
+it reads each set's mask windows as columns (:meth:`ItemColumns.windows`:
+rects, areas and bit grids, prepared once per set) and intersects the
+overlapping windows as slices of the two grids, with no per-pair method
+call. The matchers keep the pairs at or above the IoU and confidence
+thresholds; a pair never spans two images, so no per-image pass is needed.
+:func:`accumulate` reduces any number of per-image results into one
+``(C+1) x (C+1)`` count grid whose final column holds unmatched ground
+truths ("left detections") and whose final row holds unmatched detections
+("unclassified detections").
 
 Determinism: all orderings use the total tie-break (higher IoU, higher score,
 lower det_id, lower gt_id); the modified matcher's priority order is
@@ -39,7 +43,6 @@ import numpy as np
 
 from .annotations import Annotation, Detection, ItemColumns, LabelMap
 from .errors import ConfigError, GeometryError, MissingReferenceError
-from .geometry import prepare_windows, window_rects
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -119,19 +122,6 @@ def iou_matrix(gts, dets, mode: str) -> np.ndarray:
     return ious
 
 
-def _check_canvases(gmasks, dmasks) -> None:
-    """Raise as :meth:`InstanceMask.iou` does for the first (gt, det) pair
-    whose known canvases differ, whether or not their windows overlap."""
-    gsizes = {m.canvas for m in gmasks} - {None}
-    dsizes = {m.canvas for m in dmasks} - {None}
-    if not gsizes or not dsizes or len(gsizes | dsizes) == 1:
-        return
-    for g in gmasks:
-        for d in dmasks:
-            if None not in (g.canvas, d.canvas) and g.canvas != d.canvas:
-                raise GeometryError(f"mask canvases differ: {g.canvas} vs {d.canvas}")
-
-
 def _pairs(table, at) -> list[MatchPair]:
     """The :class:`MatchPair` of each of the table's pairs at positions ``at``."""
     gt, det = table.gt[at], table.det[at]
@@ -167,8 +157,9 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
 
     The (gt, det) cells of all images are taken in passes of at most
     ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
-    are kept. In masks mode, a pair with masks on both sides takes their
-    :meth:`InstanceMask.iou` where their windows overlap, else 0.0."""
+    are kept. In masks mode, a pair with masks on both sides takes the IoU
+    of the sets' :meth:`ItemColumns.windows`, which equals their
+    :meth:`InstanceMask.iou`: only overlapping windows are intersected."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))
     n_gts = np.bincount(gt_image[gt_item], minlength=len(image_id))
@@ -179,12 +170,10 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
     row_end = row.cumsum()
     shift = (n_dets.cumsum() - n_dets)[gt_image[gt_item]] - (row_end - row)
     a, b = _corners(gts.boxes[gt_item]), _corners(dets.boxes[det_item])
-    if mode == "masks":
-        # a cell with masks on both sides is on an image with masks on both
-        # sides, so _windows has prepared both windows
-        gmasks, dmasks = ([m[k] for k in item.tolist()]
-                          for m, item in ((gts.masks(), gt_item), (dets.masks(), det_item)))
-        g_rect, d_rect = _windows(gmasks, dmasks, n_gts, n_dets)
+    masked = mode == "masks" and gts.has_mask.any() and dets.has_mask.any()
+    if masked:
+        _check_canvases(gts, dets, gt_item, det_item, n_gts, n_dets)
+        (g_rect, g_area, g_bits), (d_rect, d_area, d_bits) = gts.windows(), dets.windows()
         g_has, d_has = gts.has_mask[gt_item], dets.has_mask[det_item]
     total = int(row_end[-1]) if row.size else 0
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
@@ -193,14 +182,22 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
         g = np.searchsorted(row_end, cell, side="right")
         d = cell + shift[g]
         iou = _box_iou([c[g] for c in a], [c[d] for c in b])
-        if mode == "masks":
+        if masked:
             both = np.flatnonzero(g_has[g] & d_has[d])
-            gb, db = g[both], d[both]
-            over = (np.maximum(g_rect[gb, :2], d_rect[db, :2])
-                    < np.minimum(g_rect[gb, 2:], d_rect[db, 2:])).all(axis=1)
-            iou[both] = 0.0
-            iou[both[over]] = [gmasks[i].iou(dmasks[j])
-                               for i, j in zip(gb[over].tolist(), db[over].tolist())]
+            i, j = gt_item[g[both]], det_item[d[both]]
+            start = np.maximum(g_rect[i, :2], d_rect[j, :2])
+            stop = np.minimum(g_rect[i, 2:], d_rect[j, 2:])
+            over = np.flatnonzero((start < stop).all(axis=1))
+            # each overlap as slices of the two windows
+            start, stop = start[over], stop[over]
+            go, do = g_rect[i[over], :2], d_rect[j[over], :2]
+            spans = np.concatenate([i[over, None], j[over, None], start - go, stop - go,
+                                    start - do, stop - do], 1).T.tolist()
+            inter = np.zeros(both.size, np.int64)
+            inter[over] = [np.count_nonzero(g_bits[p][y0:y1, x0:x1] & d_bits[q][v0:v1, u0:u1])
+                           for p, q, x0, y0, x1, y1, u0, v0, u1, v1 in zip(*spans)]
+            union = g_area[i] + d_area[j] - inter
+            iou[both] = np.divide(inter, union, out=np.zeros(both.size), where=union > 0)
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
     return PairTable(floor, image_id, gts, dets, gt_item, det_item, n_gts, n_dets,
@@ -209,26 +206,20 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
                      *map(np.concatenate, zip(*parts)))
 
 
-def _windows(gt_masks, det_masks, n_gts, n_dets) -> list:
-    """The ``(x0, y0, x1, y1)`` windows of the masks ``gt_masks`` and
-    ``det_masks`` of a table's items, in table order, on the images with
-    masks on both sides (zeros elsewhere). The canvases of every such image
-    are checked first; then its masks are prepared, in one call per side."""
-    ready = ([], [])
-    g_end, d_end = n_gts.cumsum().tolist(), n_dets.cumsum().tolist()
-    for g0, g1, d0, d1 in zip([0, *g_end], g_end, [0, *d_end], d_end):
-        gk = [k for k in range(g0, g1) if gt_masks[k] is not None]
-        dk = [k for k in range(d0, d1) if det_masks[k] is not None]
-        if gk and dk:
-            _check_canvases([gt_masks[k] for k in gk], [det_masks[k] for k in dk])
-            ready[0].extend(gk)
-            ready[1].extend(dk)
-    rects = []
-    for masks, at in zip((gt_masks, det_masks), ready):
-        prepare_windows([masks[k] for k in at])
-        rects.append(np.zeros((len(masks), 4), dtype=np.int64))
-        rects[-1][at] = window_rects([masks[k] for k in at])
-    return rects
+def _check_canvases(gts, dets, gt_item, det_item, n_gts, n_dets) -> None:
+    """Raise as :meth:`InstanceMask.iou` does for the first (gt, det) pair
+    of an image whose known canvases differ, whether or not their windows
+    overlap. ``gt_item`` and ``det_item`` give the items in table order,
+    ``n_gts`` and ``n_dets`` each image's count of them."""
+    canvases = [[m and m.canvas for m in items.masks()] for items in (gts, dets)]
+    if len(set(canvases[0] + canvases[1]) - {None}) < 2:
+        return
+    g, d = ([c[k] for k in at.tolist()] for c, at in zip(canvases, (gt_item, det_item)))
+    for gs, ds in zip(_split(g, n_gts), _split(d, n_dets)):
+        known = set(gs) - {None}, set(ds) - {None}
+        if all(known) and len(known[0] | known[1]) > 1:
+            a, b = next((a, b) for a in gs for b in ds if None not in (a, b) and a != b)
+            raise GeometryError(f"mask canvases differ: {a} vs {b}")
 
 
 def _positions(keys, values) -> np.ndarray:

@@ -195,9 +195,8 @@ def _match_cells(table, mode: str) -> dict:
     with np.errstate(over="ignore"):  # to inf, as in the scalar float arithmetic
         det_area = boxes[:, 2] * boxes[:, 3]
     if mode == "masks":
-        masks = table.det_items.masks()
-        masked = np.flatnonzero(table.det_items.has_mask[table.det_item])
-        det_area[masked] = [masks[k].area for k in table.det_item[masked].tolist()]
+        masked = table.det_items.has_mask[table.det_item]
+        det_area[masked] = table.det_items.windows()[1][table.det_item[masked]]
     det_code = _strata(det_area)
     # each detection's rank in its cell, by score, then det_id
     det_image = np.repeat(np.arange(len(table.n_dets)), table.n_dets)

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
+from html import escape
 
 import numpy as np
 
@@ -123,7 +124,7 @@ def parse_confusion_csv(text: str) -> tuple[list[str], np.ndarray]:
     if len(rows) < 2:
         raise ParseError("confusion matrix csv has no data rows")
     header = rows[0]
-    if header[-1] != LEFT_DETECTION or header[0] != "":
+    if header[-1:] != [LEFT_DETECTION] or header[0] != "":
         raise ParseError("confusion matrix csv header is malformed")
     names = header[1:-1]
     n = len(names) + 1
@@ -134,11 +135,11 @@ def parse_confusion_csv(text: str) -> tuple[list[str], np.ndarray]:
     counts = np.zeros((n, n), dtype=np.int64)
     for k, row in enumerate(rows[1:]):
         expected_label = names[k] if k < len(names) else UNCLASSIFIED_DETECTION
-        if row[0] != expected_label or len(row) != n + 1:
+        if row[:1] != [expected_label] or len(row) != n + 1:
             raise ParseError(f"confusion matrix csv row {k + 1} is malformed")
         try:
             counts[k] = [int(v) for v in row[1:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
             raise ParseError(f"confusion matrix csv row {k + 1}: {exc}") from exc
     if (counts < 0).any():
         raise ParseError("confusion matrix csv contains negative counts")
@@ -166,19 +167,14 @@ def matrix_svg(names: list[str], counts: np.ndarray) -> str:
     the left-detection column and unclassified-detection row set apart by a
     gap. Counts are printed in the cells when the grid is at most 20x20."""
     n = counts.shape[0]
-    cell = 34
-    gap = 8
-    left = 150
-    top = 150
-    grid_w = n * cell + gap
-    grid_h = n * cell + gap
-    width = left + grid_w + 10
-    height = top + grid_h + 10
+    cell, gap, left, top = 34, 8, 150, 150
+    side = n * cell + gap  # of the square grid
+    width, height = left + side + 10, top + side + 10
     peak = int(counts.max()) if counts.size else 0
     with_text = n <= 20
 
-    row_labels = names + [UNCLASSIFIED_DETECTION]
-    col_labels = names + [LEFT_DETECTION]
+    row_labels = [escape(t, quote=False) for t in names + [UNCLASSIFIED_DETECTION]]
+    col_labels = [escape(t, quote=False) for t in names + [LEFT_DETECTION]]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -189,13 +185,11 @@ def matrix_svg(names: list[str], counts: np.ndarray) -> str:
         x = left + j * cell + cell // 2 + (gap if j == n - 1 else 0)
         parts.append(
             f'<text x="{x}" y="{top - 6}" text-anchor="start" '
-            f'transform="rotate(-60 {x} {top - 6})">{_esc(label)}</text>'
+            f'transform="rotate(-60 {x} {top - 6})">{label}</text>'
         )
     for i, label in enumerate(row_labels):
         y = top + i * cell + cell // 2 + 4 + (gap if i == n - 1 else 0)
-        parts.append(
-            f'<text x="{left - 6}" y="{y}" text-anchor="end">{_esc(label)}</text>'
-        )
+        parts.append(f'<text x="{left - 6}" y="{y}" text-anchor="end">{label}</text>')
     for i in range(n):
         for j in range(n):
             v = int(counts[i, j])
@@ -214,9 +208,3 @@ def matrix_svg(names: list[str], counts: np.ndarray) -> str:
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _esc(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

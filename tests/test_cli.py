@@ -539,6 +539,32 @@ class TestUnwritableOutput:
         assert f"cannot write {out / blocked}" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [blocked]
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("evaluate", "class_metrics.csv"), ("evaluate", "report.json"),
+        ("compare", "class_deltas.csv"), ("split", "manifest.json"),
+    ])
+    def test_failed_rerun_keeps_the_previous_outputs(self, tmp_path, capsys, command,
+                                                     blocked):
+        """A rerun into the outputs of a run that succeeded, failing at one of
+        them, leaves every other file byte-identical and nothing beside them."""
+        gt, det = simple_pair(tmp_path)
+        out = tmp_path / "out"
+        inputs = {
+            "evaluate": ["--gt", gt, "--det", det, "--format", "json,csv,svg"],
+            "compare": ["--gt", gt, "--det", det, "--format", "csv,svg"],
+            "split": ["--gt", gt],
+        }[command]
+        argv = [command, *map(str, inputs), "--out", str(out)]
+        assert main(argv) == 0
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert len(before) >= 2
+        assert main(argv) == 2
+        assert f"cannot write {out / blocked}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, blocked])
+
 
 SLIVER = [[1, 1, 9, 1.2, 5, 1.1]]  # a non-empty box whose raster is empty
 
@@ -1256,6 +1282,21 @@ class TestRender:
         assert main(
             ["render", "--matrix", str(bad), "--out", str(tmp_path / "o.svg")]
         ) == 2
+
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("\nA,1\n", "header is malformed", id="blank-first-line"),
+        pytest.param(",A,left detection\n\nunclassified detection,1,0\n",
+                     "row 1 is malformed", id="blank-data-row"),
+        pytest.param(",A,left detection\nA,99999999999999999999999,3\n"
+                     "unclassified detection,1,0\n", "row 1: ", id="count-beyond-int64"),
+    ])
+    def test_bad_row_exits_2_naming_it(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "o.svg"
+        assert main(["render", "--matrix", str(bad), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -15,9 +16,11 @@ from deteval.annotations import (
     GroundTruthSet,
     ImageRecord,
     LabelMap,
+    load_detections,
+    load_ground_truth,
 )
 from deteval.errors import ConfigError, GeometryError
-from deteval.geometry import BBox, InstanceMask, rle_encode
+from deteval.geometry import BBox, InstanceMask, box_iou, prepare_windows, rle_encode
 from deteval.matching import (
     ALGORITHMS,
     ConfusionMatrix,
@@ -36,6 +39,7 @@ from deteval.matching import (
 from deteval.metrics import _match_cells
 from deteval.oracle import (
     ScenarioConfig,
+    full_grid,
     generate,
     image_modified,
     max_matching,
@@ -701,6 +705,248 @@ class TestErrorOrder:
         with pytest.raises(GeometryError, match="invalid polygon: 2 vertices"):
             image_ious(GroundTruthSet(images[1:], LABELS, image_2[:1]),
                        DetectionSet(LABELS, image_2[1:]), "masks", 0.5)
+
+
+class _Reads(np.ndarray):
+    """A window's bit grid that counts the slices read from it."""
+
+    count = 0
+
+    def __getitem__(self, key):
+        _Reads.count += 1
+        return np.asarray(self)[key]
+
+
+def _watched(masks):
+    """Prepare ``masks`` and put each window's grid in a :class:`_Reads`."""
+    masks = [m for m in masks if m is not None]
+    prepare_windows(masks)
+    for m in masks:
+        bits, x0, y0 = m._window
+        m._window = (bits.view(_Reads), x0, y0)
+
+
+def _overlap(a, b) -> bool:
+    """Whether two prepared masks' windows share a pixel, as
+    :meth:`InstanceMask.iou` tells it."""
+    (abits, ax, ay), (bbits, bx, by) = a._window, b._window
+    return (min(ax + abits.shape[1], bx + bbits.shape[1]) > max(ax, bx)
+            and min(ay + abits.shape[0], by + bbits.shape[0]) > max(ay, by))
+
+
+def _as_rle(mask, canvas):
+    """The mask as a run-length grid on ``canvas``."""
+    window = InstanceMask(polygons=mask.polygons, canvas=canvas).window()
+    return InstanceMask(rle=rle_encode(full_grid(window, *canvas)))
+
+
+class TestColumnIntersection:
+    """The pair table's column intersection equals the scalar
+    :meth:`InstanceMask.iou` of every pair exactly, and intersects only the
+    pairs whose windows share a pixel, each once."""
+
+    @staticmethod
+    def assert_scalar_equal(gt_set, det_set):
+        _watched(gt_set.items.masks() + det_set.items.masks())
+        _Reads.count = 0
+        table = image_ious(gt_set, det_set, "masks", -np.inf)
+        reads = _Reads.count
+        gts = gt_set.items.records(table.gt_item)
+        dets = det_set.items.records(table.det_item)
+        assert table.gt.size == sum(table.n_gts * table.n_dets)
+        overlapping = 0
+        for g, d, iou in zip(table.gt.tolist(), table.det.tolist(), table.iou.tolist()):
+            gm, dm = gts[g].mask, dets[d].mask
+            if gm is None or dm is None:
+                assert iou == box_iou(gts[g].bbox, dets[d].bbox)
+                continue
+            overlapping += _overlap(gm, dm)
+            assert iou == gm.iou(dm), (gts[g], dets[d])
+        assert reads == 2 * overlapping
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_polygon_and_rle_masks(self, seed):
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=seed, image_count=4, gts_per_image=(0, 7), jitter_px=6.0,
+            class_swap_rate=0.3, clutter_rate=0.5, drop_rate=0.2, image_size=(48, 40)))
+        canvas = (48, 40)
+        # every third mask a run-length grid, every fifth detection without one
+        anns = [replace(a, mask=_as_rle(a.mask, canvas) if k % 3 == 0 else
+                        InstanceMask(polygons=a.mask.polygons, canvas=canvas))
+                for k, a in enumerate(gt_set.annotations)]
+        dets = [replace(d, mask=None if k % 5 == 4 else _as_rle(d.mask, canvas)
+                        if k % 3 == 1 else InstanceMask(polygons=d.mask.polygons))
+                for k, d in enumerate(det_set.detections)]
+        self.assert_scalar_equal(GroundTruthSet(gt_set.images, gt_set.label_map, anns),
+                                 DetectionSet(det_set.label_map, dets))
+
+    def test_touching_and_empty_windows(self):
+        def rle(x0, y0, x1, y1, canvas=(12, 10)):
+            bits = np.zeros(canvas[::-1], dtype=bool)
+            bits[y0:y1, x0:x1] = True
+            return InstanceMask(rle=rle_encode(bits))
+
+        def square(x0, y0, x1, y1):
+            return InstanceMask(polygons=[polygon_from_points(
+                [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])], canvas=(12, 10))
+
+        gt_masks = [square(0, 0, 4, 4), rle(4, 4, 8, 8), rle(0, 0, 0, 0)]
+        det_masks = [
+            square(4, 0, 8, 4), rle(0, 4, 4, 8),  # edge to edge with the first
+            square(8, 8, 10, 10), rle(3, 3, 4, 4),  # corner to corner
+            rle(2, 2, 6, 6),  # overlapping the first two
+            rle(0, 0, 0, 0), square(20, 20, 24, 24),  # empty windows
+        ]
+        gts = [Annotation(k + 1, 1, 1, BBox(0, 0, 4, 4), mask=m, area=16.0)
+               for k, m in enumerate(gt_masks)]
+        dets = [Detection(k, 1, 1, BBox(0, 0, 4, 4), score=0.9, mask=m)
+                for k, m in enumerate(det_masks)]
+        images = [ImageRecord(1, "a.png", 12, 10)]
+        gt_set, det_set = GroundTruthSet(images, LABELS, gts), DetectionSet(LABELS, dets)
+        self.assert_scalar_equal(gt_set, det_set)
+        # the empty windows have no pixel; an empty union is 0.0
+        assert det_set.items.windows()[1][5:].tolist() == [0, 0]
+        assert det_set.items.windows()[0][6].tolist() == [20, 20, 20, 20]
+        ious = iou_matrix(gts, dets, "masks")
+        assert ious[2].tolist() == [0.0] * len(dets)
+        assert ious[0].tolist() == [0.0, 0.0, 0.0, 1 / 16, 4 / 28, 0.0, 0.0]
+        assert ious[1].tolist() == [0.0, 0.0, 0.0, 0.0, 4 / 28, 0.0, 0.0]
+
+    def test_windows_are_columns_of_the_set(self):
+        gt_set, _ = generate(ScenarioConfig(seed=3, image_count=2, image_size=(40, 30)))
+        rects, areas, bits = gt_set.items.windows()
+        assert gt_set.items.windows()[0] is rects  # computed once
+        assert rects.dtype == areas.dtype == np.int64 and rects.shape == (areas.size, 4)
+        for (x0, y0, x1, y1), area, grid, ann in zip(
+                rects.tolist(), areas.tolist(), bits, gt_set.annotations):
+            window, wx, wy = ann.mask.window()
+            assert grid is window and (x0, y0) == (wx, wy)
+            assert (y1 - y0, x1 - x0) == grid.shape and area == ann.mask.area
+
+
+def _reference_canvas_check(gt_set, det_set):
+    """The per-image pairwise canvas check: the text of the first (gt, det)
+    pair, image by image, whose known canvases differ, or None."""
+    for img in gt_set.images:
+        gms = [g.mask for g in gt_set.by_image()[img.image_id] if g.mask is not None]
+        dms = [d.mask for d in det_set.by_image().get(img.image_id, []) if d.mask is not None]
+        for g in gms:
+            for d in dms:
+                if None not in (g.canvas, d.canvas) and g.canvas != d.canvas:
+                    return f"mask canvases differ: {g.canvas} vs {d.canvas}"
+    return None
+
+
+def _canvas_mask(canvas):
+    """A small mask on ``canvas``: a run-length grid of that size, or a
+    polygon with no canvas for None."""
+    if canvas is None:
+        return InstanceMask(polygons=[polygon_from_points([(0, 0), (2, 0), (2, 2)])])
+    bits = np.zeros(canvas[::-1], dtype=bool)
+    bits[:2, :2] = True
+    return InstanceMask(rle=rle_encode(bits))
+
+
+def _canvas_scene(images):
+    """Sets of one item per canvas: ``images`` lists each image's ground
+    truth and detection canvases."""
+    gts, dets = [], []
+    for image_id, (g_canvases, d_canvases) in enumerate(images, 1):
+        gts += [Annotation(len(gts) + 1, image_id, 1, BBox(0, 0, 2, 2), area=4.0,
+                           mask=_canvas_mask(c)) for c in g_canvases]
+        dets += [Detection(len(dets), image_id, 1, BBox(0, 0, 2, 2), score=0.9,
+                           mask=_canvas_mask(c)) for c in d_canvases]
+    records = [ImageRecord(k, f"{k}.png", 32, 32) for k in range(1, len(images) + 1)]
+    return GroundTruthSet(records, LABELS, gts), DetectionSet(LABELS, dets)
+
+
+A8, A6, A5 = (8, 8), (6, 6), (5, 5)
+
+
+class TestCanvasCheck:
+    """The canvas check raises exactly when, and with the text that, the
+    per-image pairwise loop does."""
+
+    @staticmethod
+    def assert_parity(gt_set, det_set):
+        expected = _reference_canvas_check(gt_set, det_set)
+        if expected is None:
+            image_ious(gt_set, det_set, "masks", 0.5)
+        else:
+            with pytest.raises(GeometryError) as info:
+                image_ious(gt_set, det_set, "masks", 0.5)
+            assert str(info.value) == expected
+        return expected
+
+    @pytest.mark.parametrize("images, expected", [
+        pytest.param([([A8], [A8, None]), ([A8, A6], [None, A6, A8])],
+                     "mask canvases differ: (8, 8) vs (6, 6)", id="later-image-only"),
+        pytest.param([([A8, A6], [None, None])], None, id="gts-differ-no-det-canvas"),
+        pytest.param([([A8, None], [A8]), ([A6], [None, A6]), ([A5], [])], None,
+                     id="multi-size-each-consistent"),
+        pytest.param([([None, A8, A6], [A6, A8, A5])],
+                     "mask canvases differ: (8, 8) vs (6, 6)", id="first-pair-named"),
+        pytest.param([([A8], [A8]), ([A6, A5], [A5])],
+                     "mask canvases differ: (6, 6) vs (5, 5)", id="two-canvases-on-an-image"),
+    ])
+    def test_cases(self, images, expected):
+        assert self.assert_parity(*_canvas_scene(images)) == expected
+
+    def test_random_scenes(self):
+        rng = random.Random(5)
+        raised = 0
+        for _ in range(300):
+            choices = [None, A8, A6, A5][: rng.randint(2, 4)]
+            images = [tuple([rng.choice(choices) for _ in range(rng.randint(0, 3))]
+                            for _ in range(2)) for _ in range(rng.randint(1, 4))]
+            raised += self.assert_parity(*_canvas_scene(images)) is not None
+        assert 30 < raised < 270
+
+    def test_detections_loaded_without_images(self, tmp_path):
+        gt = {"images": [{"id": 1, "file_name": "a.png", "width": 8, "height": 8}],
+              "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                               "bbox": [0, 0, 4, 4], "segmentation": [[0, 0, 4, 0, 4, 4]]}],
+              "categories": [{"id": 1, "name": "X"}]}
+        det = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 4], "score": 0.9,
+                "segmentation": {"size": [6, 6], "counts": [0, 4, 32]}}]
+        (tmp_path / "gt.json").write_text(json.dumps(gt), encoding="utf-8")
+        (tmp_path / "det.json").write_text(json.dumps(det), encoding="utf-8")
+        gt_set = load_ground_truth(tmp_path / "gt.json")
+        det_set = load_detections(tmp_path / "det.json", gt_set.label_map)
+        assert self.assert_parity(gt_set, det_set) == "mask canvases differ: (8, 8) vs (6, 6)"
+        with pytest.raises(GeometryError, match="does not match image 8x8"):
+            load_detections(tmp_path / "det.json", gt_set.label_map, gt_set.images)
+
+
+class TestWindowCache:
+    def test_repeated_calls_prepare_each_mask_once(self, monkeypatch):
+        from deteval import geometry
+
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=4, image_count=1, gts_per_image=(6, 6), jitter_px=3.0, clutter_rate=0.5,
+            image_size=(64, 48)))
+        gts = list(gt_set.annotations)
+        dets = [replace(d, mask=_as_rle(d.mask, (64, 48))) if k % 2 else d
+                for k, d in enumerate(det_set.detections)]
+        prepared = {"raster": 0, "decode": 0}
+        raster, decode = geometry._raster_chunk, geometry._rle_pass
+
+        def counted_raster(xy, ring_sizes, mask_rings, rects):
+            prepared["raster"] += len(rects)
+            return raster(xy, ring_sizes, mask_rings, rects)
+
+        def counted_decode(rles):
+            prepared["decode"] += len(rles)
+            return decode(rles)
+
+        monkeypatch.setattr(geometry, "_raster_chunk", counted_raster)
+        monkeypatch.setattr(geometry, "_rle_pass", counted_decode)
+        t = Thresholds(geometry_mode="masks")
+        first = match_conventional(gts, dets, t)
+        assert match_conventional(gts, dets, t) == first
+        match_modified(gts, dets, t)
+        n_rle = sum(d.mask.rle is not None for d in dets)
+        assert n_rle and prepared == {"raster": len(gts) + len(dets) - n_rle, "decode": n_rle}
 
 
 class TestThresholds:

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
-from html import escape
 
 import numpy as np
 
@@ -22,6 +21,8 @@ from .metrics import MetricsReport, precision_recall
 
 LEFT_DETECTION = "left detection"
 UNCLASSIFIED_DETECTION = "unclassified detection"
+# the characters a label escapes in SVG text
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 AGGREGATE_INDEX_ROWS = (
     ("Precision mAP", "map_50_95"),
@@ -173,8 +174,8 @@ def matrix_svg(names: list[str], counts: np.ndarray) -> str:
     peak = int(counts.max()) if counts.size else 0
     with_text = n <= 20
 
-    row_labels = [escape(t, quote=False) for t in names + [UNCLASSIFIED_DETECTION]]
-    col_labels = [escape(t, quote=False) for t in names + [LEFT_DETECTION]]
+    row_labels = [t.translate(_ESCAPES) for t in names + [UNCLASSIFIED_DETECTION]]
+    col_labels = [t.translate(_ESCAPES) for t in names + [LEFT_DETECTION]]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

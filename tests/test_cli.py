@@ -1283,6 +1283,15 @@ class TestRender:
             ["render", "--matrix", str(bad), "--out", str(tmp_path / "o.svg")]
         ) == 2
 
+    def test_labels_are_escaped(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(',"A&<B>",left detection\nA&<B>,1,0\nunclassified detection,0,0\n',
+                       encoding="utf-8")
+        out = tmp_path / "m.svg"
+        assert main(["render", "--matrix", str(src), "--out", str(out)]) == 0
+        svg = out.read_text(encoding="utf-8")
+        assert svg.count(">A&amp;&lt;B&gt;</text>") == 2 and "A&<" not in svg
+
     @pytest.mark.parametrize("text, named", [
         pytest.param("\nA,1\n", "header is malformed", id="blank-first-line"),
         pytest.param(",A,left detection\n\nunclassified detection,1,0\n",

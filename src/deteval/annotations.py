@@ -13,7 +13,7 @@ import contextlib
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -191,18 +191,10 @@ class ItemColumns:
         return self._masks
 
     def windows(self) -> tuple:
-        """``(rects, areas, bits)`` of the items' masks: each item's window
-        ``(x0, y0, x1, y1)`` as an ``(N, 4)`` int64 array and its pixel count
-        (int64), zeros without a mask, and its window's bit grid, or None.
-        The masks are prepared in one :func:`prepare_windows` call."""
+        """The :func:`prepare_windows` columns ``(rects, areas, bits)`` of
+        the items' masks, computed once."""
         if self._windows is None:
-            masks = self.masks()
-            prepare_windows([m for m in masks if m is not None])
-            windows = [(None, 0, 0) if m is None else m._window for m in masks]
-            rows = np.fromiter(chain.from_iterable(
-                (x, y, x + b.shape[1], y + b.shape[0], m.area) if m else (0,) * 5
-                for m, (b, x, y) in zip(masks, windows)), np.int64).reshape(-1, 5)
-            self._windows = rows[:, :4], rows[:, 4], [b for b, _, _ in windows]
+            self._windows = prepare_windows(self.masks())
         return self._windows
 
     def take(self, at) -> "ItemColumns":
@@ -700,9 +692,7 @@ def _ground_truth(records, images, label_map, items) -> GroundTruthSet:
     area = items.values
     unsized = np.flatnonzero(np.isnan(area)).tolist()
     if unsized:
-        masks = items.masks()
-        prepare_windows([masks[k] for k in unsized])
-        area[unsized] = [float(masks[k].area) for k in unsized]
+        area[unsized] = prepare_windows([items.masks()[k] for k in unsized])[1]
     records.fail(_repeated(items.ids), ValidationError, "ann_id occurs more than once")
     records.fail(~(area > 0), GeometryError,
                  lambda k: f"area is {area[k].item()} (must be > 0)")
@@ -764,19 +754,21 @@ def write_text_atomic(files) -> None:
     text that has no UTF-8 form (a lone surrogate read from a JSON escape),
     raises ConfigError naming the path, after the temporary files and the
     outputs already renamed into place are removed, and the files they
-    replaced, moved aside until all are written, are put back."""
+    replaced, moved aside until all are written, are put back. Temporary and
+    moved-aside files take names that no file has (see :func:`_fresh`)."""
     files = [(Path(path), text) for path, text in files]
     made, aside = [], []
     try:
         for path, text in files:
-            tmp = path.with_name(path.name + ".tmp")
             path.parent.mkdir(parents=True, exist_ok=True)
-            made.append(tmp)
-            tmp.write_text(text, encoding="utf-8")
-        for path, _ in files:
+            made.append(_fresh(path, ".tmp"))
+            made[-1].write_text(text, encoding="utf-8")
+        for (path, _), tmp in zip(files, made[: len(files)]):  # the staged files
             if path.is_file():
-                aside.append((path.replace(path.with_name(path.name + ".old")), path))
-            path.with_name(path.name + ".tmp").replace(path)
+                made.append(_fresh(path, ".old"))  # removed on failure until filled
+                path.replace(made[-1])
+                aside.append((made.pop(), path))
+            tmp.replace(path)
             made.append(path)
     except (OSError, UnicodeEncodeError) as exc:
         for leftover in made:
@@ -788,6 +780,16 @@ def write_text_atomic(files) -> None:
     for old, _ in aside:
         with contextlib.suppress(OSError):
             old.unlink()
+
+
+def _fresh(path, suffix) -> Path:
+    """A new empty file beside ``path``, made exclusively under a name that no
+    file has, with the permissions that ``open`` gives a new file."""
+    for n in count():
+        name = path.with_name(f"{path.name}.{n}{suffix}")
+        with contextlib.suppress(FileExistsError):
+            open(name, "x").close()
+            return name
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +807,8 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     is recomputed from its scaled geometry: its mask's pixel count, else its
     box's area; it must stay positive, as on loading.
     """
-    if to_width < 1 or to_height < 1:
-        raise ConfigError(f"target size must be >= 1x1, got {to_width}x{to_height}")
+    if not (1 <= to_width < 2**53 and 1 <= to_height < 2**53):  # the loader's range
+        raise ConfigError(f"target size must be in [1, 2**53), got {to_width}x{to_height}")
     if isinstance(dataset, GroundTruthSet):
         images, kind = dataset.images, "annotation"
     elif isinstance(dataset, DetectionSet):

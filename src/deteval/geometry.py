@@ -4,13 +4,13 @@ Box IoU, polygon rasterization, mask IoU, a run-length mask codec, and the
 small/medium/large area classification. All operations are stateless and safe
 to call concurrently, except that an :class:`InstanceMask` caches its window.
 
-Masks are prepared in batches: :func:`prepare_windows` rasterizes the polygon
-rings of many masks (a dataset's, say) in a few numpy calls per pass over one
-flat buffer, and decodes their run-length windows the same way; the passes
-are bounded in cells, which bounds their temporary arrays. A single mask's
-:meth:`InstanceMask.window` is a batch of one. Matching reads a set's
-windows as columns (``ItemColumns.windows``) and intersects them itself;
-:meth:`InstanceMask.iou` is the scalar form of that intersection.
+:func:`prepare_windows` returns the window columns of a list of masks (a
+set's, say): rects, pixel counts and bit grids, which matching intersects
+itself. It rasterizes the polygon rings of many masks in a few numpy calls
+per pass over one flat buffer, and decodes their run-length windows the same
+way; the passes are bounded in cells, which bounds their temporary arrays.
+A single mask's :meth:`InstanceMask.window` is a batch of one, and
+:meth:`InstanceMask.iou` the scalar form of matching's intersection.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -264,9 +265,6 @@ RASTER_CHUNK_CELLS = 1 << 16
 # a decode pass takes about 64 bytes of temporaries per run, a raster pass
 # about 11 per cell
 _RUN_CELLS = 6
-# the limits (x0, y0, x1, y1) of a window without a canvas, beyond any
-# polygon coordinate
-_UNCLIPPED = (-(2**62), -(2**62), 2**62, 2**62)
 
 
 def _ring_arrays(polygon_lists):
@@ -294,11 +292,11 @@ def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:
     first = (ring_sizes.cumsum() - ring_sizes)[mask_rings.cumsum() - mask_rings]
     lo = np.floor(np.minimum.reduceat(xy, first)).astype(np.int64)
     hi = np.ceil(np.maximum.reduceat(xy, first)).astype(np.int64)
-    limits = np.array(
-        [_UNCLIPPED if c is None else (0, 0, *c) for c in canvases], dtype=np.int64
-    )
-    lo = np.maximum(lo, limits[:, :2])
-    hi = np.maximum(np.minimum(hi, limits[:, 2:]), lo)
+    # an unknown canvas is a row of -1: no bound
+    canvas = np.array([c or (-1, -1) for c in canvases], dtype=np.int64).reshape(-1, 2)
+    known = canvas >= 0
+    lo = np.where(known, np.maximum(lo, 0), lo)
+    hi = np.maximum(np.where(known, np.minimum(hi, canvas), hi), lo)
     return np.concatenate([lo, hi], axis=1)
 
 
@@ -321,14 +319,14 @@ def _raster_rings(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
 def _passes(cells) -> list[tuple[int, int]]:
     """``(start, stop)`` of each pass over items of ``cells`` cells each,
     in order: as many items as fit in ``RASTER_CHUNK_CELLS``, or one that
-    does not."""
+    does not; no pass for no items."""
     bounds, total = [0], 0
     for k, c in enumerate(cells.tolist()):
         if total + c > RASTER_CHUNK_CELLS and k > bounds[-1]:
             bounds.append(k)
             total = 0
         total += c
-    return list(zip(bounds, bounds[1:] + [len(cells)]))
+    return list(zip(bounds, bounds[1:] + [len(cells)]))[: len(cells)]
 
 
 def _raster_chunk(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
@@ -417,10 +415,6 @@ def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]
     return list(zip(bits, rects[:, 0].tolist(), rects[:, 1].tolist()))
 
 
-# pads a run list of odd length with an empty one-run
-_NO_RUN = np.zeros(1, dtype=np.int64)
-
-
 def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
     """``(bits, x0, y0)`` of each run-length grid of the list ``rles``, as
     :meth:`InstanceMask.window` returns it.
@@ -440,25 +434,19 @@ def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
 def _rle_pass(rles) -> list[tuple[np.ndarray, int, int]]:
     """One pass of :func:`rle_windows`: all windows are decoded by one
     ``np.repeat`` into one buffer, of which each window is a view."""
-    # with each odd run list padded, every list starts at an even position
-    # and the one-runs are the odd positions
-    parts = []
-    for r in rles:
-        parts.append(r.runs)
-        if r.runs.size & 1:
-            parts.append(_NO_RUN)
-    runs = np.concatenate(parts) if parts else _NO_RUN[:0]
-    pairs, totals, widths = np.array(
-        [((r.runs.size + 1) // 2, r.width * r.height, r.width) for r in rles],
-        dtype=np.int64,
+    sizes, totals, widths = np.array(
+        [(r.runs.size, r.width * r.height, r.width) for r in rles], dtype=np.int64,
     ).reshape(-1, 3).T
-    one_len = runs[1::2]
-    ones = one_len.nonzero()[0]
-    owner = np.arange(len(rles)).repeat(pairs)[ones]
+    runs = np.concatenate([r.runs for r in rles])
+    grid = np.arange(len(rles)).repeat(sizes)
+    # a run's position within its grid is odd for a one-run
+    odd = (np.arange(runs.size) - (sizes.cumsum() - sizes)[grid]) & 1
+    ones = (runs * odd).nonzero()[0]
+    owner = grid[ones]
     # the running sum of all grids, less the grids before the owner; an
     # int64 overflow of the running sum cancels in the difference
-    stop = runs.cumsum()[1::2][ones] - (totals.cumsum() - totals)[owner]
-    length, w_run = one_len[ones], widths[owner]
+    stop = runs.cumsum()[ones] - (totals.cumsum() - totals)[owner]
+    length, w_run = runs[ones], widths[owner]
     srow, scol = np.divmod(stop - length, w_run)
     erow, ecol = np.divmod(stop - 1, w_run)
 
@@ -492,11 +480,14 @@ def _rle_pass(rles) -> list[tuple[np.ndarray, int, int]]:
     ]
 
 
-def prepare_windows(masks) -> None:
-    """Compute and cache the window of every mask not yet prepared: the
-    polygon masks in one batch and the run-length masks in another, each in
-    passes of bounded size."""
-    todo = [m for m in masks if m._window is None]
+def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
+    """The window columns ``(rects, areas, bits)`` of ``masks``, a list of
+    masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
+    int64 array and its pixel count (int64), zeros for None, and its
+    window's bit grid, or None. The windows not yet cached are computed and
+    cached first: the polygon masks in one batch and the run-length masks in
+    another, each in passes of bounded size."""
+    todo = [m for m in masks if m is not None and m._window is None]
     polys = [m for m in todo if m.rle is None]
     rles = [m for m in todo if m.rle is not None]
     if polys:
@@ -506,6 +497,11 @@ def prepare_windows(masks) -> None:
     if rles:
         for m, win in zip(rles, rle_windows([m.rle for m in rles])):
             m._window = win
+    windows = [(None, 0, 0) if m is None else m._window for m in masks]
+    rows = np.fromiter(chain.from_iterable(
+        (0,) * 5 if m is None else (x, y, x + b.shape[1], y + b.shape[0], m.area)
+        for m, (b, x, y) in zip(masks, windows)), np.int64).reshape(-1, 5)
+    return rows[:, :4], rows[:, 4], [b for b, _, _ in windows]
 
 
 class InstanceMask:

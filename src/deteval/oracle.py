@@ -1159,8 +1159,8 @@ def reference_rescale(dataset, to_width: int, to_height: int, *, images=None,
     """:func:`deteval.annotations.rescale`, one record at a time: each
     record is scaled in order, so the first faulty one raises; then the
     ground truths' areas are recomputed and checked as on loading."""
-    if to_width < 1 or to_height < 1:
-        raise ConfigError(f"target size must be >= 1x1, got {to_width}x{to_height}")
+    if not (1 <= to_width < 2**53 and 1 <= to_height < 2**53):
+        raise ConfigError(f"target size must be in [1, 2**53), got {to_width}x{to_height}")
     if isinstance(dataset, GroundTruthSet):
         source = {img.image_id: img for img in dataset.images}
     elif isinstance(dataset, DetectionSet):

@@ -138,12 +138,13 @@ def parse_confusion_csv(text: str) -> tuple[list[str], np.ndarray]:
         expected_label = names[k] if k < len(names) else UNCLASSIFIED_DETECTION
         if row[:1] != [expected_label] or len(row) != n + 1:
             raise ParseError(f"confusion matrix csv row {k + 1} is malformed")
+        if not all(v.isascii() and v.isdigit() for v in row[1:]):  # as confusion_csv writes
+            raise ParseError(f"confusion matrix csv row {k + 1}: counts {row[1:]} are not "
+                             "all ASCII digits")
         try:
             counts[k] = [int(v) for v in row[1:]]
-        except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
+        except OverflowError as exc:  # beyond int64
             raise ParseError(f"confusion matrix csv row {k + 1}: {exc}") from exc
-    if (counts < 0).any():
-        raise ParseError("confusion matrix csv contains negative counts")
     return names, counts
 
 

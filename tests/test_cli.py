@@ -565,6 +565,32 @@ class TestUnwritableOutput:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == sorted([*before, blocked])
 
+    def test_sibling_files_are_kept(self, tmp_path):
+        """Files named like the staged or moved-aside outputs are not
+        touched by two runs that succeed and one that fails, and each output
+        gets the permissions of a newly opened file."""
+        gt, det = simple_pair(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        user = {"report.json.tmp": b"mine\n", "report.json.old": b"old\x00",
+                "report.json.0.tmp": b"", "report.json.0.old": b"0"}
+        for name, data in user.items():
+            (out / name).write_bytes(data)
+        argv = ["evaluate", "--gt", str(gt), "--det", str(det), "--format", "json,csv,svg",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        names = sorted(p.name for p in out.iterdir())
+        probe = tmp_path / "probe"
+        probe.write_text("", encoding="utf-8")
+        for name in set(names) - set(user):
+            assert (out / name).stat().st_mode == probe.stat().st_mode, name
+        (out / "class_metrics.csv").unlink()
+        (out / "class_metrics.csv").mkdir()
+        assert main(argv) == 2
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert {name: (out / name).read_bytes() for name in user} == user
+
 
 SLIVER = [[1, 1, 9, 1.2, 5, 1.1]]  # a non-empty box whose raster is empty
 
@@ -1040,6 +1066,26 @@ class TestRescale:
                      "--out", str(out)]) == 0
         assert main(["split", "--gt", str(out), "--out", str(tmp_path / "s")]) == 0
 
+    @pytest.mark.parametrize("width", [2**64, 2**53])
+    def test_target_beyond_the_loaders_range_exits_2(self, tmp_path, capsys, width):
+        """A size the loader would refuse is refused before anything is written."""
+        gt = write_json(tmp_path / "gt.json", minimal_gt_dict())
+        out = tmp_path / "r.json"
+        assert main(["rescale", "--gt", str(gt), "--width", str(width), "--height", "5",
+                     "--out", str(out)]) == 2
+        assert f"got {width}x5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_target_still_loads(self, tmp_path):
+        from deteval.annotations import load_ground_truth
+
+        gt = write_json(tmp_path / "gt.json", minimal_gt_dict())
+        out = tmp_path / "r.json"
+        assert main(["rescale", "--gt", str(gt), "--width", str(2**53 - 1), "--height", "5",
+                     "--out", str(out)]) == 0
+        assert load_ground_truth(out).images[0].width == 2**53 - 1
+        assert main(["split", "--gt", str(out), "--out", str(tmp_path / "s")]) == 0
+
 
 class TestConvert:
     def test_single_region(self, tmp_path):
@@ -1305,6 +1351,16 @@ class TestRender:
         out = tmp_path / "o.svg"
         assert main(["render", "--matrix", str(bad), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["1_0", " 7 ", "+3", "\u0663"])
+    def test_count_not_in_ascii_digits_exits_2(self, tmp_path, capsys, cell):
+        """confusion_csv writes counts in ASCII digits only; int() would also
+        read underscores, spaces, signs and other scripts' digits."""
+        src = self._matrix_csv(tmp_path, [[1, 0, 0], [0, cell, 0], [0, 0, 0]])
+        out = tmp_path / "o.svg"
+        assert main(["render", "--matrix", str(src), "--out", str(out)]) == 2
+        assert "row 2: " in capsys.readouterr().err
         assert not out.exists()
 
 

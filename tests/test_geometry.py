@@ -595,6 +595,86 @@ class TestBatchedRleDifferential:
         self.assert_matches_reference(rles)
 
 
+class TestPrepareWindows:
+    """prepare_windows returns the window columns of a list that mixes masks
+    of every kind with None: each mask's rect, pixel count and grid equal its
+    window() and area and the one-mask reference exactly, and None gives
+    zeros and no grid."""
+
+    @staticmethod
+    def assert_columns(masks):
+        from deteval.geometry import prepare_windows
+        from deteval.oracle import reference_window
+
+        cached = [None if m is None else m._window for m in masks]
+        rects, areas, bits = prepare_windows(masks)
+        assert rects.dtype == areas.dtype == np.int64
+        assert rects.shape == (len(masks), 4) and areas.shape == (len(masks),)
+        assert len(bits) == len(masks)
+        for m, before, rect, area, grid in zip(masks, cached, rects.tolist(),
+                                               areas.tolist(), bits):
+            if m is None:
+                assert (rect, area, grid) == ([0, 0, 0, 0], 0, None)
+                continue
+            ref, x0, y0 = reference_window(m)
+            assert rect == [x0, y0, x0 + ref.shape[1], y0 + ref.shape[0]]
+            assert grid.dtype == bool and grid.shape == ref.shape
+            assert np.array_equal(grid, ref)
+            assert area == m.area == np.count_nonzero(ref)
+            window = m.window()
+            assert window[0] is grid and window[1:] == (x0, y0)
+            # a mask prepared before is read from its cache
+            assert before is None or before is window
+
+    def test_mixed_list(self):
+        square = polygon_from_points([(2, 2), (8, 2), (8, 7), (2, 7)])
+        ring = polygon_from_points([(-3.2, -1.7), (4.4, 0.2), (0.1, 5.9)])
+        prepared = [InstanceMask(polygons=[square], canvas=(16, 12)),
+                    InstanceMask(rle=RLEMask(5, 4, (3, 4, 13)))]
+        for m in prepared:
+            m.window()
+        self.assert_columns([
+            None,
+            InstanceMask(polygons=[square, ring], canvas=(16, 12)),
+            prepared[0],
+            # no canvas: the window follows the vertices past the origin
+            InstanceMask(polygons=[ring]),
+            None,
+            # wholly off its canvas, and on canvases of no columns or rows
+            InstanceMask(polygons=[polygon_from_points([(-9, -9), (-2, -9), (-2, -1)])],
+                         canvas=(16, 12)),
+            InstanceMask(polygons=[square], canvas=(0, 12)),
+            InstanceMask(polygons=[square], canvas=(16, 0)),
+            prepared[1],
+            # run counts odd and even, an empty grid and a grid of no pixels
+            InstanceMask(rle=RLEMask(5, 4, (20,))),
+            InstanceMask(rle=RLEMask(5, 4, (0, 20))),
+            InstanceMask(rle=RLEMask(5, 4, (2, 3, 4, 11))),
+            InstanceMask(rle=RLEMask(5, 4, (6, 1, 4, 1, 8))),
+            InstanceMask(rle=RLEMask(5, 4, (0, 2, 0, 3, 15))),
+            InstanceMask(rle=RLEMask(0, 0, ())),
+            InstanceMask(rle=RLEMask(5, 4, (19, 1))),
+            None,
+        ])
+
+    def test_no_masks(self):
+        from deteval.geometry import rle_windows
+
+        self.assert_columns([])
+        self.assert_columns([None, None])
+        assert rle_windows([]) == []
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), BATCH_MASK, rle_grids().map(lambda r: InstanceMask(rle=r))),
+        st.booleans()), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_lists_property(self, items):
+        for m, prepare in items:
+            if m is not None and prepare:
+                m.window()
+        self.assert_columns([m for m, _ in items])
+
+
 class TestRleRuns:
     def test_runs_are_one_read_only_int64_array(self):
         rle = RLEMask(3, 2, [1, 2.9, True, 2])

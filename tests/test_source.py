@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import deteval
@@ -13,3 +14,15 @@ def test_no_source_line_is_wider_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert wide == []
+
+
+def test_only_geometry_reads_the_mask_window_cache():
+    """``InstanceMask._window`` is read and written in ``geometry`` alone;
+    every other module takes window columns from ``prepare_windows``."""
+    readers = [
+        path.name
+        for path in sorted(Path(deteval.__file__).parent.glob("*.py"))
+        if path.name != "geometry.py"
+        and re.search(r"\._window\b", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []

@@ -341,7 +341,7 @@ def _integers(values):
     """``values`` as int64, and the mask of those that are not integers
     (read as 0)."""
     x, bad = _numbers(values)
-    bad |= ~((np.abs(x) < 2.0**53) & (x == np.floor(x)))
+    bad |= ~((np.abs(x) < _INT_LIMIT) & (x == np.floor(x)))
     x[bad] = 0
     return x.astype(np.int64), bad
 
@@ -399,6 +399,7 @@ _TEXT = (lambda v: (v, np.array([not _is_text(s) for s in v], dtype=bool)),
 _BOX = (lambda v: _rows(v, 4, _numbers), "bbox {value!r} is not 4 numbers [x, y, w, h]")
 _MASK = (None, None)  # see _Records.masks
 _MAX = float(np.finfo(np.float64).max)
+_INT_LIMIT = 2**53  # integers are below it in magnitude, as loaded
 _AT_LEAST_1 = _range(1, np.inf, ValidationError, "'{key}' is {value}, not >= 1")
 
 _CATEGORY_FIELDS = (("id", _INTEGER, True, None), ("name", _TEXT, True, None))
@@ -807,7 +808,7 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     is recomputed from its scaled geometry: its mask's pixel count, else its
     box's area; it must stay positive, as on loading.
     """
-    if not (1 <= to_width < 2**53 and 1 <= to_height < 2**53):  # the loader's range
+    if not (1 <= to_width < _INT_LIMIT and 1 <= to_height < _INT_LIMIT):
         raise ConfigError(f"target size must be in [1, 2**53), got {to_width}x{to_height}")
     if isinstance(dataset, GroundTruthSet):
         images, kind = dataset.images, "annotation"

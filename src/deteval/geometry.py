@@ -292,9 +292,8 @@ def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:
     first = (ring_sizes.cumsum() - ring_sizes)[mask_rings.cumsum() - mask_rings]
     lo = np.floor(np.minimum.reduceat(xy, first)).astype(np.int64)
     hi = np.ceil(np.maximum.reduceat(xy, first)).astype(np.int64)
-    # an unknown canvas is a row of -1: no bound
-    canvas = np.array([c or (-1, -1) for c in canvases], dtype=np.int64).reshape(-1, 2)
-    known = canvas >= 0
+    known = np.array([c is not None for c in canvases], dtype=bool)[:, None]
+    canvas = np.array([c or (0, 0) for c in canvases], dtype=np.int64).reshape(-1, 2)
     lo = np.where(known, np.maximum(lo, 0), lo)
     hi = np.maximum(np.where(known, np.minimum(hi, canvas), hi), lo)
     return np.concatenate([lo, hi], axis=1)
@@ -480,13 +479,8 @@ def _rle_pass(rles) -> list[tuple[np.ndarray, int, int]]:
     ]
 
 
-def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
-    """The window columns ``(rects, areas, bits)`` of ``masks``, a list of
-    masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
-    int64 array and its pixel count (int64), zeros for None, and its
-    window's bit grid, or None. The windows not yet cached are computed and
-    cached first: the polygon masks in one batch and the run-length masks in
-    another, each in passes of bounded size."""
+def _cache_windows(masks) -> None:
+    """Cache the windows of the masks not yet cached: polygons and grids in a batch each."""
     todo = [m for m in masks if m is not None and m._window is None]
     polys = [m for m in todo if m.rle is None]
     rles = [m for m in todo if m.rle is not None]
@@ -497,6 +491,14 @@ def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
     if rles:
         for m, win in zip(rles, rle_windows([m.rle for m in rles])):
             m._window = win
+
+
+def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
+    """The window columns ``(rects, areas, bits)`` of ``masks``, a list of
+    masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
+    int64 array and its pixel count (int64), zeros for None, and its
+    window's bit grid, or None. The windows not yet cached are cached first."""
+    _cache_windows(masks)
     windows = [(None, 0, 0) if m is None else m._window for m in masks]
     rows = np.fromiter(chain.from_iterable(
         (0,) * 5 if m is None else (x, y, x + b.shape[1], y + b.shape[0], m.area)
@@ -552,7 +554,7 @@ class InstanceMask:
     def window(self) -> tuple[np.ndarray, int, int]:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""
         if self._window is None:
-            prepare_windows([self])
+            _cache_windows([self])
         return self._window
 
     @property
@@ -594,6 +596,4 @@ class InstanceMask:
             bsub = bbits[y0 - by : y1 - by, x0 - bx : x1 - bx]
             inter = int(np.count_nonzero(asub & bsub))
         union = self.area + other.area - inter
-        if union == 0:
-            return 0.0
-        return inter / union
+        return inter / union if union else 0.0

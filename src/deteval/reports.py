@@ -143,7 +143,7 @@ def parse_confusion_csv(text: str) -> tuple[list[str], np.ndarray]:
                              "all ASCII digits")
         try:
             counts[k] = [int(v) for v in row[1:]]
-        except OverflowError as exc:  # beyond int64
+        except (ValueError, OverflowError) as exc:  # beyond int64, or int()'s digit limit
             raise ParseError(f"confusion matrix csv row {k + 1}: {exc}") from exc
     return names, counts
 

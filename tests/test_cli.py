@@ -1353,10 +1353,12 @@ class TestRender:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cell", ["1_0", " 7 ", "+3", "\u0663"])
+    @pytest.mark.parametrize("cell", ["1_0", " 7 ", "+3", "\u0663", "9" * 5000],
+                             ids=["underscore", "spaces", "sign", "arabic-indic", "5000-digits"])
     def test_count_not_in_ascii_digits_exits_2(self, tmp_path, capsys, cell):
         """confusion_csv writes counts in ASCII digits only; int() would also
-        read underscores, spaces, signs and other scripts' digits."""
+        read underscores, spaces, signs and other scripts' digits. A count of
+        more digits than int() reads from a string is refused the same way."""
         src = self._matrix_csv(tmp_path, [[1, 0, 0], [0, cell, 0], [0, 0, 0]])
         out = tmp_path / "o.svg"
         assert main(["render", "--matrix", str(src), "--out", str(out)]) == 2

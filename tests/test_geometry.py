@@ -645,6 +645,9 @@ class TestPrepareWindows:
                          canvas=(16, 12)),
             InstanceMask(polygons=[square], canvas=(0, 12)),
             InstanceMask(polygons=[square], canvas=(16, 0)),
+            # a negative side bounds the window as a zero one does
+            InstanceMask(polygons=[square], canvas=(-5, 10)),
+            InstanceMask(polygons=[ring], canvas=(16, -3)),
             prepared[1],
             # run counts odd and even, an empty grid and a grid of no pixels
             InstanceMask(rle=RLEMask(5, 4, (20,))),

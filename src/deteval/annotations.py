@@ -30,9 +30,8 @@ from .geometry import (
     MAX_COORD,
     BBox,
     InstanceMask,
-    Polygon,
+    MaskColumns,
     RLEMask,
-    prepare_windows,
     rle_decode,
     rle_encode,
 )
@@ -157,17 +156,17 @@ class ItemColumns:
     """The items of a set in load order, as columns: ``ids``, ``image_ids``
     and ``class_ids`` (int64), ``boxes`` (``(N, 4)`` float64 ``x, y, w, h``),
     ``values`` (float64: the areas of ground truths, the scores of
-    detections) and ``has_mask`` (bool). The masks and the ``record``
-    objects (:class:`Annotation` or :class:`Detection`) are built from them
-    only when asked for; the masks and their :meth:`windows` once."""
+    detections) and ``has_mask`` (bool). The masks are :class:`MaskColumns`,
+    or the list of masks given; mask objects and ``record`` objects
+    (:class:`Annotation` or :class:`Detection`) are built once, if asked."""
 
     def __init__(self, record, ids, image_ids, class_ids, boxes, values, has_mask, masks):
         self.record, self.ids, self.image_ids = record, ids, image_ids
         self.class_ids, self.boxes = class_ids, boxes
         self.values, self.has_mask = values, has_mask
-        self._masks = masks  # the mask of each item, or the function that builds them
+        self._masks = masks  # MaskColumns, or the mask of each item
         self._records = [None] * ids.size  # each item's record, once built
-        self._all = self._windows = None
+        self._all = None
 
     @classmethod
     def of(cls, record, records) -> "ItemColumns":
@@ -186,22 +185,20 @@ class ItemColumns:
 
     def masks(self) -> list:
         """The mask of each item, or None; built on first use."""
-        if callable(self._masks):
-            self._masks = self._masks()
+        masks = self._masks
+        return masks.instances() if isinstance(masks, MaskColumns) else masks
+
+    def mask_columns(self) -> MaskColumns:
+        """The items' masks as :class:`MaskColumns`, made once."""
+        if not isinstance(self._masks, MaskColumns):
+            self._masks = MaskColumns.of(self._masks)
         return self._masks
 
-    def windows(self) -> tuple:
-        """The :func:`prepare_windows` columns ``(rects, areas, bits)`` of
-        the items' masks, computed once."""
-        if self._windows is None:
-            self._windows = prepare_windows(self.masks())
-        return self._windows
-
     def take(self, at) -> "ItemColumns":
-        """The items at the positions ``at``, sharing this set's masks."""
+        """The items at the positions ``at``."""
         return ItemColumns(self.record, self.ids[at], self.image_ids[at], self.class_ids[at],
                            self.boxes[at], self.values[at], self.has_mask[at],
-                           lambda: list(map(self.masks().__getitem__, at.tolist())))
+                           self.mask_columns().take(at))
 
     def records(self, at=None) -> tuple:
         """The records at the positions ``at``, or all of them; each record
@@ -488,37 +485,31 @@ class _Records:
 
     def masks(self, segs) -> tuple:
         """Check the records' segmentations, and return which records have a
-        mask and the function that builds their masks: None where a
-        segmentation is null or an empty list, else the polygons of a list
-        of flat rings, or the runs of a run-length object, on its image's
-        canvas when known."""
+        mask and their :class:`MaskColumns`: no mask where a segmentation is
+        null or an empty list, else the polygons of a list of flat rings, or
+        the runs of a run-length object, on its image's canvas when known."""
         kinds = list(map(type, segs))
         self.fail(np.array([t not in (list, dict, type(None)) for t in kinds], bool),
                   ParseError, "segmentation must be polygon list or RLE object")
         polys = [k for k, s in enumerate(segs) if type(s) is list and s]
         rles = [k for k, t in enumerate(kinds) if t is dict]
-        canvas_of, image_ids = self.canvas_of, self.columns["image_id"]
-        fill_polygons = self.polygons(polys, [segs[k] for k in polys])
-        fill_runs = self.runs(rles, [segs[k] for k in rles],
-                              [canvas_of.get(i) for i in image_ids[rles].tolist()])
-        has_mask = np.zeros(len(segs), dtype=bool)
-        has_mask[polys + rles] = True
+        canvases = list(map(self.canvas_of.get, self.columns["image_id"].tolist()))
+        poly, rle = np.zeros((2, len(segs)), dtype=bool)
+        poly[polys], rle[rles] = True, True
+        rings, counts = np.zeros((2, len(segs)), dtype=np.int64)
+        rings[polys], ring_sizes, xy = self.polygons(polys, [segs[k] for k in polys])
+        counts[rles], runs, sizes = self.runs(rles, [segs[k] for k in rles],
+                                               [canvases[k] for k in rles])
+        canvas = np.array([c or (0, 0) for c in canvases], np.int64).reshape(-1, 2)
+        known = np.array([c is not None for c in canvases], dtype=bool) & poly | rle
+        canvas[rles] = sizes
+        return poly | rle, MaskColumns(canvas, known, poly, rings, ring_sizes, xy, rle,
+                                       counts, runs)
 
-        def build():
-            masks = [None] * len(has_mask)
-            canvases = list(map(canvas_of.get, image_ids.tolist()))
-            fill_polygons(masks, canvases)
-            fill_runs(masks, canvases)
-            return masks
-
-        return has_mask, build
-
-    def polygons(self, owners, rings_of):
+    def polygons(self, owners, rings_of) -> tuple:
         """Check the flat rings ``rings_of[j]`` of each record ``owners[j]``,
-        all coordinates at once, and return the function that sets
-        ``masks[k]`` of each owner ``k`` to its polygons on the canvas
-        ``canvases[k]``; each polygon's vertices are a view into one
-        read-only buffer of them."""
+        all coordinates at once, and return each owner's ring count, each
+        ring's vertex count and the ``(V, 2)`` read-only vertex buffer."""
         owners = np.array(owners, dtype=np.int64)
         count = np.fromiter(map(len, rings_of), np.int64, len(rings_of))
         rings = list(chain.from_iterable(rings_of))
@@ -532,25 +523,16 @@ class _Records:
                   GeometryError, "bad polygon segmentation: a ring of odd length, or "
                   "a coordinate not a finite number within +-2**53")
         self.fail(owner[length < 6], GeometryError, "polygon has < 3 vertices")
+        coords.flags.writeable = False
+        # whole vertices; an odd count is refused above
+        return count, length // 2, coords[: coords.size // 2 * 2].reshape(-1, 2)
 
-        def fill(masks, canvases):
-            xy = coords.reshape(-1, 2)
-            xy.flags.writeable = False
-            ends = (length // 2).cumsum().tolist()
-            polygons = [Polygon(xy[a:b]) for a, b in zip([0, *ends], ends)]
-            ends = count.cumsum().tolist()
-            for k, a, b in zip(owners.tolist(), [0, *ends], ends):
-                masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvases[k])
-
-        return fill
-
-    def runs(self, owners, objects, canvases):
+    def runs(self, owners, objects, canvases) -> tuple:
         """Check the run-length grids ``objects[j]``, ``{"size": [h, w],
         "counts": [...]}``, of each record ``owners[j]``, on its image's
-        canvas ``canvases[j]`` when known, and return the function that sets
-        ``masks[k]`` of each owner ``k`` to its grid. The counts of all
-        grids are converted and checked as one int64 array, of which each
-        grid's runs are a view."""
+        canvas ``canvases[j]`` when known, and return each grid's run count,
+        the runs of all grids as one read-only int64 array, and each grid's
+        ``(width, height)``."""
         size, bad = _rows([o.get("size") for o in objects], 2, _integers)
         counts = [o.get("counts") for o in objects]
         counts = [c if type(c) is list else [None] for c in counts]
@@ -560,21 +542,16 @@ class _Records:
         self.fail(np.concatenate([owners[bad], owners.repeat(length)[bad_runs]]),
                   ParseError, "bad RLE segmentation")
         runs.flags.writeable = False
-        grids, fault = RLEMask.batch(size[:, ::-1], runs, np.append(0, length.cumsum()))
+        wh = size[:, ::-1]
+        fault = RLEMask.fault(wh, runs, np.append(0, length.cumsum()))
         if fault is not None:
             self.fail(owners[[fault[0]]], GeometryError, fault[1])
-        wh = size[: len(grids), ::-1]
+        # the grids from the first faulty one on are past the error kept
         canvas = np.array([c or (-1, -1) for c in canvases], np.int64).reshape(-1, 2)
-        canvas = canvas[: len(grids)]
-        self.fail(owners[: len(grids)][(canvas[:, 0] >= 0) & (canvas != wh).any(1)],
+        self.fail(owners[(canvas[:, 0] >= 0) & (canvas != wh).any(1)],
                   GeometryError, lambda k: "RLE size {}x{} does not match image {}x{}".format(
                       *wh[np.searchsorted(owners, k)], *canvas[np.searchsorted(owners, k)]))
-
-        def fill(masks, canvases):
-            for k, grid in zip(owners.tolist(), grids):
-                masks[k] = InstanceMask(rle=grid, canvas=canvases[k])
-
-        return fill
+        return length, runs, wh
 
 
 def _repeated(ids) -> np.ndarray:
@@ -662,21 +639,22 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
         rings.append(list(chain.from_iterable(
             (p.get("x"), p.get("y")) if type(p) is dict else (None, None)
             for p in (points if type(points) is list else [None]))))
-    fill = regions.polygons(range(len(rings)), [[r] for r in rings])
+    n = len(rings)
+    rings, sizes, xy = regions.polygons(range(n), [[r] for r in rings])
     regions.check()
     if labels is None:
         if not class_ids:
             raise ParseError(f"{path}: no tags found in regions")
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
-    n = len(rings)
-    masks = [None] * n
-    fill(masks, [(width, height)] * n)
     # a region outside the image has an area of 0, which is refused
-    bounds = np.array([m.polygons[0].bounds() for m in masks]).reshape(-1, 4)
-    boxes = _clamped(bounds[:, :2], bounds[:, 2:], [float(width), float(height)])
+    first, size = sizes.cumsum() - sizes, [float(width), float(height)]
+    boxes = _clamped(np.minimum.reduceat(xy, first), np.maximum.reduceat(xy, first), size)
+    yes = np.ones(n, dtype=bool)
     return _ground_truth(regions, [image], labels, ItemColumns(
         Annotation, np.arange(1, n + 1), np.ones(n, np.int64), np.array(classes, np.int64),
-        boxes, np.full(n, np.nan), np.ones(n, dtype=bool), masks))
+        boxes, np.full(n, np.nan), yes, MaskColumns(
+            np.tile([width, height], (n, 1)), yes, yes, rings, sizes, xy, ~yes,
+            np.zeros(n, np.int64), np.empty(0, np.int64))))
 
 
 def _clamped(lo, hi, size) -> np.ndarray:
@@ -689,11 +667,11 @@ def _clamped(lo, hi, size) -> np.ndarray:
 def _ground_truth(records, images, label_map, items) -> GroundTruthSet:
     """The ground-truth set of checked annotation columns, once every area is
     known and positive and every annotation id unique. An area NaN is taken
-    from the annotation's mask; all such masks are prepared in one batch."""
+    from the pixel count of the annotation's mask."""
     area = items.values
-    unsized = np.flatnonzero(np.isnan(area)).tolist()
-    if unsized:
-        area[unsized] = prepare_windows([items.masks()[k] for k in unsized])[1]
+    unsized = np.flatnonzero(np.isnan(area))
+    if unsized.size:
+        area[unsized] = items.mask_columns().areas(unsized)
     records.fail(_repeated(items.ids), ValidationError, "ann_id occurs more than once")
     records.fail(~(area > 0), GeometryError,
                  lambda k: f"area is {area[k].item()} (must be > 0)")

@@ -1,16 +1,15 @@
 """Pure geometric kernels.
 
-Box IoU, polygon rasterization, mask IoU, a run-length mask codec, and the
+Box IoU, mask spans and mask IoU, a run-length mask codec, and the
 small/medium/large area classification. All operations are stateless and safe
-to call concurrently, except that an :class:`InstanceMask` caches its window.
+to call concurrently, except that an :class:`InstanceMask` caches its spans.
 
-:func:`prepare_windows` returns the window columns of a list of masks (a
-set's, say): rects, pixel counts and bit grids, which matching intersects
-itself. It rasterizes the polygon rings of many masks in a few numpy calls
-per pass over one flat buffer, and decodes their run-length windows the same
-way; the passes are bounded in cells, which bounds their temporary arrays.
-A single mask's :meth:`InstanceMask.window` is a batch of one, and
-:meth:`InstanceMask.iou` the scalar form of matching's intersection.
+A mask is read as row spans, runs of its pixels in one row, with no bit grid:
+:class:`MaskColumns` holds a set's masks as columns and gives their windows,
+pixel counts and spans in passes bounded in rows, and :func:`mask_ious`
+joins the spans of (gt, det) pairs. :meth:`InstanceMask.window` fills a
+mask's spans into its bit grid, and :meth:`InstanceMask.iou` intersects two
+such grids: the scalar reference.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -141,10 +139,6 @@ class Polygon:
     def to_flat(self) -> list[float]:
         return self.vertices.ravel().tolist()
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        (x0, y0), (x1, y1) = self.vertices.min(axis=0), self.vertices.max(axis=0)
-        return float(x0), float(y0), float(x1), float(y1)
-
     def scaled(self, sx: float, sy: float) -> "Polygon":
         return Polygon(self.vertices * (sx, sy))
 
@@ -169,21 +163,33 @@ class RLEMask:
         object.__setattr__(self, "runs", runs)
         if runs.ndim != 1:
             raise GeometryError(f"runs must be a flat list, got shape {runs.shape}")
-        fault = RLEMask.batch([(self.width, self.height)], runs, [0, runs.size])[1]
+        fault = RLEMask.fault([(self.width, self.height)], runs, [0, runs.size])
         if fault is not None:
             raise GeometryError(fault[1])
 
     @classmethod
     def batch(cls, sizes, runs, bounds) -> tuple[list[RLEMask], tuple[int, str] | None]:
-        """Many grids checked at once: grid k is ``(width, height)``
-        ``sizes[k]`` with the runs ``runs[bounds[k]:bounds[k + 1]]``, a view.
+        """The grids before the first :meth:`fault`, and the fault: grid k is
+        ``sizes[k]`` with the runs ``runs[bounds[k]:bounds[k + 1]]``, a view."""
+        runs = _read_only(runs, np.int64)
+        fault = cls.fault(sizes, runs, bounds)
+        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+        k = len(sizes) if fault is None else fault[0]
+        bounds = np.asarray(bounds, dtype=np.int64).tolist()
+        grids = []
+        for (width, height), a, b in zip(sizes[:k].tolist(), bounds, bounds[1:]):
+            grid = object.__new__(cls)  # checked: no __post_init__
+            object.__setattr__(grid, "width", width)
+            object.__setattr__(grid, "height", height)
+            object.__setattr__(grid, "runs", runs[a:b])
+            grids.append(grid)
+        return grids, fault
 
-        Returns the grids before the first one that breaks a rule, and that
-        grid's index and error text, or None when every grid is sound. A
-        grid's size must not be negative, nor any of its runs, and its runs
-        must sum to ``width * height``.
-        """
-        runs, bounds = _read_only(runs, np.int64), np.asarray(bounds, dtype=np.int64)
+    @staticmethod
+    def fault(sizes, runs, bounds) -> tuple[int, str] | None:
+        """The index and text of the first grid of :meth:`batch` with a negative
+        size or run, or runs not summing to ``width * height``; or None."""
+        runs, bounds = np.asarray(runs, dtype=np.int64), np.asarray(bounds, dtype=np.int64)
         w, h = np.asarray(sizes, dtype=np.int64).reshape(-1, 2).T
         # each grid's sum and partial sums, exact modulo 2**64 in int64; the
         # runs are non-negative, so an int64 overflow shows as a negative
@@ -201,31 +207,21 @@ class RLEMask:
         # a pixel count beyond int64 is no sum of runs that did not overflow
         corrupt |= (h > 0) & (w > np.iinfo(np.int64).max // np.maximum(h, 1))
         bad = np.flatnonzero((w < 0) | (h < 0) | negative_run | corrupt)
-        k = int(bad[0]) if bad.size else w.size
-        grids = []
-        for width, height, a, b in zip(w[:k].tolist(), h[:k].tolist(),
-                                       bounds[:k].tolist(), bounds[1 : k + 1].tolist()):
-            grid = object.__new__(cls)  # checked above: no __post_init__
-            object.__setattr__(grid, "width", width)
-            object.__setattr__(grid, "height", height)
-            object.__setattr__(grid, "runs", runs[a:b])
-            grids.append(grid)
-        if k == w.size:
-            return grids, None
+        if not bad.size:
+            return None
+        k = int(bad[0])
         if w[k] < 0 or h[k] < 0:
-            return grids, (k, f"negative mask size {w[k]}x{h[k]}")
+            return k, f"negative mask size {w[k]}x{h[k]}"
         if negative_run[k]:
-            return grids, (k, "negative run length")
+            return k, "negative run length"
         grid_sum = sum(runs[bounds[k] : bounds[k + 1]].tolist())
-        expected = int(w[k]) * int(h[k])
-        return grids, (k, f"corrupt mask: runs sum to {grid_sum}, expected {expected}")
+        return k, f"corrupt mask: runs sum to {grid_sum}, expected {int(w[k]) * int(h[k])}"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RLEMask):
             return NotImplemented
-        return (self.width, self.height) == (other.width, other.height) and bool(
-            np.array_equal(self.runs, other.runs)
-        )
+        return ((self.width, self.height) == (other.width, other.height)
+                and bool(np.array_equal(self.runs, other.runs)))
 
     def __hash__(self) -> int:
         return hash((self.width, self.height, self.runs.tobytes()))
@@ -257,253 +253,323 @@ def rle_decode(rle: RLEMask) -> np.ndarray:
     return np.repeat(values, rle.runs).reshape(rle.height, rle.width)
 
 
-# the cells of one preparation pass: the (h, w + 1) ring blocks of a raster
-# pass, or _RUN_CELLS per run of a decode pass. Masks that need more are
-# prepared in several passes, which bounds the temporary arrays; a mask that
-# alone needs more is a pass of its own.
-RASTER_CHUNK_CELLS = 1 << 16
-# a decode pass takes about 64 bytes of temporaries per run, a raster pass
-# about 11 per cell
-_RUN_CELLS = 6
+# a span pass takes masks, or pairs, of at most this many rows in all, which
+# bounds its temporaries (see MaskColumns.rows); one with more is a pass alone
+SPAN_CHUNK_ROWS = 1 << 15
+_NO_SPANS = (np.empty(0, dtype=np.int64),) * 3
 
 
-def _ring_arrays(polygon_lists):
-    """The vertices of every ring of every mask, concatenated in order.
-
-    Returns ``(xy, ring_sizes, mask_rings)``: the ``(V, 2)`` vertex
-    coordinates, the vertex count of each ring and the ring count of each
-    mask.
-    """
-    rings = [p.vertices for polys in polygon_lists for p in polys]
-    ring_sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-    mask_rings = np.fromiter(
-        map(len, polygon_lists), dtype=np.int64, count=len(polygon_lists)
-    )
-    if not (ring_sizes.all() and mask_rings.all()):
-        raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
-    xy = np.concatenate(rings) if rings else np.empty((0, 2))
-    return xy, ring_sizes, mask_rings
+def _chunks(rows) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each pass over items of ``rows`` rows each: as
+    many items as fit in ``SPAN_CHUNK_ROWS``, or one that does not."""
+    ends, bounds = rows.cumsum(dtype=float), [0]
+    while (k := bounds[-1]) < rows.size:
+        stop = np.searchsorted(ends, ends[k] - rows[k] + SPAN_CHUNK_ROWS, "right")
+        bounds.append(max(k + 1, int(stop)))
+    return list(zip(bounds, bounds[1:]))
 
 
-def _clipped_rects(xy, ring_sizes, mask_rings, canvases) -> np.ndarray:
-    """``(x0, y0, x1, y1)`` of each mask's window: its vertices' floor and
-    ceiling, clipped to its canvas when known. A mask wholly off its canvas
-    gets an empty window."""
-    first = (ring_sizes.cumsum() - ring_sizes)[mask_rings.cumsum() - mask_rings]
-    lo = np.floor(np.minimum.reduceat(xy, first)).astype(np.int64)
-    hi = np.ceil(np.maximum.reduceat(xy, first)).astype(np.int64)
-    known = np.array([c is not None for c in canvases], dtype=bool)[:, None]
-    canvas = np.array([c or (0, 0) for c in canvases], dtype=np.int64).reshape(-1, 2)
-    lo = np.where(known, np.maximum(lo, 0), lo)
-    hi = np.maximum(np.where(known, np.minimum(hi, canvas), hi), lo)
-    return np.concatenate([lo, hi], axis=1)
+def _ranges(starts, counts) -> np.ndarray:
+    """The indices ``starts[k]`` up to ``starts[k] + counts[k]``, for all k."""
+    return np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
 
 
-def _raster_rings(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
-    """Rasterize the union of each mask's rings onto its window ``rects``
-    row ``(x0, y0, x1, y1)``, in passes of at most ``RASTER_CHUNK_CELLS``
-    cells (see :func:`_passes`). Returns one ``(y1 - y0, x1 - x0)`` bool
-    grid per mask."""
-    w, h = rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]
-    rings = np.append(0, mask_rings.cumsum())
-    vertices = np.append(0, ring_sizes.cumsum())
-    out = []
-    for m0, m1 in _passes(mask_rings * h * (w + 1)):
-        r0, r1 = rings[m0], rings[m1]
-        out += _raster_chunk(xy[vertices[r0] : vertices[r1]], ring_sizes[r0:r1],
-                             mask_rings[m0:m1], rects[m0:m1])
-    return out
+def _order(major, minor) -> np.ndarray:
+    """The order by ``major``, then ``minor`` (both >= 0): one int64 key if none overflows."""
+    span = int(minor.max(initial=0)) + 1
+    if int(major.max(initial=0)) < np.iinfo(np.int64).max // span:
+        return np.argsort(major * span + minor)
+    return np.lexsort((minor, major))
 
 
-def _passes(cells) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each pass over items of ``cells`` cells each,
-    in order: as many items as fit in ``RASTER_CHUNK_CELLS``, or one that
-    does not; no pass for no items."""
-    bounds, total = [0], 0
-    for k, c in enumerate(cells.tolist()):
-        if total + c > RASTER_CHUNK_CELLS and k > bounds[-1]:
-            bounds.append(k)
-            total = 0
-        total += c
-    return list(zip(bounds, bounds[1:] + [len(cells)]))[: len(cells)]
+def _search(values, lo, hi, x) -> np.ndarray:
+    """For each k, the first index in ``[lo[k], hi[k])`` whose value is above
+    ``x[k]``, or ``hi[k]``: a binary search of each range of ``values``."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) >> 1
+        right = values[mid] <= x[live]
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
-def _raster_chunk(xy, ring_sizes, mask_rings, rects) -> list[np.ndarray]:
-    """One pass of :func:`_raster_rings`.
+def _dense(values, n) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` of ``0..n-1``, and each value's position in them."""
+    present = np.bincount(values, minlength=n) > 0
+    return np.flatnonzero(present), (present.cumsum() - 1)[values]
 
-    Each ring is filled under the even-odd rule (a pixel center is inside
-    when an odd number of edge crossings lie strictly to its right) in its
-    own ``(h, w + 1)`` block of one flat buffer: a crossing toggles its row
-    from the row start up to the crossing column. One cumulative sum then
-    gives every pixel's parity. Each row holds an even number of toggles, so
-    no parity leaks into the next row or block. Rings are then combined by
-    union.
-    """
+
+def _polygon_spans(xy, ring_sizes, mask_rings, rects) -> tuple[np.ndarray, ...]:
+    """The spans of polygon masks on their windows ``rects``, as
+    :meth:`MaskColumns.spans` gives them. Even-odd rule: a pixel center
+    ``j + 0.5`` is inside a ring when an odd number of its crossings ``xc``
+    of the row have ``j < ceil(xc - 0.5)`` (window columns); the even number
+    of them, sorted, pair up into spans. A mask's rings are joined by union."""
     x0, y0 = rects[:, 0], rects[:, 1]
     w, h = rects[:, 2] - x0, rects[:, 3] - y0
     mask_of_ring = np.arange(mask_rings.size).repeat(mask_rings)
-    short = ring_sizes < 3
+    # a ring is checked only where its window is not empty
+    short = (ring_sizes < 3) & ((w > 0) & (h > 0))[mask_of_ring]
     if short.any():
-        # a ring is checked only where its window is not empty
-        bad = short & ((w > 0) & (h > 0))[mask_of_ring]
-        if bad.any():
-            raise GeometryError(
-                f"invalid polygon: {ring_sizes[bad][0]} vertices (need >= 3)"
-            )
+        raise GeometryError(f"invalid polygon: {ring_sizes[short][0]} vertices (need >= 3)")
     ring_of_vertex = np.arange(ring_sizes.size).repeat(ring_sizes)
     mask_of_vertex = mask_of_ring[ring_of_vertex]
     vx, vy = xy[:, 0] - x0[mask_of_vertex], xy[:, 1] - y0[mask_of_vertex]
-    # each vertex's edge runs to the next vertex of its ring, the last
-    # vertex's back to the first
+    # each vertex's edge runs to the next of its ring, the last one's to the first
     ring_end = ring_sizes.cumsum()
     nxt = np.arange(1, vx.size + 1)
     nxt[ring_end - 1] = ring_end - ring_sizes
-
     sloped = (vy != vy[nxt]).nonzero()[0]  # horizontal edges cross no scanline
     x1, y1, x2, y2 = vx[sloped], vy[sloped], vx[nxt[sloped]], vy[nxt[sloped]]
-    edge_ring = ring_of_vertex[sloped]
-    edge_mask = mask_of_ring[edge_ring]
-    edge_w = w[edge_mask]
-
-    ylo = np.minimum(y1, y2)
-    yhi = np.maximum(y1, y2)
+    edge_mask = mask_of_vertex[sloped]
     # Rows whose center yc = r + 0.5 satisfies ylo <= yc < yhi.
-    r0 = np.maximum(np.ceil(ylo - 0.5), 0).astype(np.int64)
-    r1 = np.minimum(np.ceil(yhi - 0.5), h[edge_mask]).astype(np.int64)
+    r0 = np.maximum(np.ceil(np.minimum(y1, y2) - 0.5), 0).astype(np.int64)
+    r1 = np.minimum(np.ceil(np.maximum(y1, y2) - 0.5), h[edge_mask]).astype(np.int64)
     counts = np.maximum(r1 - r0, 0)
-    edge_idx = np.arange(counts.size).repeat(counts)
-    rows = np.arange(edge_idx.size) - (counts.cumsum() - counts - r0).repeat(counts)
-
-    yc = rows + 0.5
-    # interpolation parameter stays in [0, 1], so the crossing never
-    # overflows even for nearly horizontal edges
-    tparam = (yc - y1[edge_idx]) / (y2 - y1)[edge_idx]
-    xc = x1[edge_idx] + tparam * (x2 - x1)[edge_idx]
-    # Pixel center j + 0.5 counts a crossing iff j + 0.5 < xc, i.e.
-    # j < xc - 0.5: that is columns [0, ceil(xc - 0.5)), clipped to the
-    # window. A crossing left of column 0 toggles nothing.
-    jend = np.ceil(xc - 0.5).astype(np.int64)
-    np.minimum(jend, edge_w[edge_idx], out=jend)
-    keep = (jend > 0).nonzero()[0]
-    edge_idx, rows, jend = edge_idx[keep], rows[keep], jend[keep]
-
-    ring_cells = (h * (w + 1))[mask_of_ring]
-    ring_base = ring_cells.cumsum() - ring_cells
-    row_start = ring_base[edge_ring][edge_idx] + rows * (edge_w + 1)[edge_idx]
-    toggles = np.bincount(
-        np.concatenate([row_start, row_start + jend]), minlength=ring_cells.sum()
-    )
-    # parity survives the uint8 wrap-around
-    inside = (toggles.cumsum(dtype=np.uint8) & 1).view(bool)
-
-    mask_base = ring_base[mask_rings.cumsum() - mask_rings].tolist()
-    return [
-        inside[b : b + k * hh * (ww + 1)].reshape(k, hh, ww + 1)[:, :, :ww].any(axis=0)
-        for b, k, hh, ww in zip(mask_base, mask_rings.tolist(), h.tolist(), w.tolist())
-    ]
+    edge = np.arange(counts.size).repeat(counts)
+    rows = _ranges(r0, counts)
+    # the parameter stays in [0, 1]: no overflow for nearly horizontal edges
+    tparam = (rows + 0.5 - y1[edge]) / (y2 - y1)[edge]
+    xc = x1[edge] + tparam * (x2 - x1)[edge]
+    col = np.clip(np.ceil(xc - 0.5).astype(np.int64), 0, w[edge_mask][edge])
+    ring, ring_rows = ring_of_vertex[sloped][edge], h[mask_of_ring]
+    order = _order((ring_rows.cumsum() - ring_rows)[ring] + rows, col)
+    ring, rows, col = ring[order][::2], rows[order][::2], col[order]
+    keep = np.flatnonzero(col[::2] < col[1::2])
+    mask, rows = mask_of_ring[ring[keep]], rows[keep]
+    start, stop = col[::2][keep], col[1::2][keep]
+    if (mask_rings > 1).any():
+        # sorted by (mask, row, column), a span of the union starts where the
+        # count of spans covering it rises from 0, and ends where it falls back
+        x, mask, rows = np.append(start, stop), np.tile(mask, 2), np.tile(rows, 2)
+        order = _order((h.cumsum() - h)[mask] + rows, x)
+        step = np.repeat([1, -1], start.size)[order]
+        cover = step.cumsum()
+        opened = order[(step == 1) & (cover == 1)]
+        mask, rows, start, stop = mask[opened], rows[opened], x[opened], x[order[cover == 0]]
+    return mask, rows + y0[mask], start + x0[mask], stop + x0[mask]
 
 
-def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]]:
-    """``(bits, x0, y0)`` of each mask given as a list of polygon rings, with
-    its canvas ``(width, height)`` or None, as :meth:`InstanceMask.window`
-    returns it: the rings rasterized by union onto the window spanning their
-    vertices, clipped to the canvas."""
-    xy, ring_sizes, mask_rings = _ring_arrays(polygon_lists)
-    rects = _clipped_rects(xy, ring_sizes, mask_rings, canvases)
-    bits = _raster_rings(xy, ring_sizes, mask_rings, rects)
-    return list(zip(bits, rects[:, 0].tolist(), rects[:, 1].tolist()))
-
-
-def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
-    """``(bits, x0, y0)`` of each run-length grid of the list ``rles``, as
-    :meth:`InstanceMask.window` returns it.
-
-    Only the rows and columns a grid occupies are decoded; an empty grid
-    gives a 0x0 window at the origin, and a one-run that wraps onto the next
-    row widens its window to the full width. The grids are decoded in passes
-    of at most ``RASTER_CHUNK_CELLS`` cells, a run counting ``_RUN_CELLS``.
-    """
-    cells = np.fromiter((r.runs.size for r in rles), np.int64, len(rles))
-    out = []
-    for a, b in _passes(cells * _RUN_CELLS):
-        out += _rle_pass(rles[a:b])
-    return out
-
-
-def _rle_pass(rles) -> list[tuple[np.ndarray, int, int]]:
-    """One pass of :func:`rle_windows`: all windows are decoded by one
-    ``np.repeat`` into one buffer, of which each window is a view."""
-    sizes, totals, widths = np.array(
-        [(r.runs.size, r.width * r.height, r.width) for r in rles], dtype=np.int64,
-    ).reshape(-1, 3).T
-    runs = np.concatenate([r.runs for r in rles])
-    grid = np.arange(len(rles)).repeat(sizes)
+def _rle_spans(runs, counts, widths) -> tuple[np.ndarray, ...]:
+    """The spans of run-length grids (see :meth:`MaskColumns.spans`): grid k has the
+    next ``counts[k]`` of ``runs``, ``widths[k]`` wide; one-runs are cut at row ends."""
+    grid = np.arange(counts.size).repeat(counts)
+    first = counts.cumsum() - counts
     # a run's position within its grid is odd for a one-run
-    odd = (np.arange(runs.size) - (sizes.cumsum() - sizes)[grid]) & 1
-    ones = (runs * odd).nonzero()[0]
+    ones = (runs * ((np.arange(runs.size) - first[grid]) & 1)).nonzero()[0]
     owner = grid[ones]
     # the running sum of all grids, less the grids before the owner; an
     # int64 overflow of the running sum cancels in the difference
-    stop = runs.cumsum()[ones] - (totals.cumsum() - totals)[owner]
-    length, w_run = runs[ones], widths[owner]
-    srow, scol = np.divmod(stop - length, w_run)
-    erow, ecol = np.divmod(stop - 1, w_run)
-
-    # the one-runs are ordered by grid, so each grid's are one group
-    count = np.bincount(owner, minlength=len(rles))
-    present = count.nonzero()[0]
-    group = (count.cumsum() - count)[present]
-    wraps = np.logical_or.reduceat(srow != erow, group)
-    rect = np.zeros((4, len(rles)), dtype=np.int64)
-    x0, y0, x1, y1 = rect
-    x0[present] = np.where(wraps, 0, np.minimum.reduceat(scol, group))
-    y0[present] = srow[group]
-    x1[present] = np.where(wraps, widths[present], np.maximum.reduceat(ecol, group) + 1)
-    y1[present] = np.maximum.reduceat(erow, group) + 1
-    w, h = x1 - x0, y1 - y0
-    cells = h * w
-    base = cells.cumsum() - cells
-    # each one-run's position in the concatenated cropped windows
-    start = (base - y0 * w - x0)[owner] + srow * w[owner] + scol
-    bounds = np.empty(2 * ones.size + 2, dtype=np.int64)
-    bounds[0], bounds[-1] = 0, cells.sum()
-    bounds[1:-1:2], bounds[2:-1:2] = start, start + length
-    values = np.zeros(bounds.size - 1, dtype=bool)
-    values[1::2] = True
-    flat = values.repeat(bounds[1:] - bounds[:-1])
-    return [
-        (flat[b : b + hh * ww].reshape(hh, ww), xx, yy)
-        for b, hh, ww, xx, yy in zip(
-            base.tolist(), h.tolist(), w.tolist(), x0.tolist(), y0.tolist()
-        )
-    ]
+    ends = runs.cumsum()
+    stop = ends[ones] - np.append(0, ends)[first][owner]
+    length, width = runs[ones], widths[owner]
+    srow, scol = np.divmod(stop - length, width)
+    erow, ecol = np.divmod(stop - 1, width)
+    pieces = erow - srow + 1
+    k = np.arange(ones.size).repeat(pieces)
+    rows = _ranges(srow, pieces)
+    return (owner[k], rows, np.where(rows == srow[k], scol[k], 0),
+            np.where(rows == erow[k], ecol[k] + 1, width[k]))
 
 
-def _cache_windows(masks) -> None:
-    """Cache the windows of the masks not yet cached: polygons and grids in a batch each."""
-    todo = [m for m in masks if m is not None and m._window is None]
-    polys = [m for m in todo if m.rle is None]
-    rles = [m for m in todo if m.rle is not None]
-    if polys:
-        windows = polygon_windows([m.polygons for m in polys], [m.canvas for m in polys])
-        for m, win in zip(polys, windows):
-            m._window = win
-    if rles:
-        for m, win in zip(rles, rle_windows([m.rle for m in rles])):
-            m._window = win
+def _shared(g_spans, g_rect, d_spans, d_rect, g, d, top, bottom) -> np.ndarray:
+    """The pixels that mask ``g[p]`` of ``g_spans`` and mask ``d[p]`` of
+    ``d_spans`` (windows ``g_rect`` and ``d_rect``) share in rows ``[top[p],
+    bottom[p])``: each span of ``g[p]`` there counts the cells of ``d[p]``
+    left of its two ends, by a search and cumulative span lengths. A row's
+    slot counts it from its window's top after the windows before it, which
+    a pass bounds (``SPAN_CHUNK_ROWS``, or one pair): no canvas overflows it."""
+    (g_mask, g_row, g_x0, g_x1), (d_mask, d_row, d_x0, d_x1) = g_spans, d_spans
+    g_base, d_base = ((r[:, 3] - r[:, 1]).cumsum() - r[:, 3] for r in (g_rect, d_rect))
+    g_slot = g_base[g_mask] + g_row
+    lo = np.searchsorted(g_slot, g_base[g] + top)
+    n = np.searchsorted(g_slot, g_base[g] + bottom) - lo
+    q = _ranges(lo, n)
+    # the detection's spans [a, b) of each of those rows, for right then left ends
+    slot, d_slot = d_base[d].repeat(n) + g_row[q], d_base[d_mask] + d_row
+    a, b = np.searchsorted(d_slot, slot), np.searchsorted(d_slot, slot, "right")
+    a, b, x = np.append(a, a), np.append(b, b), np.append(g_x1[q], g_x0[q])
+    k = _search(d_x1, a, b, x)
+    total = np.append(0, (d_x1 - d_x0).cumsum())
+    left = total[k] + np.where(k < b, np.maximum(x - np.append(d_x0, 0)[k], 0), 0)
+    cells = np.append(0, (left[: q.size] - left[q.size :]).cumsum())
+    return cells[n.cumsum()] - cells[n.cumsum() - n]
 
 
-def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
-    """The window columns ``(rects, areas, bits)`` of ``masks``, a list of
-    masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
-    int64 array and its pixel count (int64), zeros for None, and its
-    window's bit grid, or None. The windows not yet cached are cached first."""
-    _cache_windows(masks)
-    windows = [(None, 0, 0) if m is None else m._window for m in masks]
-    rows = np.fromiter(chain.from_iterable(
-        (0,) * 5 if m is None else (x, y, x + b.shape[1], y + b.shape[0], m.area)
-        for m, (b, x, y) in zip(masks, windows)), np.int64).reshape(-1, 5)
-    return rows[:, :4], rows[:, 4], [b for b, _, _ in windows]
+def mask_ious(gts, dets, g, d) -> np.ndarray:
+    """:meth:`InstanceMask.iou` of each pair of mask ``g[p]`` of the
+    :class:`MaskColumns` ``gts`` and mask ``d[p]`` of ``dets``, from their
+    spans, in passes of ``SPAN_CHUNK_ROWS`` rows that take each mask once."""
+    g_rect, d_rect = gts.rects(), dets.rects()
+    top = np.maximum(g_rect[g, 1], d_rect[d, 1])
+    bottom = np.maximum(np.minimum(g_rect[g, 3], d_rect[d, 3]), top)
+    inter = np.zeros(g.size, dtype=np.int64)
+    for a, b in _chunks(bottom - top + gts.rows(g) + dets.rows(d)):
+        (gu, gk), (du, dk) = _dense(g[a:b], g_rect.shape[0]), _dense(d[a:b], d_rect.shape[0])
+        inter[a:b] = _shared(gts.spans(gu), g_rect[gu], dets.spans(du), d_rect[du],
+                             gk, dk, top[a:b], bottom[a:b])
+    union = gts.areas(g) + dets.areas(d) - inter
+    return np.divide(inter, union, out=np.zeros(g.size), where=union > 0)
+
+
+class MaskColumns:
+    """The masks of N items as columns, whose spans, windows and areas are
+    computed with no mask object. A span ``(mask, row, x0, x1)`` is the
+    pixels ``x0 <= x < x1`` of ``row``. Item k's canvas is the ``(width,
+    height)`` row ``canvas[k]`` where ``known[k]``. If ``poly[k]``, its mask
+    is ``rings[k]`` polygon rings, the next of ``ring_sizes`` vertices each,
+    the next rows of the ``(V, 2)`` buffer ``xy``; if ``rle[k]``, a grid of
+    the canvas's size, the next ``run_counts[k]`` of ``runs``. Columns of
+    :class:`InstanceMask` objects keep them, each caching its spans."""
+
+    def __init__(self, canvas, known, poly, rings, ring_sizes, xy, rle, run_counts, runs,
+                 masks=None):
+        self.canvas, self.known, self.poly, self.rings = canvas, known, poly, rings
+        self.ring_sizes, self.xy, self.rle, self.run_counts = ring_sizes, xy, rle, run_counts
+        self.runs, self.masks = runs, masks
+        self._rects, self._areas = None, np.full(poly.size, -1, dtype=np.int64)  # -1: unknown
+
+    @classmethod
+    def of(cls, masks) -> "MaskColumns":
+        """The columns of a list of :class:`InstanceMask` or None."""
+        masks = list(masks)
+        kind = np.array([0 if m is None else 1 if m.rle is None else 2 for m in masks], int)
+        size = np.array([0 if m is None else m.rle.runs.size if m.rle else len(m.polygons)
+                         for m in masks], np.int64)
+        canvases = [m and m.canvas for m in masks]
+        rings = [p.vertices for m in masks if m and m.rle is None for p in m.polygons]
+        runs = [m.rle.runs for m in masks if m and m.rle]
+        return cls(np.array([c or (0, 0) for c in canvases], np.int64).reshape(-1, 2),
+                   np.array([c is not None for c in canvases], dtype=bool), kind == 1,
+                   np.where(kind == 1, size, 0), np.fromiter(map(len, rings), np.int64),
+                   np.concatenate([np.empty((0, 2))] + rings), kind == 2,
+                   np.where(kind == 2, size, 0), np.concatenate([_NO_SPANS[0]] + runs), masks)
+
+    def take(self, at) -> "MaskColumns":
+        """The columns of the items at the positions ``at``."""
+        ring = _ranges((self.rings.cumsum() - self.rings)[at], self.rings[at])
+        sizes = self.ring_sizes[ring]
+        vertex = _ranges((self.ring_sizes.cumsum() - self.ring_sizes)[ring], sizes)
+        runs = _ranges((self.run_counts.cumsum() - self.run_counts)[at], self.run_counts[at])
+        masks = self.masks and [self.masks[k] for k in at.tolist()]
+        return MaskColumns(self.canvas[at], self.known[at], self.poly[at], self.rings[at],
+                           sizes, self.xy[vertex], self.rle[at], self.run_counts[at],
+                           self.runs[runs], masks)
+
+    def instances(self) -> list:
+        """Each item's :class:`InstanceMask`, or None; built on first use, a
+        polygon's vertices a view into ``xy`` where that is read-only."""
+        if self.masks is None:
+            ends = self.ring_sizes.cumsum().tolist()
+            polygons = [Polygon(self.xy[a:b]) for a, b in zip([0, *ends], ends)]
+            masks = [None] * self.poly.size
+            ends = self.rings[self.poly].cumsum().tolist()
+            for k, a, b in zip(np.flatnonzero(self.poly).tolist(), [0, *ends], ends):
+                canvas = tuple(self.canvas[k].tolist()) if self.known[k] else None
+                masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvas)
+            bounds = np.append(0, self.run_counts[self.rle].cumsum())
+            grids = RLEMask.batch(self.canvas[self.rle], self.runs, bounds)[0]
+            for k, grid in zip(np.flatnonzero(self.rle).tolist(), grids):
+                masks[k] = InstanceMask(rle=grid)
+            self.masks = masks
+        return self.masks
+
+    def spans(self, at) -> tuple[np.ndarray, ...]:
+        """The spans of the masks at the positions ``at`` (int64), as int64
+        columns ``(mask, row, x0, x1)`` sorted in that order, ``mask`` a
+        position in ``at``; their areas are kept. Each of ``masks`` computes
+        its spans once."""
+        if self.masks is None:
+            spans = self._computed(at)[0]
+        else:
+            masks = [self.masks[k] for k in at.tolist()]
+            todo = [k for k, m in enumerate(masks) if m is not None and m._spans is None]
+            if todo:  # cached on each mask, with its window's rect and its area
+                (mask, row, x0, x1), rects = self._computed(at[todo])
+                bounds = np.searchsorted(mask, np.arange(len(todo) + 1)).tolist()
+                total = np.append(0, (x1 - x0).cumsum()).tolist()
+                for k, rect, a, b in zip(todo, rects.tolist(), bounds, bounds[1:]):
+                    area = total[b] - total[a]
+                    masks[k]._spans = (tuple(rect), area, row[a:b], x0[a:b], x1[a:b])
+            cached = [_NO_SPANS if m is None else m._spans[2:] for m in masks]
+            spans = (np.arange(at.size).repeat([c[0].size for c in cached]),
+                     *map(np.concatenate, zip(_NO_SPANS, *cached)))
+        total = np.append(0, (spans[3] - spans[2]).cumsum())
+        bounds = np.searchsorted(spans[0], np.arange(at.size + 1))
+        self._areas[at] = total[bounds[1:]] - total[bounds[:-1]]
+        return spans
+
+    def _computed(self, at) -> tuple:
+        """:meth:`spans` of the masks at ``at``, and their windows, computed."""
+        cols, parts = self.take(at), [(np.empty(0, dtype=np.int64), *_NO_SPANS)]
+        rects = np.zeros((at.size, 4), dtype=np.int64)
+        if cols.poly.any():
+            p = np.flatnonzero(cols.poly)
+            rects[p] = cols._polygon_rects()
+            mask, *spans = _polygon_spans(cols.xy, cols.ring_sizes, cols.rings[p], rects[p])
+            parts.append((p[mask], *spans))
+        if cols.rle.any():
+            r = np.flatnonzero(cols.rle)
+            mask, *spans = _rle_spans(cols.runs, cols.run_counts[r], cols.canvas[r, 0])
+            parts.append((r[mask], *spans))
+            _bound(rects, r, mask, *spans)
+        spans = [np.concatenate(c) for c in zip(*parts)]
+        spans = parts[-1] if len(parts) < 3 else tuple(
+            c[np.argsort(spans[0], kind="stable")] for c in spans)
+        return spans, rects
+
+    def _polygon_rects(self) -> np.ndarray:
+        """Each polygon's window: its vertices' floor and ceiling, clipped."""
+        p, sizes = self.poly, self.ring_sizes
+        rings, known = self.rings[p], self.known[p, None]
+        if not (sizes.all() and rings.all()):
+            raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
+        first = (sizes.cumsum() - sizes)[rings.cumsum() - rings]
+        lo = np.floor(np.minimum.reduceat(self.xy, first)).astype(np.int64).reshape(-1, 2)
+        hi = np.ceil(np.maximum.reduceat(self.xy, first)).astype(np.int64).reshape(-1, 2)
+        lo = np.where(known, np.maximum(lo, 0), lo)
+        hi = np.maximum(np.where(known, np.minimum(hi, self.canvas[p]), hi), lo)
+        return np.concatenate([lo, hi], axis=1)
+
+    def rects(self) -> np.ndarray:
+        """Each mask's window ``(x0, y0, x1, y1)``, ``(N, 4)`` int64, computed once: a
+        polygon's spans its vertices, clipped; a grid's its pixels; else zeros."""
+        if self._rects is None and self.masks is not None:
+            self.spans(np.arange(self.poly.size))
+            self._rects = np.array([m._spans[0] if m else (0,) * 4 for m in self.masks],
+                                   dtype=np.int64).reshape(-1, 4)
+        if self._rects is None:
+            self._rects = rects = np.zeros((self.poly.size, 4), dtype=np.int64)
+            if self.poly.any():
+                rects[self.poly] = self._polygon_rects()
+            r = np.flatnonzero(self.rle)
+            for a, b in _chunks(self.run_counts[r]) if r.size else ():
+                _bound(rects, r[a:b], *self.spans(r[a:b]))
+        return self._rects
+
+    def rows(self, at) -> np.ndarray:
+        """Each mask's rows in a span pass: window rows times rings, or plus runs."""
+        rect = self.rects()[at]
+        height = rect[:, 3] - rect[:, 1]
+        return np.where(self.poly[at], self.rings[at] * height, self.run_counts[at] + height)
+
+    def areas(self, at) -> np.ndarray:
+        """The pixel count (int64; 0 for none) of each mask at ``at``, in passes."""
+        todo = _dense(at[self._areas[at] < 0], self.poly.size)[0]
+        for a, b in _chunks(self.rows(todo)) if todo.size else ():
+            self.spans(todo[a:b])
+        return self._areas[at]
+
+
+def _bound(rects, at, mask, row, x0, x1) -> None:
+    """Set ``rects[at[k]]`` to the rect bounding mask k's spans, if it has any."""
+    first = np.flatnonzero(np.diff(mask, prepend=-1))
+    last = np.append(first, mask.size)[1:] - 1
+    rects[at[mask[first]]] = np.stack([np.minimum.reduceat(x0, first), row[first],
+                                       np.maximum.reduceat(x1, first), row[last] + 1], axis=1)
 
 
 class InstanceMask:
@@ -511,36 +577,24 @@ class InstanceMask:
 
     The source is either a list of polygon rings (combined by union) or a
     run-length grid. ``canvas`` is the enclosing image size ``(width, height)``
-    when known; polygon windows are clipped to it. The rasterized form is an
-    anchored window: a local bit grid plus the window's top-left pixel
-    coordinates, equivalent to the same polygons rasterized on the full
-    canvas. A run-length window covers only the occupied rows and columns.
+    when known; polygon windows are clipped to it. The window, a local bit
+    grid and its top-left pixel, is filled from the mask's spans (see
+    :class:`MaskColumns`); a grid's covers its occupied rows and columns. Both
+    are computed once and cached."""
 
-    The window is computed once and cached. :func:`prepare_windows` computes
-    the windows of many masks in one batch (matching does so for all the
-    ground truths of a dataset, then all its detections); :meth:`window`
-    prepares a mask not yet prepared as a batch of one, with the same
-    result.
-    """
-
-    __slots__ = ("polygons", "rle", "canvas", "_window", "_area")
+    __slots__ = ("polygons", "rle", "canvas", "_window", "_spans")
 
     def __init__(self, polygons=None, rle: RLEMask | None = None, canvas=None):
         if (polygons is None) == (rle is None):
             raise GeometryError("instance mask needs polygons or an RLE grid, not both")
-        self.polygons = tuple(polygons) if polygons is not None else None
-        self.rle = rle
+        self.polygons, self.rle = None if polygons is None else tuple(polygons), rle
         self.canvas = tuple(canvas) if canvas is not None else None
         if rle is not None:
-            if self.canvas is not None and self.canvas != (rle.width, rle.height):
-                raise GeometryError(
-                    f"RLE size {rle.width}x{rle.height} does not match image "
-                    f"{self.canvas[0]}x{self.canvas[1]}"
-                )
-            # the run-length grid defines its own canvas
-            self.canvas = (rle.width, rle.height)
-        self._window = None
-        self._area = None
+            if self.canvas not in (None, (rle.width, rle.height)):
+                raise GeometryError(f"RLE size {rle.width}x{rle.height} does not match image "
+                                    f"{self.canvas[0]}x{self.canvas[1]}")
+            self.canvas = (rle.width, rle.height)  # the grid defines its own canvas
+        self._window = self._spans = None
 
     def __eq__(self, other) -> bool:
         """Masks with equal sources are equal, whatever their canvases."""
@@ -554,46 +608,32 @@ class InstanceMask:
     def window(self) -> tuple[np.ndarray, int, int]:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""
         if self._window is None:
-            _cache_windows([self])
+            self.area  # computes and caches the spans
+            (x0, y0, x1, y1), _, row, start, stop = self._spans
+            bits = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+            bits.flat[_ranges((row - y0) * (x1 - x0) + start - x0, stop - start)] = True
+            self._window = (bits, x0, y0)
         return self._window
 
     @property
     def area(self) -> int:
-        if self._area is None:
-            if self.rle is not None:
-                self._area = self.rle.area
-            else:
-                self._area = int(np.count_nonzero(self.window()[0]))
-        return self._area
+        if self._spans is None:
+            MaskColumns.of([self]).spans(np.zeros(1, dtype=np.int64))
+        return self._spans[1]
 
     def scaled(self, sx: float, sy: float, canvas=None) -> "InstanceMask":
         if self.polygons is None:
             raise GeometryError("cannot scale an RLE-only mask losslessly")
-        return InstanceMask(
-            polygons=[p.scaled(sx, sy) for p in self.polygons], canvas=canvas
-        )
+        return InstanceMask(polygons=[p.scaled(sx, sy) for p in self.polygons], canvas=canvas)
 
     def iou(self, other: "InstanceMask") -> float:
         """IoU of two instances placed on a common canvas."""
-        if (
-            self.canvas is not None
-            and other.canvas is not None
-            and self.canvas != other.canvas
-        ):
-            raise GeometryError(
-                f"mask canvases differ: {self.canvas} vs {other.canvas}"
-            )
-        abits, ax, ay = self.window()
-        bbits, bx, by = other.window()
-        x0 = max(ax, bx)
-        y0 = max(ay, by)
-        x1 = min(ax + abits.shape[1], bx + bbits.shape[1])
-        y1 = min(ay + abits.shape[0], by + bbits.shape[0])
-        if x1 <= x0 or y1 <= y0:
-            inter = 0
-        else:
-            asub = abits[y0 - ay : y1 - ay, x0 - ax : x1 - ax]
-            bsub = bbits[y0 - by : y1 - by, x0 - bx : x1 - bx]
-            inter = int(np.count_nonzero(asub & bsub))
+        if None not in (self.canvas, other.canvas) and self.canvas != other.canvas:
+            raise GeometryError(f"mask canvases differ: {self.canvas} vs {other.canvas}")
+        (a, ax, ay), (b, bx, by) = self.window(), other.window()
+        x0, x1 = max(ax, bx), min(ax + a.shape[1], bx + b.shape[1])
+        y0, y1 = max(ay, by), min(ay + a.shape[0], by + b.shape[0])
+        inter = 0 if x1 <= x0 or y1 <= y0 else int(np.count_nonzero(
+            a[y0 - ay : y1 - ay, x0 - ax : x1 - ax] & b[y0 - by : y1 - by, x0 - bx : x1 - bx]))
         union = self.area + other.area - inter
         return inter / union if union else 0.0

@@ -18,11 +18,11 @@ Two matchers are provided, each run over all images of a dataset at once:
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and every pair whose IoU is at or above a floor, from one pass over
 the sets' columns that computes each within-image cell once. In masks mode
-it reads each set's mask windows as columns (:meth:`ItemColumns.windows`:
-rects, areas and bit grids, prepared once per set) and intersects the
-overlapping windows as slices of the two grids, with no per-pair method
-call. The matchers keep the pairs at or above the IoU and confidence
-thresholds; a pair never spans two images, so no per-image pass is needed.
+it reads each set's masks as columns (:meth:`ItemColumns.mask_columns`), and
+the pairs whose mask windows overlap take their IoU from the masks' row spans
+(:func:`geometry.mask_ious`), with no mask object and no bit grid. The
+matchers keep the pairs at or above the IoU and confidence thresholds; a
+pair never spans two images, so no per-image pass is needed.
 :func:`accumulate` reduces any number of per-image results into one
 ``(C+1) x (C+1)`` count grid whose final column holds unmatched ground
 truths ("left detections") and whose final row holds unmatched detections
@@ -43,6 +43,7 @@ import numpy as np
 
 from .annotations import Annotation, Detection, ItemColumns, LabelMap
 from .errors import ConfigError, GeometryError, MissingReferenceError
+from .geometry import mask_ious
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -157,9 +158,10 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
 
     The (gt, det) cells of all images are taken in passes of at most
     ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
-    are kept. In masks mode, a pair with masks on both sides takes the IoU
-    of the sets' :meth:`ItemColumns.windows`, which equals their
-    :meth:`InstanceMask.iou`: only overlapping windows are intersected."""
+    are kept. In masks mode, a pair with masks on both sides takes their
+    :meth:`InstanceMask.iou`, from :func:`mask_ious` where their windows
+    overlap; a pass raises first, as that method does, for its first pair
+    whose known canvases differ, whether or not their windows overlap."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))
     n_gts = np.bincount(gt_image[gt_item], minlength=len(image_id))
@@ -172,8 +174,7 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
     a, b = _corners(gts.boxes[gt_item]), _corners(dets.boxes[det_item])
     masked = mode == "masks" and gts.has_mask.any() and dets.has_mask.any()
     if masked:
-        _check_canvases(gts, dets, gt_item, det_item, n_gts, n_dets)
-        (g_rect, g_area, g_bits), (d_rect, d_area, d_bits) = gts.windows(), dets.windows()
+        g_masks, d_masks = gts.mask_columns(), dets.mask_columns()
         g_has, d_has = gts.has_mask[gt_item], dets.has_mask[det_item]
     total = int(row_end[-1]) if row.size else 0
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
@@ -185,41 +186,22 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
         if masked:
             both = np.flatnonzero(g_has[g] & d_has[d])
             i, j = gt_item[g[both]], det_item[d[both]]
-            start = np.maximum(g_rect[i, :2], d_rect[j, :2])
-            stop = np.minimum(g_rect[i, 2:], d_rect[j, 2:])
-            over = np.flatnonzero((start < stop).all(axis=1))
-            # each overlap as slices of the two windows
-            start, stop = start[over], stop[over]
-            go, do = g_rect[i[over], :2], d_rect[j[over], :2]
-            spans = np.concatenate([i[over, None], j[over, None], start - go, stop - go,
-                                    start - do, stop - do], 1).T.tolist()
-            inter = np.zeros(both.size, np.int64)
-            inter[over] = [np.count_nonzero(g_bits[p][y0:y1, x0:x1] & d_bits[q][v0:v1, u0:u1])
-                           for p, q, x0, y0, x1, y1, u0, v0, u1, v1 in zip(*spans)]
-            union = g_area[i] + d_area[j] - inter
-            iou[both] = np.divide(inter, union, out=np.zeros(both.size), where=union > 0)
+            gc, dc = g_masks.canvas[i], d_masks.canvas[j]
+            differ = np.flatnonzero(g_masks.known[i] & d_masks.known[j] & (gc != dc).any(1))
+            if differ.size:
+                raise GeometryError(f"mask canvases differ: {tuple(gc[differ[0]].tolist())}"
+                                    f" vs {tuple(dc[differ[0]].tolist())}")
+            g_rect, d_rect = g_masks.rects(), d_masks.rects()
+            over = (np.maximum(g_rect[i, :2], d_rect[j, :2])
+                    < np.minimum(g_rect[i, 2:], d_rect[j, 2:])).all(axis=1)
+            iou[both] = 0.0
+            iou[both[over]] = mask_ious(g_masks, d_masks, i[over], j[over])
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
     return PairTable(floor, image_id, gts, dets, gt_item, det_item, n_gts, n_dets,
                      gts.ids[gt_item], gts.class_ids[gt_item], dets.ids[det_item],
                      dets.class_ids[det_item], dets.values[det_item],
                      *map(np.concatenate, zip(*parts)))
-
-
-def _check_canvases(gts, dets, gt_item, det_item, n_gts, n_dets) -> None:
-    """Raise as :meth:`InstanceMask.iou` does for the first (gt, det) pair
-    of an image whose known canvases differ, whether or not their windows
-    overlap. ``gt_item`` and ``det_item`` give the items in table order,
-    ``n_gts`` and ``n_dets`` each image's count of them."""
-    canvases = [[m and m.canvas for m in items.masks()] for items in (gts, dets)]
-    if len(set(canvases[0] + canvases[1]) - {None}) < 2:
-        return
-    g, d = ([c[k] for k in at.tolist()] for c, at in zip(canvases, (gt_item, det_item)))
-    for gs, ds in zip(_split(g, n_gts), _split(d, n_dets)):
-        known = set(gs) - {None}, set(ds) - {None}
-        if all(known) and len(known[0] | known[1]) > 1:
-            a, b = next((a, b) for a in gs for b in ds if None not in (a, b) and a != b)
-            raise GeometryError(f"mask canvases differ: {a} vs {b}")
 
 
 def _positions(keys, values) -> np.ndarray:

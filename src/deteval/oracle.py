@@ -22,6 +22,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +51,8 @@ from .geometry import (
     InstanceMask,
     Polygon,
     RLEMask,
-    _raster_rings,
-    _ring_arrays,
+    MaskColumns,
     box_iou,
-    prepare_windows,
     rle_decode,
     rle_encode,
     size_class,
@@ -271,8 +270,46 @@ def rasterize(polygon: Polygon, width: int, height: int) -> np.ndarray:
     clipped."""
     if width < 1 or height < 1:
         raise GeometryError(f"grid must be at least 1x1, got {width}x{height}")
-    rect = np.array([[0, 0, width, height]], dtype=np.int64)
-    return _raster_rings(*_ring_arrays([[polygon]]), rect)[0]
+    return full_grid(polygon_windows([[polygon]], [(width, height)])[0], width, height)
+
+
+def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]]:
+    """``(bits, x0, y0)`` of each mask given as a list of polygon rings, with
+    its canvas ``(width, height)`` or None, as :meth:`InstanceMask.window`
+    returns it: the rings combined by union on the window spanning their
+    vertices, clipped to the canvas. The spans of all are computed in one
+    batch."""
+    return _windows([InstanceMask(polygons=p, canvas=c)
+                     for p, c in zip(polygon_lists, canvases)])
+
+
+def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
+    """``(bits, x0, y0)`` of each run-length grid of the list ``rles``, as
+    :meth:`InstanceMask.window` returns it: only the rows and columns a grid
+    occupies, so an empty grid gives a 0x0 window at the origin, and a
+    one-run that wraps onto the next row widens its window to the full
+    width. The spans of all are computed in one batch."""
+    return _windows([InstanceMask(rle=r) for r in rles])
+
+
+def _windows(masks) -> list:
+    """The window of each mask or None, the spans of all computed in one
+    batch first."""
+    MaskColumns.of(masks).spans(np.arange(len(masks)))
+    return [m and m.window() for m in masks]
+
+
+def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
+    """The window columns ``(rects, areas, bits)`` of ``masks``, a list of
+    masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
+    int64 array and its pixel count (int64), zeros for None, and its
+    window's bit grid, or None. The spans of the masks not yet cached are
+    computed in one batch."""
+    windows = [w or (None, 0, 0) for w in _windows(masks)]
+    rows = np.fromiter(chain.from_iterable(
+        (0,) * 5 if m is None else (x, y, x + b.shape[1], y + b.shape[0], m.area)
+        for m, (b, x, y) in zip(masks, windows)), np.int64).reshape(-1, 5)
+    return rows[:, :4], rows[:, 4], [b for b, _, _ in windows]
 
 
 def full_grid(window, width: int, height: int) -> np.ndarray:
@@ -651,10 +688,10 @@ def reference_window(mask: InstanceMask) -> tuple[np.ndarray, int, int]:
     time, as :meth:`InstanceMask.window` computed it before batching."""
     if mask.rle is not None:
         return reference_rle_window(mask.rle)
-    xmin = min(p.bounds()[0] for p in mask.polygons)
-    ymin = min(p.bounds()[1] for p in mask.polygons)
-    xmax = max(p.bounds()[2] for p in mask.polygons)
-    ymax = max(p.bounds()[3] for p in mask.polygons)
+    xmin = min(float(p.vertices[:, 0].min()) for p in mask.polygons)
+    ymin = min(float(p.vertices[:, 1].min()) for p in mask.polygons)
+    xmax = max(float(p.vertices[:, 0].max()) for p in mask.polygons)
+    ymax = max(float(p.vertices[:, 1].max()) for p in mask.polygons)
     x0, y0 = int(np.floor(xmin)), int(np.floor(ymin))
     x1, y1 = int(np.ceil(xmax)), int(np.ceil(ymax))
     if mask.canvas is not None:
@@ -977,7 +1014,7 @@ def reference_load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
             raise GeometryError(f"{where}: {exc}") from exc
         if len(poly.vertices) < 3:
             raise ParseError(f"{where} needs at least 3 points")
-        x0, y0, x1, y1 = poly.bounds()
+        (x0, y0), (x1, y1) = poly.vertices.min(0).tolist(), poly.vertices.max(0).tolist()
         x0, y0 = max(x0, 0.0), max(y0, 0.0)
         x1, y1 = min(x1, float(width)), min(y1, float(height))
         if x1 <= x0 or y1 <= y0:

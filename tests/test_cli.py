@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -777,21 +778,29 @@ class TestIouOncePerImage:
 
 
 class TestRecordsOnDemand:
-    """In boxes mode, evaluate and compare read the sets' columns only: they
-    build no record, box, polygon or mask object."""
+    """Evaluate and compare read the sets' columns only: they build no
+    record, box, polygon or mask object, and in masks mode no bit grid."""
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_boxes_mode_builds_no_objects(self, tmp_path, monkeypatch, command):
         from deteval.annotations import Annotation, Detection
-        from deteval.geometry import BBox, InstanceMask, Polygon
-        from deteval.oracle import ScenarioConfig, generate
+        from deteval.geometry import BBox, InstanceMask, Polygon, RLEMask, rle_encode
+        from deteval.oracle import ScenarioConfig, full_grid, generate
 
-        # polygon masks on both sides, and areas given
+        # polygon masks on both sides, and areas given; and every other
+        # detection's mask as a run-length grid
         gt_set, det_set = generate(ScenarioConfig(seed=5, image_count=6, clutter_rate=0.5))
         gt_set.save(tmp_path / "gt.json")
         det_set.save(tmp_path / "det.json")
+        rows = det_set.to_json()
+        (width, height), = {(im.width, im.height) for im in gt_set.images}
+        for row, d in list(zip(rows, det_set.detections))[::2]:
+            row["segmentation"] = {"size": [height, width], "counts": rle_encode(full_grid(
+                InstanceMask(polygons=d.mask.polygons, canvas=(width, height)).window(),
+                width, height)).runs.tolist()}
+        write_json(tmp_path / "rle.json", rows)
         built = []
-        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask):
+        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask, RLEMask):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
                 built.append(_name)
                 _init(self, *args, **kwargs)
@@ -802,13 +811,13 @@ class TestRecordsOnDemand:
                      "--format", "json,csv,svg", "--out", str(tmp_path / "out")])
         assert code == 0
         assert built == []
-        # masks mode builds each mask, of one polygon here, once
+        # nor does masks mode, with polygon and run-length masks
+        monkeypatch.setattr(RLEMask, "batch", lambda *a: built.append("RLEMask"))
+        monkeypatch.setattr(InstanceMask, "window", lambda m: built.append("window"))
         assert main([command, "--gt", str(tmp_path / "gt.json"),
-                     "--det", str(tmp_path / "det.json"), "--mode", "masks",
-                     "--out", str(tmp_path / "out")]) == 0
-        masks = len(gt_set.annotations) + len(det_set.detections)
-        assert built.count("InstanceMask") == built.count("Polygon") == masks
-        assert {"Annotation", "Detection", "BBox"}.isdisjoint(built)
+                     "--det", str(tmp_path / "rle.json"), "--mode", "masks",
+                     "--format", "json,csv,svg", "--out", str(tmp_path / "out")]) == 0
+        assert built == []
 
     @pytest.mark.parametrize("command", [
         ["split", "--seed", "3"], ["rescale", "--width", "61", "--height", "43"]])
@@ -886,9 +895,11 @@ class TestGreedyCalls:
 
 
 class TestPreparePasses:
-    """In masks mode a command prepares each set's masks in one
-    prepare_windows call, whose raster and decode passes each stay within
-    the cell budget, unless one mask alone exceeds it."""
+    """In masks mode a command computes the spans of each set's masks in
+    passes whose rows each stay within the budget, unless one mask or pair
+    alone exceeds it, and no mask's spans more than once per use: its
+    window, its area, and once for the join. A smaller budget takes more
+    passes and gives the same outputs."""
 
     @pytest.mark.parametrize("budget", [None, 1 << 10])
     def test_one_call_per_set_and_passes_within_budget(self, tmp_path, monkeypatch, budget):
@@ -897,7 +908,7 @@ class TestPreparePasses:
         from deteval.oracle import ScenarioConfig, full_grid, generate
 
         gt_set, det_set = generate(ScenarioConfig(
-            seed=6, image_count=8, gts_per_image=(1, 6), jitter_px=4, clutter_rate=0.5,
+            seed=6, image_count=40, gts_per_image=(1, 6), jitter_px=4, clutter_rate=0.5,
             image_size=(96, 80),
         ))
         gt_set.save(tmp_path / "gt.json")
@@ -908,47 +919,41 @@ class TestPreparePasses:
                 polygons=d.mask.polygons, canvas=(96, 80)).window(), 96, 80)).runs.tolist(),
         }) for row, d in zip(det_set.to_json(), det_set.detections)]
         write_json(tmp_path / "det.json", rows)
+        argv = ["compare", "--gt", str(tmp_path / "gt.json"), "--det", str(tmp_path / "det.json"),
+                "--mode", "masks", "--format", "json,csv,svg"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
         if budget is not None:
-            monkeypatch.setattr(geometry, "RASTER_CHUNK_CELLS", budget)
+            monkeypatch.setattr(geometry, "SPAN_CHUNK_ROWS", budget)
 
-        calls, passes = [], []
-        prepare, raster, decode = (
-            geometry.prepare_windows, geometry._raster_chunk, geometry._rle_pass)
+        passes = []
+        polygon, rle = geometry._polygon_spans, geometry._rle_spans
 
-        def counted_prepare(masks):
-            calls.append(len(masks))
-            return prepare(masks)
+        def counted_polygon(xy, ring_sizes, mask_rings, rects):
+            rows = int((mask_rings * (rects[:, 3] - rects[:, 1])).sum())
+            passes.append(("polygon", rows, len(rects)))
+            return polygon(xy, ring_sizes, mask_rings, rects)
 
-        def counted_raster(xy, ring_sizes, mask_rings, rects):
-            w, h = rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]
-            passes.append(("raster", int((mask_rings * h * (w + 1)).sum()), len(rects)))
-            return raster(xy, ring_sizes, mask_rings, rects)
+        def counted_rle(runs, counts, widths):
+            passes.append(("rle", int(counts.sum()), len(counts)))
+            return rle(runs, counts, widths)
 
-        def counted_decode(rles):
-            cells = sum(r.runs.size for r in rles) * geometry._RUN_CELLS
-            passes.append(("decode", cells, len(rles)))
-            return decode(rles)
-
-        # wherever a deteval module holds the function
-        for module in list(sys.modules.values()):
-            if module and module.__name__.startswith("deteval") and (
-                getattr(module, "prepare_windows", None) is prepare
-            ):
-                monkeypatch.setattr(module, "prepare_windows", counted_prepare)
-        monkeypatch.setattr(geometry, "_raster_chunk", counted_raster)
-        monkeypatch.setattr(geometry, "_rle_pass", counted_decode)
-        code = main(["compare", "--gt", str(tmp_path / "gt.json"),
-                     "--det", str(tmp_path / "det.json"), "--mode", "masks",
-                     "--out", str(tmp_path / "out")])
-        assert code == 0
-        # loading prepares only the masks whose area is not given: none here,
-        # so it makes no call
-        assert calls == [len(gt_set.annotations), len(det_set.detections)]
-        assert {kind for kind, _, _ in passes} == {"raster", "decode"}
-        for kind, cells, masks in passes:
-            assert cells <= geometry.RASTER_CHUNK_CELLS or masks == 1, (kind, cells, masks)
-        if budget is not None:
-            assert len(passes) > 4 * len({kind for kind, _, _ in passes})
+        monkeypatch.setattr(geometry, "_polygon_spans", counted_polygon)
+        monkeypatch.setattr(geometry, "_rle_spans", counted_rle)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert {kind for kind, _, _ in passes} == {"polygon", "rle"}
+        for kind, rows, masks in passes:
+            assert rows <= geometry.SPAN_CHUNK_ROWS or masks == 1, (kind, rows, masks)
+        masks = {kind: sum(m for k, _, m in passes if k == kind) for kind in ("polygon", "rle")}
+        if budget is None:
+            # the ground truths' spans once, for the join; the detections'
+            # for their windows and their areas, and once for the join
+            assert masks["polygon"] <= len(gt_set.annotations)
+            assert masks["rle"] <= 2 * len(det_set.detections)
+        else:
+            assert len(passes) > 4 * 2
+        for name in os.listdir(tmp_path / "default"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "default" / name).read_bytes())
 
 
 class TestSplit:
@@ -1006,7 +1011,65 @@ class TestSplit:
         assert not (out / "manifest.json").exists()
 
 
+def spans_iou(a, b) -> float:
+    """IoU of two masks given as ``{row: [(x0, x1), ...]}`` pixel runs, each
+    row's runs disjoint: the scalar reference, counted row by row."""
+    inter = sum(max(0, min(x1, u1) - max(x0, u0)) for row, runs in a.items()
+                for x0, x1 in runs for u0, u1 in b.get(row, ()))
+    union = sum(x1 - x0 for m in (a, b) for runs in m.values() for x0, x1 in runs) - inter
+    return inter / union
+
+
+class TestHugeCanvases:
+    """A mask on a canvas of 2**40 columns is read as row spans: a command
+    holds no per-pixel state, and exits 0 for a valid file."""
+
+    def test_run_wrapping_onto_the_next_row(self, tmp_path):
+        from deteval.annotations import load_detections, load_ground_truth
+        from deteval.matching import image_ious
+
+        width = 2**40
+        doc = minimal_gt_dict()
+        doc["images"][0].update(width=width, height=2)
+        doc["annotations"][0].update(bbox=[width - 80, 0, 80, 1], segmentation=[
+            [width - 80, 0, width, 0, width, 1, width - 80, 1]])
+        write_json(tmp_path / "gt.json", doc)
+        # one 100-pixel run from the end of row 0 onto the start of row 1
+        write_json(tmp_path / "det.json", [{
+            "image_id": 1, "category_id": 1, "bbox": [0, 0, width, 2], "score": 0.9,
+            "segmentation": {"size": [2, width], "counts": [width - 50, 100, width - 50]}}])
+        assert main(["evaluate", "--gt", str(tmp_path / "gt.json"), "--det",
+                     str(tmp_path / "det.json"), "--mode", "masks", "--iou", "0.3",
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["per_class"][0]["recall_at_05"] == 1.0
+        gt = load_ground_truth(tmp_path / "gt.json")
+        table = image_ious(gt, load_detections(
+            tmp_path / "det.json", gt.label_map, gt.images), "masks", 0.0)
+        expected = spans_iou({0: [(width - 80, width)]},
+                             {0: [(width - 50, width)], 1: [(0, 50)]})
+        assert table.iou.tolist() == [expected] == [50 / 130]
+
+
 class TestRescale:
+    def test_polygon_on_a_huge_target_exits_0(self, tmp_path):
+        doc = minimal_gt_dict()
+        doc["images"][0].update(width=40, height=48)
+        doc["annotations"][0].update(bbox=[10, 10, 20, 20], segmentation=[
+            [10, 10, 30, 10, 30, 30, 10, 30]])
+        out = tmp_path / "r.json"
+        assert main(["rescale", "--gt", str(write_json(tmp_path / "gt.json", doc)),
+                     "--width", str(2**40), "--height", "48", "--out", str(out)]) == 0
+        saved = json.loads(out.read_text())
+        ring = saved["annotations"][0]["segmentation"][0]
+        xs, ys = ring[0::2], ring[1::2]
+        assert saved["images"][0]["width"] == 2**40 and max(xs) > 2**39
+        # the scaled rectangle's pixel centers, counted row by row
+        rows = {r: [(math.ceil(min(xs) - 0.5), math.ceil(max(xs) - 0.5))]
+                for r in range(48) if min(ys) <= r + 0.5 < max(ys)}
+        assert len(rows) == 20
+        assert saved["annotations"][0]["area"] == sum(b - a for (a, b), in rows.values())
+
     def test_quarter_scale(self, tmp_path):
         doc = {
             "images": [

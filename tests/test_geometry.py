@@ -486,24 +486,55 @@ BATCH_MASK = st.builds(
 )
 
 
+def columns_of(masks, cached):
+    """The :class:`MaskColumns` of ``masks``: as a loader holds them, only
+    the vertex and run buffers, or else reading and filling each mask's
+    cached spans."""
+    from deteval.geometry import MaskColumns
+
+    columns = MaskColumns.of(masks)
+    if not cached:
+        columns.masks = None
+    return columns
+
+
+def assert_span_columns(masks):
+    """The span columns of ``masks``, as a loader holds them, give each
+    mask's window rect and pixel count as the one-mask reference does,
+    whatever the row budget of a span pass."""
+    from deteval.oracle import reference_window
+
+    for rows in (geometry.SPAN_CHUNK_ROWS, 1):
+        with mock.patch.object(geometry, "SPAN_CHUNK_ROWS", rows):
+            columns = columns_of(masks, cached=False)
+            rects, areas = columns.rects(), columns.areas(np.arange(len(masks)))
+        for m, rect, area in zip(masks, rects.tolist(), areas.tolist()):
+            if m is None:
+                assert (rect, area) == ([0] * 4, 0)
+                continue
+            ref, x0, y0 = reference_window(m)
+            assert rect == [x0, y0, x0 + ref.shape[1], y0 + ref.shape[0]]
+            assert area == np.count_nonzero(ref)
+
+
 class TestBatchedRasterDifferential:
-    """The batched rasterizer gives exactly the windows the one-ring-at-a-
-    time reference gives: the same bits, shapes and anchors."""
+    """The batched span producer gives exactly the windows the one-ring-at-
+    a-time reference gives: the same bits, shapes and anchors, and the same
+    rects and pixel counts as columns, in passes of any row budget."""
 
     @staticmethod
     def assert_matches_reference(masks):
-        from deteval.geometry import polygon_windows
+        from deteval.oracle import polygon_windows
         from deteval.oracle import reference_window
 
-        for chunk_cells in (geometry.RASTER_CHUNK_CELLS, 16):
-            with mock.patch.object(geometry, "RASTER_CHUNK_CELLS", chunk_cells):
-                got = polygon_windows([m.polygons for m in masks], [m.canvas for m in masks])
-            assert len(got) == len(masks)
-            for m, (bits, x0, y0) in zip(masks, got):
-                ref_bits, rx0, ry0 = reference_window(m)
-                assert (x0, y0) == (rx0, ry0)
-                assert bits.dtype == bool and bits.shape == ref_bits.shape
-                assert np.array_equal(bits, ref_bits)
+        got = polygon_windows([m.polygons for m in masks], [m.canvas for m in masks])
+        assert len(got) == len(masks)
+        for m, (bits, x0, y0) in zip(masks, got):
+            ref_bits, rx0, ry0 = reference_window(m)
+            assert (x0, y0) == (rx0, ry0)
+            assert bits.dtype == bool and bits.shape == ref_bits.shape
+            assert np.array_equal(bits, ref_bits)
+        assert_span_columns(masks)
 
     @given(st.lists(BATCH_MASK, min_size=1, max_size=5))
     @settings(max_examples=400, deadline=None)
@@ -533,7 +564,7 @@ class TestBatchedRasterDifferential:
         self.assert_matches_reference(masks)
 
     def test_fewer_than_three_vertices(self):
-        from deteval.geometry import polygon_windows
+        from deteval.oracle import polygon_windows
         from deteval.oracle import reference_window
 
         good = InstanceMask(polygons=[polygon_from_points([(0, 0), (4, 0), (4, 4)])],
@@ -559,23 +590,23 @@ class TestBatchedRasterDifferential:
 
 
 class TestBatchedRleDifferential:
-    """The batched run-length decoder gives exactly the windows of the
-    one-grid-at-a-time reference."""
+    """The run-length spans, cut at row ends with nothing decoded, give
+    exactly the windows of the one-grid-at-a-time reference, and its rects
+    and pixel counts as columns, in passes of any row budget."""
 
     @staticmethod
     def assert_matches_reference(rles):
-        from deteval.geometry import rle_windows
+        from deteval.oracle import rle_windows
         from deteval.oracle import reference_rle_window
 
-        for chunk_cells in (geometry.RASTER_CHUNK_CELLS, 16):
-            with mock.patch.object(geometry, "RASTER_CHUNK_CELLS", chunk_cells):
-                got = rle_windows(rles)
-            assert len(got) == len(rles)
-            for rle, (bits, x0, y0) in zip(rles, got):
-                ref_bits, rx0, ry0 = reference_rle_window(rle)
-                assert (x0, y0) == (rx0, ry0)
-                assert bits.dtype == bool and bits.shape == ref_bits.shape
-                assert np.array_equal(bits, ref_bits)
+        got = rle_windows(rles)
+        assert len(got) == len(rles)
+        for rle, (bits, x0, y0) in zip(rles, got):
+            ref_bits, rx0, ry0 = reference_rle_window(rle)
+            assert (x0, y0) == (rx0, ry0)
+            assert bits.dtype == bool and bits.shape == ref_bits.shape
+            assert np.array_equal(bits, ref_bits)
+        assert_span_columns([InstanceMask(rle=r) for r in rles])
 
     def test_edge_cases_in_one_batch(self):
         self.assert_matches_reference([
@@ -603,7 +634,7 @@ class TestPrepareWindows:
 
     @staticmethod
     def assert_columns(masks):
-        from deteval.geometry import prepare_windows
+        from deteval.oracle import prepare_windows
         from deteval.oracle import reference_window
 
         cached = [None if m is None else m._window for m in masks]
@@ -661,7 +692,7 @@ class TestPrepareWindows:
         ])
 
     def test_no_masks(self):
-        from deteval.geometry import rle_windows
+        from deteval.oracle import rle_windows
 
         self.assert_columns([])
         self.assert_columns([None, None])
@@ -734,3 +765,118 @@ class TestRleRuns:
         for grid, (w, h, _) in zip(got, grids):
             assert (type(grid.width), type(grid.height)) == (int, int)
             assert grid.runs.base is runs and not grid.runs.flags.writeable
+
+
+MIXED_MASK = st.one_of(st.none(), BATCH_MASK, rle_grids().map(lambda r: InstanceMask(rle=r)),
+                       st.builds(lambda rings, canvas: InstanceMask(polygons=rings, canvas=canvas),
+                                 st.lists(BATCH_RING, min_size=1, max_size=3),
+                                 st.sampled_from([(0, 12), (16, 0), (-5, 10), (16, -3)])))
+
+
+def _fresh(mask):
+    """A new mask of the same source and canvas, with nothing cached."""
+    if mask is None or mask.rle is not None:
+        return mask and InstanceMask(rle=mask.rle)
+    return InstanceMask(polygons=mask.polygons, canvas=mask.canvas)
+
+
+class TestSpanJoin:
+    """:func:`mask_ious` over span columns equals the scalar
+    :meth:`InstanceMask.iou` of every pair exactly, and the columns' areas
+    the one-mask reference, for columns as a loader holds them and columns
+    that read the masks' caches, in passes of any row budget."""
+
+    @staticmethod
+    def assert_scalar_equal(gts, dets):
+        from deteval.geometry import mask_ious
+
+        pairs, expected = [], []
+        for i, g in enumerate(gts):
+            for j, d in enumerate(dets):
+                if g is not None and d is not None and (
+                        None in (g.canvas, d.canvas) or g.canvas == d.canvas):
+                    pairs.append((i, j))
+                    expected.append(g.iou(d))
+        g, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        for rows in (geometry.SPAN_CHUNK_ROWS, 1):
+            for cached in (False, True):
+                with mock.patch.object(geometry, "SPAN_CHUNK_ROWS", rows):
+                    got = mask_ious(columns_of(map(_fresh, gts), cached),
+                                    columns_of(map(_fresh, dets), cached), g, d)
+                assert got.tolist() == expected
+        assert_span_columns(gts)
+        assert_span_columns(dets)
+
+    def test_edge_cases(self):
+        square = polygon_from_points([(2, 2), (8, 2), (8, 7), (2, 7)])
+        bow_tie = polygon_from_points([(1, 1), (9, 6), (9, 1), (1, 6)])
+        masks = [
+            InstanceMask(polygons=[square, bow_tie], canvas=(16, 12)),  # rings overlap
+            InstanceMask(polygons=[bow_tie], canvas=(16, 12)),  # crossing itself
+            InstanceMask(polygons=[square, polygon_from_points(
+                [(6, 1), (14, 1), (14, 9)])], canvas=(16, 12)),
+            InstanceMask(polygons=[polygon_from_points([(-9, -9), (-2, -9), (-2, -1)])],
+                         canvas=(16, 12)),  # wholly off the canvas
+            InstanceMask(polygons=[polygon_from_points([(-3, -2), (6, 1), (2, 20)])],
+                         canvas=(16, 12)),  # partly off it
+            InstanceMask(polygons=[square], canvas=(0, 12)),
+            InstanceMask(polygons=[square], canvas=(-5, 10)),
+            None,
+        ]
+        grid = np.zeros((12, 16), dtype=bool)
+        grid[3:9, 4:13] = True
+        rles = [
+            InstanceMask(rle=rle_encode(grid)),
+            InstanceMask(rle=RLEMask(16, 12, (14, 6, 172))),  # wrapping onto row 1
+            InstanceMask(rle=RLEMask(16, 12, (192,))),  # empty
+            InstanceMask(rle=RLEMask(0, 0, ())),
+        ]
+        self.assert_scalar_equal(masks + rles, rles + masks[::-1])
+
+    def test_generated_scenes(self):
+        from deteval.oracle import ScenarioConfig, generate
+
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=9, image_count=1, gts_per_image=(8, 8), jitter_px=4, clutter_rate=0.5,
+            image_size=(48, 40)))
+        gts = [a.mask for a in gt_set.annotations]
+        dets = [d.mask for d in det_set.detections]
+        self.assert_scalar_equal(gts, dets)
+        # the same masks as run-length grids
+        self.assert_scalar_equal(*([InstanceMask(rle=rle_encode(full_grid(InstanceMask(
+            polygons=m.polygons, canvas=(48, 40)).window(), 48, 40))) for m in masks]
+            for masks in (gts, dets)))
+
+    @given(st.lists(MIXED_MASK, max_size=6), st.lists(MIXED_MASK, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_lists_property(self, gts, dets):
+        self.assert_scalar_equal(gts, dets)
+
+    def test_canvas_sides_near_2_to_52(self):
+        from deteval.geometry import mask_ious
+
+        def rect(x0, y0, x1, y1):
+            return polygon_from_points([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+        # two thin rings 2**52 columns apart: each mask's window spans the
+        # canvas's width and thousands of rows, so no key of (row, column)
+        # fits int64
+        w = 2**52
+        canvas = (w, 3001)
+        g = InstanceMask(polygons=[rect(1, 0, 4, 3000), rect(w - 5, 0, w - 2, 3000)],
+                         canvas=canvas)
+        d = InstanceMask(polygons=[rect(0, 100, 3, 200), rect(w - 4, 100, w - 1, 200)],
+                         canvas=canvas)
+        runs = {"g": [(1, 4), (w - 5, w - 2)], "d": [(0, 3), (w - 4, w - 1)]}
+        a = {row: runs["g"] for row in range(3000)}
+        b = {row: runs["d"] for row in range(100, 200)}
+        inter = sum(max(0, min(x1, u1) - max(x0, u0)) for row in b
+                    for x0, x1 in a[row] for u0, u1 in b[row])
+        assert inter == 400
+        for cached in (False, True):
+            gc, dc = columns_of([_fresh(g)], cached), columns_of([_fresh(d)], cached)
+            assert gc.rects().tolist() == [[1, 0, w - 2, 3000]]
+            assert gc.areas(np.array([0])).tolist() == [3000 * 6]
+            assert dc.areas(np.array([0])).tolist() == [100 * 6]
+            iou = mask_ious(gc, dc, np.array([0]), np.array([0]))
+            assert iou.tolist() == [inter / (3000 * 6 + 100 * 6 - inter)]

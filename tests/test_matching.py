@@ -20,7 +20,7 @@ from deteval.annotations import (
     load_ground_truth,
 )
 from deteval.errors import ConfigError, GeometryError
-from deteval.geometry import BBox, InstanceMask, box_iou, prepare_windows, rle_encode
+from deteval.geometry import BBox, InstanceMask, box_iou, rle_encode
 from deteval.matching import (
     ALGORITHMS,
     ConfusionMatrix,
@@ -707,29 +707,23 @@ class TestErrorOrder:
                        DetectionSet(LABELS, image_2[1:]), "masks", 0.5)
 
 
-class _Reads(np.ndarray):
-    """A window's bit grid that counts the slices read from it."""
+def _joined(monkeypatch) -> list:
+    """The (gt, det) item pairs that the pair table joins, each time it
+    passes them to :func:`geometry.mask_ious`."""
+    joined, join = [], matching.mask_ious
 
-    count = 0
+    def recorded(gts, dets, g, d):
+        joined.extend(zip(g.tolist(), d.tolist()))
+        return join(gts, dets, g, d)
 
-    def __getitem__(self, key):
-        _Reads.count += 1
-        return np.asarray(self)[key]
-
-
-def _watched(masks):
-    """Prepare ``masks`` and put each window's grid in a :class:`_Reads`."""
-    masks = [m for m in masks if m is not None]
-    prepare_windows(masks)
-    for m in masks:
-        bits, x0, y0 = m._window
-        m._window = (bits.view(_Reads), x0, y0)
+    monkeypatch.setattr(matching, "mask_ious", recorded)
+    return joined
 
 
 def _overlap(a, b) -> bool:
-    """Whether two prepared masks' windows share a pixel, as
+    """Whether two masks' windows share a pixel, as
     :meth:`InstanceMask.iou` tells it."""
-    (abits, ax, ay), (bbits, bx, by) = a._window, b._window
+    (abits, ax, ay), (bbits, bx, by) = a.window(), b.window()
     return (min(ax + abits.shape[1], bx + bbits.shape[1]) > max(ax, bx)
             and min(ay + abits.shape[0], by + bbits.shape[0]) > max(ay, by))
 
@@ -741,31 +735,32 @@ def _as_rle(mask, canvas):
 
 
 class TestColumnIntersection:
-    """The pair table's column intersection equals the scalar
-    :meth:`InstanceMask.iou` of every pair exactly, and intersects only the
-    pairs whose windows share a pixel, each once."""
+    """The pair table's span join equals the scalar :meth:`InstanceMask.iou`
+    of every pair exactly, for sets built from records and for sets loaded
+    from files, and joins only the pairs whose windows share a pixel, each
+    once."""
 
     @staticmethod
-    def assert_scalar_equal(gt_set, det_set):
-        _watched(gt_set.items.masks() + det_set.items.masks())
-        _Reads.count = 0
+    def assert_scalar_equal(gt_set, det_set, monkeypatch):
+        joined = _joined(monkeypatch)
         table = image_ious(gt_set, det_set, "masks", -np.inf)
-        reads = _Reads.count
         gts = gt_set.items.records(table.gt_item)
         dets = det_set.items.records(table.det_item)
         assert table.gt.size == sum(table.n_gts * table.n_dets)
-        overlapping = 0
+        overlapping = []
         for g, d, iou in zip(table.gt.tolist(), table.det.tolist(), table.iou.tolist()):
             gm, dm = gts[g].mask, dets[d].mask
             if gm is None or dm is None:
                 assert iou == box_iou(gts[g].bbox, dets[d].bbox)
                 continue
-            overlapping += _overlap(gm, dm)
+            if _overlap(gm, dm):
+                overlapping.append((int(table.gt_item[g]), int(table.det_item[d])))
             assert iou == gm.iou(dm), (gts[g], dets[d])
-        assert reads == 2 * overlapping
+        assert sorted(joined) == sorted(overlapping)
+        monkeypatch.undo()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_generated_polygon_and_rle_masks(self, seed):
+    def test_generated_polygon_and_rle_masks(self, seed, monkeypatch, tmp_path):
         gt_set, det_set = generate(ScenarioConfig(
             seed=seed, image_count=4, gts_per_image=(0, 7), jitter_px=6.0,
             class_swap_rate=0.3, clutter_rate=0.5, drop_rate=0.2, image_size=(48, 40)))
@@ -777,10 +772,17 @@ class TestColumnIntersection:
         dets = [replace(d, mask=None if k % 5 == 4 else _as_rle(d.mask, canvas)
                         if k % 3 == 1 else InstanceMask(polygons=d.mask.polygons))
                 for k, d in enumerate(det_set.detections)]
-        self.assert_scalar_equal(GroundTruthSet(gt_set.images, gt_set.label_map, anns),
-                                 DetectionSet(det_set.label_map, dets))
+        gt_set = GroundTruthSet(gt_set.images, gt_set.label_map, anns)
+        det_set = DetectionSet(det_set.label_map, dets)
+        self.assert_scalar_equal(gt_set, det_set, monkeypatch)
+        # the same sets loaded, whose masks are the loader's columns
+        gt_set.save(tmp_path / "gt.json")
+        det_set.save(tmp_path / "det.json")
+        gt_set = load_ground_truth(tmp_path / "gt.json")
+        self.assert_scalar_equal(gt_set, load_detections(
+            tmp_path / "det.json", gt_set.label_map, gt_set.images), monkeypatch)
 
-    def test_touching_and_empty_windows(self):
+    def test_touching_and_empty_windows(self, monkeypatch):
         def rle(x0, y0, x1, y1, canvas=(12, 10)):
             bits = np.zeros(canvas[::-1], dtype=bool)
             bits[y0:y1, x0:x1] = True
@@ -803,25 +805,29 @@ class TestColumnIntersection:
                 for k, m in enumerate(det_masks)]
         images = [ImageRecord(1, "a.png", 12, 10)]
         gt_set, det_set = GroundTruthSet(images, LABELS, gts), DetectionSet(LABELS, dets)
-        self.assert_scalar_equal(gt_set, det_set)
+        self.assert_scalar_equal(gt_set, det_set, monkeypatch)
         # the empty windows have no pixel; an empty union is 0.0
-        assert det_set.items.windows()[1][5:].tolist() == [0, 0]
-        assert det_set.items.windows()[0][6].tolist() == [20, 20, 20, 20]
+        columns = det_set.items.mask_columns()
+        assert columns.areas(np.arange(5, 7)).tolist() == [0, 0]
+        assert columns.rects()[6].tolist() == [20, 20, 20, 20]
         ious = iou_matrix(gts, dets, "masks")
         assert ious[2].tolist() == [0.0] * len(dets)
         assert ious[0].tolist() == [0.0, 0.0, 0.0, 1 / 16, 4 / 28, 0.0, 0.0]
         assert ious[1].tolist() == [0.0, 0.0, 0.0, 0.0, 4 / 28, 0.0, 0.0]
 
-    def test_windows_are_columns_of_the_set(self):
+    def test_windows_are_columns_of_the_set(self, tmp_path):
         gt_set, _ = generate(ScenarioConfig(seed=3, image_count=2, image_size=(40, 30)))
-        rects, areas, bits = gt_set.items.windows()
-        assert gt_set.items.windows()[0] is rects  # computed once
-        assert rects.dtype == areas.dtype == np.int64 and rects.shape == (areas.size, 4)
-        for (x0, y0, x1, y1), area, grid, ann in zip(
-                rects.tolist(), areas.tolist(), bits, gt_set.annotations):
-            window, wx, wy = ann.mask.window()
-            assert grid is window and (x0, y0) == (wx, wy)
-            assert (y1 - y0, x1 - x0) == grid.shape and area == ann.mask.area
+        gt_set.save(tmp_path / "gt.json")
+        for items in (gt_set.items, load_ground_truth(tmp_path / "gt.json").items):
+            columns = items.mask_columns()
+            rects, areas = columns.rects(), columns.areas(np.arange(items.ids.size))
+            assert columns.rects() is rects  # computed once
+            assert rects.dtype == areas.dtype == np.int64 and rects.shape == (areas.size, 4)
+            for (x0, y0, x1, y1), area, mask in zip(rects.tolist(), areas.tolist(),
+                                                    gt_set.items.masks()):
+                window, wx, wy = mask.window()
+                assert (x0, y0) == (wx, wy) and (y1 - y0, x1 - x0) == window.shape
+                assert area == mask.area == np.count_nonzero(window)
 
 
 def _reference_canvas_check(gt_set, det_set):
@@ -928,25 +934,25 @@ class TestWindowCache:
         gts = list(gt_set.annotations)
         dets = [replace(d, mask=_as_rle(d.mask, (64, 48))) if k % 2 else d
                 for k, d in enumerate(det_set.detections)]
-        prepared = {"raster": 0, "decode": 0}
-        raster, decode = geometry._raster_chunk, geometry._rle_pass
+        prepared = {"polygon": 0, "rle": 0}
+        polygon, rle = geometry._polygon_spans, geometry._rle_spans
 
-        def counted_raster(xy, ring_sizes, mask_rings, rects):
-            prepared["raster"] += len(rects)
-            return raster(xy, ring_sizes, mask_rings, rects)
+        def counted_polygon(xy, ring_sizes, mask_rings, rects):
+            prepared["polygon"] += len(rects)
+            return polygon(xy, ring_sizes, mask_rings, rects)
 
-        def counted_decode(rles):
-            prepared["decode"] += len(rles)
-            return decode(rles)
+        def counted_rle(runs, counts, widths):
+            prepared["rle"] += len(counts)
+            return rle(runs, counts, widths)
 
-        monkeypatch.setattr(geometry, "_raster_chunk", counted_raster)
-        monkeypatch.setattr(geometry, "_rle_pass", counted_decode)
+        monkeypatch.setattr(geometry, "_polygon_spans", counted_polygon)
+        monkeypatch.setattr(geometry, "_rle_spans", counted_rle)
         t = Thresholds(geometry_mode="masks")
         first = match_conventional(gts, dets, t)
         assert match_conventional(gts, dets, t) == first
         match_modified(gts, dets, t)
         n_rle = sum(d.mask.rle is not None for d in dets)
-        assert n_rle and prepared == {"raster": len(gts) + len(dets) - n_rle, "decode": n_rle}
+        assert n_rle and prepared == {"polygon": len(gts) + len(dets) - n_rle, "rle": n_rle}
 
 
 class TestThresholds:

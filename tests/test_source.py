@@ -17,12 +17,13 @@ def test_no_source_line_is_wider_than_the_limit():
 
 
 def test_only_geometry_reads_the_mask_window_cache():
-    """``InstanceMask._window`` is read and written in ``geometry`` alone;
-    every other module takes window columns from ``prepare_windows``."""
+    """``InstanceMask._window`` and ``InstanceMask._spans``, a mask's cached
+    window and spans, are read and written in ``geometry`` alone; every
+    other module takes spans, rects and areas from ``MaskColumns``."""
     readers = [
         path.name
         for path in sorted(Path(deteval.__file__).parent.glob("*.py"))
         if path.name != "geometry.py"
-        and re.search(r"\._window\b", path.read_text(encoding="utf-8"))
+        and re.search(r"\._(window|spans)\b", path.read_text(encoding="utf-8"))
     ]
     assert readers == []

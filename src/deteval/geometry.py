@@ -253,10 +253,10 @@ def rle_decode(rle: RLEMask) -> np.ndarray:
     return np.repeat(values, rle.runs).reshape(rle.height, rle.width)
 
 
-# a span pass takes masks, or pairs, of at most this many rows in all, which
-# bounds its temporaries (see MaskColumns.rows); one with more is a pass alone
+# a span pass takes masks, or pairs, of at most this many rows (see MaskColumns.rows), a
+# pass that bounds grids as many runs: it bounds their temporaries; one with more is alone
 SPAN_CHUNK_ROWS = 1 << 15
-_NO_SPANS = (np.empty(0, dtype=np.int64),) * 3
+_NO_SPANS = (np.empty(0, dtype=np.int64),) * 4
 
 
 def _chunks(rows) -> list[tuple[int, int]]:
@@ -280,20 +280,6 @@ def _order(major, minor) -> np.ndarray:
     if int(major.max(initial=0)) < np.iinfo(np.int64).max // span:
         return np.argsort(major * span + minor)
     return np.lexsort((minor, major))
-
-
-def _search(values, lo, hi, x) -> np.ndarray:
-    """For each k, the first index in ``[lo[k], hi[k])`` whose value is above
-    ``x[k]``, or ``hi[k]``: a binary search of each range of ``values``."""
-    lo, hi = lo.copy(), hi.copy()
-    live = np.flatnonzero(lo < hi)
-    while live.size:
-        mid = (lo[live] + hi[live]) >> 1
-        right = values[mid] <= x[live]
-        lo[live[right]] = mid[right] + 1
-        hi[live[~right]] = mid[~right]
-        live = live[lo[live] < hi[live]]
-    return lo
 
 
 def _dense(values, n) -> tuple[np.ndarray, np.ndarray]:
@@ -353,9 +339,9 @@ def _polygon_spans(xy, ring_sizes, mask_rings, rects) -> tuple[np.ndarray, ...]:
     return mask, rows + y0[mask], start + x0[mask], stop + x0[mask]
 
 
-def _rle_spans(runs, counts, widths) -> tuple[np.ndarray, ...]:
-    """The spans of run-length grids (see :meth:`MaskColumns.spans`): grid k has the
-    next ``counts[k]`` of ``runs``, ``widths[k]`` wide; one-runs are cut at row ends."""
+def _one_runs(runs, counts, widths) -> tuple[np.ndarray, ...]:
+    """Each non-empty one-run of grids, grid k the next ``counts[k]`` of ``runs`` and
+    ``widths[k]`` wide: its grid, length, and the row and column of its ends."""
     grid = np.arange(counts.size).repeat(counts)
     first = counts.cumsum() - counts
     # a run's position within its grid is odd for a one-run
@@ -366,47 +352,70 @@ def _rle_spans(runs, counts, widths) -> tuple[np.ndarray, ...]:
     ends = runs.cumsum()
     stop = ends[ones] - np.append(0, ends)[first][owner]
     length, width = runs[ones], widths[owner]
-    srow, scol = np.divmod(stop - length, width)
-    erow, ecol = np.divmod(stop - 1, width)
+    return (owner, length, *np.divmod(stop - length, width), *np.divmod(stop - 1, width))
+
+
+def _rle_spans(runs, counts, widths) -> tuple[np.ndarray, ...]:
+    """The spans of the run-length grids of :func:`_one_runs` (see
+    :meth:`MaskColumns.spans`): their one-runs cut at row ends."""
+    owner, _, srow, scol, erow, ecol = _one_runs(runs, counts, widths)
     pieces = erow - srow + 1
-    k = np.arange(ones.size).repeat(pieces)
+    k = np.arange(owner.size).repeat(pieces)
     rows = _ranges(srow, pieces)
     return (owner[k], rows, np.where(rows == srow[k], scol[k], 0),
-            np.where(rows == erow[k], ecol[k] + 1, width[k]))
+            np.where(rows == erow[k], ecol[k] + 1, widths[owner][k]))
+
+
+def _rle_bounds(runs, counts, widths) -> tuple[np.ndarray, np.ndarray]:
+    """The window rects (zeros if empty) and pixel counts (float64) of the grids of
+    :func:`_one_runs`, from the one-runs uncut: one that wraps covers every column."""
+    owner, length, srow, scol, erow, ecol = _one_runs(runs, counts, widths)
+    wraps = erow > srow
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    last = np.append(first, owner.size)[1:] - 1
+    rects = np.zeros((counts.size, 4), dtype=np.int64)
+    x0, x1 = np.where(wraps, 0, scol), np.where(wraps, widths[owner], ecol + 1)
+    rects[owner[first]] = np.stack([np.minimum.reduceat(x0, first), srow[first],
+                                    np.maximum.reduceat(x1, first), erow[last] + 1], axis=1)
+    return rects, np.bincount(owner, weights=length, minlength=counts.size)
 
 
 def _shared(g_spans, g_rect, d_spans, d_rect, g, d, top, bottom) -> np.ndarray:
-    """The pixels that mask ``g[p]`` of ``g_spans`` and mask ``d[p]`` of
-    ``d_spans`` (windows ``g_rect`` and ``d_rect``) share in rows ``[top[p],
-    bottom[p])``: each span of ``g[p]`` there counts the cells of ``d[p]``
-    left of its two ends, by a search and cumulative span lengths. A row's
-    slot counts it from its window's top after the windows before it, which
-    a pass bounds (``SPAN_CHUNK_ROWS``, or one pair): no canvas overflows it."""
+    """The pixels (float64) that mask ``g[p]`` of ``g_spans`` and mask ``d[p]`` of ``d_spans``
+    (windows ``g_rect``, ``d_rect``) share in rows ``[top[p], bottom[p])``: each span of
+    ``g[p]`` there counts the cells of ``d[p]`` left of its two ends. A row's slot counts it
+    from its window's top after the windows before it, which a pass bounds: no canvas
+    overflows it."""
     (g_mask, g_row, g_x0, g_x1), (d_mask, d_row, d_x0, d_x1) = g_spans, d_spans
     g_base, d_base = ((r[:, 3] - r[:, 1]).cumsum() - r[:, 3] for r in (g_rect, d_rect))
-    g_slot = g_base[g_mask] + g_row
-    lo = np.searchsorted(g_slot, g_base[g] + top)
-    n = np.searchsorted(g_slot, g_base[g] + bottom) - lo
+    base = g_base[g]
+    lo, hi = np.searchsorted(g_base[g_mask] + g_row, np.stack([base + top, base + bottom]))
+    n = hi - lo
     q = _ranges(lo, n)
-    # the detection's spans [a, b) of each of those rows, for right then left ends
-    slot, d_slot = d_base[d].repeat(n) + g_row[q], d_base[d_mask] + d_row
-    a, b = np.searchsorted(d_slot, slot), np.searchsorted(d_slot, slot, "right")
-    a, b, x = np.append(a, a), np.append(b, b), np.append(g_x1[q], g_x0[q])
-    k = _search(d_x1, a, b, x)
-    total = np.append(0, (d_x1 - d_x0).cumsum())
-    left = total[k] + np.where(k < b, np.maximum(x - np.append(d_x0, 0)[k], 0), 0)
-    cells = np.append(0, (left[: q.size] - left[q.size :]).cumsum())
-    return cells[n.cumsum()] - cells[n.cumsum() - n]
+    # the right, then the left end of each, and its row's slot in the detection
+    x, slot = np.concatenate([g_x1[q], g_x0[q]]), d_base[d].repeat(n) + g_row[q]
+    slot = np.concatenate([slot, slot])
+    # the first detection span after each end, by (slot, x1): complex numbers
+    # order by real, then imaginary part, and hold both exactly below 2**53
+    d_slot = d_base[d_mask] + d_row
+    k = np.searchsorted(d_slot + 1j * d_x1, slot + 1j * x, "right")
+    # the running span lengths may wrap in int64; each row's difference is exact
+    total = np.concatenate([[0], (d_x1 - d_x0).cumsum()])
+    # a last span past every row, for the ends past the detection's last span
+    d_x0, d_slot = np.concatenate([d_x0, [0]]), np.concatenate([d_slot, [-1]])
+    left = total[k] + np.where(d_slot[k] == slot, np.maximum(x - d_x0[k], 0), 0)
+    cells = left[: q.size] - left[q.size :]
+    return np.bincount(np.arange(n.size).repeat(n), weights=cells, minlength=n.size)
 
 
 def mask_ious(gts, dets, g, d) -> np.ndarray:
-    """:meth:`InstanceMask.iou` of each pair of mask ``g[p]`` of the
-    :class:`MaskColumns` ``gts`` and mask ``d[p]`` of ``dets``, from their
-    spans, in passes of ``SPAN_CHUNK_ROWS`` rows that take each mask once."""
+    """:meth:`InstanceMask.iou` of each pair of mask ``g[p]`` of the :class:`MaskColumns`
+    ``gts`` and mask ``d[p]`` of ``dets``, from their spans, in passes of ``SPAN_CHUNK_ROWS``
+    rows that take each mask once; pixel counts in float64, so no union overflows."""
     g_rect, d_rect = gts.rects(), dets.rects()
     top = np.maximum(g_rect[g, 1], d_rect[d, 1])
     bottom = np.maximum(np.minimum(g_rect[g, 3], d_rect[d, 3]), top)
-    inter = np.zeros(g.size, dtype=np.int64)
+    inter = np.zeros(g.size)
     for a, b in _chunks(bottom - top + gts.rows(g) + dets.rows(d)):
         (gu, gk), (du, dk) = _dense(g[a:b], g_rect.shape[0]), _dense(d[a:b], d_rect.shape[0])
         inter[a:b] = _shared(gts.spans(gu), g_rect[gu], dets.spans(du), d_rect[du],
@@ -416,53 +425,55 @@ def mask_ious(gts, dets, g, d) -> np.ndarray:
 
 
 class MaskColumns:
-    """The masks of N items as columns, whose spans, windows and areas are
-    computed with no mask object. A span ``(mask, row, x0, x1)`` is the
-    pixels ``x0 <= x < x1`` of ``row``. Item k's canvas is the ``(width,
-    height)`` row ``canvas[k]`` where ``known[k]``. If ``poly[k]``, its mask
-    is ``rings[k]`` polygon rings, the next of ``ring_sizes`` vertices each,
-    the next rows of the ``(V, 2)`` buffer ``xy``; if ``rle[k]``, a grid of
-    the canvas's size, the next ``run_counts[k]`` of ``runs``. Columns of
-    :class:`InstanceMask` objects keep them, each caching its spans."""
+    """The masks of N items as columns, whose windows, pixel counts and spans are
+    computed with no mask object. A span ``(mask, row, x0, x1)`` is the pixels ``x0 <= x <
+    x1`` of ``row``. Item k's canvas is the ``(width, height)`` row ``canvas[k]`` where
+    ``known[k]``. If ``poly[k]``, its mask is ``rings[k]`` polygon rings, the next of
+    ``ring_sizes`` vertices each, the next rows of the ``(V, 2)`` buffer ``xy``; if
+    ``rle[k]``, a grid of the canvas's size, the next ``run_counts[k]`` of ``runs``.
+    Columns of :class:`InstanceMask` objects read each mask's cached spans."""
 
     def __init__(self, canvas, known, poly, rings, ring_sizes, xy, rle, run_counts, runs,
                  masks=None):
         self.canvas, self.known, self.poly, self.rings = canvas, known, poly, rings
         self.ring_sizes, self.xy, self.rle, self.run_counts = ring_sizes, xy, rle, run_counts
-        self.runs, self.masks = runs, masks
-        self._rects, self._areas = None, np.full(poly.size, -1, dtype=np.int64)  # -1: unknown
+        self.runs, self.masks, self._instances = runs, masks, masks
+        self._rects, self._areas = None, np.where(poly, -1.0, 0.0)  # -1: not yet counted
 
     @classmethod
     def of(cls, masks) -> "MaskColumns":
         """The columns of a list of :class:`InstanceMask` or None."""
         masks = list(masks)
-        kind = np.array([0 if m is None else 1 if m.rle is None else 2 for m in masks], int)
-        size = np.array([0 if m is None else m.rle.runs.size if m.rle else len(m.polygons)
-                         for m in masks], np.int64)
-        canvases = [m and m.canvas for m in masks]
-        rings = [p.vertices for m in masks if m and m.rle is None for p in m.polygons]
-        runs = [m.rle.runs for m in masks if m and m.rle]
-        return cls(np.array([c or (0, 0) for c in canvases], np.int64).reshape(-1, 2),
-                   np.array([c is not None for c in canvases], dtype=bool), kind == 1,
-                   np.where(kind == 1, size, 0), np.fromiter(map(len, rings), np.int64),
-                   np.concatenate([np.empty((0, 2))] + rings), kind == 2,
-                   np.where(kind == 2, size, 0), np.concatenate([_NO_SPANS[0]] + runs), masks)
+        # each mask's canvas, whether it is known, its kind and its rings or runs
+        cols = np.array([(0,) * 5 if m is None else (*(m.canvas or (0, 0)), bool(m.canvas),
+                          *((1, len(m.polygons)) if m.rle is None else (2, m.rle.runs.size)))
+                         for m in masks], dtype=np.int64).reshape(-1, 5)
+        poly, rle = cols[:, 3] == 1, cols[:, 3] == 2
+        return cls(cols[:, :2], cols[:, 2] > 0, poly, cols[:, 4] * poly, None, None, rle,
+                   cols[:, 4] * rle, None, masks)
 
     def take(self, at) -> "MaskColumns":
-        """The columns of the items at the positions ``at``."""
+        """The columns, with buffers and no mask objects, of the items at ``at``."""
+        if self.masks is not None:  # the buffers of these masks alone
+            masks = [self.masks[k] for k in at.tolist()]
+            rings = [p.vertices for m in masks if m and m.rle is None for p in m.polygons]
+            runs = [_NO_SPANS[0]] + [m.rle.runs for m in masks if m and m.rle]
+            return MaskColumns(self.canvas[at], self.known[at], self.poly[at], self.rings[at],
+                               np.fromiter(map(len, rings), np.int64, len(rings)),
+                               np.concatenate([np.empty((0, 2))] + rings), self.rle[at],
+                               self.run_counts[at], np.concatenate(runs))
         ring = _ranges((self.rings.cumsum() - self.rings)[at], self.rings[at])
         sizes = self.ring_sizes[ring]
         vertex = _ranges((self.ring_sizes.cumsum() - self.ring_sizes)[ring], sizes)
         runs = _ranges((self.run_counts.cumsum() - self.run_counts)[at], self.run_counts[at])
-        masks = self.masks and [self.masks[k] for k in at.tolist()]
         return MaskColumns(self.canvas[at], self.known[at], self.poly[at], self.rings[at],
                            sizes, self.xy[vertex], self.rle[at], self.run_counts[at],
-                           self.runs[runs], masks)
+                           self.runs[runs])
 
     def instances(self) -> list:
         """Each item's :class:`InstanceMask`, or None; built on first use, a
         polygon's vertices a view into ``xy`` where that is read-only."""
-        if self.masks is None:
+        if self._instances is None:
             ends = self.ring_sizes.cumsum().tolist()
             polygons = [Polygon(self.xy[a:b]) for a, b in zip([0, *ends], ends)]
             masks = [None] * self.poly.size
@@ -474,113 +485,101 @@ class MaskColumns:
             grids = RLEMask.batch(self.canvas[self.rle], self.runs, bounds)[0]
             for k, grid in zip(np.flatnonzero(self.rle).tolist(), grids):
                 masks[k] = InstanceMask(rle=grid)
-            self.masks = masks
-        return self.masks
+            self._instances = masks
+        return self._instances
+
+    def rects(self) -> np.ndarray:
+        """Each mask's window ``(x0, y0, x1, y1)``, ``(N, 4)`` int64, computed once: a
+        polygon's spans its vertices, clipped; a grid's its pixels, whose count comes
+        with it, in passes of ``SPAN_CHUNK_ROWS`` runs; else zeros."""
+        if self._rects is None and self.masks is not None:
+            self._cache()
+        if self._rects is None:
+            self._rects = rects = np.zeros((self.poly.size, 4), dtype=np.int64)
+            p, sizes, rings = self.poly, self.ring_sizes, self.rings[self.poly]
+            if not (sizes.all() and rings.all()):
+                raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
+            if p.any():  # the floor and ceiling of the vertices, clipped
+                first = (sizes.cumsum() - sizes)[rings.cumsum() - rings]
+                lo = np.floor(np.minimum.reduceat(self.xy, first)).astype(np.int64)
+                hi = np.ceil(np.maximum.reduceat(self.xy, first)).astype(np.int64)
+                lo = np.where(self.known[p, None], np.maximum(lo, 0), lo)
+                hi = np.where(self.known[p, None], np.minimum(hi, self.canvas[p]), hi)
+                rects[p] = np.concatenate([lo, np.maximum(hi, lo)], axis=1)
+            r = np.flatnonzero(self.rle)
+            counts, ends = self.run_counts[r], np.append(0, self.run_counts[r].cumsum())
+            for a, b in _chunks(counts) if r.size else ():
+                rects[r[a:b]], self._areas[r[a:b]] = _rle_bounds(
+                    self.runs[ends[a] : ends[b]], counts[a:b], self.canvas[r[a:b], 0])
+        return self._rects
+
+    def _cache(self) -> None:
+        """Cache the window, pixel count and spans of the masks without, then read all."""
+        todo = [k for k, m in enumerate(self.masks) if m is not None and m._spans is None]
+        if todo:
+            cols = self.take(np.array(todo))
+            rects = cols.rects().tolist()
+            for a, b in _chunks(cols.rows(np.arange(len(todo)))):
+                mask, *spans = cols.spans(np.arange(a, b))
+                spans, ends = np.stack(spans), np.searchsorted(mask, np.arange(b - a + 1))
+                for j, s, e in zip(range(a, b), ends.tolist(), ends[1:].tolist()):
+                    self.masks[todo[j]]._spans = (tuple(rects[j]), int(cols._areas[j]),
+                                                  spans[:, s:e])
+        cached = [m._spans if m else ((0,) * 4, 0) for m in self.masks]
+        self._rects = np.array([c[0] for c in cached], dtype=np.int64).reshape(-1, 4)
+        self._areas = np.array([c[1] for c in cached], dtype=float)
+
+    def rows(self, at) -> np.ndarray:
+        """Each mask's rows in a span pass: window rows times rings, or plus runs."""
+        height = self.rects()[at, 3] - self._rects[at, 1]
+        return np.where(self.poly[at], self.rings[at] * height, self.run_counts[at] + height)
 
     def spans(self, at) -> tuple[np.ndarray, ...]:
-        """The spans of the masks at the positions ``at`` (int64), as int64
-        columns ``(mask, row, x0, x1)`` sorted in that order, ``mask`` a
-        position in ``at``; their areas are kept. Each of ``masks`` computes
-        its spans once."""
-        if self.masks is None:
-            spans = self._computed(at)[0]
-        else:
-            masks = [self.masks[k] for k in at.tolist()]
-            todo = [k for k, m in enumerate(masks) if m is not None and m._spans is None]
-            if todo:  # cached on each mask, with its window's rect and its area
-                (mask, row, x0, x1), rects = self._computed(at[todo])
-                bounds = np.searchsorted(mask, np.arange(len(todo) + 1)).tolist()
-                total = np.append(0, (x1 - x0).cumsum()).tolist()
-                for k, rect, a, b in zip(todo, rects.tolist(), bounds, bounds[1:]):
-                    area = total[b] - total[a]
-                    masks[k]._spans = (tuple(rect), area, row[a:b], x0[a:b], x1[a:b])
-            cached = [_NO_SPANS if m is None else m._spans[2:] for m in masks]
-            spans = (np.arange(at.size).repeat([c[0].size for c in cached]),
-                     *map(np.concatenate, zip(_NO_SPANS, *cached)))
-        total = np.append(0, (spans[3] - spans[2]).cumsum())
-        bounds = np.searchsorted(spans[0], np.arange(at.size + 1))
-        self._areas[at] = total[bounds[1:]] - total[bounds[:-1]]
-        return spans
-
-    def _computed(self, at) -> tuple:
-        """:meth:`spans` of the masks at ``at``, and their windows, computed."""
-        cols, parts = self.take(at), [(np.empty(0, dtype=np.int64), *_NO_SPANS)]
-        rects = np.zeros((at.size, 4), dtype=np.int64)
+        """The spans of the masks at the distinct positions ``at`` (int64,
+        increasing), as int64 columns ``(mask, row, x0, x1)`` sorted in that
+        order, ``mask`` a position in ``at``; their pixel counts are kept."""
+        rects = self.rects()[at]
+        if self.masks is not None:
+            cached = [m._spans[2] if m else _NO_SPANS[0].reshape(3, 0)
+                      for m in map(self.masks.__getitem__, at.tolist())]
+            return (np.arange(at.size).repeat([c.shape[1] for c in cached]),
+                    *np.concatenate(cached, axis=1))
+        cols, parts = self if at.size == self.poly.size else self.take(at), [_NO_SPANS]
         if cols.poly.any():
             p = np.flatnonzero(cols.poly)
-            rects[p] = cols._polygon_rects()
             mask, *spans = _polygon_spans(cols.xy, cols.ring_sizes, cols.rings[p], rects[p])
             parts.append((p[mask], *spans))
         if cols.rle.any():
             r = np.flatnonzero(cols.rle)
             mask, *spans = _rle_spans(cols.runs, cols.run_counts[r], cols.canvas[r, 0])
             parts.append((r[mask], *spans))
-            _bound(rects, r, mask, *spans)
-        spans = [np.concatenate(c) for c in zip(*parts)]
-        spans = parts[-1] if len(parts) < 3 else tuple(
-            c[np.argsort(spans[0], kind="stable")] for c in spans)
-        return spans, rects
-
-    def _polygon_rects(self) -> np.ndarray:
-        """Each polygon's window: its vertices' floor and ceiling, clipped."""
-        p, sizes = self.poly, self.ring_sizes
-        rings, known = self.rings[p], self.known[p, None]
-        if not (sizes.all() and rings.all()):
-            raise GeometryError("invalid polygon: 0 vertices (need >= 3)")
-        first = (sizes.cumsum() - sizes)[rings.cumsum() - rings]
-        lo = np.floor(np.minimum.reduceat(self.xy, first)).astype(np.int64).reshape(-1, 2)
-        hi = np.ceil(np.maximum.reduceat(self.xy, first)).astype(np.int64).reshape(-1, 2)
-        lo = np.where(known, np.maximum(lo, 0), lo)
-        hi = np.maximum(np.where(known, np.minimum(hi, self.canvas[p]), hi), lo)
-        return np.concatenate([lo, hi], axis=1)
-
-    def rects(self) -> np.ndarray:
-        """Each mask's window ``(x0, y0, x1, y1)``, ``(N, 4)`` int64, computed once: a
-        polygon's spans its vertices, clipped; a grid's its pixels; else zeros."""
-        if self._rects is None and self.masks is not None:
-            self.spans(np.arange(self.poly.size))
-            self._rects = np.array([m._spans[0] if m else (0,) * 4 for m in self.masks],
-                                   dtype=np.int64).reshape(-1, 4)
-        if self._rects is None:
-            self._rects = rects = np.zeros((self.poly.size, 4), dtype=np.int64)
-            if self.poly.any():
-                rects[self.poly] = self._polygon_rects()
-            r = np.flatnonzero(self.rle)
-            for a, b in _chunks(self.run_counts[r]) if r.size else ():
-                _bound(rects, r[a:b], *self.spans(r[a:b]))
-        return self._rects
-
-    def rows(self, at) -> np.ndarray:
-        """Each mask's rows in a span pass: window rows times rings, or plus runs."""
-        rect = self.rects()[at]
-        height = rect[:, 3] - rect[:, 1]
-        return np.where(self.poly[at], self.rings[at] * height, self.run_counts[at] + height)
+        if len(parts) == 3:  # the polygons', then the grids': into mask order
+            spans = [np.concatenate(c) for c in zip(*parts)]
+            parts.append(tuple(c[np.argsort(spans[0], kind="stable")] for c in spans))
+        spans = parts[-1]
+        self._areas[at] = np.bincount(spans[0], weights=spans[3] - spans[2], minlength=at.size)
+        return spans
 
     def areas(self, at) -> np.ndarray:
-        """The pixel count (int64; 0 for none) of each mask at ``at``, in passes."""
-        todo = _dense(at[self._areas[at] < 0], self.poly.size)[0]
-        for a, b in _chunks(self.rows(todo)) if todo.size else ():
-            self.spans(todo[a:b])
+        """The pixel count (float64; 0 for none) of each mask at ``at``: a
+        grid's with its window, a polygon's from its spans, in passes."""
+        self.rects()
+        todo = at[self._areas[at] < 0]
+        if todo.size:
+            todo = _dense(todo, self.poly.size)[0]
+            for a, b in _chunks(self.rows(todo)):
+                self.spans(todo[a:b])
         return self._areas[at]
-
-
-def _bound(rects, at, mask, row, x0, x1) -> None:
-    """Set ``rects[at[k]]`` to the rect bounding mask k's spans, if it has any."""
-    first = np.flatnonzero(np.diff(mask, prepend=-1))
-    last = np.append(first, mask.size)[1:] - 1
-    rects[at[mask[first]]] = np.stack([np.minimum.reduceat(x0, first), row[first],
-                                       np.maximum.reduceat(x1, first), row[last] + 1], axis=1)
 
 
 class InstanceMask:
     """A single instance's mask, stored compactly and rasterized lazily.
 
-    The source is either a list of polygon rings (combined by union) or a
-    run-length grid. ``canvas`` is the enclosing image size ``(width, height)``
-    when known; polygon windows are clipped to it. The window, a local bit
-    grid and its top-left pixel, is filled from the mask's spans (see
-    :class:`MaskColumns`); a grid's covers its occupied rows and columns. Both
-    are computed once and cached."""
+    The source is either a list of polygon rings (combined by union) or a run-length
+    grid. ``canvas`` is the enclosing image size ``(width, height)`` when known; polygon
+    windows are clipped to it. The window, a local bit grid and its top-left pixel, is
+    filled from the mask's spans (see :class:`MaskColumns`); a grid's covers its occupied
+    rows and columns. Both are computed once and cached."""
 
     __slots__ = ("polygons", "rle", "canvas", "_window", "_spans")
 
@@ -609,7 +608,7 @@ class InstanceMask:
         """Return ``(bits, x0, y0)``: the local grid and its anchor pixel."""
         if self._window is None:
             self.area  # computes and caches the spans
-            (x0, y0, x1, y1), _, row, start, stop = self._spans
+            (x0, y0, x1, y1), _, (row, start, stop) = self._spans
             bits = np.zeros((y1 - y0, x1 - x0), dtype=bool)
             bits.flat[_ranges((row - y0) * (x1 - x0) + start - x0, stop - start)] = True
             self._window = (bits, x0, y0)
@@ -618,7 +617,7 @@ class InstanceMask:
     @property
     def area(self) -> int:
         if self._spans is None:
-            MaskColumns.of([self]).spans(np.zeros(1, dtype=np.int64))
+            MaskColumns.of([self]).rects()
         return self._spans[1]
 
     def scaled(self, sx: float, sy: float, canvas=None) -> "InstanceMask":

@@ -277,8 +277,8 @@ def polygon_windows(polygon_lists, canvases) -> list[tuple[np.ndarray, int, int]
     """``(bits, x0, y0)`` of each mask given as a list of polygon rings, with
     its canvas ``(width, height)`` or None, as :meth:`InstanceMask.window`
     returns it: the rings combined by union on the window spanning their
-    vertices, clipped to the canvas. The spans of all are computed in one
-    batch."""
+    vertices, clipped to the canvas. The spans of all are computed in
+    batched passes."""
     return _windows([InstanceMask(polygons=p, canvas=c)
                      for p, c in zip(polygon_lists, canvases)])
 
@@ -288,14 +288,14 @@ def rle_windows(rles) -> list[tuple[np.ndarray, int, int]]:
     :meth:`InstanceMask.window` returns it: only the rows and columns a grid
     occupies, so an empty grid gives a 0x0 window at the origin, and a
     one-run that wraps onto the next row widens its window to the full
-    width. The spans of all are computed in one batch."""
+    width. The spans of all are computed in batched passes."""
     return _windows([InstanceMask(rle=r) for r in rles])
 
 
 def _windows(masks) -> list:
-    """The window of each mask or None, the spans of all computed in one
-    batch first."""
-    MaskColumns.of(masks).spans(np.arange(len(masks)))
+    """The window of each mask or None, the spans of all computed in
+    batched passes first."""
+    MaskColumns.of(masks).rects()
     return [m and m.window() for m in masks]
 
 
@@ -304,7 +304,7 @@ def prepare_windows(masks) -> tuple[np.ndarray, np.ndarray, list]:
     masks or None: each mask's window ``(x0, y0, x1, y1)`` as an ``(N, 4)``
     int64 array and its pixel count (int64), zeros for None, and its
     window's bit grid, or None. The spans of the masks not yet cached are
-    computed in one batch."""
+    computed in batched passes."""
     windows = [w or (None, 0, 0) for w in _windows(masks)]
     rows = np.fromiter(chain.from_iterable(
         (0,) * 5 if m is None else (x, y, x + b.shape[1], y + b.shape[0], m.area)

@@ -897,9 +897,11 @@ class TestGreedyCalls:
 class TestPreparePasses:
     """In masks mode a command computes the spans of each set's masks in
     passes whose rows each stay within the budget, unless one mask or pair
-    alone exceeds it, and no mask's spans more than once per use: its
-    window, its area, and once for the join. A smaller budget takes more
-    passes and gives the same outputs."""
+    alone exceeds it, and bounds its grids in passes of as many runs. With
+    the default budget the spans of each mask in an overlapping pair are
+    computed once, and of no other mask: a grid's window and pixel count
+    come from its runs. A smaller budget takes more passes and gives the
+    same outputs."""
 
     @pytest.mark.parametrize("budget", [None, 1 << 10])
     def test_one_call_per_set_and_passes_within_budget(self, tmp_path, monkeypatch, budget):
@@ -913,20 +915,22 @@ class TestPreparePasses:
         ))
         gt_set.save(tmp_path / "gt.json")
         # the detections as run-length grids on their images
-        rows = [dict(row, segmentation={
-            "size": [80, 96],
-            "counts": rle_encode(full_grid(InstanceMask(
-                polygons=d.mask.polygons, canvas=(96, 80)).window(), 96, 80)).runs.tolist(),
-        }) for row, d in zip(det_set.to_json(), det_set.detections)]
+        grids = [InstanceMask(rle=rle_encode(full_grid(InstanceMask(
+            polygons=d.mask.polygons, canvas=(96, 80)).window(), 96, 80)))
+            for d in det_set.detections]
+        rows = [dict(row, segmentation={"size": [80, 96], "counts": grid.rle.runs.tolist()})
+                for row, grid in zip(det_set.to_json(), grids)]
         write_json(tmp_path / "det.json", rows)
-        argv = ["compare", "--gt", str(tmp_path / "gt.json"), "--det", str(tmp_path / "det.json"),
-                "--mode", "masks", "--format", "json,csv,svg"]
+        # evaluate: the AP suite reads every detection's pixel count too
+        argv = ["evaluate", "--gt", str(tmp_path / "gt.json"), "--det",
+                str(tmp_path / "det.json"), "--mode", "masks", "--format", "json,csv,svg"]
         assert main(argv + ["--out", str(tmp_path / "default")]) == 0
         if budget is not None:
             monkeypatch.setattr(geometry, "SPAN_CHUNK_ROWS", budget)
 
         passes = []
         polygon, rle = geometry._polygon_spans, geometry._rle_spans
+        bounds = geometry._rle_bounds
 
         def counted_polygon(xy, ring_sizes, mask_rings, rects):
             rows = int((mask_rings * (rects[:, 3] - rects[:, 1])).sum())
@@ -934,26 +938,42 @@ class TestPreparePasses:
             return polygon(xy, ring_sizes, mask_rings, rects)
 
         def counted_rle(runs, counts, widths):
-            passes.append(("rle", int(counts.sum()), len(counts)))
-            return rle(runs, counts, widths)
+            spans = rle(runs, counts, widths)
+            passes.append(("rle", spans[0].size, len(counts)))
+            return spans
+
+        def counted_bounds(runs, counts, widths):
+            passes.append(("bounds", int(counts.sum()), len(counts)))
+            return bounds(runs, counts, widths)
 
         monkeypatch.setattr(geometry, "_polygon_spans", counted_polygon)
         monkeypatch.setattr(geometry, "_rle_spans", counted_rle)
+        monkeypatch.setattr(geometry, "_rle_bounds", counted_bounds)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert {kind for kind, _, _ in passes} == {"polygon", "rle"}
+        assert {kind for kind, _, _ in passes} == {"polygon", "rle", "bounds"}
         for kind, rows, masks in passes:
             assert rows <= geometry.SPAN_CHUNK_ROWS or masks == 1, (kind, rows, masks)
         masks = {kind: sum(m for k, _, m in passes if k == kind) for kind in ("polygon", "rle")}
         if budget is None:
-            # the ground truths' spans once, for the join; the detections'
-            # for their windows and their areas, and once for the join
-            assert masks["polygon"] <= len(gt_set.annotations)
-            assert masks["rle"] <= 2 * len(det_set.detections)
+            # the masks of the (gt, det) pairs of an image whose windows overlap
+            pairs = [(k, j) for k, a in enumerate(gt_set.annotations)
+                     for j, d in enumerate(det_set.detections)
+                     if a.image_id == d.image_id and _windows_overlap(a.mask, grids[j])]
+            assert pairs
+            assert masks == {"polygon": len({k for k, _ in pairs}),
+                             "rle": len({j for _, j in pairs})}
         else:
             assert len(passes) > 4 * 2
         for name in os.listdir(tmp_path / "default"):
             assert ((tmp_path / "out" / name).read_bytes()
                     == (tmp_path / "default" / name).read_bytes())
+
+
+def _windows_overlap(a, b) -> bool:
+    """Whether the windows of two masks share a pixel."""
+    (abits, ax, ay), (bbits, bx, by) = a.window(), b.window()
+    return (min(ax + abits.shape[1], bx + bbits.shape[1]) > max(ax, bx)
+            and min(ay + abits.shape[0], by + bbits.shape[0]) > max(ay, by))
 
 
 class TestSplit:
@@ -1049,6 +1069,33 @@ class TestHugeCanvases:
         expected = spans_iou({0: [(width - 80, width)]},
                              {0: [(width - 50, width)], 1: [(0, 50)]})
         assert table.iou.tolist() == [expected] == [50 / 130]
+
+    def test_pixel_counts_past_int64(self, tmp_path):
+        from deteval.annotations import load_detections, load_ground_truth
+        from deteval.matching import image_ious
+
+        # a ground truth with no area and an identical detection, each of
+        # (2**53 - 1) x 1,100 pixels: more than int64 holds
+        width = 2**53 - 1
+        ring = [0, 0, width, 0, width, 1100, 0, 1100]
+        doc = minimal_gt_dict()
+        doc["images"][0].update(width=width, height=1100)
+        doc["annotations"][0].update(bbox=[0, 0, width, 1100], segmentation=[ring])
+        write_json(tmp_path / "gt.json", doc)
+        write_json(tmp_path / "det.json", [{
+            "image_id": 1, "category_id": 1, "bbox": [0, 0, width, 1100], "score": 0.9,
+            "segmentation": [ring]}])
+        assert main(["evaluate", "--gt", str(tmp_path / "gt.json"), "--det",
+                     str(tmp_path / "det.json"), "--mode", "masks",
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["per_class"][0]["recall_at_05"] == 1.0
+        gt = load_ground_truth(tmp_path / "gt.json")
+        assert width * 1100 > 2**63
+        assert gt.annotations[0].area == pytest.approx(width * 1100, rel=1e-12)
+        table = image_ious(gt, load_detections(
+            tmp_path / "det.json", gt.label_map, gt.images), "masks", 0.0)
+        assert table.iou.tolist() == [1.0]
 
 
 class TestRescale:

@@ -493,9 +493,7 @@ def columns_of(masks, cached):
     from deteval.geometry import MaskColumns
 
     columns = MaskColumns.of(masks)
-    if not cached:
-        columns.masks = None
-    return columns
+    return columns if cached else columns.take(np.arange(len(columns.poly)))
 
 
 def assert_span_columns(masks):
@@ -880,3 +878,16 @@ class TestSpanJoin:
             assert dc.areas(np.array([0])).tolist() == [100 * 6]
             iou = mask_ious(gc, dc, np.array([0]), np.array([0]))
             assert iou.tolist() == [inter / (3000 * 6 + 100 * 6 - inter)]
+
+    def test_pixel_counts_past_int64(self):
+        from deteval.geometry import mask_ious
+
+        # two identical masks of (2**53 - 1) x 1,100 pixels each, more than
+        # int64 holds: their IoU is 1
+        w = 2**53 - 1
+        ring = polygon_from_points([(0, 0), (w, 0), (w, 1100), (0, 1100)])
+        g = InstanceMask(polygons=[ring], canvas=(w, 1100))
+        for cached in (False, True):
+            gc, dc = columns_of([_fresh(g)], cached), columns_of([_fresh(g)], cached)
+            assert gc.areas(np.array([0])).tolist() == [pytest.approx(w * 1100, rel=1e-12)]
+            assert mask_ious(gc, dc, np.array([0]), np.array([0])).tolist() == [1.0]

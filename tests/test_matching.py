@@ -822,7 +822,9 @@ class TestColumnIntersection:
             columns = items.mask_columns()
             rects, areas = columns.rects(), columns.areas(np.arange(items.ids.size))
             assert columns.rects() is rects  # computed once
-            assert rects.dtype == areas.dtype == np.int64 and rects.shape == (areas.size, 4)
+            # pixel counts in float64, whose sums cannot wrap as int64 ones can
+            assert (rects.dtype, areas.dtype) == (np.int64, np.float64)
+            assert rects.shape == (areas.size, 4)
             for (x0, y0, x1, y1), area, mask in zip(rects.tolist(), areas.tolist(),
                                                     gt_set.items.masks()):
                 window, wx, wy = mask.window()

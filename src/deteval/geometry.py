@@ -6,7 +6,7 @@ to call concurrently, except that an :class:`InstanceMask` caches its spans.
 
 A mask is read as row spans, runs of its pixels in one row, with no bit grid:
 :class:`MaskColumns` holds a set's masks as columns and gives their windows,
-pixel counts and spans in passes bounded in rows, and :func:`mask_ious`
+pixel counts and spans in bounded passes, and :func:`mask_ious`
 joins the spans of (gt, det) pairs. :meth:`InstanceMask.window` fills a
 mask's spans into its bit grid, and :meth:`InstanceMask.iou` intersects two
 such grids: the scalar reference.

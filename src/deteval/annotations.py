@@ -165,8 +165,7 @@ class ItemColumns:
         self.class_ids, self.boxes = class_ids, boxes
         self.values, self.has_mask = values, has_mask
         self._masks = masks  # MaskColumns, or the mask of each item
-        self._records = [None] * ids.size  # each item's record, once built
-        self._all = None
+        self._all = None  # the records, once built
 
     @classmethod
     def of(cls, record, records) -> "ItemColumns":
@@ -180,7 +179,7 @@ class ItemColumns:
         masks = [r.mask for r in records]
         items = cls(record, *ids, boxes, np.array([getattr(r, value) for r in records], float),
                     np.array([m is not None for m in masks], dtype=bool), masks)
-        items._records, items._all = list(records), records
+        items._all = records
         return items
 
     def masks(self) -> list:
@@ -201,24 +200,17 @@ class ItemColumns:
                            self.mask_columns().take(at))
 
     def records(self, at=None) -> tuple:
-        """The records at the positions ``at``, or all of them; each record
-        is built once, when first asked for."""
-        if at is None and self._all is None:
-            self._all = self.records(range(self.ids.size))
+        """The records at the positions ``at``, or all of them; all of them
+        are built when the first is asked for."""
+        if self._all is None:
+            masks, values = self.masks(), self.values.tolist()
+            self._all = tuple(map(
+                self.record, self.ids.tolist(), self.image_ids.tolist(),
+                self.class_ids.tolist(), [BBox(*b) for b in self.boxes.tolist()],
+                *((masks, values) if self.record is Annotation else (values, masks))))
         if at is None:
             return self._all
-        at = np.asarray(at, dtype=np.int64).tolist()
-        todo = [k for k in dict.fromkeys(at) if self._records[k] is None]
-        if todo:
-            masks, values = self.masks(), self.values[todo].tolist()
-            masks = [masks[k] for k in todo]
-            built = map(
-                self.record, self.ids[todo].tolist(), self.image_ids[todo].tolist(),
-                self.class_ids[todo].tolist(), [BBox(*b) for b in self.boxes[todo].tolist()],
-                *((masks, values) if self.record is Annotation else (values, masks)))
-            for k, record in zip(todo, built):
-                self._records[k] = record
-        return tuple(map(self._records.__getitem__, at))
+        return tuple(map(self._all.__getitem__, np.asarray(at, dtype=np.int64).tolist()))
 
 
 class _ItemSet:
@@ -314,14 +306,22 @@ class DetectionSet(_ItemSet):
 # absent.
 
 
-def _read_json(path):
+def read_text(path) -> str:
+    """A UTF-8 file's text; :class:`ParseError` naming it if unreadable or not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from exc
 
 
 def _numbers(values):

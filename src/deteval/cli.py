@@ -19,6 +19,7 @@ from .annotations import (
     load_detections,
     load_ground_truth,
     load_vott,
+    read_text,
     rescale,
     stratified_split,
     write_text_atomic,
@@ -219,11 +220,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        text = Path(args.matrix).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.matrix}: {exc}") from exc
-    names, counts = parse_confusion_csv(text)
+    names, counts = parse_confusion_csv(read_text(args.matrix))
     write_text_atomic([(args.out, matrix_svg(names, counts))])
     return 0
 

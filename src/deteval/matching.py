@@ -320,7 +320,7 @@ def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
     """The :class:`MatchingResult` of each image of the table, from the
     matched pair positions that :func:`match_images` returns: the pairs in
     (gt_id, det_id) order, and the unmatched ground truths and visible
-    detections in load order. Records are built only for these."""
+    detections in load order."""
     gt_image = np.repeat(np.arange(table.n_gts.size), table.n_gts)
     det_image = np.repeat(np.arange(table.n_dets.size), table.n_dets)
     gt, det = table.gt[matched], table.det[matched]

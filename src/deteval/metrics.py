@@ -38,21 +38,21 @@ NO_GT = -1.0
 # size filters in the order of the pass's first axis; None keeps everything
 STRATA = (None, SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
 
-# the twelve aggregate indices in report order:
-# (key, kind, sweep index or None for the mean over the sweep, size filter, cap)
+# the twelve aggregate indices in report order: (key, kind, sweep index or
+# None for the mean over the sweep, size filter, cap, class-metrics CSV label)
 AGGREGATES = (
-    ("map_50_95", "ap", None, None, 100),
-    ("map_50", "ap", IOU_SWEEP.index(0.5), None, 100),
-    ("map_75", "ap", IOU_SWEEP.index(0.75), None, 100),
-    ("map_small", "ap", None, SizeClass.SMALL, 100),
-    ("map_medium", "ap", None, SizeClass.MEDIUM, 100),
-    ("map_large", "ap", None, SizeClass.LARGE, 100),
-    ("ar_1", "ar", None, None, 1),
-    ("ar_10", "ar", None, None, 10),
-    ("ar_100", "ar", None, None, 100),
-    ("ar_100_small", "ar", None, SizeClass.SMALL, 100),
-    ("ar_100_medium", "ar", None, SizeClass.MEDIUM, 100),
-    ("ar_100_large", "ar", None, SizeClass.LARGE, 100),
+    ("map_50_95", "ap", None, None, 100, "Precision mAP"),
+    ("map_50", "ap", IOU_SWEEP.index(0.5), None, 100, "Precision mAP@.50IOU"),
+    ("map_75", "ap", IOU_SWEEP.index(0.75), None, 100, "Precision mAP@.75IOU"),
+    ("map_small", "ap", None, SizeClass.SMALL, 100, "Precision mAP (small)"),
+    ("map_medium", "ap", None, SizeClass.MEDIUM, 100, "Precision mAP (medium)"),
+    ("map_large", "ap", None, SizeClass.LARGE, 100, "Precision mAP (large)"),
+    ("ar_1", "ar", None, None, 1, "Recall AR@1"),
+    ("ar_10", "ar", None, None, 10, "Recall AR@10"),
+    ("ar_100", "ar", None, None, 100, "Recall AR@100"),
+    ("ar_100_small", "ar", None, SizeClass.SMALL, 100, "Recall AR@100 (small)"),
+    ("ar_100_medium", "ar", None, SizeClass.MEDIUM, 100, "Recall AR@100 (medium)"),
+    ("ar_100_large", "ar", None, SizeClass.LARGE, 100, "Recall AR@100 (large)"),
 )
 
 _SWEEP = np.array(IOU_SWEEP)
@@ -245,21 +245,20 @@ def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _aggregates(table, mode, class_ids, specs) -> dict:
-    """The value of each ``(key, kind, sweep index, size filter, cap)`` spec,
-    in the form of :data:`AGGREGATES`, by key, over a :func:`image_ious`
-    ``table``.
+    """The value of each spec, a row in the form of :data:`AGGREGATES`, by
+    key, over a :func:`image_ious` ``table``.
 
     A value is the mean, over the classes ``class_ids`` with an eligible
     ground truth, of each class's AP (at one threshold, or over the sweep) or
     AR; -1 when no class has one. The cells are matched once per call, and
     each (class, filter, cap) curve is computed once."""
-    for *_, cap in specs:
+    for *_, cap, _label in specs:
         if cap < 1:
             raise ConfigError(f"max detections must be >= 1, got {cap}")
     pools = _match_cells(table, mode)
     curves: dict = {}
     out = {}
-    for key, kind, t_index, size, cap in specs:
+    for key, kind, t_index, size, cap, _label in specs:
         values = []
         for cid in class_ids:
             if (cid, size, cap) not in curves:
@@ -292,7 +291,7 @@ def average_precision(
     truth exists. ``iou_t`` must be one of the sweep thresholds."""
     if iou_t not in IOU_SWEEP:
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
-    spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets)
+    spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets, None)
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, [class_id], [spec])["ap"]
 
@@ -306,7 +305,7 @@ def average_recall(
 ) -> float:
     """Recall averaged over the IoU sweep and over classes, allowing at most
     the top-k detections per image and class; -1 when nothing is eligible."""
-    spec = ("ar", "ar", None, size_filter, k)
+    spec = ("ar", "ar", None, size_filter, k, None)
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
     return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]
 
@@ -315,8 +314,8 @@ def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
     """The six mAP fields: the full sweep, fixed 0.50 and 0.75, and the three
     size-stratified sweeps."""
     specs = [
-        (key, kind, t_index, size, max_dets)
-        for key, kind, t_index, size, _cap in AGGREGATES
+        (key, kind, t_index, size, max_dets, label)
+        for key, kind, t_index, size, _cap, label in AGGREGATES
         if kind == "ap"
     ]
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])

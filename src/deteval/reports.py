@@ -17,27 +17,12 @@ import numpy as np
 from .annotations import LabelMap
 from .errors import ParseError
 from .matching import ConfusionMatrix
-from .metrics import MetricsReport, precision_recall
+from .metrics import AGGREGATES, STRATA, MetricsReport, precision_recall
 
 LEFT_DETECTION = "left detection"
 UNCLASSIFIED_DETECTION = "unclassified detection"
 # the characters a label escapes in SVG text
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-
-AGGREGATE_INDEX_ROWS = (
-    ("Precision mAP", "map_50_95"),
-    ("Precision mAP@.50IOU", "map_50"),
-    ("Precision mAP@.75IOU", "map_75"),
-    ("Precision mAP (large)", "map_large"),
-    ("Precision mAP (medium)", "map_medium"),
-    ("Precision mAP (small)", "map_small"),
-    ("Recall AR@1", "ar_1"),
-    ("Recall AR@10", "ar_10"),
-    ("Recall AR@100", "ar_100"),
-    ("Recall AR@100 (large)", "ar_100_large"),
-    ("Recall AR@100 (medium)", "ar_100_medium"),
-    ("Recall AR@100 (small)", "ar_100_small"),
-)
 
 
 def format_ratio(value: float) -> str:
@@ -58,11 +43,10 @@ def _pr_cells(name: str, m) -> list[str]:
 def per_class_csv(report: MetricsReport, labels) -> str:
     """Two-panel per-class table: class P/R rows on the left, the twelve
     aggregate indices on the right, padded to equal length."""
-    aggregates = report.aggregates
     left = [_pr_cells(labels.name_of(m.class_id), m) for m in report.per_class]
-    right = [
-        [name, format_ratio(aggregates[key])] for name, key in AGGREGATE_INDEX_ROWS
-    ]
+    # per kind (ap, ar): the unfiltered rows in table order, then large to small
+    order = sorted(AGGREGATES, key=lambda a: (a[1], a[3] is not None, -STRATA.index(a[3])))
+    right = [[label, format_ratio(report.aggregates[key])] for key, *_, label in order]
     rows = [["tag", "precision_@0.5IOU", "recall_@0.5IOU", "Index", "value"]]
     for i in range(max(len(left), len(right))):
         l = left[i] if i < len(left) else ["", "", ""]

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -241,6 +242,28 @@ class TestEvaluate:
         assert "1.0000" in csv_text
         assert "Precision mAP@.50IOU" in csv_text
         assert "Recall AR@100 (small)" in csv_text
+
+    def test_index_orders_of_both_outputs(self, tmp_path):
+        """The CSV's right panel lists each kind's size-filtered indices
+        large to small, report.json small to large, as AGGREGATES does."""
+        from deteval.metrics import AGGREGATES
+
+        gt, det = road_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((out / "class_metrics.csv").read_text())))
+        assert rows[0][3:] == ["Index", "value"]
+        assert [r[3] for r in rows[1:] if r[3]] == [
+            "Precision mAP", "Precision mAP@.50IOU", "Precision mAP@.75IOU",
+            "Precision mAP (large)", "Precision mAP (medium)", "Precision mAP (small)",
+            "Recall AR@1", "Recall AR@10", "Recall AR@100",
+            "Recall AR@100 (large)", "Recall AR@100 (medium)", "Recall AR@100 (small)",
+        ]
+        keys = list(json.loads((out / "report.json").read_text())["aggregates"])
+        assert keys == [key for key, *_ in AGGREGATES] == [
+            "map_50_95", "map_50", "map_75", "map_small", "map_medium", "map_large",
+            "ar_1", "ar_10", "ar_100", "ar_100_small", "ar_100_medium", "ar_100_large",
+        ]
 
 
 # any finite float, values on and around the 64x64 image, and the
@@ -1473,6 +1496,39 @@ class TestRender:
         out = tmp_path / "o.svg"
         assert main(["render", "--matrix", str(src), "--out", str(out)]) == 2
         assert "row 2: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+# JSON nested deeper than the decoder allows, and bytes that are not UTF-8
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8_JSON = (b'[{"image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2], '
+                 b'"score": 0.5, "note": "\xff"}]')
+NOT_UTF8_CSV = b",A,left detection\nA\xff,1,0\nunclassified detection,0,0\n"
+
+
+class TestUnreadableInput:
+    """An input file that is not UTF-8, or JSON nested deeper than the
+    decoder allows, exits 2 naming the file, like any other bad input."""
+
+    @pytest.mark.parametrize("args, content", [
+        pytest.param(args, content, id=f"{name}-{kind}")
+        for name, args in [
+            ("evaluate", ["evaluate", "--gt", "GT", "--det", "BAD", "--out", "OUT"]),
+            ("split", ["split", "--gt", "BAD", "--out", "OUT"]),
+            ("convert-vott", ["convert", "--vott", "BAD", "--out", "OUT"]),
+            ("convert-labels", ["convert", "--vott", "GT", "--labels", "BAD", "--out", "OUT"]),
+        ]
+        for kind, content in [("deep", DEEP_JSON), ("not-utf8", NOT_UTF8_JSON)]
+    ] + [pytest.param(["render", "--matrix", "BAD", "--out", "OUT"], NOT_UTF8_CSV,
+                      id="render-not-utf8")])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, args, content):
+        gt = write_json(tmp_path / "gt.json", minimal_gt_dict())
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        bad.write_bytes(content)
+        paths = {"GT": str(gt), "BAD": str(bad), "OUT": str(out)}
+        assert main([paths.get(a, a) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "internal error" not in err
         assert not out.exists()
 
 

@@ -27,3 +27,19 @@ def test_only_geometry_reads_the_mask_window_cache():
         and re.search(r"\._(window|spans)\b", path.read_text(encoding="utf-8"))
     ]
     assert readers == []
+
+
+def test_each_aggregate_index_is_spelled_once():
+    """The twelve AP/AR keys and their class-metrics CSV labels are written
+    once, in ``metrics.AGGREGATES``; every other module reads them there."""
+    from deteval.metrics import AGGREGATES
+
+    text = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(Path(deteval.__file__).parent.glob("*.py"))
+        if path.name != "oracle.py"
+    )
+    names = [name for key, *_, label in AGGREGATES for name in (key, label)]
+    assert len(set(names)) == 24
+    counts = {name: len(re.findall(rf"[\"']{re.escape(name)}[\"']", text)) for name in names}
+    assert counts == dict.fromkeys(names, 1)

@@ -26,10 +26,8 @@ from .geometry import (
     Polygon,
     RLEMask,
     SizeClass,
-    box_iou,
     rle_decode,
     rle_encode,
-    size_class,
 )
 from .matching import (
     ConfusionMatrix,
@@ -76,7 +74,6 @@ __all__ = [
     "accumulate",
     "average_precision",
     "average_recall",
-    "box_iou",
     "full_report",
     "iou_table",
     "load_detections",
@@ -89,6 +86,5 @@ __all__ = [
     "rescale",
     "rle_decode",
     "rle_encode",
-    "size_class",
     "stratified_split",
 ]

@@ -36,22 +36,6 @@ from .geometry import (
     rle_encode,
 )
 
-ROAD_CLASS_NAMES = (
-    "Crack1",
-    "Crack2",
-    "Joint",
-    "Patching",
-    "Filling",
-    "Pothole",
-    "Manhole",
-    "Stain",
-    "Shadow",
-    "Marking",
-    "Scratch",
-    "Patching2",
-)
-
-
 class LabelMap:
     """Ordered class id <-> name table. Report rows follow entry order."""
 
@@ -71,10 +55,6 @@ class LabelMap:
             raise ValidationError("class ids must be positive integers")
         self._name_of = dict(self.entries)
         self._index_of = {i: k for k, (i, _) in enumerate(self.entries)}
-
-    @classmethod
-    def road_default(cls) -> "LabelMap":
-        return cls((i + 1, name) for i, name in enumerate(ROAD_CLASS_NAMES))
 
     @classmethod
     def from_file(cls, path) -> "LabelMap":
@@ -318,7 +298,7 @@ def read_text(path) -> str:
 def _read_json(path):
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply to decode") from exc
@@ -364,13 +344,19 @@ def _rows(values, width, convert):
     return x.reshape(-1, width), bad.reshape(-1, width).any(1)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message: its first 100 characters and its length, if longer."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
+
+
 def _range(lo, hi, error, message):
     """The check that a number column lies in ``[lo, hi]``; ``message`` is
-    formatted with the field's ``key`` and the record's ``value``."""
+    formatted with the field's ``key`` and the record's ``value`` (:func:`_shown`)."""
 
     def check(rec, key, array, at):
         rec.fail(at[~((array >= lo) & (array <= hi))], error,
-                 lambda k: message.format(key=key, value=rec.rows[k][key]))
+                 lambda k: message.format(key=key, value=_shown(rec.rows[k][key])))
 
     return check
 
@@ -390,10 +376,10 @@ def _known(rec, key, array, at):
 
 
 # a rule is a column's conversion, and the text of a value it refuses
-_INTEGER = (_integers, "'{key}' is {value!r}, not a valid integer")
+_INTEGER = (_integers, "'{key}' is {value}, not a valid integer")
 _TEXT = (lambda v: (v, np.array([not _is_text(s) for s in v], dtype=bool)),
-         "'{key}' is {value!r}, not a valid string")
-_BOX = (lambda v: _rows(v, 4, _numbers), "bbox {value!r} is not 4 numbers [x, y, w, h]")
+         "'{key}' is {value}, not a valid string")
+_BOX = (lambda v: _rows(v, 4, _numbers), "bbox {value} is not 4 numbers [x, y, w, h]")
 _MASK = (None, None)  # see _Records.masks
 _MAX = float(np.finfo(np.float64).max)
 _INT_LIMIT = 2**53  # integers are below it in magnitude, as loaded
@@ -408,14 +394,14 @@ _ANNOTATION_FIELDS = (
     ("id", _INTEGER, True, None), ("image_id", _INTEGER, True, _known),
     ("category_id", _INTEGER, True, _known), ("bbox", _BOX, True, _box),
     ("segmentation", _MASK, False, None),
-    ("area", (_numbers, "non-numeric area {value!r}"), False,
+    ("area", (_numbers, "non-numeric area {value}"), False,
      _range(-_MAX, _MAX, GeometryError, "non-finite area {value}")),
     ("iscrowd", _INTEGER, False, _range(
         0, 0, ValidationError, "iscrowd is {value}; crowd regions are not supported")),
 )
 _DETECTION_FIELDS = (
     ("category_id", _INTEGER, True, _known),
-    ("score", (_numbers, "'{key}' is {value!r}, not a valid number"), True,
+    ("score", (_numbers, "'{key}' is {value}, not a valid number"), True,
      _range(0, 1, ValidationError, "score {value} outside [0, 1]")),
     ("image_id", _INTEGER, True, None), ("bbox", _BOX, True, _box),
     ("segmentation", _MASK, False, None),
@@ -473,7 +459,7 @@ class _Records:
             array, bad = convert(values)
             self.fail(at[bad], ParseError, lambda k: (
                 wrong if key in rows[k] else "missing '{key}'"
-            ).format(key=key, value=rows[k].get(key)))
+            ).format(key=key, value=_shown(rows[k].get(key))))
             if check is not None:
                 check(self, key, array, at)
             if at.size < len(rows):
@@ -625,13 +611,13 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
         tags = region.get("tags")
         if not (tags and isinstance(tags, list) and all(map(_is_text, tags))):
             regions.fail(np.array([k]), ParseError,
-                         f"tags must be an array of strings, not {tags!r}")
+                         f"tags must be an array of strings, not {_shown(tags)}")
             break
         if labels is None:  # classes numbered in order of first use
             for tag in tags:
                 class_ids.setdefault(tag, len(class_ids) + 1)
         if tags[0] not in class_ids:
-            regions.fail(np.array([k]), ParseError, f"tag {tags[0]!r} not in label map")
+            regions.fail(np.array([k]), ParseError, f"tag {_shown(tags[0])} not in label map")
             break
         classes.append(class_ids[tags[0]])
         # a point that is not an {x, y} object fails the number check

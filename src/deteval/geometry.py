@@ -1,15 +1,15 @@
 """Pure geometric kernels.
 
-Box IoU, mask spans and mask IoU, a run-length mask codec, and the
-small/medium/large area classification. All operations are stateless and safe
+Boxes, mask spans and mask IoU, a run-length mask codec, and the
+small/medium/large area bounds. All operations are stateless and safe
 to call concurrently, except that an :class:`InstanceMask` caches its spans.
 
 A mask is read as row spans, runs of its pixels in one row, with no bit grid:
 :class:`MaskColumns` holds a set's masks as columns and gives their windows,
 pixel counts and spans in bounded passes, and :func:`mask_ious`
 joins the spans of (gt, det) pairs. :meth:`InstanceMask.window` fills a
-mask's spans into its bit grid, and :meth:`InstanceMask.iou` intersects two
-such grids: the scalar reference.
+mask's spans into its bit grid, which ``oracle.instance_iou``, the scalar
+reference, intersects.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -40,20 +40,6 @@ class SizeClass(str, Enum):
     LARGE = "large"
 
 
-def size_class(area: float) -> SizeClass:
-    """Classify an area (px^2) into the small/medium/large partition.
-
-    Small is ``area < 32^2``, medium is ``32^2 <= area < 96^2``, large is
-    ``area >= 96^2``; the intervals are closed-open so every area lands in
-    exactly one class.
-    """
-    if area < SMALL_AREA_MAX:
-        return SizeClass.SMALL
-    if area < MEDIUM_AREA_MAX:
-        return SizeClass.MEDIUM
-    return SizeClass.LARGE
-
-
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box ``(x, y, w, h)`` in pixel coordinates."""
@@ -78,20 +64,6 @@ class BBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-def box_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0.0 when the union is empty."""
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    inter = iw * ih if iw > 0 and ih > 0 else 0.0
-    # the true intersection never exceeds either area; clamping keeps the
-    # ratio in [0, 1] when x + w - x rounds above w
-    inter = min(inter, a.area, b.area)
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
 
 
 # the bound on a polygon coordinate's magnitude: beyond it no two pixels are
@@ -167,28 +139,11 @@ class RLEMask:
         if fault is not None:
             raise GeometryError(fault[1])
 
-    @classmethod
-    def batch(cls, sizes, runs, bounds) -> tuple[list[RLEMask], tuple[int, str] | None]:
-        """The grids before the first :meth:`fault`, and the fault: grid k is
-        ``sizes[k]`` with the runs ``runs[bounds[k]:bounds[k + 1]]``, a view."""
-        runs = _read_only(runs, np.int64)
-        fault = cls.fault(sizes, runs, bounds)
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
-        k = len(sizes) if fault is None else fault[0]
-        bounds = np.asarray(bounds, dtype=np.int64).tolist()
-        grids = []
-        for (width, height), a, b in zip(sizes[:k].tolist(), bounds, bounds[1:]):
-            grid = object.__new__(cls)  # checked: no __post_init__
-            object.__setattr__(grid, "width", width)
-            object.__setattr__(grid, "height", height)
-            object.__setattr__(grid, "runs", runs[a:b])
-            grids.append(grid)
-        return grids, fault
-
     @staticmethod
     def fault(sizes, runs, bounds) -> tuple[int, str] | None:
-        """The index and text of the first grid of :meth:`batch` with a negative
-        size or run, or runs not summing to ``width * height``; or None."""
+        """The index and text of the first grid k (``sizes[k]``, with the runs
+        ``runs[bounds[k]:bounds[k + 1]]``) with a negative size or run, or runs
+        not summing to ``width * height``; or None."""
         runs, bounds = np.asarray(runs, dtype=np.int64), np.asarray(bounds, dtype=np.int64)
         w, h = np.asarray(sizes, dtype=np.int64).reshape(-1, 2).T
         # each grid's sum and partial sums, exact modulo 2**64 in int64; the
@@ -409,9 +364,10 @@ def _shared(g_spans, g_rect, d_spans, d_rect, g, d, top, bottom) -> np.ndarray:
 
 
 def mask_ious(gts, dets, g, d) -> np.ndarray:
-    """:meth:`InstanceMask.iou` of each pair of mask ``g[p]`` of the :class:`MaskColumns`
-    ``gts`` and mask ``d[p]`` of ``dets``, from their spans, in passes of ``SPAN_CHUNK_ROWS``
-    rows that take each mask once; pixel counts in float64, so no union overflows."""
+    """The IoU (``oracle.instance_iou``) of each pair of mask ``g[p]`` of the
+    :class:`MaskColumns` ``gts`` and mask ``d[p]`` of ``dets``, from their spans, in passes
+    of ``SPAN_CHUNK_ROWS`` rows that take each mask once; pixel counts in float64, so no
+    union overflows."""
     g_rect, d_rect = gts.rects(), dets.rects()
     top = np.maximum(g_rect[g, 1], d_rect[d, 1])
     bottom = np.maximum(np.minimum(g_rect[g, 3], d_rect[d, 3]), top)
@@ -471,8 +427,8 @@ class MaskColumns:
                            self.runs[runs])
 
     def instances(self) -> list:
-        """Each item's :class:`InstanceMask`, or None; built on first use, a
-        polygon's vertices a view into ``xy`` where that is read-only."""
+        """Each item's :class:`InstanceMask`, or None; built on first use, a polygon's
+        vertices a view into ``xy`` where that is read-only, a grid's runs into ``runs``."""
         if self._instances is None:
             ends = self.ring_sizes.cumsum().tolist()
             polygons = [Polygon(self.xy[a:b]) for a, b in zip([0, *ends], ends)]
@@ -481,9 +437,12 @@ class MaskColumns:
             for k, a, b in zip(np.flatnonzero(self.poly).tolist(), [0, *ends], ends):
                 canvas = tuple(self.canvas[k].tolist()) if self.known[k] else None
                 masks[k] = InstanceMask(polygons=polygons[a:b], canvas=canvas)
-            bounds = np.append(0, self.run_counts[self.rle].cumsum())
-            grids = RLEMask.batch(self.canvas[self.rle], self.runs, bounds)[0]
-            for k, grid in zip(np.flatnonzero(self.rle).tolist(), grids):
+            runs = _read_only(self.runs, np.int64)
+            ends = self.run_counts[self.rle].cumsum().tolist()
+            for k, a, b in zip(np.flatnonzero(self.rle).tolist(), [0, *ends], ends):
+                grid = object.__new__(RLEMask)  # checked when loaded or made: no __post_init__
+                width, height = self.canvas[k].tolist()
+                grid.__dict__.update(width=width, height=height, runs=runs[a:b])
                 masks[k] = InstanceMask(rle=grid)
             self._instances = masks
         return self._instances
@@ -624,15 +583,3 @@ class InstanceMask:
         if self.polygons is None:
             raise GeometryError("cannot scale an RLE-only mask losslessly")
         return InstanceMask(polygons=[p.scaled(sx, sy) for p in self.polygons], canvas=canvas)
-
-    def iou(self, other: "InstanceMask") -> float:
-        """IoU of two instances placed on a common canvas."""
-        if None not in (self.canvas, other.canvas) and self.canvas != other.canvas:
-            raise GeometryError(f"mask canvases differ: {self.canvas} vs {other.canvas}")
-        (a, ax, ay), (b, bx, by) = self.window(), other.window()
-        x0, x1 = max(ax, bx), min(ax + a.shape[1], bx + b.shape[1])
-        y0, y1 = max(ay, by), min(ay + a.shape[0], by + b.shape[0])
-        inter = 0 if x1 <= x0 or y1 <= y0 else int(np.count_nonzero(
-            a[y0 - ay : y1 - ay, x0 - ax : x1 - ax] & b[y0 - by : y1 - by, x0 - bx : x1 - bx]))
-        union = self.area + other.area - inter
-        return inter / union if union else 0.0

@@ -86,7 +86,7 @@ class MatchingResult:
 
 def _corners(boxes) -> tuple[np.ndarray, ...]:
     """The ``x, y, x + w, y + h, w * h`` columns of ``(N, 4)`` boxes, each
-    as :func:`box_iou` computes it."""
+    as the scalar reference ``oracle.box_iou`` computes it."""
     x, y, w, h = boxes.T
     # overflow to inf is silent, as in the scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
@@ -94,8 +94,8 @@ def _corners(boxes) -> tuple[np.ndarray, ...]:
 
 
 def _box_iou(a, b) -> np.ndarray:
-    """:func:`box_iou` of each pair of boxes of the :func:`_corners` ``a``
-    and ``b``, in its operation order."""
+    """The IoU of each pair of boxes of the :func:`_corners` ``a`` and ``b``,
+    in the operation order of the scalar reference ``oracle.box_iou``."""
     ax, ay, ax2, ay2, area_a = a
     bx, by, bx2, by2, area_b = b
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,9 +112,9 @@ def iou_matrix(gts, dets, mode: str) -> np.ndarray:
     len(dets))`` float64 array: the cells of its :class:`PairTable` at no
     floor.
 
-    Each cell equals its pair's :func:`box_iou` exactly, for finite boxes,
+    Each cell equals its pair's ``oracle.box_iou`` exactly, for finite boxes,
     or in masks mode, when both sides have a mask, its
-    :meth:`InstanceMask.iou`; pairs whose mask windows are disjoint are
+    ``oracle.instance_iou``; pairs whose mask windows are disjoint are
     exactly 0.0, and only overlapping windows are intersected.
     """
     table = _image_table(gts, dets, mode, -np.inf)
@@ -159,8 +159,8 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
     The (gt, det) cells of all images are taken in passes of at most
     ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
     are kept. In masks mode, a pair with masks on both sides takes their
-    :meth:`InstanceMask.iou`, from :func:`mask_ious` where their windows
-    overlap; a pass raises first, as that method does, for its first pair
+    IoU (``oracle.instance_iou``), from :func:`mask_ious` where their windows
+    overlap; a pass raises first, as that function does, for its first pair
     whose known canvases differ, whether or not their windows overlap."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))

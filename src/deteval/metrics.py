@@ -94,7 +94,8 @@ def precision_recall(cm: ConfusionMatrix) -> list[PerClassMetrics]:
 
 
 def _strata(areas) -> np.ndarray:
-    """Each area's size filter, as its index in :data:`STRATA` (1, 2 or 3)."""
+    """Each area's size filter, as its index in :data:`STRATA` (1, 2 or 3), in closed-open
+    bins as the scalar reference ``oracle.size_class`` takes them."""
     edges = (SMALL_AREA_MAX, MEDIUM_AREA_MAX)
     return np.searchsorted(edges, np.asarray(areas, dtype=float), side="right") + 1
 
@@ -105,11 +106,6 @@ def _outside(codes) -> np.ndarray:
     outside = codes != np.arange(len(STRATA))[:, None]
     outside[0] = False
     return outside
-
-
-def outside_strata(areas) -> np.ndarray:
-    """(S, n) flags: True where an item's area falls outside each filter."""
-    return _outside(_strata(areas))
 
 
 def _greedy(gt, det, iou, rank, gt_ignore, det_outside):

@@ -11,9 +11,11 @@ one-mask-at-a-time polygon rasterizer and run-length window decoder that
 :mod:`deteval.geometry` batched, the record-by-record file loaders that
 :mod:`deteval.annotations` made column-wise, with their scalar polygon
 constructors, the record-by-record writers, rescale and stratified split
-that it runs on the item columns, full-grid mask helpers, the
-scalar pair IoU, and a generator that fabricates ground truth plus noisy
-detections from a seed.
+that it runs on the item columns, full-grid mask helpers, the scalar box,
+mask and pair IoU that :mod:`deteval.matching` and :mod:`deteval.geometry`
+batched, the scalar size classification that :mod:`deteval.metrics`
+vectorized, the road-damage label map of the paper's twelve classes, and a
+generator that fabricates ground truth plus noisy detections from a seed.
 """
 
 from __future__ import annotations
@@ -47,15 +49,16 @@ from .errors import (
 )
 from .geometry import (
     MAX_COORD,
+    MEDIUM_AREA_MAX,
+    SMALL_AREA_MAX,
     BBox,
     InstanceMask,
     Polygon,
     RLEMask,
     MaskColumns,
-    box_iou,
+    SizeClass,
     rle_decode,
     rle_encode,
-    size_class,
 )
 from .matching import (
     ConfusionMatrix,
@@ -66,10 +69,18 @@ from .matching import (
     iou_matrix,
     match_dataset,
 )
-from .metrics import IOU_SWEEP, RECALL_POINTS
+from .metrics import IOU_SWEEP, RECALL_POINTS, STRATA
 from .reports import DeltaStats
 
 MAX_ORACLE_ITEMS = 12
+# the paper's twelve road-damage classes, numbered from 1 in this order
+ROAD_CLASS_NAMES = ("Crack1", "Crack2", "Joint", "Patching", "Filling", "Pothole", "Manhole",
+                    "Stain", "Shadow", "Marking", "Scratch", "Patching2")
+
+
+def road_labels() -> LabelMap:
+    """The label map of :data:`ROAD_CLASS_NAMES`."""
+    return LabelMap((i + 1, name) for i, name in enumerate(ROAD_CLASS_NAMES))
 
 
 @dataclass(frozen=True)
@@ -243,13 +254,42 @@ def polygon_from_flat(flat) -> Polygon:
 # scalar IoU and full-grid masks
 
 
+def box_iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes; 0.0 when the union is empty."""
+    iw = min(a.x2, b.x2) - max(a.x, b.x)
+    ih = min(a.y2, b.y2) - max(a.y, b.y)
+    inter = iw * ih if iw > 0 and ih > 0 else 0.0
+    # the true intersection never exceeds either area; clamping keeps the
+    # ratio in [0, 1] when x + w - x rounds above w
+    inter = min(inter, a.area, b.area)
+    union = a.area + b.area - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def instance_iou(a: InstanceMask, b: InstanceMask) -> float:
+    """IoU of two instances placed on a common canvas: their window bit
+    grids intersected; :class:`GeometryError` if both canvases are known
+    and differ."""
+    if None not in (a.canvas, b.canvas) and a.canvas != b.canvas:
+        raise GeometryError(f"mask canvases differ: {a.canvas} vs {b.canvas}")
+    (p, px, py), (q, qx, qy) = a.window(), b.window()
+    x0, x1 = max(px, qx), min(px + p.shape[1], qx + q.shape[1])
+    y0, y1 = max(py, qy), min(py + p.shape[0], qy + q.shape[0])
+    inter = 0 if x1 <= x0 or y1 <= y0 else int(np.count_nonzero(
+        p[y0 - py : y1 - py, x0 - px : x1 - px] & q[y0 - qy : y1 - qy, x0 - qx : x1 - qx]))
+    union = a.area + b.area - inter
+    return inter / union if union else 0.0
+
+
 def pair_iou(gt: Annotation, det: Detection, mode: str) -> float:
     """IoU of one ground truth and one detection under the geometry mode.
 
     In masks mode a pair missing a mask on either side falls back to box IoU.
     """
     if mode == "masks" and gt.mask is not None and det.mask is not None:
-        return gt.mask.iou(det.mask)
+        return instance_iou(gt.mask, det.mask)
     return box_iou(gt.bbox, det.bbox)
 
 
@@ -388,7 +428,7 @@ def reference_conventional(gts, dets, t: Thresholds) -> MatchingResult:
     for g in gts:
         for d in kept_dets:
             if t.geometry_mode == "masks" and g.mask is not None and d.mask is not None:
-                iou = g.mask.iou(d.mask)
+                iou = instance_iou(g.mask, d.mask)
             else:
                 gx1, gy1 = g.bbox.x, g.bbox.y
                 gx2, gy2 = g.bbox.x + g.bbox.w, g.bbox.y + g.bbox.h
@@ -578,6 +618,27 @@ def greedy_iou_matching(gts, dets, t: Thresholds) -> MatchingResult:
 
 # ---------------------------------------------------------------------------
 # scalar reference for the greedy AP/AR evaluator
+
+
+def size_class(area: float) -> SizeClass:
+    """Classify an area (px^2) into the small/medium/large partition.
+
+    Small is ``area < 32^2``, medium is ``32^2 <= area < 96^2``, large is
+    ``area >= 96^2``; the intervals are closed-open so every area lands in
+    exactly one class.
+    """
+    if area < SMALL_AREA_MAX:
+        return SizeClass.SMALL
+    if area < MEDIUM_AREA_MAX:
+        return SizeClass.MEDIUM
+    return SizeClass.LARGE
+
+
+def outside_strata(areas) -> np.ndarray:
+    """(S, n) flags: True where an item's area falls outside each size filter
+    of :data:`deteval.metrics.STRATA`, by :func:`size_class`."""
+    return np.array([[size is not None and size_class(a) != size for a in areas]
+                     for size in STRATA], dtype=bool)
 
 
 def reference_greedy_cell(ious, gt_areas, det_areas, size_filter, max_dets):

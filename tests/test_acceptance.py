@@ -14,7 +14,6 @@ from deteval.annotations import LabelMap
 from deteval.cli import main
 from deteval.geometry import (
     BBox,
-    box_iou,
     rle_decode,
     rle_encode,
 )
@@ -28,6 +27,7 @@ from deteval.matching import (
 from deteval.metrics import average_precision, mean_ap, precision_recall
 from deteval.oracle import (
     ScenarioConfig,
+    box_iou,
     compare,
     generate,
     mask_iou,
@@ -35,6 +35,7 @@ from deteval.oracle import (
     polygon_from_points,
     rasterize,
     reference_conventional,
+    road_labels,
 )
 from deteval.reports import delta_table_csv
 from test_matching import A, D, pathological_instance
@@ -90,7 +91,7 @@ def scenario_sweep():
 
 
 def test_criterion_1_recall_fixture():
-    labels = LabelMap.road_default()
+    labels = road_labels()
     cm = ConfusionMatrix(labels)
     cm.counts[0, 0] = 116
     cm.counts[0, 1] = 10
@@ -294,7 +295,7 @@ def _table_scale_dataset(tmp_path):
     """220 images, 2,219 polygon ground truths with the road per-class
     testing counts, and exactly 3,000 detections."""
     counts = (455, 101, 219, 77, 187, 14, 52, 12, 212, 297, 576, 17)
-    labels = LabelMap.road_default()
+    labels = road_labels()
     rng = random.Random(99)
     images = [
         {"id": i, "file_name": f"img{i:04d}.png", "width": 960, "height": 540}

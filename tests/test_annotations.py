@@ -40,6 +40,7 @@ from deteval.oracle import (
     reference_rescale,
     reference_stratified_split,
     reference_to_json,
+    road_labels,
 )
 from test_loading import assert_same_records
 
@@ -60,7 +61,7 @@ def road_gt_dict(per_class_counts, images=40, size=(512, 512)):
         "categories": [
             {"id": i + 1, "name": name}
             for i, name in enumerate(
-                LabelMap.road_default().name_of(c) for c in range(1, 13)
+                road_labels().name_of(c) for c in range(1, 13)
             )
         ],
     }
@@ -311,6 +312,8 @@ class TestLoadDetections:
         ]
         dets = load_detections(write_json(tmp_path / "det.json", rows), LabelMap([(1, "t")]))
         assert dets.detections[0].mask.area == 2
+        # the grid's runs are a view of the file's buffer of all runs
+        assert dets.detections[0].mask.rle.runs.base is dets.items.mask_columns().runs
 
     def test_corrupt_rle(self, tmp_path):
         rows = [
@@ -471,7 +474,7 @@ class TestSplit:
 
 class TestLabelMap:
     def test_road_default_order(self):
-        labels = LabelMap.road_default()
+        labels = road_labels()
         assert len(labels) == 12
         assert labels.name_of(1) == "Crack1"
         assert labels.name_of(12) == "Patching2"

@@ -18,9 +18,9 @@ from deteval.cli import main
 
 def road_pair(tmp_path):
     """12-class single-image dataset with one crafted cross-class conflict."""
-    from deteval.annotations import LabelMap
+    from deteval.oracle import road_labels
 
-    labels = LabelMap.road_default()
+    labels = road_labels()
     gt = {
         "images": [{"id": 1, "file_name": "a.png", "width": 400, "height": 400}],
         "annotations": [
@@ -333,6 +333,27 @@ class TestScalarFields:
         )
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, named", [
+        pytest.param("bbox", "x" * 1_000_000, "bbox '" + "x" * 99
+                     + "... (1000002 characters) is not 4 numbers", id="bbox-long-string"),
+        pytest.param("bbox", [0] * 1000, "bbox [" + "0, " * 33 + "... (3000 characters) "
+                     "is not 4 numbers", id="bbox-long-list"),
+        pytest.param("score", 10**1000, "'score' is 1" + "0" * 99 + "... (1001 characters)",
+                     id="score-long-int"),
+        pytest.param("score", 10**300, "score 1" + "0" * 99 + "... (301 characters) "
+                     "outside [0, 1]", id="score-out-of-range"),
+    ])
+    def test_long_value_is_cut_in_the_message(self, tmp_path, capsys, field, value, named):
+        gt = write_json(tmp_path / "gt.json", minimal_gt_dict())
+        det = write_json(tmp_path / "det.json", [
+            {"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 9], "score": 0.9, field: value}
+        ])
+        assert main(["evaluate", "--gt", str(gt), "--det", str(det),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"detection 0: {named}" in err
+        assert len(err.encode("utf-8")) < 1024
 
 
 class TestTextFields:
@@ -807,7 +828,8 @@ class TestRecordsOnDemand:
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_boxes_mode_builds_no_objects(self, tmp_path, monkeypatch, command):
         from deteval.annotations import Annotation, Detection
-        from deteval.geometry import BBox, InstanceMask, Polygon, RLEMask, rle_encode
+        from deteval.geometry import (
+            BBox, InstanceMask, MaskColumns, Polygon, RLEMask, rle_encode)
         from deteval.oracle import ScenarioConfig, full_grid, generate
 
         # polygon masks on both sides, and areas given; and every other
@@ -835,7 +857,7 @@ class TestRecordsOnDemand:
         assert code == 0
         assert built == []
         # nor does masks mode, with polygon and run-length masks
-        monkeypatch.setattr(RLEMask, "batch", lambda *a: built.append("RLEMask"))
+        monkeypatch.setattr(MaskColumns, "instances", lambda c: built.append("instances"))
         monkeypatch.setattr(InstanceMask, "window", lambda m: built.append("window"))
         assert main([command, "--gt", str(tmp_path / "gt.json"),
                      "--det", str(tmp_path / "rle.json"), "--mode", "masks",
@@ -1407,6 +1429,10 @@ class TestVottFuzz:
             pytest.param(("regions", 1, "tags"), ["bad\udc00"],
                          "region 1: tags must be an array of strings",
                          id="tags-lone-surrogate"),
+            # the value shown is cut to 100 characters of its repr
+            pytest.param(("regions", 1, "tags"), [["x" * 200]],
+                         "region 1: tags must be an array of strings, not [['" + "x" * 97
+                         + "... (206 characters)", id="tags-long"),
             # a JSON escape of a lone surrogate reads as a string with no UTF-8 form
             pytest.param(("asset", "name"), "\ud800", "v.json: asset: 'name' is '\\ud800'",
                          id="name-lone-surrogate"),
@@ -1507,8 +1533,9 @@ NOT_UTF8_CSV = b",A,left detection\nA\xff,1,0\nunclassified detection,0,0\n"
 
 
 class TestUnreadableInput:
-    """An input file that is not UTF-8, or JSON nested deeper than the
-    decoder allows, exits 2 naming the file, like any other bad input."""
+    """An input file that is not UTF-8, JSON nested deeper than the decoder
+    allows, or an integer longer than it converts, exits 2 naming the file,
+    like any other bad input."""
 
     @pytest.mark.parametrize("args, content", [
         pytest.param(args, content, id=f"{name}-{kind}")
@@ -1518,7 +1545,8 @@ class TestUnreadableInput:
             ("convert-vott", ["convert", "--vott", "BAD", "--out", "OUT"]),
             ("convert-labels", ["convert", "--vott", "GT", "--labels", "BAD", "--out", "OUT"]),
         ]
-        for kind, content in [("deep", DEEP_JSON), ("not-utf8", NOT_UTF8_JSON)]
+        for kind, content in [("deep", DEEP_JSON), ("not-utf8", NOT_UTF8_JSON),
+                              ("long-int", b"[" + b"9" * 5000 + b"]")]
     ] + [pytest.param(["render", "--matrix", "BAD", "--out", "OUT"], NOT_UTF8_CSV,
                       id="render-not-utf8")])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, args, content):

@@ -15,17 +15,18 @@ from deteval.geometry import (
     Polygon,
     RLEMask,
     SizeClass,
-    box_iou,
     rle_decode,
     rle_encode,
-    size_class,
 )
 from deteval.oracle import (
+    box_iou,
     full_grid,
+    instance_iou,
     mask_iou,
     polygon_from_flat,
     polygon_from_points,
     rasterize,
+    size_class,
 )
 
 
@@ -315,7 +316,7 @@ class TestInstanceMask:
             ia = InstanceMask(polygons=[pa], canvas=(16, 16))
             ib = InstanceMask(polygons=[pb], canvas=(16, 16))
             full = mask_iou(rasterize(pa, 16, 16), rasterize(pb, 16, 16))
-            assert ia.iou(ib) == pytest.approx(full, abs=1e-12)
+            assert instance_iou(ia, ib) == pytest.approx(full, abs=1e-12)
 
     def test_rle_instance(self):
         m = np.eye(4, dtype=bool)
@@ -332,7 +333,7 @@ class TestInstanceMask:
         a = InstanceMask(rle=rle_encode(np.zeros((4, 4), dtype=bool)), canvas=(4, 4))
         b = InstanceMask(rle=rle_encode(np.zeros((5, 5), dtype=bool)), canvas=(5, 5))
         with pytest.raises(GeometryError):
-            a.iou(b)
+            instance_iou(a, b)
 
     def test_equal_polygon_sources_are_equal_and_hash_equal(self):
         ring = [(0, 0), (2.5, 0), (2, 2)]
@@ -378,7 +379,7 @@ class TestInstanceMask:
         assert inst.area == 0
         inside = InstanceMask(polygons=[polygon_from_points([(0, 0), (9, 0), (9, 9)])],
                               canvas=(10, 10))
-        assert inst.iou(inside) == 0.0
+        assert instance_iou(inst, inside) == 0.0
 
 
 class TestPolygonCoordinates:
@@ -707,6 +708,17 @@ class TestPrepareWindows:
         self.assert_columns([m for m, _ in items])
 
 
+def grid_columns(grids, runs):
+    """The :class:`MaskColumns` of run-length grids ``(width, height, runs)``
+    as a loader holds them: the runs of all, in order, are the buffer ``runs``."""
+    from deteval.geometry import MaskColumns
+
+    counts = np.array([len(r) for _, _, r in grids], dtype=np.int64)
+    yes, zeros = np.ones(counts.size, dtype=bool), np.zeros(counts.size, dtype=np.int64)
+    return MaskColumns(np.array([(w, h) for w, h, _ in grids], np.int64).reshape(-1, 2), yes,
+                       ~yes, zeros, zeros[:0], np.empty((0, 2)), yes, counts, runs)
+
+
 class TestRleRuns:
     def test_runs_are_one_read_only_int64_array(self):
         rle = RLEMask(3, 2, [1, 2.9, True, 2])
@@ -733,8 +745,9 @@ class TestRleRuns:
     def test_batch_sums_each_grid_alone(self):
         # two sound grids of 2**62 pixels: the running sum of both wraps
         # around int64, the sum of each does not
-        grids, fault = RLEMask.batch([(2**31, 2**31)] * 2, [2**62] * 2, [0, 1, 2])
-        assert fault is None and grids == [RLEMask(2**31, 2**31, (2**62,))] * 2
+        assert RLEMask.fault([(2**31, 2**31)] * 2, [2**62] * 2, [0, 1, 2]) is None
+        masks = grid_columns([(2**31, 2**31, [2**62])] * 2, np.array([2**62] * 2)).instances()
+        assert [m.rle for m in masks] == [RLEMask(2**31, 2**31, (2**62,))] * 2
 
     def test_negative_size_rejected(self):
         with pytest.raises(GeometryError, match="negative mask size"):
@@ -756,10 +769,12 @@ class TestRleRuns:
         bounds = np.cumsum([0] + [len(runs) for _, _, runs in grids])
         runs = np.array([r for _, _, rs in grids for r in rs], dtype=np.int64)
         runs.flags.writeable = False  # kept, not copied: each grid's runs are views
-        got, fault = RLEMask.batch([(w, h) for w, h, _ in grids], runs, bounds)
+        fault = RLEMask.fault([(w, h) for w, h, _ in grids], runs, bounds)
         first = next((k for k, g in enumerate(single) if isinstance(g, str)), len(grids))
-        assert got == single[:first]
         assert fault == (None if first == len(grids) else (first, single[first]))
+        # the grids before the fault, built from their columns with no second check
+        got = [m.rle for m in grid_columns(grids[:first], runs[: bounds[first]]).instances()]
+        assert got == single[:first]
         for grid, (w, h, _) in zip(got, grids):
             assert (type(grid.width), type(grid.height)) == (int, int)
             assert grid.runs.base is runs and not grid.runs.flags.writeable
@@ -794,7 +809,7 @@ class TestSpanJoin:
                 if g is not None and d is not None and (
                         None in (g.canvas, d.canvas) or g.canvas == d.canvas):
                     pairs.append((i, j))
-                    expected.append(g.iou(d))
+                    expected.append(instance_iou(g, d))
         g, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         for rows in (geometry.SPAN_CHUNK_ROWS, 1):
             for cached in (False, True):

@@ -20,7 +20,7 @@ from deteval.annotations import (
     load_ground_truth,
 )
 from deteval.errors import ConfigError, GeometryError
-from deteval.geometry import BBox, InstanceMask, box_iou, rle_encode
+from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
     ALGORITHMS,
     ConfusionMatrix,
@@ -39,9 +39,11 @@ from deteval.matching import (
 from deteval.metrics import _match_cells
 from deteval.oracle import (
     ScenarioConfig,
+    box_iou,
     full_grid,
     generate,
     image_modified,
+    instance_iou,
     max_matching,
     pair_iou,
     polygon_from_flat,
@@ -755,7 +757,7 @@ class TestColumnIntersection:
                 continue
             if _overlap(gm, dm):
                 overlapping.append((int(table.gt_item[g]), int(table.det_item[d])))
-            assert iou == gm.iou(dm), (gts[g], dets[d])
+            assert iou == instance_iou(gm, dm), (gts[g], dets[d])
         assert sorted(joined) == sorted(overlapping)
         monkeypatch.undo()
 

@@ -15,7 +15,7 @@ from deteval.annotations import (
     LabelMap,
 )
 from deteval.errors import ConfigError, MissingReferenceError
-from deteval.geometry import BBox, SizeClass, size_class
+from deteval.geometry import BBox, SizeClass
 from deteval.matching import (
     ConfusionMatrix,
     Thresholds,
@@ -30,20 +30,24 @@ from deteval.metrics import (
     _curves,
     _greedy,
     _match_cells,
+    _outside,
+    _strata,
     average_precision,
     average_recall,
     full_report,
     mean_ap,
-    outside_strata,
     precision_recall,
 )
 from deteval.oracle import (
     ScenarioConfig,
     generate,
     max_matching,
+    outside_strata,
     polygon_from_points,
     reference_accumulate,
     reference_greedy_cell,
+    road_labels,
+    size_class,
 )
 
 LABELS = LabelMap([(1, "X"), (2, "Y")])
@@ -81,7 +85,7 @@ def oracle_ap(tp_flags, n_gt):
 
 class TestPrecisionRecall:
     def test_recall_fixture_crack1(self):
-        labels = LabelMap.road_default()
+        labels = road_labels()
         cm = ConfusionMatrix(labels)
         cm.counts[0, 0] = 116
         cm.counts[0, 1] = 10
@@ -356,7 +360,6 @@ def reference_class_eval(gt_set, det_set, class_id, iou_t, size_filter, k, mode)
     """Plain-scalar re-derivation of one class's greedy evaluation: returns
     (tp flags in global score order, eligible gt count). Shares only the
     pair-IoU kernel with the evaluator under test."""
-    from deteval.geometry import size_class
     from deteval.oracle import pair_iou
 
     entries = []
@@ -622,7 +625,7 @@ class TestOutsideStrata:
     def test_edges_agree_with_size_class(self):
         areas = [0.0, float(np.nextafter(1024.0, 0)), 1024.0,
                  float(np.nextafter(9216.0, 0)), 9216.0, 1e12]
-        flags = outside_strata(areas)
+        flags = _outside(_strata(areas))
         for s, size in enumerate(STRATA):
             expected = [size is not None and size_class(a) != size for a in areas]
             assert flags[s].tolist() == expected, size
@@ -807,7 +810,7 @@ class TestFullReport:
                 call()
 
     def test_road_label_order(self):
-        labels = LabelMap.road_default()
+        labels = road_labels()
         img = ImageRecord(1, "a.png", 100, 100)
         anns = [
             Annotation(i + 1, 1, cid, BBox(10 * i, 0, 8, 8), area=64.0)

@@ -11,6 +11,7 @@ from deteval.oracle import (
     compare,
     generate,
     greedy_iou_matching,
+    instance_iou,
     max_matching,
     reference_conventional,
 )
@@ -47,7 +48,7 @@ class TestGenerate:
         for ann, d in zip(anns, dets):
             assert ann.bbox == d.bbox
             assert ann.class_id == d.class_id
-            assert ann.mask.iou(d.mask) == 1.0
+            assert instance_iou(ann.mask, d.mask) == 1.0
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

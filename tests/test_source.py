@@ -43,3 +43,18 @@ def test_each_aggregate_index_is_spelled_once():
     assert len(set(names)) == 24
     counts = {name: len(re.findall(rf"[\"']{re.escape(name)}[\"']", text)) for name in names}
     assert counts == dict.fromkeys(names, 1)
+
+
+def test_public_surface():
+    """The names the package exports, spelled out; the scalar references the
+    tests compare against live in ``deteval.oracle``, outside this list."""
+    assert deteval.__all__ == [
+        "Annotation", "BBox", "ConfusionMatrix", "Detection", "DetectionSet",
+        "GroundTruthSet", "ImageRecord", "InstanceMask", "LabelMap", "MatchPair",
+        "MatchingResult", "MetricsReport", "PerClassMetrics", "Polygon", "RLEMask",
+        "SizeClass", "SplitRatios", "Thresholds", "accumulate", "average_precision",
+        "average_recall", "full_report", "iou_table", "load_detections", "load_ground_truth",
+        "match_conventional", "match_dataset", "match_modified", "mean_ap",
+        "precision_recall", "rescale", "rle_decode", "rle_encode", "stratified_split",
+    ]
+    assert all(hasattr(deteval, name) for name in deteval.__all__)

@@ -32,8 +32,7 @@ from .geometry import (
     InstanceMask,
     MaskColumns,
     RLEMask,
-    rle_decode,
-    rle_encode,
+    resampled_runs,
 )
 
 class LabelMap:
@@ -136,15 +135,13 @@ class ItemColumns:
     """The items of a set in load order, as columns: ``ids``, ``image_ids``
     and ``class_ids`` (int64), ``boxes`` (``(N, 4)`` float64 ``x, y, w, h``),
     ``values`` (float64: the areas of ground truths, the scores of
-    detections) and ``has_mask`` (bool). The masks are :class:`MaskColumns`,
-    or the list of masks given; mask objects and ``record`` objects
+    detections) and ``masks``, their :class:`MaskColumns`; ``record`` objects
     (:class:`Annotation` or :class:`Detection`) are built once, if asked."""
 
-    def __init__(self, record, ids, image_ids, class_ids, boxes, values, has_mask, masks):
+    def __init__(self, record, ids, image_ids, class_ids, boxes, values, masks):
         self.record, self.ids, self.image_ids = record, ids, image_ids
         self.class_ids, self.boxes = class_ids, boxes
-        self.values, self.has_mask = values, has_mask
-        self._masks = masks  # MaskColumns, or the mask of each item
+        self.values, self.masks = values, masks
         self._all = None  # the records, once built
 
     @classmethod
@@ -156,34 +153,26 @@ class ItemColumns:
                        dtype=np.int64).reshape(-1, 3).T
         boxes = np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in records],
                          dtype=np.float64).reshape(-1, 4)
-        masks = [r.mask for r in records]
         items = cls(record, *ids, boxes, np.array([getattr(r, value) for r in records], float),
-                    np.array([m is not None for m in masks], dtype=bool), masks)
+                    MaskColumns.of(r.mask for r in records))
         items._all = records
         return items
 
-    def masks(self) -> list:
-        """The mask of each item, or None; built on first use."""
-        masks = self._masks
-        return masks.instances() if isinstance(masks, MaskColumns) else masks
-
-    def mask_columns(self) -> MaskColumns:
-        """The items' masks as :class:`MaskColumns`, made once."""
-        if not isinstance(self._masks, MaskColumns):
-            self._masks = MaskColumns.of(self._masks)
-        return self._masks
+    @property
+    def has_mask(self) -> np.ndarray:
+        """Whether each item has a mask."""
+        return self.masks.poly | self.masks.rle
 
     def take(self, at) -> "ItemColumns":
         """The items at the positions ``at``."""
         return ItemColumns(self.record, self.ids[at], self.image_ids[at], self.class_ids[at],
-                           self.boxes[at], self.values[at], self.has_mask[at],
-                           self.mask_columns().take(at))
+                           self.boxes[at], self.values[at], self.masks.take(at))
 
     def records(self, at=None) -> tuple:
         """The records at the positions ``at``, or all of them; all of them
         are built when the first is asked for."""
         if self._all is None:
-            masks, values = self.masks(), self.values.tolist()
+            masks, values = self.masks.instances(), self.values.tolist()
             self._all = tuple(map(
                 self.record, self.ids.tolist(), self.image_ids.tolist(),
                 self.class_ids.tolist(), [BBox(*b) for b in self.boxes.tolist()],
@@ -469,11 +458,11 @@ class _Records:
         self.check()
         return cols
 
-    def masks(self, segs) -> tuple:
-        """Check the records' segmentations, and return which records have a
-        mask and their :class:`MaskColumns`: no mask where a segmentation is
-        null or an empty list, else the polygons of a list of flat rings, or
-        the runs of a run-length object, on its image's canvas when known."""
+    def masks(self, segs) -> MaskColumns:
+        """Check the records' segmentations, and return their
+        :class:`MaskColumns`: no mask where a segmentation is null or an
+        empty list, else the polygons of a list of flat rings, or the runs of
+        a run-length object, on its image's canvas when known."""
         kinds = list(map(type, segs))
         self.fail(np.array([t not in (list, dict, type(None)) for t in kinds], bool),
                   ParseError, "segmentation must be polygon list or RLE object")
@@ -489,8 +478,7 @@ class _Records:
         canvas = np.array([c or (0, 0) for c in canvases], np.int64).reshape(-1, 2)
         known = np.array([c is not None for c in canvases], dtype=bool) & poly | rle
         canvas[rles] = sizes
-        return poly | rle, MaskColumns(canvas, known, poly, rings, ring_sizes, xy, rle,
-                                       counts, runs)
+        return MaskColumns(canvas, known, poly, rings, ring_sizes, xy, rle, counts, runs)
 
     def polygons(self, owners, rings_of) -> tuple:
         """Check the flat rings ``rings_of[j]`` of each record ``owners[j]``,
@@ -573,12 +561,11 @@ def load_ground_truth(path) -> GroundTruthSet:
     size = np.array(list(map(canvas_of.get, cols["image_id"].tolist())), float)
     xy, wh = np.split(cols["bbox"], 2, axis=1)
     boxes = _clamped(xy, xy + wh, size.reshape(-1, 2))
-    area, (has_mask, masks) = cols["area"], cols["segmentation"]
-    boxed = np.isnan(area) & ~has_mask
-    area[boxed] = np.prod(boxes[:, 2:], 1)[boxed]
-    return _ground_truth(anns, images, label_map, ItemColumns(
-        Annotation, cols["id"], cols["image_id"], cols["category_id"], boxes, area,
-        has_mask, masks))
+    items = ItemColumns(Annotation, cols["id"], cols["image_id"], cols["category_id"], boxes,
+                        cols["area"], cols["segmentation"])
+    boxed = np.isnan(items.values) & ~items.has_mask
+    items.values[boxed] = np.prod(boxes[:, 2:], 1)[boxed]
+    return _ground_truth(anns, images, label_map, items)
 
 
 def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
@@ -638,7 +625,7 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
     yes = np.ones(n, dtype=bool)
     return _ground_truth(regions, [image], labels, ItemColumns(
         Annotation, np.arange(1, n + 1), np.ones(n, np.int64), np.array(classes, np.int64),
-        boxes, np.full(n, np.nan), yes, MaskColumns(
+        boxes, np.full(n, np.nan), MaskColumns(
             np.tile([width, height], (n, 1)), yes, yes, rings, sizes, xy, ~yes,
             np.zeros(n, np.int64), np.empty(0, np.int64))))
 
@@ -657,7 +644,7 @@ def _ground_truth(records, images, label_map, items) -> GroundTruthSet:
     area = items.values
     unsized = np.flatnonzero(np.isnan(area))
     if unsized.size:
-        area[unsized] = items.mask_columns().areas(unsized)
+        area[unsized] = items.masks.areas(unsized)
     records.fail(_repeated(items.ids), ValidationError, "ann_id occurs more than once")
     records.fail(~(area > 0), GeometryError,
                  lambda k: f"area is {area[k].item()} (must be > 0)")
@@ -680,7 +667,7 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
         _DETECTION_FIELDS)
     return DetectionSet(labels, ItemColumns(
         Detection, np.arange(len(raw)), cols["image_id"], cols["category_id"], cols["bbox"],
-        cols["score"], *cols["segmentation"]))
+        cols["score"], cols["segmentation"]))
 
 
 def _label_map(records, path) -> LabelMap:
@@ -693,16 +680,24 @@ def _label_map(records, path) -> LabelMap:
 def _items_json(items, keys) -> list[dict]:
     """The JSON objects of ``items``, whose ids, image ids, class ids, boxes
     and values are written under ``keys``, in that order, unless a key is
-    None; an item with a mask has its "segmentation" last."""
+    None; an item with a mask has its "segmentation" last, cut from the
+    masks' buffers."""
     columns = (items.ids, items.image_ids, items.class_ids, items.boxes, items.values)
     named = {key: column.tolist() for key, column in zip(keys, columns) if key}
     rows = [dict(zip(named, row)) for row in zip(*named.values())]
-    masks = items.masks()
+    masks = items.masks.take(np.arange(items.ids.size))
+    rings = _split(_split(masks.xy.ravel().tolist(), 2 * masks.ring_sizes), masks.rings)
+    runs, sizes = _split(masks.runs.tolist(), masks.run_counts), masks.canvas[:, ::-1].tolist()
     for k in np.flatnonzero(items.has_mask).tolist():
-        polygons, rle = masks[k].polygons, masks[k].rle
-        rows[k]["segmentation"] = [p.to_flat() for p in polygons] if rle is None else {
-            "size": [rle.height, rle.width], "counts": rle.runs.tolist()}
+        rows[k]["segmentation"] = rings[k] if masks.poly[k] else {
+            "size": sizes[k], "counts": runs[k]}
     return rows
+
+
+def _split(items, counts) -> list:
+    """``items`` cut into consecutive slices of ``counts`` items each."""
+    ends = counts.cumsum().tolist()
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def json_text(doc) -> str:
@@ -765,9 +760,10 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     """Scale every coordinate to a new image size.
 
     Per-image scale factors are (to_width / width, to_height / height).
-    Polygon masks are scaled vertex-wise and re-rasterized lazily; an RLE-only
-    mask cannot be rescaled losslessly and raises unless ``force`` enables
-    nearest-neighbor resampling. Detection sets carry no image table, so their
+    Polygon masks are scaled vertex-wise, all vertices in one product; an
+    RLE-only mask cannot be rescaled losslessly and raises unless ``force``
+    enables nearest-neighbor resampling of its runs. The masks stay buffer
+    columns throughout. Detection sets carry no image table, so their
     source dimensions must be supplied via ``images``. A ground truth's area
     is recomputed from its scaled geometry: its mask's pixel count, else its
     box's area; it must stay positive, as on loading.
@@ -785,9 +781,7 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     items, canvas = dataset.items, (to_width, to_height)
     row_of = {im.image_id: k for k, im in enumerate(images)}
     rows = np.array([row_of.get(i, -1) for i in items.image_ids.tolist()], np.int64)
-    masks = items.masks()
-    rle = np.array([m is not None and m.rle is not None for m in masks], dtype=bool)
-    fault = np.flatnonzero((rows < 0) | rle & (not force))
+    fault = np.flatnonzero((rows < 0) | items.masks.rle & (not force))
     if fault.size:  # the lowest-index faulty item raises
         k = fault[0]
         if rows[k] < 0:
@@ -797,31 +791,28 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
                                 "from polygons; pass force to resample")
     sizes = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)
     factors = np.divide(canvas, sizes)[rows]
-    scaled = [m if m is None else _resampled(m.rle, canvas) if m.rle is not None
-              else m.scaled(*f, canvas=canvas) for m, f in zip(masks, factors.tolist())]
+    src = items.masks.take(np.arange(rows.size))
+    # each vertex times its item's (sx, sy), and each grid's runs resampled
+    xy = src.xy * factors[np.arange(rows.size).repeat(src.rings).repeat(src.ring_sizes)]
+    runs, sized = _split(src.runs, src.run_counts), src.canvas.tolist()
+    grids = [resampled_runs(runs[k], sized[k], canvas)
+             for k in np.flatnonzero(src.rle).tolist()]
+    counts = src.run_counts.copy()
+    counts[src.rle] = [g.size for g in grids]
+    masks = MaskColumns(np.tile(canvas, (rows.size, 1)), items.has_mask, src.poly, src.rings,
+                        src.ring_sizes, xy, src.rle, counts,
+                        np.concatenate([src.runs[:0], *grids]))
     boxes = items.boxes * np.tile(factors, 2)
+    columns = (items.ids, items.image_ids, items.class_ids, boxes)
     if kind == "detection":
-        return DetectionSet(dataset.label_map, ItemColumns(
-            Detection, items.ids, items.image_ids, items.class_ids, boxes, items.values,
-            items.has_mask, scaled))
+        return DetectionSet(dataset.label_map, ItemColumns(Detection, *columns, items.values,
+                                                           masks))
     # the area of a masked item is NaN, for _ground_truth to take from its mask
     area = np.where(items.has_mask, np.nan, boxes[:, 2] * boxes[:, 3])
     return _ground_truth(
         _Records([{}] * area.size, lambda k: f"annotation {items.ids[k]}"),
         [replace(im, width=to_width, height=to_height) for im in images], dataset.label_map,
-        ItemColumns(Annotation, items.ids, items.image_ids, items.class_ids, boxes, area,
-                    items.has_mask, scaled))
-
-
-def _resampled(rle, canvas) -> InstanceMask:
-    """The mask of the run-length grid ``rle`` resampled onto ``canvas`` by
-    nearest neighbor."""
-    bits = rle_decode(rle)
-    src_h, src_w = bits.shape
-    to_w, to_h = canvas
-    rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)
-    cols = np.minimum(((np.arange(to_w) + 0.5) * src_w / to_w).astype(int), src_w - 1)
-    return InstanceMask(rle=rle_encode(bits[rows][:, cols]), canvas=canvas)
+        ItemColumns(Annotation, *columns, area, masks))
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class Polygon:
         # adding 0.0 turns -0.0 into 0.0, which it equals
         return hash((self.vertices + 0.0).tobytes())
 
-    def to_flat(self) -> list[float]:
-        return self.vertices.ravel().tolist()
-
-    def scaled(self, sx: float, sy: float) -> "Polygon":
-        return Polygon(self.vertices * (sx, sy))
-
 
 @dataclass(frozen=True, eq=False)
 class RLEMask:
@@ -189,23 +183,32 @@ class RLEMask:
 def rle_encode(bits) -> RLEMask:
     """Run-length encode a 2-D bool grid."""
     bits = np.asarray(bits, dtype=bool)
-    height, width = bits.shape
-    flat = bits.ravel()
-    if flat.size == 0:
-        return RLEMask(width, height, ())
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(bounds)
-    if flat[0]:
-        runs = np.concatenate(([0], runs))
-    return RLEMask(width, height, runs)
+    return RLEMask(bits.shape[1], bits.shape[0], _runs(bits.ravel()))
 
 
 def rle_decode(rle: RLEMask) -> np.ndarray:
     """The full ``(height, width)`` bool grid of a run-length mask."""
-    values = np.zeros(len(rle.runs), dtype=bool)
-    values[1::2] = True
-    return np.repeat(values, rle.runs).reshape(rle.height, rle.width)
+    return _bits(rle.runs).reshape(rle.height, rle.width)
+
+
+def _runs(flat) -> np.ndarray:
+    """The runs of the flat bool grid ``flat``, the first a count of zeros."""
+    change = np.flatnonzero(np.diff(flat, prepend=False))
+    return np.diff(change, prepend=0, append=flat.size) if flat.size else change
+
+
+def _bits(runs) -> np.ndarray:
+    """The flat bool grid of ``runs``."""
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+
+
+def resampled_runs(runs, size, canvas) -> np.ndarray:
+    """The runs of the grid ``runs``, ``size`` ``(width, height)``, resampled
+    onto ``canvas`` by nearest neighbor."""
+    (src_w, src_h), (to_w, to_h) = size, canvas
+    rows = np.minimum(((np.arange(to_h) + 0.5) * src_h / to_h).astype(int), src_h - 1)
+    cols = np.minimum(((np.arange(to_w) + 0.5) * src_w / to_w).astype(int), src_w - 1)
+    return _runs(_bits(runs).reshape(src_h, src_w)[rows][:, cols].ravel())
 
 
 # a span pass takes masks, or pairs, of at most this many rows (see MaskColumns.rows), a
@@ -578,8 +581,3 @@ class InstanceMask:
         if self._spans is None:
             MaskColumns.of([self]).rects()
         return self._spans[1]
-
-    def scaled(self, sx: float, sy: float, canvas=None) -> "InstanceMask":
-        if self.polygons is None:
-            raise GeometryError("cannot scale an RLE-only mask losslessly")
-        return InstanceMask(polygons=[p.scaled(sx, sy) for p in self.polygons], canvas=canvas)

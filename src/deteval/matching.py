@@ -18,7 +18,7 @@ Two matchers are provided, each run over all images of a dataset at once:
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and every pair whose IoU is at or above a floor, from one pass over
 the sets' columns that computes each within-image cell once. In masks mode
-it reads each set's masks as columns (:meth:`ItemColumns.mask_columns`), and
+it reads each set's masks as columns (:attr:`ItemColumns.masks`), and
 the pairs whose mask windows overlap take their IoU from the masks' row spans
 (:func:`geometry.mask_ious`), with no mask object and no bit grid. The
 matchers keep the pairs at or above the IoU and confidence thresholds; a
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import Annotation, Detection, ItemColumns, LabelMap
+from .annotations import Annotation, Detection, ItemColumns, LabelMap, _split
 from .errors import ConfigError, GeometryError, MissingReferenceError
 from .geometry import mask_ious
 
@@ -174,7 +174,7 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
     a, b = _corners(gts.boxes[gt_item]), _corners(dets.boxes[det_item])
     masked = mode == "masks" and gts.has_mask.any() and dets.has_mask.any()
     if masked:
-        g_masks, d_masks = gts.mask_columns(), dets.mask_columns()
+        g_masks, d_masks = gts.masks, dets.masks
         g_has, d_has = gts.has_mask[gt_item], dets.has_mask[det_item]
     total = int(row_end[-1]) if row.size else 0
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
@@ -310,12 +310,6 @@ def _match(table: PairTable, t: Thresholds, algorithm: str) -> np.ndarray:
     return keep[_MATCHERS[algorithm](cut)]
 
 
-def _split(items, counts) -> list[tuple]:
-    """``items`` cut into consecutive tuples of ``counts`` items each."""
-    ends = counts.cumsum().tolist()
-    return [tuple(items[a:b]) for a, b in zip([0, *ends], ends)]
-
-
 def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
     """The :class:`MatchingResult` of each image of the table, from the
     matched pair positions that :func:`match_images` returns: the pairs in
@@ -333,7 +327,8 @@ def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
     n = table.n_gts.size
     return list(map(
         MatchingResult,
-        _split(_pairs(table, matched), np.bincount(gt_image[table.gt[matched]], minlength=n)),
+        _split(tuple(_pairs(table, matched)),
+               np.bincount(gt_image[table.gt[matched]], minlength=n)),
         _split(table.gt_items.records(table.gt_item[left]),
                np.bincount(gt_image[left], minlength=n)),
         _split(table.det_items.records(table.det_item[shown]),

@@ -192,7 +192,7 @@ def _match_cells(table, mode: str) -> dict:
         det_area = boxes[:, 2] * boxes[:, 3]
     if mode == "masks":
         masked = table.det_items.has_mask[table.det_item]
-        det_area[masked] = table.det_items.mask_columns().areas(table.det_item[masked])
+        det_area[masked] = table.det_items.masks.areas(table.det_item[masked])
     det_code = _strata(det_area)
     # each detection's rank in its cell, by score, then det_id
     det_image = np.repeat(np.arange(len(table.n_dets)), table.n_dets)

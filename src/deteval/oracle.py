@@ -1245,7 +1245,7 @@ def _det_to_json(d: Detection) -> dict:
 
 def _mask_to_json(mask: InstanceMask):
     if mask.polygons is not None:
-        return [p.to_flat() for p in mask.polygons]
+        return [p.vertices.ravel().tolist() for p in mask.polygons]
     return {
         "size": [mask.rle.height, mask.rle.width],
         "counts": mask.rle.runs.tolist(),
@@ -1292,7 +1292,8 @@ def _rescale_mask(mask, sx, sy, canvas, force, where):
     if mask is None:
         return None
     if mask.polygons is not None:
-        return mask.scaled(sx, sy, canvas=canvas)
+        return InstanceMask(polygons=[Polygon(p.vertices * (sx, sy)) for p in mask.polygons],
+                            canvas=canvas)
     if not force:
         raise LossyRescaleError(
             f"{where}: RLE-only mask cannot be rescaled from polygons; "

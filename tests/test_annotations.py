@@ -313,7 +313,7 @@ class TestLoadDetections:
         dets = load_detections(write_json(tmp_path / "det.json", rows), LabelMap([(1, "t")]))
         assert dets.detections[0].mask.area == 2
         # the grid's runs are a view of the file's buffer of all runs
-        assert dets.detections[0].mask.rle.runs.base is dets.items.mask_columns().runs
+        assert dets.detections[0].mask.rle.runs.base is dets.items.masks.runs
 
     def test_corrupt_rle(self, tmp_path):
         rows = [
@@ -677,9 +677,21 @@ class TestColumnarDifferential:
         det.save(tmp_path / "det.json")
         gt = load_ground_truth(tmp_path / "gt.json")
         det = load_detections(tmp_path / "det.json", gt.label_map, gt.images)
+        ratios = SplitRatios(0.5, 0.25, 0.25)
         for size in ((961, 541), (194, 122)):
             assert self._same_rescale(gt, *size, force=True) is None
             assert self._same_rescale(det, *size, images=gt.images, force=True) is None
+            # rescale's own buffer columns, rescaled again, split and saved
+            gt_again = rescale(gt, *size, force=True)
+            det_again = rescale(det, *size, images=gt.images, force=True)
+            assert self._same_rescale(gt_again, 500, 300, force=True) is None
+            assert self._same_rescale(det_again, 500, 300, images=gt_again.images,
+                                      force=True) is None
+            for new, ref in zip(stratified_split(gt_again, ratios, 7),
+                                reference_stratified_split(gt_again, ratios, 7), strict=True):
+                self._same(new, ref)
+            for dataset in (gt_again, det_again):
+                assert json_text(dataset.to_json()) == json_text(reference_to_json(dataset))
 
     @pytest.mark.parametrize("missing_first", [False, True])
     def test_rescale_raises_for_the_lowest_index(self, missing_first):

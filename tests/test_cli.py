@@ -865,34 +865,53 @@ class TestRecordsOnDemand:
         assert built == []
 
     @pytest.mark.parametrize("command", [
-        ["split", "--seed", "3"], ["rescale", "--width", "61", "--height", "43"]])
+        ["split", "--seed", "3"], ["rescale", "--width", "61", "--height", "43"],
+        ["rescale", "--width", "250", "--height", "180", "--force"], ["convert"]])
     def test_split_and_rescale_build_no_records(self, tmp_path, monkeypatch, command):
+        """Split, rescale and convert write the loader's buffers: they build
+        no record, box or mask object, whether the masks are polygons or
+        run-length grids."""
         from deteval.annotations import Annotation, Detection
-        from deteval.geometry import BBox, InstanceMask, Polygon
-        from deteval.oracle import ScenarioConfig, generate
+        from deteval.geometry import (
+            BBox, InstanceMask, MaskColumns, Polygon, RLEMask, rle_encode)
+        from deteval.oracle import ScenarioConfig, full_grid, generate
 
         gt_set, _ = generate(ScenarioConfig(seed=5, image_count=8, image_size=(122, 86)))
         doc = gt_set.to_json()
         write_json(tmp_path / "masks.json", doc)
+        # every other mask as the run-length grid of its pixels
+        for row, a in list(zip(doc["annotations"], gt_set.annotations))[::2]:
+            row["segmentation"] = {"size": [86, 122], "counts": rle_encode(full_grid(
+                InstanceMask(polygons=a.mask.polygons, canvas=(122, 86)).window(),
+                122, 86)).runs.tolist()}
+        write_json(tmp_path / "rle.json", doc)
         for ann in doc["annotations"]:
             del ann["segmentation"]
         write_json(tmp_path / "boxes.json", doc)
+        vott = write_json(tmp_path / "v.json", VOTT_EXPORT)
         built = []
-        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask):
+        for cls in (Annotation, Detection, BBox, Polygon, InstanceMask, RLEMask):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
                 built.append(_name)
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(MaskColumns, "instances", lambda c: built.append("instances"))
         out = str(tmp_path / command[0])
-        assert main([*command, "--gt", str(tmp_path / "boxes.json"), "--out", out]) == 0
-        assert built == []
-        assert main([*command, "--gt", str(tmp_path / "masks.json"), "--out", out]) == 0
-        # each source mask, of one polygon here, is built once; rescale builds
-        # one scaled mask of each too
-        masks = len(gt_set.annotations) * (2 if command[0] == "rescale" else 1)
-        assert built.count("InstanceMask") == built.count("Polygon") == masks
-        assert {"Annotation", "Detection", "BBox"}.isdisjoint(built)
+        if command[0] == "convert":
+            runs = [(["convert", "--vott", str(vott)], 0)]
+        else:
+            # rescale without --force refuses a run-length grid
+            lossy = 2 if command[:1] == ["rescale"] and "--force" not in command else 0
+            runs = [([*command, "--gt", str(tmp_path / name)], code) for name, code in (
+                ("boxes.json", 0), ("masks.json", 0), ("rle.json", lossy))]
+        for argv, code in runs:
+            assert main([*argv, "--out", out]) == code
+            assert built == []
+        if command[0] == "convert":  # and the converted file rescales the same way
+            assert main(["rescale", "--gt", out, "--width", "50", "--height", "70",
+                         "--out", str(tmp_path / "r.json")]) == 0
+            assert built == []
 
 
 class TestGreedyCalls:

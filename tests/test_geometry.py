@@ -49,7 +49,7 @@ def grid_iou(a: BBox, b: BBox, step: float = 0.05) -> float:
 
 def supersampled_area(polygon: Polygon, width: int, height: int, factor: int = 16) -> float:
     """Polygon area oracle: 256x supersampling (factor^2 points per pixel)."""
-    fine = rasterize(polygon.scaled(factor, factor), width * factor, height * factor)
+    fine = rasterize(Polygon(polygon.vertices * factor), width * factor, height * factor)
     return np.count_nonzero(fine) / factor**2
 
 

@@ -809,7 +809,7 @@ class TestColumnIntersection:
         gt_set, det_set = GroundTruthSet(images, LABELS, gts), DetectionSet(LABELS, dets)
         self.assert_scalar_equal(gt_set, det_set, monkeypatch)
         # the empty windows have no pixel; an empty union is 0.0
-        columns = det_set.items.mask_columns()
+        columns = det_set.items.masks
         assert columns.areas(np.arange(5, 7)).tolist() == [0, 0]
         assert columns.rects()[6].tolist() == [20, 20, 20, 20]
         ious = iou_matrix(gts, dets, "masks")
@@ -821,14 +821,14 @@ class TestColumnIntersection:
         gt_set, _ = generate(ScenarioConfig(seed=3, image_count=2, image_size=(40, 30)))
         gt_set.save(tmp_path / "gt.json")
         for items in (gt_set.items, load_ground_truth(tmp_path / "gt.json").items):
-            columns = items.mask_columns()
+            columns = items.masks
             rects, areas = columns.rects(), columns.areas(np.arange(items.ids.size))
             assert columns.rects() is rects  # computed once
             # pixel counts in float64, whose sums cannot wrap as int64 ones can
             assert (rects.dtype, areas.dtype) == (np.int64, np.float64)
             assert rects.shape == (areas.size, 4)
             for (x0, y0, x1, y1), area, mask in zip(rects.tolist(), areas.tolist(),
-                                                    gt_set.items.masks()):
+                                                    gt_set.items.masks.instances()):
                 window, wx, wy = mask.window()
                 assert (x0, y0) == (wx, wy) and (y1 - y0, x1 - x0) == window.shape
                 assert area == mask.area == np.count_nonzero(window)

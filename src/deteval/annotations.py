@@ -560,7 +560,7 @@ def load_ground_truth(path) -> GroundTruthSet:
     cols = anns.table(_ANNOTATION_FIELDS)
     size = np.array(list(map(canvas_of.get, cols["image_id"].tolist())), float)
     xy, wh = np.split(cols["bbox"], 2, axis=1)
-    boxes = _clamped(xy, xy + wh, size.reshape(-1, 2))
+    boxes = _clamped(xy, xy + wh, wh, size.reshape(-1, 2))
     items = ItemColumns(Annotation, cols["id"], cols["image_id"], cols["category_id"], boxes,
                         cols["area"], cols["segmentation"])
     boxed = np.isnan(items.values) & ~items.has_mask
@@ -621,7 +621,8 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
         labels = LabelMap((i, tag) for tag, i in class_ids.items())
     # a region outside the image has an area of 0, which is refused
     first, size = sizes.cumsum() - sizes, [float(width), float(height)]
-    boxes = _clamped(np.minimum.reduceat(xy, first), np.maximum.reduceat(xy, first), size)
+    lo, hi = np.minimum.reduceat(xy, first), np.maximum.reduceat(xy, first)
+    boxes = _clamped(lo, hi, hi - lo, size)
     yes = np.ones(n, dtype=bool)
     return _ground_truth(regions, [image], labels, ItemColumns(
         Annotation, np.arange(1, n + 1), np.ones(n, np.int64), np.array(classes, np.int64),
@@ -630,11 +631,11 @@ def load_vott(path, labels: LabelMap | None = None) -> GroundTruthSet:
             np.zeros(n, np.int64), np.empty(0, np.int64))))
 
 
-def _clamped(lo, hi, size) -> np.ndarray:
+def _clamped(lo, hi, wh, size) -> np.ndarray:
     """The ``(x, y, w, h)`` boxes of the corners ``lo`` and ``hi``, each
-    clamped to ``[0, size]``."""
-    lo, hi = (np.minimum(size, np.maximum(0.0, c)) for c in (lo, hi))
-    return np.concatenate([lo, hi - lo], 1)
+    clamped to ``[0, size]``; an extent with neither end clamped stays ``wh``."""
+    a, b = (np.minimum(size, np.maximum(0.0, c)) for c in (lo, hi))
+    return np.concatenate([a, np.where((a == lo) & (b == hi), wh, b - a)], 1)
 
 
 def _ground_truth(records, images, label_map, items) -> GroundTruthSet:

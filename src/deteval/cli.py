@@ -113,25 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formats(args) -> set[str]:
-    chosen = {f.strip() for f in args.format.split(",") if f.strip()}
-    bad = chosen - set(FORMATS)
-    if bad:
-        raise ParseError(f"unknown output format(s): {sorted(bad)}")
-    if not chosen:
+def _inputs(args, outputs: set[str]):
+    """The thresholds, chosen formats, ground truth and detections of
+    ``evaluate`` or ``compare``, whose formats with an output are ``outputs``."""
+    thresholds = Thresholds(args.iou, args.conf, args.mode)
+    formats = {f.strip() for f in args.format.split(",") if f.strip()}
+    if formats - set(FORMATS):
+        raise ParseError(f"unknown output format(s): {sorted(formats - set(FORMATS))}")
+    if not formats:
         raise ParseError(f"--format chooses no output: {args.format!r}")
-    return chosen
-
-
-def _thresholds(args) -> Thresholds:
-    return Thresholds(args.iou, args.conf, args.mode)
+    if not formats & outputs:
+        raise ParseError(f"--format chooses no output of {args.command} "
+                         f"({', '.join(sorted(outputs))}): {args.format!r}")
+    gt = load_ground_truth(args.gt)
+    return thresholds, formats, gt, load_detections(args.det, gt.label_map, gt.images)
 
 
 def cmd_evaluate(args) -> int:
-    thresholds = _thresholds(args)
-    formats = _formats(args)
-    gt = load_ground_truth(args.gt)
-    det = load_detections(args.det, gt.label_map, gt.images)
+    thresholds, formats, gt, det = _inputs(args, set(FORMATS))
     report, cm = full_report(gt, det, thresholds, args.algorithm)
 
     out = Path(args.out)
@@ -149,12 +148,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    thresholds = _thresholds(args)
-    formats = _formats(args)
-    if not formats & {"csv", "svg"}:
-        raise ParseError(f"--format chooses no output of compare (csv, svg): {args.format!r}")
-    gt = load_ground_truth(args.gt)
-    det = load_detections(args.det, gt.label_map, gt.images)
+    thresholds, formats, gt, det = _inputs(args, {"csv", "svg"})
     table = image_ious(gt, det, thresholds.geometry_mode, thresholds.iou_threshold)
     _, conv = match_images(table, gt.label_map, thresholds, "conventional")
     _, mod = match_images(table, gt.label_map, thresholds, "modified")

@@ -33,7 +33,3 @@ class ConfigError(EvalError):
 
 class LossyRescaleError(EvalError):
     """Rescaling would resample a run-length mask that has no source polygon."""
-
-
-class InstanceTooLargeError(EvalError):
-    """An exhaustive oracle was asked to enumerate an instance beyond its cap."""

@@ -1,15 +1,16 @@
 """Pure geometric kernels.
 
-Boxes, mask spans and mask IoU, a run-length mask codec, and the
-small/medium/large area bounds. All operations are stateless and safe
-to call concurrently, except that an :class:`InstanceMask` caches its spans.
+Boxes, mask spans, the IoU of (gt, det) pairs of boxes (:func:`box_ious`) and of
+masks (:func:`mask_ious`), a run-length mask codec, and the small/medium/large
+area bounds. All operations are stateless and safe to call concurrently, except
+that an :class:`InstanceMask` caches its spans.
 
 A mask is read as row spans, runs of its pixels in one row, with no bit grid:
 :class:`MaskColumns` holds a set's masks as columns and gives their windows,
-pixel counts and spans in bounded passes, and :func:`mask_ious`
-joins the spans of (gt, det) pairs. :meth:`InstanceMask.window` fills a
-mask's spans into its bit grid, which ``oracle.instance_iou``, the scalar
-reference, intersects.
+pixel counts and spans in bounded passes, and :func:`mask_ious` joins the spans
+of the pairs whose windows overlap. :meth:`InstanceMask.window` fills a mask's
+spans into its bit grid, which ``oracle.instance_iou``, the scalar reference,
+intersects.
 
 Conventions:
   * Boxes are ``(x, y, w, h)`` with a top-left origin; corners are ``x + w``
@@ -64,6 +65,21 @@ class BBox:
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def box_ious(a, b, i, j) -> np.ndarray:
+    """The IoU (``oracle.box_iou``) of each pair of box ``i[p]`` of the ``(N, 4)`` boxes
+    ``a`` and box ``j[p]`` of ``b``, in the scalar reference's operation order."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a.take(i, 0).T, b.take(j, 0).T
+    # overflow to inf is silent, as in the scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        area_a, area_b = aw * ah, bw * bh
+        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+        inter = np.minimum(np.minimum(inter, area_a), area_b)
+        union = (area_a + area_b) - inter
+        return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0))
 
 
 # the bound on a polygon coordinate's magnitude: beyond it no two pixels are
@@ -338,14 +354,15 @@ def _rle_bounds(runs, counts, widths) -> tuple[np.ndarray, np.ndarray]:
     return rects, np.bincount(owner, weights=length, minlength=counts.size)
 
 
-def _shared(g_spans, g_rect, d_spans, d_rect, g, d, top, bottom) -> np.ndarray:
-    """The pixels (float64) that mask ``g[p]`` of ``g_spans`` and mask ``d[p]`` of ``d_spans``
-    (windows ``g_rect``, ``d_rect``) share in rows ``[top[p], bottom[p])``: each span of
-    ``g[p]`` there counts the cells of ``d[p]`` left of its two ends. A row's slot counts it
-    from its window's top after the windows before it, which a pass bounds: no canvas
-    overflows it."""
-    (g_mask, g_row, g_x0, g_x1), (d_mask, d_row, d_x0, d_x1) = g_spans, d_spans
-    g_base, d_base = ((r[:, 3] - r[:, 1]).cumsum() - r[:, 3] for r in (g_rect, d_rect))
+def _shared(gts, dets, g, d, top, bottom) -> np.ndarray:
+    """The pixels (float64) that mask ``g[p]`` of the :class:`MaskColumns` ``gts`` and mask
+    ``d[p]`` of ``dets`` share in rows ``[top[p], bottom[p])``: each span of ``g[p]`` there
+    counts the cells of ``d[p]`` left of its two ends. A row's slot counts it from its
+    window's top after the windows before it, which a pass bounds: no canvas overflows it."""
+    (gu, g), (du, d) = _dense(g, gts.poly.size), _dense(d, dets.poly.size)
+    (g_mask, g_row, g_x0, g_x1), (d_mask, d_row, d_x0, d_x1) = gts.spans(gu), dets.spans(du)
+    g_base, d_base = ((r[:, 3] - r[:, 1]).cumsum() - r[:, 3]
+                      for r in (gts.rects()[gu], dets.rects()[du]))
     base = g_base[g]
     lo, hi = np.searchsorted(g_base[g_mask] + g_row, np.stack([base + top, base + bottom]))
     n = hi - lo
@@ -368,19 +385,26 @@ def _shared(g_spans, g_rect, d_spans, d_rect, g, d, top, bottom) -> np.ndarray:
 
 def mask_ious(gts, dets, g, d) -> np.ndarray:
     """The IoU (``oracle.instance_iou``) of each pair of mask ``g[p]`` of the
-    :class:`MaskColumns` ``gts`` and mask ``d[p]`` of ``dets``, from their spans, in passes
-    of ``SPAN_CHUNK_ROWS`` rows that take each mask once; pixel counts in float64, so no
-    union overflows."""
-    g_rect, d_rect = gts.rects(), dets.rects()
-    top = np.maximum(g_rect[g, 1], d_rect[d, 1])
-    bottom = np.maximum(np.minimum(g_rect[g, 3], d_rect[d, 3]), top)
-    inter = np.zeros(g.size)
+    :class:`MaskColumns` ``gts`` and mask ``d[p]`` of ``dets``; raises for the first pair
+    whose known canvases differ, whether or not their windows overlap. A pair whose windows
+    are disjoint is 0.0, its pixels not counted; the others join their spans in
+    :func:`_shared`, in passes of ``SPAN_CHUNK_ROWS`` rows that take each mask once. Pixel
+    counts are float64, so no union overflows."""
+    gc, dc = gts.canvas[g], dets.canvas[d]
+    differ = np.flatnonzero(gts.known[g] & dets.known[d] & (gc != dc).any(1))
+    if differ.size:
+        raise GeometryError(f"mask canvases differ: {tuple(gc[differ[0]].tolist())}"
+                            f" vs {tuple(dc[differ[0]].tolist())}")
+    g_rect, d_rect, ious = gts.rects()[g], dets.rects()[d], np.zeros(g.size)
+    lo, hi = np.maximum(g_rect[:, :2], d_rect[:, :2]), np.minimum(g_rect[:, 2:], d_rect[:, 2:])
+    over = np.flatnonzero((lo < hi).all(axis=1))
+    g, d, top, bottom = g[over], d[over], lo[over, 1], hi[over, 1]
+    inter = np.zeros(over.size)
     for a, b in _chunks(bottom - top + gts.rows(g) + dets.rows(d)):
-        (gu, gk), (du, dk) = _dense(g[a:b], g_rect.shape[0]), _dense(d[a:b], d_rect.shape[0])
-        inter[a:b] = _shared(gts.spans(gu), g_rect[gu], dets.spans(du), d_rect[du],
-                             gk, dk, top[a:b], bottom[a:b])
+        inter[a:b] = _shared(gts, dets, g[a:b], d[a:b], top[a:b], bottom[a:b])
     union = gts.areas(g) + dets.areas(d) - inter
-    return np.divide(inter, union, out=np.zeros(g.size), where=union > 0)
+    ious[over] = np.divide(inter, union, out=np.zeros(over.size), where=union > 0)
+    return ious
 
 
 class MaskColumns:

@@ -17,10 +17,10 @@ Two matchers are provided, each run over all images of a dataset at once:
 
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and every pair whose IoU is at or above a floor, from one pass over
-the sets' columns that computes each within-image cell once. In masks mode
-it reads each set's masks as columns (:attr:`ItemColumns.masks`), and
-the pairs whose mask windows overlap take their IoU from the masks' row spans
-(:func:`geometry.mask_ious`), with no mask object and no bit grid. The
+the sets' columns that computes each within-image cell once. A cell's IoU
+is its boxes' (:func:`geometry.box_ious`), or in masks mode, when both sides
+have a mask, its masks' (:func:`geometry.mask_ious`), read from each set's
+mask columns (:attr:`ItemColumns.masks`) with no mask object. The
 matchers keep the pairs at or above the IoU and confidence thresholds; a
 pair never spans two images, so no per-image pass is needed.
 :func:`accumulate` reduces any number of per-image results into one
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import Annotation, Detection, ItemColumns, LabelMap, _split
-from .errors import ConfigError, GeometryError, MissingReferenceError
-from .geometry import mask_ious
+from .errors import ConfigError, MissingReferenceError
+from .geometry import box_ious, mask_ious
 
 GEOMETRY_MODES = ("boxes", "masks")
 ALGORITHMS = ("conventional", "modified")
@@ -82,29 +82,6 @@ class MatchingResult:
     matched: tuple[MatchPair, ...]
     unmatched_gts: tuple[Annotation, ...]
     unmatched_dets: tuple[Detection, ...]
-
-
-def _corners(boxes) -> tuple[np.ndarray, ...]:
-    """The ``x, y, x + w, y + h, w * h`` columns of ``(N, 4)`` boxes, each
-    as the scalar reference ``oracle.box_iou`` computes it."""
-    x, y, w, h = boxes.T
-    # overflow to inf is silent, as in the scalar float arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x, y, x + w, y + h, w * h
-
-
-def _box_iou(a, b) -> np.ndarray:
-    """The IoU of each pair of boxes of the :func:`_corners` ``a`` and ``b``,
-    in the operation order of the scalar reference ``oracle.box_iou``."""
-    ax, ay, ax2, ay2, area_a = a
-    bx, by, bx2, by2, area_b = b
-    with np.errstate(over="ignore", invalid="ignore"):
-        iw = np.minimum(ax2, bx2) - np.maximum(ax, bx)
-        ih = np.minimum(ay2, by2) - np.maximum(ay, by)
-        inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-        inter = np.minimum(np.minimum(inter, area_a), area_b)
-        union = (area_a + area_b) - inter
-        return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0))
 
 
 def iou_matrix(gts, dets, mode: str) -> np.ndarray:
@@ -158,10 +135,9 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
 
     The (gt, det) cells of all images are taken in passes of at most
     ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
-    are kept. In masks mode, a pair with masks on both sides takes their
-    IoU (``oracle.instance_iou``), from :func:`mask_ious` where their windows
-    overlap; a pass raises first, as that function does, for its first pair
-    whose known canvases differ, whether or not their windows overlap."""
+    are kept. A cell's IoU is its boxes' (:func:`geometry.box_ious`), or in
+    masks mode, for a pair with masks on both sides, its masks'
+    (:func:`geometry.mask_ious`)."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))
     n_gts = np.bincount(gt_image[gt_item], minlength=len(image_id))
@@ -171,31 +147,19 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
     row = n_dets[gt_image[gt_item]]
     row_end = row.cumsum()
     shift = (n_dets.cumsum() - n_dets)[gt_image[gt_item]] - (row_end - row)
-    a, b = _corners(gts.boxes[gt_item]), _corners(dets.boxes[det_item])
-    masked = mode == "masks" and gts.has_mask.any() and dets.has_mask.any()
-    if masked:
-        g_masks, d_masks = gts.masks, dets.masks
-        g_has, d_has = gts.has_mask[gt_item], dets.has_mask[det_item]
+    g_has, d_has = gts.has_mask, dets.has_mask
+    masked = mode == "masks" and g_has.any() and d_has.any()
     total = int(row_end[-1]) if row.size else 0
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     for lo in range(0, total, PAIR_CHUNK_CELLS):
         cell = np.arange(lo, min(lo + PAIR_CHUNK_CELLS, total))
         g = np.searchsorted(row_end, cell, side="right")
         d = cell + shift[g]
-        iou = _box_iou([c[g] for c in a], [c[d] for c in b])
+        i, j = gt_item[g], det_item[d]
+        iou = box_ious(gts.boxes, dets.boxes, i, j)
         if masked:
-            both = np.flatnonzero(g_has[g] & d_has[d])
-            i, j = gt_item[g[both]], det_item[d[both]]
-            gc, dc = g_masks.canvas[i], d_masks.canvas[j]
-            differ = np.flatnonzero(g_masks.known[i] & d_masks.known[j] & (gc != dc).any(1))
-            if differ.size:
-                raise GeometryError(f"mask canvases differ: {tuple(gc[differ[0]].tolist())}"
-                                    f" vs {tuple(dc[differ[0]].tolist())}")
-            g_rect, d_rect = g_masks.rects(), d_masks.rects()
-            over = (np.maximum(g_rect[i, :2], d_rect[j, :2])
-                    < np.minimum(g_rect[i, 2:], d_rect[j, 2:])).all(axis=1)
-            iou[both] = 0.0
-            iou[both[over]] = mask_ious(g_masks, d_masks, i[over], j[over])
+            both = np.flatnonzero(g_has[i] & d_has[j])
+            iou[both] = mask_ious(gts.masks, dets.masks, i[both], j[both])
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
     return PairTable(floor, image_id, gts, dets, gt_item, det_item, n_gts, n_dets,

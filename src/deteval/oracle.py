@@ -40,8 +40,8 @@ from .annotations import (
 )
 from .errors import (
     ConfigError,
+    EvalError,
     GeometryError,
-    InstanceTooLargeError,
     LossyRescaleError,
     MissingReferenceError,
     ParseError,
@@ -364,6 +364,10 @@ def full_grid(window, width: int, height: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # exhaustive maximum matching
+
+
+class InstanceTooLargeError(EvalError):
+    """An exhaustive oracle was asked to enumerate an instance beyond its cap."""
 
 
 def max_matching(
@@ -959,7 +963,10 @@ def _clamp_bbox(bbox: BBox, image: ImageRecord) -> BBox:
     y0 = min(max(bbox.y, 0.0), float(image.height))
     x1 = min(max(bbox.x2, 0.0), float(image.width))
     y1 = min(max(bbox.y2, 0.0), float(image.height))
-    return BBox(x0, y0, x1 - x0, y1 - y0)
+    # an extent with neither end clamped keeps its given size
+    w = bbox.w if (x0, x1) == (bbox.x, bbox.x2) else x1 - x0
+    h = bbox.h if (y0, y1) == (bbox.y, bbox.y2) else y1 - y0
+    return BBox(x0, y0, w, h)
 
 
 def reference_load_ground_truth(path) -> GroundTruthSet:

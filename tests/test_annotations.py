@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import minimal_gt_dict, write_json
@@ -243,8 +243,18 @@ def vott_exports(width, height):
     )
 
 
+def box_spans(width):
+    """``(width, x0, x1)`` with ``0 <= x0 < x1 <= width``."""
+    return st.floats(0, width, exclude_max=True).flatmap(lambda x0: st.tuples(
+        st.just(width), st.just(x0), st.floats(x0, width, exclude_min=True)))
+
+
 class TestLoadVott:
     @settings(max_examples=100, deadline=None)
+    # the region's box is w = 1.0 wide from x0 = 0.99999, and (x0 + w) - x0 is not w
+    @example({"asset": {"size": {"width": 3, "height": 1}}, "regions": [{
+        "tags": ["A"], "points": [{"x": x, "y": y} for x, y in (
+            (0.99999, 0), (1.9999900000000002, 0), (1.9999900000000002, 1), (0.99999, 1))]}]})
     @given(
         st.tuples(st.integers(1, 64), st.integers(1, 64)).flatmap(
             lambda size: vott_exports(*size)
@@ -263,12 +273,12 @@ class TestLoadVott:
         assert load_ground_truth(out) == expected
 
     @settings(max_examples=500, deadline=None)
-    @given(width=st.sampled_from([100, 960, 3840]), data=st.data())
-    def test_clamped_box_keeps_its_width(self, tmp_path_factory, width, data):
-        # convert writes the width x1 - x0; the loader recomputes it as
-        # (x0 + w) - x0 after clamping to the image
-        x0 = data.draw(st.floats(0, width, exclude_max=True))
-        x1 = data.draw(st.floats(x0, width, exclude_min=True))
+    @example((100, 0.99999, 1.9999900000000002))  # (x0 + w) - x0 is 0.9999999999999999
+    @given(st.sampled_from([100, 960, 3840]).flatmap(box_spans))
+    def test_clamped_box_keeps_its_width(self, tmp_path_factory, span):
+        # convert writes the width x1 - x0; the loader clamps the corners x0
+        # and x0 + w to the image, and keeps w where neither is clamped
+        width, x0, x1 = span
         doc = minimal_gt_dict()
         doc["images"][0].update(width=width, height=1)
         doc["annotations"][0].update(bbox=[x0, 0.0, x1 - x0, 1.0], area=1.0)

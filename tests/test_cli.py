@@ -791,11 +791,11 @@ class TestIouOncePerImage:
         import deteval.matching
 
         cells, tables = [], []
-        box_iou, build = deteval.matching._box_iou, deteval.matching._pair_table
+        box_ious, build = deteval.matching.box_ious, deteval.matching._pair_table
 
-        def counting(a, b):
-            cells.append(a[0].size)
-            return box_iou(a, b)
+        def counting(a, b, i, j):
+            cells.append(i.size)
+            return box_ious(a, b, i, j)
 
         def counting_tables(*args):
             tables.append(args[-1])
@@ -804,7 +804,7 @@ class TestIouOncePerImage:
         def no_matrix(*args):
             raise AssertionError("a per-image IoU matrix was built")
 
-        monkeypatch.setattr(deteval.matching, "_box_iou", counting)
+        monkeypatch.setattr(deteval.matching, "box_ious", counting)
         monkeypatch.setattr(deteval.matching, "_pair_table", counting_tables)
         monkeypatch.setattr(deteval.matching, "iou_matrix", no_matrix)
         within_image = sum(len(gts) * len(det_set.by_image().get(i, []))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval import matching
+from deteval import geometry, matching
 from deteval.annotations import (
     Annotation,
     Detection,
@@ -710,15 +710,15 @@ class TestErrorOrder:
 
 
 def _joined(monkeypatch) -> list:
-    """The (gt, det) item pairs that the pair table joins, each time it
-    passes them to :func:`geometry.mask_ious`."""
-    joined, join = [], matching.mask_ious
+    """The (gt, det) item pairs whose spans the pair table joins, each time
+    :func:`geometry.mask_ious` passes them to its span join."""
+    joined, join = [], geometry._shared
 
-    def recorded(gts, dets, g, d):
+    def recorded(gts, dets, g, d, top, bottom):
         joined.extend(zip(g.tolist(), d.tolist()))
-        return join(gts, dets, g, d)
+        return join(gts, dets, g, d, top, bottom)
 
-    monkeypatch.setattr(matching, "mask_ious", recorded)
+    monkeypatch.setattr(geometry, "_shared", recorded)
     return joined
 
 
@@ -930,8 +930,6 @@ class TestCanvasCheck:
 
 class TestWindowCache:
     def test_repeated_calls_prepare_each_mask_once(self, monkeypatch):
-        from deteval import geometry
-
         gt_set, det_set = generate(ScenarioConfig(
             seed=4, image_count=1, gts_per_image=(6, 6), jitter_px=3.0, clutter_rate=0.5,
             image_size=(64, 48)))

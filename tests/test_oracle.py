@@ -3,10 +3,11 @@ import json
 import pytest
 
 from deteval.annotations import Annotation, Detection, LabelMap
-from deteval.errors import ConfigError, InstanceTooLargeError
+from deteval.errors import ConfigError, EvalError
 from deteval.geometry import BBox
 from deteval.matching import Thresholds, accumulate, match_conventional, match_modified
 from deteval.oracle import (
+    InstanceTooLargeError,
     ScenarioConfig,
     compare,
     generate,
@@ -92,6 +93,7 @@ class TestMaxMatching:
         ]
         with pytest.raises(InstanceTooLargeError):
             max_matching(gts, [], 0.5)
+        assert issubclass(InstanceTooLargeError, EvalError)
 
 
 class TestReferenceConventional:

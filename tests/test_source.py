@@ -29,6 +29,17 @@ def test_only_geometry_reads_the_mask_window_cache():
     assert readers == []
 
 
+def test_matching_leaves_each_pair_rule_to_geometry():
+    """The pair table only enumerates cells: ``matching`` defines no box-IoU
+    kernel and reads no mask canvas, known flag or window, so the canvas
+    check, the window test and both IoU kernels live in ``geometry``
+    (``box_ious`` and ``mask_ious``) alone."""
+    text = (Path(deteval.__file__).parent / "matching.py").read_text(encoding="utf-8")
+    found = re.findall(
+        r"def \w*(?:corners|box_iou)\w*|\.(?:canvas|known)\b|\.rects\(|\bGeometryError\b", text)
+    assert found == []
+
+
 def test_each_aggregate_index_is_spelled_once():
     """The twelve AP/AR keys and their class-metrics CSV labels are written
     once, in ``metrics.AGGREGATES``; every other module reads them there."""

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from itertools import chain, count
+from operator import countOf
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +306,14 @@ def _numbers(values):
 
 def _integers(values):
     """``values`` as int64, and the mask of those that are not integers
-    (read as 0)."""
+    (read as 0). JSON integers within int64 convert straight to int64; any
+    other value goes through float64, which refuses the same values."""
+    if countOf(map(type, values), int) == len(values):
+        with contextlib.suppress(OverflowError):  # an int beyond int64
+            x = np.fromiter(values, np.int64, len(values))
+            bad = (x <= -_INT_LIMIT) | (x >= _INT_LIMIT)
+            x[bad] = 0
+            return x, bad
     x, bad = _numbers(values)
     bad |= ~((np.abs(x) < _INT_LIMIT) & (x == np.floor(x)))
     x[bad] = 0

@@ -149,7 +149,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     thresholds, formats, gt, det = _inputs(args, {"csv", "svg"})
-    table = image_ious(gt, det, thresholds.geometry_mode, thresholds.iou_threshold)
+    table = image_ious(gt, det, thresholds.geometry_mode, thresholds.iou_threshold,
+                       thresholds.confidence_threshold, False)
     _, conv = match_images(table, gt.label_map, thresholds, "conventional")
     _, mod = match_images(table, gt.label_map, thresholds, "modified")
     stats = DeltaStats.from_matrices(conv, mod, gt.label_map, 1)

@@ -16,8 +16,12 @@ Two matchers are provided, each run over all images of a dataset at once:
   rounds in which every free ground truth proposes at once.
 
 Both read the pair table of :func:`image_ious`: the items of all images as
-columns, and every pair whose IoU is at or above a floor, from one pass over
-the sets' columns that computes each within-image cell once. A cell's IoU
+columns, and the pairs whose IoU is at or above a floor among the cells the
+command reads, from one pass over the sets' columns that computes each such
+within-image cell once. The matchers read the cells whose detection scores at
+or above the confidence threshold, and the AP/AR suite the same-class cells at
+any score; a table built for one command holds only the cells its readers
+read, and a reader given a table that lacks some raises. A cell's IoU
 is its boxes' (:func:`geometry.box_ious`), or in masks mode, when both sides
 have a mask, its masks' (:func:`geometry.mask_ious`), read from each set's
 mask columns (:attr:`ItemColumns.masks`) with no mask object. The
@@ -111,8 +115,9 @@ def _pairs(table, at) -> list[MatchPair]:
 def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     """All (gt, det) pairs at or above the IoU threshold, in (gt, det) order.
 
-    Detections are expected to be pre-filtered to the confidence threshold;
-    all items must belong to one image.
+    Every pair counts, whatever its detection's score: the confidence
+    threshold is not applied, so pass only the detections at or above it to
+    get the pairs the matchers read. All items must belong to one image.
     """
     table = _image_table(gts, dets, t.geometry_mode, t.iou_threshold)
     return _pairs(table, np.arange(table.iou.size))
@@ -120,41 +125,71 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
 
 # the items of all images, in image order and in load order within an image:
 # the sets' ItemColumns, each item's position there, per-image counts and the
-# id, class and score columns; and every pair at or above ``floor``, in
-# (image, gt, det) order, as its gt and det positions and its IoU
-PairTable = namedtuple("PairTable", "floor image_id gt_items det_items gt_item det_item "
-                       "n_gts n_dets gt_id gt_class det_id det_class score gt det iou")
+# id, class and score columns; and the pairs at or above ``floor`` among the
+# cells held, in (image, gt, det) order, as their gt and det positions and
+# IoU. The cells held are those of the detections scoring at or above
+# ``conf``, and if ``same_class`` every same-class cell too
+PairTable = namedtuple("PairTable", "floor conf same_class image_id gt_items det_items "
+                       "gt_item det_item n_gts n_dets gt_id gt_class det_id det_class score "
+                       "gt det iou")
 # the cells of one pass of :func:`_pair_table`, which bounds its temporaries
 PAIR_CHUNK_CELLS = 1 << 14
 
 
-def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: float):
+def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: float,
+                conf: float = -np.inf, same_class: bool = True):
     """The :class:`PairTable` of the :class:`ItemColumns` ``gts`` and
     ``dets`` on the images ``image_id``; ``gt_image`` and ``det_image`` give
     each item's image as a position in ``image_id``, or -1 to leave it out.
 
-    The (gt, det) cells of all images are taken in passes of at most
+    The table holds the within-image (gt, det) cells whose detection scores
+    at or above ``conf`` and, if ``same_class``, the same-class cells at any
+    score; the items, counts and columns stay whole. A cell not held costs
+    no IoU. The held cells are taken in passes of at most
     ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
     are kept. A cell's IoU is its boxes' (:func:`geometry.box_ious`), or in
     masks mode, for a pair with masks on both sides, its masks'
     (:func:`geometry.mask_ious`)."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))
-    n_gts = np.bincount(gt_image[gt_item], minlength=len(image_id))
-    n_dets = np.bincount(det_image[det_item], minlength=len(image_id))
-    # the cells are the ground truths' rows in order, each row the
-    # detections of the ground truth's image
-    row = n_dets[gt_image[gt_item]]
+    g_image, d_image = gt_image[gt_item], det_image[det_item]
+    n_gts = np.bincount(g_image, minlength=len(image_id))
+    n_dets = np.bincount(d_image, minlength=len(image_id))
+    gt_class, det_class, score = (gts.class_ids[gt_item], dets.class_ids[det_item],
+                                  dets.values[det_item])
+    # each ground truth's rows of cells: the shown detections of its image,
+    # then, if same_class, the others of its image and class. The detections
+    # are keyed by image, then the others after them by (image, class code)
+    shown = score >= conf
+    rows = 1 + (same_class and not shown.all())
+    member, d_key, g_key = np.flatnonzero(shown), d_image[shown], g_image
+    row_gt = np.arange(gt_class.size)
+    if rows > 1:
+        code = np.unique(np.append(gt_class, det_class), return_inverse=True)[1]
+        key = len(image_id) + np.append(g_image, d_image) * (code.max() + 1) + code
+        g_other, d_other = key[: gt_class.size], key[gt_class.size :]
+        other = np.flatnonzero(~shown)
+        other = other[np.argsort(d_other[other], kind="stable")]
+        member, d_key = np.append(member, other), np.append(d_key, d_other[other])
+        g_key, row_gt = np.append(g_key, g_other), np.append(row_gt, row_gt)
+    first, end = (np.searchsorted(d_key, g_key, side) for side in ("left", "right"))
+    row = end - first
     row_end = row.cumsum()
-    shift = (n_dets.cumsum() - n_dets)[gt_image[gt_item]] - (row_end - row)
+    row_start = row_end - row
+    shift = first - row_start
     g_has, d_has = gts.has_mask, dets.has_mask
     masked = mode == "masks" and g_has.any() and d_has.any()
     total = int(row_end[-1]) if row.size else 0
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     for lo in range(0, total, PAIR_CHUNK_CELLS):
-        cell = np.arange(lo, min(lo + PAIR_CHUNK_CELLS, total))
-        g = np.searchsorted(row_end, cell, side="right")
-        d = cell + shift[g]
+        hi = min(lo + PAIR_CHUNK_CELLS, total)
+        # the row of each cell of the pass: the rows from the first cell's to
+        # the last's, each repeated for its cells in the pass
+        a, b = row_end.searchsorted((lo, hi - 1), "right") + (0, 1)
+        n = np.minimum(row_end[a:b], hi) - np.maximum(row_start[a:b], lo)
+        r = np.arange(a, b).repeat(n)
+        cell = np.arange(lo, hi)
+        g, d = row_gt[r], member[cell + shift[r]]
         i, j = gt_item[g], det_item[d]
         iou = box_ious(gts.boxes, dets.boxes, i, j)
         if masked:
@@ -162,10 +197,13 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
             iou[both] = mask_ious(gts.masks, dets.masks, i[both], j[both])
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
-    return PairTable(floor, image_id, gts, dets, gt_item, det_item, n_gts, n_dets,
-                     gts.ids[gt_item], gts.class_ids[gt_item], dets.ids[det_item],
-                     dets.class_ids[det_item], dets.values[det_item],
-                     *map(np.concatenate, zip(*parts)))
+    g, d, iou = map(np.concatenate, zip(*parts))
+    if rows > 1:  # the second rows' pairs into (gt, det) order
+        order = np.lexsort((d, g))
+        g, d, iou = g[order], d[order], iou[order]
+    return PairTable(floor, conf, same_class, image_id, gts, dets, gt_item, det_item,
+                     n_gts, n_dets, gts.ids[gt_item], gt_class, dets.ids[det_item],
+                     det_class, score, g, d, iou)
 
 
 def _positions(keys, values) -> np.ndarray:
@@ -178,18 +216,25 @@ def _positions(keys, values) -> np.ndarray:
     return np.where(keys[at] == values, at, -1)
 
 
-def _image_table(gts, dets, mode: str, floor: float) -> PairTable:
+def _image_table(gts, dets, mode: str, floor: float, conf: float = -np.inf,
+                 same_class: bool = True) -> PairTable:
     """The :class:`PairTable` of one image's ground truths and detections,
     given as record lists."""
     gts, dets = ItemColumns.of(Annotation, gts), ItemColumns.of(Detection, dets)
     return _pair_table(gts, dets, np.zeros(gts.ids.size, np.int64),
-                       np.zeros(dets.ids.size, np.int64), [None], mode, floor)
+                       np.zeros(dets.ids.size, np.int64), [None], mode, floor, conf,
+                       same_class)
 
 
-def image_ious(gt_set, det_set, mode: str, floor: float) -> PairTable:
+def image_ious(gt_set, det_set, mode: str, floor: float, conf: float = -np.inf,
+               same_class: bool = True) -> PairTable:
     """The :class:`PairTable` of every ground-truth image at IoU ``floor`` in
-    geometry ``mode``, from the sets' columns. Raises when a detection
-    names an image the ground truth does not have."""
+    geometry ``mode``, from the sets' columns, holding the cells of the
+    detections that score at or above ``conf`` and, if ``same_class``, every
+    same-class cell: by default every cell. The matchers read the cells at or
+    above their confidence threshold, the AP/AR suite the same-class ones.
+    Raises when any detection, whatever its score, names an image the ground
+    truth does not have."""
     if mode not in GEOMETRY_MODES:
         raise ConfigError(f"unknown geometry mode {mode!r}")
     image_id = [img.image_id for img in gt_set.images]
@@ -201,7 +246,7 @@ def image_ious(gt_set, det_set, mode: str, floor: float) -> PairTable:
         raise MissingReferenceError(
             f"detection {dets.ids[k]}: unknown image_id {dets.image_ids[k]}")
     return _pair_table(gts, dets, _positions(keys, gts.image_ids), det_image, image_id,
-                       mode, floor)
+                       mode, floor, conf, same_class)
 
 
 def _conventional(p: PairTable) -> np.ndarray:
@@ -268,6 +313,9 @@ def _match(table: PairTable, t: Thresholds, algorithm: str) -> np.ndarray:
     if t.iou_threshold < table.floor:
         raise ConfigError(f"iou_threshold {t.iou_threshold} is below the "
                           f"pair table's floor {table.floor}")
+    if t.confidence_threshold < table.conf:
+        raise ConfigError(f"confidence_threshold {t.confidence_threshold} is below the "
+                          f"pair table's {table.conf}")
     visible = table.score[table.det] >= t.confidence_threshold
     keep = np.flatnonzero((table.iou >= t.iou_threshold) & visible)
     cut = table._replace(gt=table.gt[keep], det=table.det[keep], iou=table.iou[keep])
@@ -300,7 +348,8 @@ def _results(table: PairTable, matched, t: Thresholds) -> list[MatchingResult]:
 
 
 def _match_image(gts, dets, t: Thresholds, algorithm: str) -> MatchingResult:
-    table = _image_table(gts, dets, t.geometry_mode, t.iou_threshold)
+    table = _image_table(gts, dets, t.geometry_mode, t.iou_threshold,
+                         t.confidence_threshold, False)
     return _results(table, _match(table, t, algorithm), t)[0]
 
 
@@ -411,14 +460,16 @@ def _codes(labels: LabelMap, class_ids) -> np.ndarray:
 def match_dataset(gt_set, det_set, t: Thresholds, algorithm: str):
     """Run one matcher over every image; returns per-image results in image
     order plus the accumulated matrix."""
-    table = image_ious(gt_set, det_set, t.geometry_mode, t.iou_threshold)
+    table = image_ious(gt_set, det_set, t.geometry_mode, t.iou_threshold,
+                       t.confidence_threshold, False)
     matched, cm = match_images(table, gt_set.label_map, t, algorithm)
     return _results(table, matched, t), cm
 
 
 def match_images(table: PairTable, labels: LabelMap, t: Thresholds, algorithm: str):
     """:func:`match_dataset` over a :func:`image_ious` table whose floor is at
-    most the IoU threshold. Returns the positions of the matched pairs among
+    most the IoU threshold and which holds every cell at or above the
+    confidence threshold. Returns the positions of the matched pairs among
     the table's pairs, and the accumulated matrix."""
     if algorithm not in _MATCHERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")

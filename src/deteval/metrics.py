@@ -11,12 +11,12 @@ algorithms, so conventional and modified runs report identical AP/AR.
 
 Each (image, class) cell is matched once, under all four size filters and
 all ten thresholds at once; the filters differ only in what they ignore, so
-they share the cell's pairs. Those are the same-class pairs at or above 0.50
-from the pair table that the confusion-matrix matchers read, and all cells
-step together: step k matches the detection of rank k in every cell. The
-match applies no detection cap: a detection's match depends only on the
-detections ranked above it in its cell, so the matches under a cap of k are
-the first k steps, and every cap is a prefix. One sort pools the cells of
+they share the cell's pairs. Those are the same-class pairs at or above 0.50,
+at any score, from the pair table that the confusion-matrix matchers read,
+and all cells step together: step k matches the detection of rank k in every
+cell. The match applies no detection cap: a detection's match depends only on
+the detections ranked above it in its cell, so the matches under a cap of k
+are the first k steps, and every cap is a prefix. One sort pools the cells of
 every class in global score order, and each index takes its filter and its
 cap's prefix from its class's pool.
 """
@@ -176,7 +176,11 @@ def _match_cells(table, mode: str) -> dict:
     Maps each class id with a ground truth or detection to its pool
     ``(rank, tp, ignored, eligible)``: each pooled detection's position in its
     cell (N,), the (S, T, N) flags and the (S,) in-filter ground-truth counts.
+    Raises for a table that lacks the same-class cells of some detections.
     """
+    if not (table.same_class or table.conf == -np.inf):
+        raise ConfigError("the AP/AR suite reads every same-class pair; the pair table "
+                          f"holds none of a detection scoring below {table.conf}")
     S = len(STRATA)
     classes, class_index = np.unique(
         np.append(table.gt_class, table.det_class), return_inverse=True
@@ -288,7 +292,7 @@ def average_precision(
     if iou_t not in IOU_SWEEP:
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
     spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets, None)
-    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
     return _aggregates(table, mode, [class_id], [spec])["ap"]
 
 
@@ -302,7 +306,7 @@ def average_recall(
     """Recall averaged over the IoU sweep and over classes, allowing at most
     the top-k detections per image and class; -1 when nothing is eligible."""
     spec = ("ar", "ar", None, size_filter, k, None)
-    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
     return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]
 
 
@@ -314,7 +318,7 @@ def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
         for key, kind, t_index, size, _cap, label in AGGREGATES
         if kind == "ap"
     ]
-    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0])
+    table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
     return _aggregates(table, mode, gt_set.label_map.ids(), specs)
 
 
@@ -336,9 +340,12 @@ def full_report(
 ) -> tuple[MetricsReport, ConfusionMatrix]:
     """Confusion matrix plus per-class P/R from the selected algorithm, and
     the algorithm-independent AP/AR aggregate suite, for one geometry mode.
-    One pair table, at the lowest threshold either reads, serves both."""
+    One pair table, at the lowest threshold either reads, serves both: it
+    holds the cells at or above the confidence threshold, which the matcher
+    reads, and the same-class cells at any score, which the suite reads."""
     mode = thresholds.geometry_mode
-    table = image_ious(gt_set, det_set, mode, min(thresholds.iou_threshold, IOU_SWEEP[0]))
+    table = image_ious(gt_set, det_set, mode, min(thresholds.iou_threshold, IOU_SWEEP[0]),
+                       thresholds.confidence_threshold)
     _, cm = match_images(table, gt_set.label_map, thresholds, algorithm)
     # in masks mode, the items without a mask fall back to their boxes
     fallback = sum(int(np.count_nonzero(~s.items.has_mask)) for s in (gt_set, det_set))

@@ -15,6 +15,8 @@ from deteval.annotations import (
     ImageRecord,
     LabelMap,
     SplitRatios,
+    _integers,
+    _numbers,
     json_text,
     load_detections,
     load_ground_truth,
@@ -575,6 +577,42 @@ class TestRleCounts:
         again = json.loads((tmp_path / "again.json").read_text())
         assert again[0]["segmentation"] == seg
         assert load_detections(tmp_path / "again.json", LabelMap([(1, "t")])) == dets
+
+
+def _float_integers(values):
+    """The float64 path of ``annotations._integers``, which every column took
+    before a column of JSON integers converted straight to int64."""
+    x, bad = _numbers(values)
+    bad |= ~((np.abs(x) < 2**53) & (x == np.floor(x)))
+    x[bad] = 0
+    return x.astype(np.int64), bad
+
+
+INTEGER_EDGES = st.sampled_from([2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**63 - 1,
+                                 2**63, -(2**63), 2**64, 10**400, -(10**400), 0])
+INTEGERS = st.one_of(st.integers(), st.integers(-(2**54), 2**54), INTEGER_EDGES)
+
+
+class TestIntegerColumns:
+    """A column of JSON integers converts straight to int64, and any column
+    gives the values and the refused mask of the float64 path: integers
+    below 2**53 in magnitude, and integral floats, are kept."""
+
+    @given(st.one_of(
+        st.lists(INTEGERS, max_size=8),
+        st.lists(st.one_of(INTEGERS, st.booleans(), st.integers(-(2**60), 2**60).map(float),
+                           st.floats()), max_size=8)))
+    @example([2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**63, 10**400])
+    @example([-(2**63), 2**63 - 1])
+    @example([1, True, 2.0, 2**53])
+    @example([])
+    @settings(max_examples=500, deadline=None)
+    def test_equal_to_the_float_path(self, values):
+        x, bad = _integers(values)
+        expected, expected_bad = _float_integers(values)
+        assert x.dtype == expected.dtype == np.int64
+        assert bad.dtype == expected_bad.dtype == bool
+        assert np.array_equal(x, expected) and np.array_equal(bad, expected_bad)
 
 
 class TestRleGridErrors:

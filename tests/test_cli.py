@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -489,6 +490,29 @@ class TestRleFuzz:
         assert code == 2
         assert "detection 0: bad RLE segmentation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("counts, code", [
+        ([True, 4095], 2), ([1.0, 4095], 0), ([2**53, 1], 2), ([2**64, 1], 2),
+        ([-(2**53), 1], 2), ([2**53 - 1, 1], 2), ([4095, 1], 0)])
+    def test_integer_edge_counts(self, tmp_path, capsys, mode, command, counts, code):
+        """Run counts that are not JSON integers, or that lie outside
+        +-2**53, are refused as bad; an integral float is a count, and so
+        is 2**53 - 1, whose grid then sums past its canvas."""
+        gt, _ = simple_pair(tmp_path)
+        det = write_json(tmp_path / "det.json", [
+            {"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10], "score": 0.9,
+             "segmentation": {"size": [64, 64], "counts": counts}}])
+        assert main([command, "--gt", str(gt), "--det", str(det), "--mode", mode,
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if code:
+            expected = ("detection 0: corrupt mask: runs sum to 9007199254740992, expected 4096"
+                        if counts[0] == 2**53 - 1 else "detection 0: bad RLE segmentation")
+            assert err == f"error: {expected}\n"
+        else:
+            assert err == ""
+
 
 class TestGroundTruthArea:
     @pytest.mark.parametrize(
@@ -775,8 +799,10 @@ class TestCompare:
 
 class TestIouOncePerImage:
     """Each command builds one pair table, and in it the IoU of each
-    within-image (gt, det) cell once, for the matchers and the AP suite
-    together; no per-image IoU matrix is built."""
+    within-image (gt, det) cell that the command reads once, for the
+    matchers and the AP suite together: the cells at or above --conf, and
+    for evaluate the same-class cells at any score. No per-image IoU matrix
+    is built."""
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -798,8 +824,9 @@ class TestIouOncePerImage:
             return box_ious(a, b, i, j)
 
         def counting_tables(*args):
-            tables.append(args[-1])
-            return build(*args)
+            table = build(*args)
+            tables.append((table.floor, table.conf, table.same_class))
+            return table
 
         def no_matrix(*args):
             raise AssertionError("a per-image IoU matrix was built")
@@ -807,18 +834,103 @@ class TestIouOncePerImage:
         monkeypatch.setattr(deteval.matching, "box_ious", counting)
         monkeypatch.setattr(deteval.matching, "_pair_table", counting_tables)
         monkeypatch.setattr(deteval.matching, "iou_matrix", no_matrix)
-        within_image = sum(len(gts) * len(det_set.by_image().get(i, []))
+        by_image = det_set.by_image()
+        within_image = sum(len(gts) * len(by_image.get(i, []))
                            for i, gts in gt_set.by_image().items())
-        for iou in (0.3, 0.5, 0.75):
+        reads = []
+        for iou, conf in itertools.product((0.3, 0.5, 0.75), (0.05, 0.5, 0.9)):
+            read = sum(d.score >= conf or (command == "evaluate" and d.class_id == g.class_id)
+                       for i, gts in gt_set.by_image().items()
+                       for g in gts for d in by_image.get(i, []))
+            reads.append(read)
             cells.clear()
             tables.clear()
             code = main([command, "--gt", str(tmp_path / "gt.json"),
                          "--det", str(tmp_path / "det.json"), "--mode", mode,
-                         "--iou", str(iou), "--out", str(tmp_path / "out")])
+                         "--iou", str(iou), "--conf", str(conf),
+                         "--out", str(tmp_path / "out")])
             assert code == 0
-            # the AP suite of evaluate reads pairs down to the sweep's 0.5
-            assert tables == [min(iou, 0.5) if command == "evaluate" else iou]
-            assert sum(cells) == within_image
+            # the AP suite of evaluate reads same-class pairs down to the sweep's 0.5
+            assert tables == [(min(iou, 0.5), conf, True) if command == "evaluate"
+                              else (iou, conf, False)]
+            assert sum(cells) == read
+        # the scene has cells that no output reads
+        assert 0 < min(reads) < within_image
+
+
+class TestUnreadCellErrors:
+    """A cell that no output reads costs no IoU, but the errors stay: a
+    detection below --conf on an unknown image still exits 2 naming it, and
+    a mask canvas mismatch on a cell a command reads raises the same text
+    through the library."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_below_threshold_detection_on_unknown_image(self, tmp_path, capsys, command,
+                                                        mode):
+        from deteval.annotations import load_detections, load_ground_truth
+        from deteval.errors import MissingReferenceError
+        from deteval.matching import Thresholds, image_ious, match_dataset
+        from deteval.metrics import full_report
+
+        gt, _ = simple_pair(tmp_path)
+        det = write_json(tmp_path / "det.json", [
+            {"image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 9], "score": 0.9},
+            {"image_id": 42, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.1}])
+        code = main([command, "--gt", str(gt), "--det", str(det), "--mode", mode,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: detection 1: unknown image_id 42\n"
+        assert not (tmp_path / "o").exists()
+        # loaded without the images, the pair table refuses it
+        gt_set = load_ground_truth(gt)
+        det_set = load_detections(det, gt_set.label_map)
+        t = Thresholds(geometry_mode=mode)
+        calls = {"evaluate": [lambda: full_report(gt_set, det_set, t)],
+                 "compare": [lambda: match_dataset(gt_set, det_set, t, "modified"),
+                             lambda: image_ious(gt_set, det_set, mode, 0.5, 0.5, False)]}
+        for call in calls[command]:
+            with pytest.raises(MissingReferenceError,
+                               match=r"^detection 1: unknown image_id 42$"):
+                call()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_canvas_mismatch_through_the_library(self, tmp_path, command):
+        from deteval.annotations import load_detections, load_ground_truth
+        from deteval.errors import GeometryError
+        from deteval.matching import Thresholds, image_ious, match_dataset, match_images
+        from deteval.metrics import full_report
+
+        gt = write_json(tmp_path / "gt.json", {
+            "images": [{"id": 1, "file_name": "a.png", "width": 8, "height": 8}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 4],
+                             "segmentation": [[0, 0, 4, 0, 4, 4]]}],
+            "categories": [{"id": 1, "name": "X"}, {"id": 2, "name": "Y"}]})
+        # a detection on a 6x6 canvas at or above --conf, and, for evaluate,
+        # one of the ground truth's class below it, which the AP suite reads
+        rows = [{"image_id": 1, "category_id": 2, "bbox": [0, 0, 4, 4], "score": 0.9,
+                 "segmentation": {"size": [6, 6], "counts": [0, 4, 32]}},
+                {"image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 4], "score": 0.1,
+                 "segmentation": {"size": [6, 6], "counts": [0, 4, 32]}}]
+        message = r"^mask canvases differ: \(8, 8\) vs \(6, 6\)$"
+        gt_set = load_ground_truth(gt)
+        t = Thresholds(geometry_mode="masks")
+        for shown in (rows, rows[1:]) if command == "evaluate" else (rows,):
+            det_set = load_detections(write_json(tmp_path / "det.json", shown),
+                                      gt_set.label_map)
+            if command == "evaluate":
+                calls = [lambda: full_report(gt_set, det_set, t, "conventional")]
+            else:
+                calls = [lambda: match_dataset(gt_set, det_set, t, "conventional"),
+                         lambda: match_images(image_ious(gt_set, det_set, "masks", 0.5, 0.5,
+                                                         False), gt_set.label_map, t,
+                                              "modified")]
+            for call in calls:
+                with pytest.raises(GeometryError, match=message):
+                    call()
+        # the CLI loads detections with the images, and refuses the grid there
+        assert main([command, "--gt", str(gt), "--det", str(tmp_path / "det.json"),
+                     "--mode", "masks", "--out", str(tmp_path / "o")]) == 2
 
 
 class TestRecordsOnDemand:
@@ -962,8 +1074,9 @@ class TestPreparePasses:
     """In masks mode a command computes the spans of each set's masks in
     passes whose rows each stay within the budget, unless one mask or pair
     alone exceeds it, and bounds its grids in passes of as many runs. With
-    the default budget the spans of each mask in an overlapping pair are
-    computed once, and of no other mask: a grid's window and pixel count
+    the default budget the spans of each mask in an overlapping pair that
+    the command reads are computed once, and of no other mask, not even of
+    one that overlaps only in cells no output reads: a grid's window and pixel count
     come from its runs. A smaller budget takes more passes and gives the
     same outputs."""
 
@@ -1019,11 +1132,17 @@ class TestPreparePasses:
             assert rows <= geometry.SPAN_CHUNK_ROWS or masks == 1, (kind, rows, masks)
         masks = {kind: sum(m for k, _, m in passes if k == kind) for kind in ("polygon", "rle")}
         if budget is None:
-            # the masks of the (gt, det) pairs of an image whose windows overlap
+            # the masks of the (gt, det) pairs of an image whose windows
+            # overlap, among the cells that evaluate reads: the detection
+            # scores at or above --conf, or has the ground truth's class
             pairs = [(k, j) for k, a in enumerate(gt_set.annotations)
                      for j, d in enumerate(det_set.detections)
-                     if a.image_id == d.image_id and _windows_overlap(a.mask, grids[j])]
+                     if a.image_id == d.image_id and _windows_overlap(a.mask, grids[j])
+                     and (d.score >= 0.5 or d.class_id == a.class_id)]
             assert pairs
+            assert any(d.score < 0.5 and d.class_id != a.class_id
+                       and a.image_id == d.image_id and _windows_overlap(a.mask, grids[j])
+                       for a in gt_set.annotations for j, d in enumerate(det_set.detections))
             assert masks == {"polygon": len({k for k, _ in pairs}),
                              "rle": len({j for _, j in pairs})}
         else:

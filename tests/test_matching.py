@@ -1064,3 +1064,137 @@ class TestImageIous:
         gt_set, det_set = generate(ScenarioConfig(seed=1))
         with pytest.raises(ConfigError, match="unknown geometry mode"):
             image_ious(gt_set, det_set, "pixels", 0.5)
+
+
+def _read_cells(table, conf, same_class):
+    """The ``(gt, det, iou)`` columns of an every-cell table cut to the cells
+    whose detection scores at or above ``conf`` or, with ``same_class``,
+    whose two sides share a class."""
+    read = table.score[table.det] >= conf
+    if same_class:
+        read |= table.gt_class[table.gt] == table.det_class[table.det]
+    return table.gt[read], table.det[read], table.iou[read]
+
+
+def _read_scenes(mode):
+    """Tie-heavy scenes, with images of one side only, and generated ones,
+    whose scores from 0.3 up are cut to a tenth for every third detection."""
+    for seed in range(6):
+        yield with_empty_sides(*tie_heavy_scene(seed, mode))
+    for seed in range(3):
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=seed, image_count=4, gts_per_image=(0, 8), jitter_px=6,
+            class_swap_rate=0.3, clutter_rate=0.5, drop_rate=0.2, image_size=(160, 160)))
+        yield gt_set, DetectionSet(det_set.label_map, [
+            replace(d, score=d.score / 10) if k % 3 == 0 else d
+            for k, d in enumerate(det_set.detections)])
+
+
+class TestReadCells:
+    """A table built for a set of readers holds exactly the cells they read:
+    the matchers the cells at or above their confidence threshold, the AP/AR
+    suite the same-class cells at any score, and a report both. Each reader
+    gives on it what it gives on the every-cell table, and refuses a table
+    that lacks cells it reads."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
+    def test_tables_are_the_every_cell_table_cut(self, monkeypatch, mode, conf):
+        # at the default cell budget, and at one that cuts images across passes
+        cut = 0
+        for budget in (matching.PAIR_CHUNK_CELLS, 5):
+            monkeypatch.setattr(matching, "PAIR_CHUNK_CELLS", budget)
+            for gt_set, det_set in _read_scenes(mode):
+                for floor in (0.1, 0.5):
+                    every = image_ious(gt_set, det_set, mode, floor)
+                    assert (every.conf, every.same_class) == (-np.inf, True)
+                    for rule in ((conf, False), (conf, True), (np.inf, True)):
+                        table = image_ious(gt_set, det_set, mode, floor, *rule)
+                        assert (table.floor, table.conf, table.same_class) == (floor, *rule)
+                        assert table.image_id == every.image_id
+                        for name in ("gt_item", "det_item", "n_gts", "n_dets", "gt_id",
+                                     "gt_class", "det_id", "det_class", "score"):
+                            a, b = getattr(table, name), getattr(every, name)
+                            assert a.dtype == b.dtype and np.array_equal(a, b), name
+                        for got, expected in zip((table.gt, table.det, table.iou),
+                                                 _read_cells(every, *rule)):
+                            assert got.dtype == expected.dtype
+                            assert np.array_equal(got, expected)
+                        cut += rule[0] != np.inf and table.gt.size < every.gt.size
+        # some pairs lie in cells that the matchers do not read
+        assert cut
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
+    def test_one_image_tables_are_the_every_cell_table_cut(self, mode, conf):
+        for gt_set, det_set in _read_scenes(mode):
+            for img in gt_set.images:
+                gts = gt_set.by_image()[img.image_id]
+                dets = det_set.by_image().get(img.image_id, [])
+                every = _image_table(gts, dets, mode, 0.1)
+                table = _image_table(gts, dets, mode, 0.1, conf, False)
+                for got, expected in zip((table.gt, table.det, table.iou),
+                                         _read_cells(every, conf, False)):
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
+    def test_readers_give_the_every_cell_values(self, mode, conf):
+        for iou in (0.3, 0.5):
+            t = Thresholds(iou, conf, mode)
+            for gt_set, det_set in _read_scenes(mode):
+                labels = gt_set.label_map
+                every = image_ious(gt_set, det_set, mode, min(iou, 0.5))
+                shown = image_ious(gt_set, det_set, mode, iou, conf, False)
+                report = image_ious(gt_set, det_set, mode, min(iou, 0.5), conf)
+                suite = image_ious(gt_set, det_set, mode, 0.5, np.inf)
+                for algorithm in ALGORITHMS:
+                    matched, cm = match_images(every, labels, t, algorithm)
+                    pairs = sorted(zip(every.gt[matched].tolist(), every.det[matched].tolist()))
+                    for table in (shown, report):
+                        got, got_cm = match_images(table, labels, t, algorithm)
+                        assert got_cm == cm
+                        assert sorted(zip(table.gt[got].tolist(),
+                                          table.det[got].tolist())) == pairs
+                    # the dataset matcher and the one-image matchers
+                    results = matching._results(every, matched, t)
+                    assert match_dataset(gt_set, det_set, t, algorithm) == (results, cm)
+                    one_image = {"conventional": match_conventional,
+                                 "modified": match_modified}[algorithm]
+                    for img, result in zip(gt_set.images, results):
+                        assert one_image(gt_set.by_image()[img.image_id],
+                                         det_set.by_image().get(img.image_id, []),
+                                         t) == result
+                pools = _match_cells(every, mode)
+                for table in (report, suite):
+                    got = _match_cells(table, mode)
+                    assert got.keys() == pools.keys()
+                    for cid in pools:
+                        for a, b in zip(got[cid], pools[cid]):
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
+    def test_tables_lacking_read_cells_raise(self, mode, conf):
+        gt_set, det_set = tie_heavy_scene(1, mode)
+        labels = gt_set.label_map
+        shown = image_ious(gt_set, det_set, mode, 0.5, conf, False)
+        report = image_ious(gt_set, det_set, mode, 0.5, conf)
+        suite = image_ious(gt_set, det_set, mode, 0.5, np.inf)
+        for algorithm in ALGORITHMS:
+            for table in (shown, report):
+                # a matcher at a lower confidence threshold than the table's
+                with pytest.raises(ConfigError, match=f"confidence_threshold {conf / 5} is "
+                                   f"below the pair table's {conf}"):
+                    match_images(table, labels, Thresholds(0.5, conf / 5, mode), algorithm)
+                match_images(table, labels, Thresholds(0.5, conf, mode), algorithm)
+                match_images(table, labels, Thresholds(0.5, min(1.0, 2 * conf), mode),
+                             algorithm)
+            with pytest.raises(ConfigError, match="below the pair table's inf"):
+                match_images(suite, labels, Thresholds(0.5, 1.0, mode), algorithm)
+        # the AP/AR suite on a table of the shown cells only
+        with pytest.raises(ConfigError, match="AP/AR suite reads every same-class pair"):
+            _match_cells(shown, mode)
+        # a table with every cell serves every reader
+        _match_cells(image_ious(gt_set, det_set, mode, 0.5, -np.inf, False), mode)

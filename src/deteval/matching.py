@@ -17,11 +17,12 @@ Two matchers are provided, each run over all images of a dataset at once:
 
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and the pairs whose IoU is at or above a floor among the cells the
-command reads, from one pass over the sets' columns that computes each such
-within-image cell once. The matchers read the cells whose detection scores at
-or above the confidence threshold, and the AP/AR suite the same-class cells at
-any score; a table built for one command holds only the cells its readers
-read, and a reader given a table that lacks some raises. A cell's IoU
+command reads. One pass over the sets' columns enumerates every within-image
+cell, in chunks, and computes the IoU of each cell read once; a cell not read
+gets no IoU. The matchers read the cells whose detection scores at or above
+the confidence threshold, and the AP/AR suite the same-class cells at any
+score; a table built for one command holds only the cells its readers read,
+and a reader given a table that lacks some raises. A cell's IoU
 is its boxes' (:func:`geometry.box_ious`), or in masks mode, when both sides
 have a mask, its masks' (:func:`geometry.mask_ious`), read from each set's
 mask columns (:attr:`ItemColumns.masks`) with no mask object. The
@@ -128,11 +129,13 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
 # id, class and score columns; and the pairs at or above ``floor`` among the
 # cells held, in (image, gt, det) order, as their gt and det positions and
 # IoU. The cells held are those of the detections scoring at or above
-# ``conf``, and if ``same_class`` every same-class cell too
+# ``conf``, and if ``same_class`` every same-class cell too; a cell not held
+# gets no IoU
 PairTable = namedtuple("PairTable", "floor conf same_class image_id gt_items det_items "
                        "gt_item det_item n_gts n_dets gt_id gt_class det_id det_class score "
                        "gt det iou")
-# the cells of one pass of :func:`_pair_table`, which bounds its temporaries
+# the within-image cells that one pass of :func:`_pair_table` enumerates, held
+# or not, which bounds its temporaries
 PAIR_CHUNK_CELLS = 1 << 14
 
 
@@ -144,39 +147,25 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
 
     The table holds the within-image (gt, det) cells whose detection scores
     at or above ``conf`` and, if ``same_class``, the same-class cells at any
-    score; the items, counts and columns stay whole. A cell not held costs
-    no IoU. The held cells are taken in passes of at most
-    ``PAIR_CHUNK_CELLS`` cells, and only the pairs at or above ``floor``
-    are kept. A cell's IoU is its boxes' (:func:`geometry.box_ious`), or in
-    masks mode, for a pair with masks on both sides, its masks'
-    (:func:`geometry.mask_ious`)."""
+    score; the items, counts and columns stay whole. Every within-image cell
+    is enumerated, in (gt, det) order and in passes of at most
+    ``PAIR_CHUNK_CELLS`` cells; a pass drops the cells not held before any
+    IoU is computed, and keeps only the pairs at or above ``floor``. A cell's
+    IoU is its boxes' (:func:`geometry.box_ious`), or in masks mode, for a
+    pair with masks on both sides, its masks' (:func:`geometry.mask_ious`)."""
     gt_item, det_item = (np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
                          for at in (gt_image, det_image))
-    g_image, d_image = gt_image[gt_item], det_image[det_item]
+    g_image = gt_image[gt_item]
     n_gts = np.bincount(g_image, minlength=len(image_id))
-    n_dets = np.bincount(d_image, minlength=len(image_id))
+    n_dets = np.bincount(det_image[det_item], minlength=len(image_id))
     gt_class, det_class, score = (gts.class_ids[gt_item], dets.class_ids[det_item],
                                   dets.values[det_item])
-    # each ground truth's rows of cells: the shown detections of its image,
-    # then, if same_class, the others of its image and class. The detections
-    # are keyed by image, then the others after them by (image, class code)
-    shown = score >= conf
-    rows = 1 + (same_class and not shown.all())
-    member, d_key, g_key = np.flatnonzero(shown), d_image[shown], g_image
-    row_gt = np.arange(gt_class.size)
-    if rows > 1:
-        code = np.unique(np.append(gt_class, det_class), return_inverse=True)[1]
-        key = len(image_id) + np.append(g_image, d_image) * (code.max() + 1) + code
-        g_other, d_other = key[: gt_class.size], key[gt_class.size :]
-        other = np.flatnonzero(~shown)
-        other = other[np.argsort(d_other[other], kind="stable")]
-        member, d_key = np.append(member, other), np.append(d_key, d_other[other])
-        g_key, row_gt = np.append(g_key, g_other), np.append(row_gt, row_gt)
-    first, end = (np.searchsorted(d_key, g_key, side) for side in ("left", "right"))
-    row = end - first
+    # the cells are the ground truths' rows in order, each row the
+    # detections of the ground truth's image
+    row = n_dets[g_image]
     row_end = row.cumsum()
     row_start = row_end - row
-    shift = first - row_start
+    shift = (n_dets.cumsum() - n_dets)[g_image] - row_start
     g_has, d_has = gts.has_mask, dets.has_mask
     masked = mode == "masks" and g_has.any() and d_has.any()
     total = int(row_end[-1]) if row.size else 0
@@ -187,9 +176,12 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
         # the last's, each repeated for its cells in the pass
         a, b = row_end.searchsorted((lo, hi - 1), "right") + (0, 1)
         n = np.minimum(row_end[a:b], hi) - np.maximum(row_start[a:b], lo)
-        r = np.arange(a, b).repeat(n)
-        cell = np.arange(lo, hi)
-        g, d = row_gt[r], member[cell + shift[r]]
+        g = np.arange(a, b).repeat(n)
+        d = np.arange(lo, hi) + shift[g]
+        read = score[d] >= conf
+        if same_class:
+            read |= gt_class[g] == det_class[d]
+        g, d = g[read], d[read]
         i, j = gt_item[g], det_item[d]
         iou = box_ious(gts.boxes, dets.boxes, i, j)
         if masked:
@@ -197,13 +189,9 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
             iou[both] = mask_ious(gts.masks, dets.masks, i[both], j[both])
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
-    g, d, iou = map(np.concatenate, zip(*parts))
-    if rows > 1:  # the second rows' pairs into (gt, det) order
-        order = np.lexsort((d, g))
-        g, d, iou = g[order], d[order], iou[order]
     return PairTable(floor, conf, same_class, image_id, gts, dets, gt_item, det_item,
                      n_gts, n_dets, gts.ids[gt_item], gt_class, dets.ids[det_item],
-                     det_class, score, g, d, iou)
+                     det_class, score, *map(np.concatenate, zip(*parts)))
 
 
 def _positions(keys, values) -> np.ndarray:

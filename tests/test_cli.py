@@ -1709,17 +1709,26 @@ class TestEntryPoint:
 
     def test_library_and_cli_do_not_import_the_oracle(self):
         # the oracle holds test references; importing it from the package
-        # would load them into every run
+        # would load them into every run. numpy is the only runtime
+        # dependency: every module the import adds is the standard library's,
+        # numpy's or deteval's (site hooks load before it, at start-up)
         import deteval
 
         env = dict(os.environ, PYTHONPATH=str(Path(deteval.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, deteval, deteval.cli; print('deteval.oracle' in sys.modules)"],
+             "import sys; before = set(sys.modules); import deteval, deteval.cli; "
+             "print('deteval.oracle' in sys.modules); "
+             "print(*sorted(set(sys.modules) - before))"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        oracle, added = proc.stdout.splitlines()
+        assert oracle == "False"
+        added = added.split()
+        assert {"deteval", "deteval.cli", "numpy"} <= set(added)
+        top = {name.split(".")[0] for name in added}
+        assert top - set(sys.stdlib_module_names) <= {"numpy", "deteval"}, top
 
     def test_determinism_of_evaluate(self, tmp_path):
         gt, det = road_pair(tmp_path)

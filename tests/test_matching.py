@@ -1100,9 +1100,10 @@ class TestReadCells:
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
     def test_tables_are_the_every_cell_table_cut(self, monkeypatch, mode, conf):
-        # at the default cell budget, and at one that cuts images across passes
+        # at the default cell budget, at one that cuts images across passes,
+        # and at one cell a pass, where many passes hold no cell read
         cut = 0
-        for budget in (matching.PAIR_CHUNK_CELLS, 5):
+        for budget in (matching.PAIR_CHUNK_CELLS, 5, 1):
             monkeypatch.setattr(matching, "PAIR_CHUNK_CELLS", budget)
             for gt_set, det_set in _read_scenes(mode):
                 for floor in (0.1, 0.5):
@@ -1126,17 +1127,19 @@ class TestReadCells:
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])
-    def test_one_image_tables_are_the_every_cell_table_cut(self, mode, conf):
-        for gt_set, det_set in _read_scenes(mode):
-            for img in gt_set.images:
-                gts = gt_set.by_image()[img.image_id]
-                dets = det_set.by_image().get(img.image_id, [])
-                every = _image_table(gts, dets, mode, 0.1)
-                table = _image_table(gts, dets, mode, 0.1, conf, False)
-                for got, expected in zip((table.gt, table.det, table.iou),
-                                         _read_cells(every, conf, False)):
-                    assert got.dtype == expected.dtype
-                    assert np.array_equal(got, expected)
+    def test_one_image_tables_are_the_every_cell_table_cut(self, monkeypatch, mode, conf):
+        for budget in (matching.PAIR_CHUNK_CELLS, 5, 1):
+            monkeypatch.setattr(matching, "PAIR_CHUNK_CELLS", budget)
+            for gt_set, det_set in _read_scenes(mode):
+                for img in gt_set.images:
+                    gts = gt_set.by_image()[img.image_id]
+                    dets = det_set.by_image().get(img.image_id, [])
+                    every = _image_table(gts, dets, mode, 0.1)
+                    table = _image_table(gts, dets, mode, 0.1, conf, False)
+                    for got, expected in zip((table.gt, table.det, table.iou),
+                                             _read_cells(every, conf, False)):
+                        assert got.dtype == expected.dtype
+                        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("mode", ["boxes", "masks"])
     @pytest.mark.parametrize("conf", [0.05, 0.5, 0.9])

@@ -6,14 +6,19 @@ Two matchers are provided, each run over all images of a dataset at once:
   keep each ground truth's maximum-IoU candidate, then each detection's
   maximum-IoU candidate; class labels play no role during matching, so a
   cross-class pair lands in an off-diagonal cell.
-* :func:`match_modified` is the class-prioritized iterative procedure: a
-  ground truth prefers same-class candidates over any higher-IoU cross-class
-  candidate, a contested detection goes to the same-class ground truth first,
-  and displaced ground truths propose again until none is left with a
-  candidate. This is gt-proposing deferred acceptance (Gale & Shapley 1962).
-  Both sides' preferences are strict, so it ends in the same matching, the
-  gt-optimal stable one, whatever the order of the proposals; it runs in
-  rounds in which every free ground truth proposes at once.
+* :func:`match_modified` is the class-prioritized procedure: a ground truth
+  prefers same-class candidates over any higher-IoU cross-class one. It is
+  gt-proposing deferred acceptance (Gale & Shapley 1962), run in rounds in
+  which every free ground truth proposes at once.
+
+Both read one total order of the pairs, :func:`_pair_order`: higher IoU,
+higher score, lower det_id, lower gt_id. The modified matcher puts same-class
+pairs first, and each side's preferences are that order restricted to its own
+pairs. Preferences from one global order of pairs have exactly one stable
+matching (Eeckhout, Economics Letters 69(1), 2000; Abraham, Levavi, Manlove
+and O'Malley, Internet Mathematics 5(4), 2008), so the detection-proposing
+run, and the greedy that takes each pair in order while both its ends are
+free, give the same matching.
 
 Both read the pair table of :func:`image_ious`: the items of all images as
 columns, and the pairs whose IoU is at or above a floor among the cells the
@@ -32,11 +37,6 @@ pair never spans two images, so no per-image pass is needed.
 ``(C+1) x (C+1)`` count grid whose final column holds unmatched ground
 truths ("left detections") and whose final row holds unmatched detections
 ("unclassified detections").
-
-Determinism: all orderings use the total tie-break (higher IoU, higher score,
-lower det_id, lower gt_id); the modified matcher's priority order is
-(same class, IoU, score, det_id) for a ground truth and (same class, IoU,
-lower gt_id) for a detection.
 """
 
 from __future__ import annotations
@@ -237,12 +237,18 @@ def image_ious(gt_set, det_set, mode: str, floor: float, conf: float = -np.inf,
                        mode, floor, conf, same_class)
 
 
+def _pair_order(p: PairTable, *first) -> np.ndarray:
+    """The positions of the pair columns in the one pair order: higher IoU,
+    higher score, lower det_id, lower gt_id, after the keys ``first``, the
+    last of them primary."""
+    return np.lexsort((p.gt_id[p.gt], p.det_id[p.det], -p.score[p.det], -p.iou, *first))
+
+
 def _conventional(p: PairTable) -> np.ndarray:
     """The matched pairs of the IoU-prioritized matcher, as indices into the
-    pair columns: in the order (higher IoU, higher score, lower det_id,
-    lower gt_id), the first pair of each ground truth, then the first of
-    each detection among those."""
-    order = np.lexsort((p.gt_id[p.gt], p.det_id[p.det], -p.score[p.det], -p.iou))
+    pair columns: in the pair order, the first pair of each ground truth,
+    then the first of each detection among those."""
+    order = _pair_order(p)
     survivors = order[np.sort(np.unique(p.gt[order], return_index=True)[1])]
     return survivors[np.unique(p.det[survivors], return_index=True)[1]]
 
@@ -251,43 +257,37 @@ def _deferred_acceptance(p: PairTable) -> tuple[np.ndarray, int]:
     """The matched pairs of the class-prioritized matcher, as indices into
     the pair columns, and the number of rounds it took.
 
-    In each round every free ground truth with a candidate left proposes to
-    its next one, under (same class, IoU, score, lower det_id), and each
-    detection keeps the best of its holder and its proposers under (same
-    class, IoU, lower gt_id). Every round makes a proposal and no pair is
-    proposed twice, so there are no more rounds than pairs.
+    A pair's rank is its position in the pair order with same-class pairs
+    first. In each round every free ground truth with a candidate left
+    proposes its next pair by rank, and each detection keeps the lowest rank
+    it is offered. Every round makes a proposal and no pair is proposed
+    twice, so there are no more rounds than pairs.
     """
     n = p.iou.size
-    same = p.gt_class[p.gt] == p.det_class[p.det]
-    # each ground truth's candidates, best first, one slice per ground truth
-    proposals = np.lexsort((p.det_id[p.det], -p.score[p.det], -p.iou, ~same, p.gt))
-    bounds = np.searchsorted(p.gt[proposals], np.arange(p.gt_id.size + 1))
+    order = _pair_order(p, p.gt_class[p.gt] != p.det_class[p.det])
+    gt, det = p.gt[order], p.det[order]
+    # each ground truth's proposals as ranks, best first, one slice per ground truth
+    proposals = np.argsort(gt, kind="stable")
+    bounds = np.searchsorted(gt[proposals], np.arange(p.gt_id.size + 1))
     cursor, end = bounds[:-1].copy(), bounds[1:]
-    # the pairs grouped by detection, each group best first; a pair's rank
-    # is its position, so sorted ranks group the proposals by detection
-    by_det = np.lexsort((p.gt_id[p.gt], -p.iou, ~same, p.det))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_det] = np.arange(n)
     held = np.full(p.det_id.size, n)  # the rank each detection holds; n: none
     holding = np.zeros(p.gt_id.size, dtype=bool)
     free = np.flatnonzero(cursor < end)
     rounds = 0
     while free.size:
         rounds += 1
-        offers = np.sort(rank[proposals[cursor[free]]])
+        offers = proposals[cursor[free]]
         cursor[free] += 1
-        dets = p.det[by_det[offers]]
-        best = np.append(True, dets[1:] != dets[:-1])
-        won = best & (offers < held[dets])
-        offers, dets = offers[won], dets[won]
-        displaced = held[dets]
-        displaced = p.gt[by_det[displaced[displaced < n]]]
+        dets = det[offers]
+        before = held[dets]
+        np.minimum.at(held, dets, offers)
+        won = held[dets] == offers
+        displaced = gt[before[won & (before < n)]]
         holding[displaced] = False
-        holding[p.gt[by_det[offers]]] = True
-        held[dets] = offers
+        holding[gt[offers[won]]] = True
         free = np.append(free, displaced)
         free = free[~holding[free] & (cursor[free] < end[free])]
-    return by_det[held[held < n]], rounds
+    return order[held[held < n]], rounds
 
 
 _MATCHERS = {
@@ -357,12 +357,11 @@ def match_conventional(gts, dets, t: Thresholds) -> MatchingResult:
 def match_modified(gts, dets, t: Thresholds) -> MatchingResult:
     """Class-prioritized matching of one image, iterated to a fixed point.
 
-    Each unmatched ground truth claims its best remaining candidate under the
-    order (same class, IoU, score, lower det_id). A detection claimed by
-    several ground truths keeps the one preferred under (same class, IoU,
-    lower gt_id); the displaced ground truth returns to the pool and may claim
-    another candidate in a later round. No pair is claimed twice, so the
-    rounds end.
+    Each unmatched ground truth claims its best remaining candidate; a
+    detection claimed by several keeps the best, and the displaced return to
+    the pool. Both sides rank candidates by one order (same class, higher
+    IoU, higher score, lower det_id, lower gt_id), so the result is the one
+    stable matching, the same whichever side proposes.
     """
     return _match_image(gts, dets, t, "modified")
 

@@ -248,10 +248,10 @@ def _aggregates(table, mode, class_ids, specs) -> dict:
     """The value of each spec, a row in the form of :data:`AGGREGATES`, by
     key, over a :func:`image_ious` ``table``.
 
-    A value is the mean, over the classes ``class_ids`` with an eligible
-    ground truth, of each class's AP (at one threshold, or over the sweep) or
-    AR; -1 when no class has one. The cells are matched once per call, and
-    each (class, filter, cap) curve is computed once."""
+    A value is the mean, over the classes ``class_ids`` in sorted id order
+    that have an eligible ground truth, of each class's AP (at one threshold,
+    or over the sweep) or AR; -1 when no class has one. The cells are matched
+    once per call, and each (class, filter, cap) curve is computed once."""
     for *_, cap, _label in specs:
         if cap < 1:
             raise ConfigError(f"max detections must be >= 1, got {cap}")
@@ -260,7 +260,7 @@ def _aggregates(table, mode, class_ids, specs) -> dict:
     out = {}
     for key, kind, t_index, size, cap, _label in specs:
         values = []
-        for cid in class_ids:
+        for cid in sorted(class_ids):
             if (cid, size, cap) not in curves:
                 curves[cid, size, cap] = _curves(
                     pools.get(cid), STRATA.index(size), cap

@@ -590,20 +590,23 @@ def reference_match_images(table, labels: LabelMap, t: Thresholds, algorithm: st
     return results, accumulate(results, labels)
 
 
-def greedy_iou_matching(gts, dets, t: Thresholds) -> MatchingResult:
+def greedy_iou_matching(gts, dets, t: Thresholds, class_first=False) -> MatchingResult:
     """The global greedy variant: sort all over-threshold pairs by IoU and
     accept a pair when both endpoints are still free.
 
     Some write-ups call this "conventional"; it differs from the literal
     per-gt/per-det max filtering (which can discard pairs this one keeps), so
-    it is provided under its own name and never substituted.
+    it is provided under its own name and never substituted. With
+    ``class_first`` same-class pairs sort first: the modified matcher's
+    order, of which this greedy gives the one stable matching.
     """
     from .matching import iou_table  # shared table is fine; steps differ
 
     dets = [d for d in dets if d.score >= t.confidence_threshold]
     pairs = sorted(
         iou_table(gts, dets, t),
-        key=lambda p: (-p.iou, -p.det.score, p.det.det_id, p.gt.ann_id),
+        key=lambda p: (class_first and not p.same_class, -p.iou, -p.det.score,
+                       p.det.det_id, p.gt.ann_id),
     )
     used_g, used_d, matched = set(), set(), []
     for p in pairs:

@@ -24,6 +24,8 @@ from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
     ALGORITHMS,
     ConfusionMatrix,
+    MatchingResult,
+    PairTable,
     Thresholds,
     _deferred_acceptance,
     _image_table,
@@ -42,6 +44,7 @@ from deteval.oracle import (
     box_iou,
     full_grid,
     generate,
+    greedy_iou_matching,
     image_modified,
     instance_iou,
     max_matching,
@@ -462,6 +465,103 @@ class TestDatasetMatchers:
                 # every detection with a survivor is matched
                 assert {p.det.det_id for p in res.matched} == {
                     s.det.det_id for s in survivors}
+
+
+def det_proposing(gts, dets, t) -> MatchingResult:
+    """Detection-proposing deferred acceptance over one image: each free
+    visible detection proposes down its candidates, best first under
+    :func:`_detection_key`, and a ground truth keeps the best proposer
+    under :func:`_ground_truth_key`."""
+    visible = [d for d in dets if d.score >= t.confidence_threshold]
+    lists: dict = {}
+    for p in sorted(iou_table(gts, visible, t), key=_detection_key, reverse=True):
+        lists.setdefault(p.det.det_id, []).append(p)
+    holder: dict = {}
+    free = list(lists)
+    while free:
+        candidates = lists[free.pop()]
+        while candidates:
+            p = candidates.pop(0)
+            held = holder.get(p.gt.ann_id)
+            if held is None or _ground_truth_key(p) > _ground_truth_key(held):
+                holder[p.gt.ann_id] = p
+                if held is not None:
+                    free.append(held.det.det_id)
+                break
+    matched = sorted(holder.values(), key=lambda p: (p.gt.ann_id, p.det.det_id))
+    used = {p.det.det_id for p in matched}
+    return MatchingResult(tuple(matched), tuple(g for g in gts if g.ann_id not in holder),
+                          tuple(d for d in visible if d.det_id not in used))
+
+
+TIE_JITTERS = (0.0, 0.5, 2.0, 6.0)
+
+
+def modified_references_agree(seeds, mode) -> int:
+    """Check, on each image of the small crowded scenes of ``seeds`` at
+    0.3/0.3, that ``match_modified`` equals the scalar gt-proposing run, the
+    class-first greedy and the detection-proposing run; returns the number
+    of images checked."""
+    t = Thresholds(0.3, 0.3, mode)
+    images = 0
+    for seed in seeds:
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=seed, image_count=3, gts_per_image=(2, 12), image_size=(64, 64),
+            class_swap_rate=0.4, clutter_rate=0.5, jitter_px=TIE_JITTERS[seed % 4]))
+        by_det = det_set.by_image()
+        for image_id, gts in gt_set.by_image().items():
+            dets = by_det.get(image_id, [])
+            res = match_modified(gts, dets, t)
+            assert res == image_modified(gts, dets, iou_matrix(gts, dets, mode), t)
+            assert res == greedy_iou_matching(gts, dets, t, class_first=True)
+            assert res == det_proposing(gts, dets, t)
+            images += 1
+    return images
+
+
+class TestOnePairOrder:
+    """Both sides of the modified matcher rank pairs by one global order, so
+    its matching is the one stable matching of the pairs: the gt-proposing
+    run, the detection-proposing run and the greedy over that order agree."""
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_modified_is_the_class_first_greedy(self, mode):
+        # every fifth of the seeds 0-299; all of them pass too
+        assert modified_references_agree(range(0, 300, 5), mode) == 180
+
+    def test_the_class_key_moves_some_matchings(self):
+        # on these scenes the class key changes some matchings
+        t = Thresholds(0.3, 0.3, "boxes")
+        gt_set, det_set = generate(ScenarioConfig(
+            seed=0, image_count=3, gts_per_image=(2, 12), image_size=(64, 64),
+            class_swap_rate=0.4, clutter_rate=0.5))
+        by_det = det_set.by_image()
+        assert any(greedy_iou_matching(gts, by_det.get(i, []), t, class_first=True)
+                   != greedy_iou_matching(gts, by_det.get(i, []), t)
+                   for i, gts in gt_set.by_image().items())
+
+    def test_chain_ends_in_one_round(self):
+        """A path g0-d0-g1-d1-... whose pair IoUs rise along it: each ground
+        truth's best pair is its own detection's, so deferred acceptance
+        takes one round, and the greedy over the order takes the pairs from
+        the far end of the path, each freeing the next."""
+        n = 4000
+        gt = np.arange(2 * n - 1) // 2 + np.arange(2 * n - 1) % 2
+        det = np.arange(2 * n - 1) // 2
+        iou = 0.5 + 0.4 * np.arange(2 * n - 1) / (2 * n)
+        zeros, ids = np.zeros(n, np.int64), np.arange(n)
+        table = PairTable(0.5, -np.inf, False, [None], None, None, ids, ids, np.array([n]),
+                          np.array([n]), ids, zeros, ids, zeros, np.full(n, 0.9), gt, det, iou)
+        matched, rounds = _deferred_acceptance(table)
+        assert rounds == 1
+        used_gt, used_det, greedy = set(), set(), []
+        for k in sorted(range(iou.size), key=lambda k: (-iou[k], det[k], gt[k])):
+            if gt[k] not in used_gt and det[k] not in used_det:
+                used_gt.add(gt[k])
+                used_det.add(det[k])
+                greedy.append(k)
+        assert sorted(matched.tolist()) == sorted(greedy)
+        assert np.array_equal(gt[matched], det[matched])
 
 
 @st.composite

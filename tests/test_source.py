@@ -56,6 +56,22 @@ def test_each_aggregate_index_is_spelled_once():
     assert counts == dict.fromkeys(names, 1)
 
 
+def test_the_pair_order_is_spelled_once():
+    """Both matchers read the one pair order of ``matching._pair_order``:
+    its IoU and score keys are spelled there alone, and each matcher sorts
+    the pair columns through it once, so no second, per-side order can come
+    back."""
+    text = (Path(deteval.__file__).parent / "matching.py").read_text(encoding="utf-8")
+    assert len(re.findall(r"-\s*\w+\.iou\b", text)) == 1
+    assert len(re.findall(r"-\s*\w+\.score\[", text)) == 1
+    bodies = dict(re.findall(r"^def (_conventional|_deferred_acceptance)\((.*?)\n(?=\S)",
+                             text, re.S | re.M))
+    assert bodies.keys() == {"_conventional", "_deferred_acceptance"}
+    for body in bodies.values():
+        assert body.count("_pair_order(") == 1
+        assert "lexsort" not in body
+
+
 def test_public_surface():
     """The names the package exports, spelled out; the scalar references the
     tests compare against live in ``deteval.oracle``, outside this list."""

@@ -367,9 +367,18 @@ def _box(rec, key, array, at):
 def _known(rec, key, array, at):
     """The check that each id names one of the file's images, or one of the
     label map's classes."""
-    ids = rec.canvas_of if key == "image_id" else rec.labels.ids()
-    rec.fail(~np.isin(array, np.array(list(ids), np.int64)), MissingReferenceError,
+    ids = rec.images[0] if key == "image_id" else rec.labels.ids()
+    rec.fail(at[_positions(ids, array) < 0], MissingReferenceError,
              lambda k: f"unknown {key} {array[k]}")
+
+
+def _positions(keys, values) -> np.ndarray:
+    """The row of each id of ``values`` among the ids ``keys``: the last of repeated
+    keys, -1 where absent. This is the one rule of every image and class lookup."""
+    keys = np.asarray(keys, np.int64)
+    order = np.argsort(keys, kind="stable")
+    at = np.append(order, -1)[np.searchsorted(keys, values, "right", order) - 1]
+    return np.where((at >= 0) & (np.append(keys, 0)[at] == values), at, -1)
 
 
 # a rule is a column's conversion, and the text of a value it refuses
@@ -412,15 +421,14 @@ class _Records:
     records before the first one refused so far, and the checks run in field
     order, so the error kept is the one a record-by-record pass would raise:
     that of the lowest-index faulty record, at its first failing check.
-    ``canvas_of`` maps each image id to its ``(width, height)``.
+    ``images`` is the image table as columns: ids and ``(width, height)`` rows.
     """
 
-    def __init__(self, records, name, labels=None, canvas_of=None):
+    def __init__(self, records, name, labels=None, images=None):
         if not set(map(type, records)) <= {dict}:
             # a record that is not an object misses every field
             records = [r if type(r) is dict else {} for r in records]
-        self.rows, self.name, self.labels = records, name, labels
-        self.canvas_of = canvas_of
+        self.rows, self.name, self.labels, self.images = records, name, labels, images
         self.end, self.error, self.columns = len(records), None, {}
 
     def fail(self, refused, error, message, sep=": ") -> None:
@@ -476,16 +484,16 @@ class _Records:
                   ParseError, "segmentation must be polygon list or RLE object")
         polys = [k for k, s in enumerate(segs) if type(s) is list and s]
         rles = [k for k, t in enumerate(kinds) if t is dict]
-        canvases = list(map(self.canvas_of.get, self.columns["image_id"].tolist()))
+        # each record's image canvas, (-1, -1) for no image
+        ids, sizes = self.images
+        canvas = np.append(sizes, [[-1, -1]], 0)[_positions(ids, self.columns["image_id"])]
         poly, rle = np.zeros((2, len(segs)), dtype=bool)
         poly[polys], rle[rles] = True, True
         rings, counts = np.zeros((2, len(segs)), dtype=np.int64)
         rings[polys], ring_sizes, xy = self.polygons(polys, [segs[k] for k in polys])
-        counts[rles], runs, sizes = self.runs(rles, [segs[k] for k in rles],
-                                               [canvases[k] for k in rles])
-        canvas = np.array([c or (0, 0) for c in canvases], np.int64).reshape(-1, 2)
-        known = np.array([c is not None for c in canvases], dtype=bool) & poly | rle
-        canvas[rles] = sizes
+        counts[rles], runs, wh = self.runs(rles, [segs[k] for k in rles], canvas[rles])
+        known = (canvas[:, 0] >= 0) & poly | rle
+        canvas[rles] = wh
         return MaskColumns(canvas, known, poly, rings, ring_sizes, xy, rle, counts, runs)
 
     def polygons(self, owners, rings_of) -> tuple:
@@ -512,9 +520,9 @@ class _Records:
     def runs(self, owners, objects, canvases) -> tuple:
         """Check the run-length grids ``objects[j]``, ``{"size": [h, w],
         "counts": [...]}``, of each record ``owners[j]``, on its image's
-        canvas ``canvases[j]`` when known, and return each grid's run count,
-        the runs of all grids as one read-only int64 array, and each grid's
-        ``(width, height)``."""
+        canvas ``canvases[j]``, a ``(width, height)`` row that is ``(-1, -1)``
+        when unknown, and return each grid's run count, the runs of all grids
+        as one read-only int64 array, and each grid's ``(width, height)``."""
         size, bad = _rows([o.get("size") for o in objects], 2, _integers)
         counts = [o.get("counts") for o in objects]
         counts = [c if type(c) is list else [None] for c in counts]
@@ -529,18 +537,15 @@ class _Records:
         if fault is not None:
             self.fail(owners[[fault[0]]], GeometryError, fault[1])
         # the grids from the first faulty one on are past the error kept
-        canvas = np.array([c or (-1, -1) for c in canvases], np.int64).reshape(-1, 2)
-        self.fail(owners[(canvas[:, 0] >= 0) & (canvas != wh).any(1)],
+        self.fail(owners[(canvases[:, 0] >= 0) & (canvases != wh).any(1)],
                   GeometryError, lambda k: "RLE size {}x{} does not match image {}x{}".format(
-                      *wh[np.searchsorted(owners, k)], *canvas[np.searchsorted(owners, k)]))
+                      *wh[np.searchsorted(owners, k)], *canvases[np.searchsorted(owners, k)]))
         return length, runs, wh
 
 
 def _repeated(ids) -> np.ndarray:
     """The mask of the ids that occur at a lower index too."""
-    repeated = np.ones(ids.size, dtype=bool)
-    repeated[np.unique(ids, return_index=True)[1]] = False
-    return repeated
+    return _positions(ids[::-1], ids) != np.arange(ids.size)[::-1]
 
 
 def load_ground_truth(path) -> GroundTruthSet:
@@ -554,21 +559,18 @@ def load_ground_truth(path) -> GroundTruthSet:
     label_map = _label_map(raw["categories"], path)
     cols = _Records(raw["images"], lambda k: f"{path}: image at index {k}").table(
         _IMAGE_FIELDS)
-    ids = cols["id"]
+    ids, sizes = cols["id"], np.stack((cols["width"], cols["height"]), 1)
     repeated = np.flatnonzero(_repeated(ids))
     if repeated.size:
         raise ValidationError(f"duplicate image id {ids[repeated[0]]}")
-    images = list(map(ImageRecord, ids.tolist(), cols["file_name"],
-                      cols["width"].tolist(), cols["height"].tolist()))
-
-    canvas_of = {im.image_id: (im.width, im.height) for im in images}
+    images = list(map(ImageRecord, ids.tolist(), cols["file_name"], *sizes.T.tolist()))
     anns = _Records(raw["annotations"], lambda k: (
         f"annotation {anns.columns['id'][k]}" if "id" in anns.columns
-        else f"{path}: annotation at index {k}"), label_map, canvas_of)
+        else f"{path}: annotation at index {k}"), label_map, (ids, sizes))
     cols = anns.table(_ANNOTATION_FIELDS)
-    size = np.array(list(map(canvas_of.get, cols["image_id"].tolist())), float)
+    # each mask canvas is its annotation's image: all are known, and RLE sizes match
     xy, wh = np.split(cols["bbox"], 2, axis=1)
-    boxes = _clamped(xy, xy + wh, wh, size.reshape(-1, 2))
+    boxes = _clamped(xy, xy + wh, wh, cols["segmentation"].canvas)
     items = ItemColumns(Annotation, cols["id"], cols["image_id"], cols["category_id"], boxes,
                         cols["area"], cols["segmentation"])
     boxed = np.isnan(items.values) & ~items.has_mask
@@ -666,17 +668,23 @@ def load_detections(path, labels: LabelMap, images=()) -> DetectionSet:
 
     ``images`` are the ground truth's image records. A detection on one of
     them gets the image as its mask canvas, so its polygons are rasterized
-    within the image, as the ground truth's are.
+    within the image, as the ground truth's are; a repeated id names the last
+    such image (:func:`_positions`).
     """
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: detections must be a JSON array")
-    canvas_of = {im.image_id: (im.width, im.height) for im in images}
-    cols = _Records(raw, lambda k: f"detection {k}", labels, canvas_of).table(
+    cols = _Records(raw, lambda k: f"detection {k}", labels, _image_columns(images)).table(
         _DETECTION_FIELDS)
     return DetectionSet(labels, ItemColumns(
         Detection, np.arange(len(raw)), cols["image_id"], cols["category_id"], cols["bbox"],
         cols["score"], cols["segmentation"]))
+
+
+def _image_columns(images) -> tuple:
+    """The int64 ids of image records and their ``(width, height)`` rows."""
+    table = np.fromiter(((im.image_id, im.width, im.height) for im in images), (np.int64, 3))
+    return table[:, 0], table[:, 1:]
 
 
 def _label_map(records, path) -> LabelMap:
@@ -788,8 +796,8 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
     else:
         raise ConfigError(f"cannot rescale object of type {type(dataset).__name__}")
     items, canvas = dataset.items, (to_width, to_height)
-    row_of = {im.image_id: k for k, im in enumerate(images)}
-    rows = np.array([row_of.get(i, -1) for i in items.image_ids.tolist()], np.int64)
+    ids, sizes = _image_columns(images)
+    rows = _positions(ids, items.image_ids)
     fault = np.flatnonzero((rows < 0) | items.masks.rle & (not force))
     if fault.size:  # the lowest-index faulty item raises
         k = fault[0]
@@ -798,7 +806,6 @@ def rescale(dataset, to_width: int, to_height: int, *, images=None, force: bool 
                 f"unknown image_id {items.image_ids[k]} during rescale")
         raise LossyRescaleError(f"{kind} {items.ids[k]}: RLE-only mask cannot be rescaled "
                                 "from polygons; pass force to resample")
-    sizes = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)
     factors = np.divide(canvas, sizes)[rows]
     src = items.masks.take(np.arange(rows.size))
     # each vertex times its item's (sx, sy), and each grid's runs resampled

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import Annotation, Detection, ItemColumns, LabelMap, _split
+from .annotations import Annotation, Detection, ItemColumns, LabelMap, _positions, _split
 from .errors import ConfigError, MissingReferenceError
 from .geometry import box_ious, mask_ious
 
@@ -124,14 +124,14 @@ def iou_table(gts, dets, t: Thresholds) -> list[MatchPair]:
     return _pairs(table, np.arange(table.iou.size))
 
 
-# the items of all images, in image order and in load order within an image:
-# the sets' ItemColumns, each item's position there, per-image counts and the
-# id, class and score columns; and the pairs at or above ``floor`` among the
-# cells held, in (image, gt, det) order, as their gt and det positions and
-# IoU. The cells held are those of the detections scoring at or above
-# ``conf``, and if ``same_class`` every same-class cell too; a cell not held
-# gets no IoU
-PairTable = namedtuple("PairTable", "floor conf same_class image_id gt_items det_items "
+# the geometry mode; the items of all images, in image order and in load order
+# within an image: the sets' ItemColumns, each item's position there, per-image
+# counts and the id, class and score columns; and the pairs at or above ``floor``
+# among the cells held, in (image, gt, det) order, as their gt and det positions
+# and IoU. The cells held are those of the detections scoring at or above
+# ``conf``, and if ``same_class`` every same-class cell too; a cell not held gets
+# no IoU
+PairTable = namedtuple("PairTable", "mode floor conf same_class image_id gt_items det_items "
                        "gt_item det_item n_gts n_dets gt_id gt_class det_id det_class score "
                        "gt det iou")
 # the within-image cells that one pass of :func:`_pair_table` enumerates, held
@@ -189,19 +189,9 @@ def _pair_table(gts, dets, gt_image, det_image, image_id, mode: str, floor: floa
             iou[both] = mask_ious(gts.masks, dets.masks, i[both], j[both])
         keep = np.flatnonzero(iou >= floor)
         parts.append((g[keep], d[keep], iou[keep]))
-    return PairTable(floor, conf, same_class, image_id, gts, dets, gt_item, det_item,
+    return PairTable(mode, floor, conf, same_class, image_id, gts, dets, gt_item, det_item,
                      n_gts, n_dets, gts.ids[gt_item], gt_class, dets.ids[det_item],
                      det_class, score, *map(np.concatenate, zip(*parts)))
-
-
-def _positions(keys, values) -> np.ndarray:
-    """The position of each of ``values`` among the distinct ``keys``, -1
-    for a value not there."""
-    if not keys.size:
-        return np.full(values.size, -1)
-    order = np.argsort(keys)
-    at = order[np.searchsorted(keys, values, sorter=order).clip(max=keys.size - 1)]
-    return np.where(keys[at] == values, at, -1)
 
 
 def _image_table(gts, dets, mode: str, floor: float, conf: float = -np.inf,
@@ -221,19 +211,19 @@ def image_ious(gt_set, det_set, mode: str, floor: float, conf: float = -np.inf,
     detections that score at or above ``conf`` and, if ``same_class``, every
     same-class cell: by default every cell. The matchers read the cells at or
     above their confidence threshold, the AP/AR suite the same-class ones.
+    A repeated image id's items go to its last image (:func:`annotations._positions`).
     Raises when any detection, whatever its score, names an image the ground
     truth does not have."""
     if mode not in GEOMETRY_MODES:
         raise ConfigError(f"unknown geometry mode {mode!r}")
-    image_id = [img.image_id for img in gt_set.images]
-    keys, gts, dets = np.array(image_id, dtype=np.int64), gt_set.items, det_set.items
-    det_image = _positions(keys, dets.image_ids)
+    image_id, gts, dets = [img.image_id for img in gt_set.images], gt_set.items, det_set.items
+    det_image = _positions(image_id, dets.image_ids)
     unknown = np.flatnonzero(det_image < 0)
     if unknown.size:
         k = unknown[0]
         raise MissingReferenceError(
             f"detection {dets.ids[k]}: unknown image_id {dets.image_ids[k]}")
-    return _pair_table(gts, dets, _positions(keys, gts.image_ids), det_image, image_id,
+    return _pair_table(gts, dets, _positions(image_id, gts.image_ids), det_image, image_id,
                        mode, floor, conf, same_class)
 
 
@@ -439,9 +429,12 @@ def accumulate(results, labels: LabelMap) -> ConfusionMatrix:
 
 
 def _codes(labels: LabelMap, class_ids) -> np.ndarray:
-    """Each class id's row or column in a matrix of ``labels``."""
-    classes, inverse = np.unique(class_ids, return_inverse=True)
-    return np.array([labels.index_of(c) for c in classes.tolist()], np.int64)[inverse]
+    """Each class id's row or column in a matrix of ``labels``; raises
+    :class:`MissingReferenceError` naming a class id that ``labels`` lacks."""
+    codes = _positions(labels.ids(), class_ids)
+    if (codes < 0).any():
+        raise MissingReferenceError(f"unknown category_id {class_ids[codes < 0][0]}")
+    return codes
 
 
 def match_dataset(gt_set, det_set, t: Thresholds, algorithm: str):

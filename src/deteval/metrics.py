@@ -167,7 +167,7 @@ def _interpolate(recall, envelope) -> np.ndarray:
     return np.where(idx < n, picked, 0.0)
 
 
-def _match_cells(table, mode: str) -> dict:
+def _match_cells(table) -> dict:
     """Match every (image, class) cell of a :func:`image_ious` table, at a
     floor no higher than 0.50, in one :func:`_greedy` pass over its
     same-class pairs at or above 0.50, and pool each class's cells in global
@@ -190,11 +190,11 @@ def _match_cells(table, mode: str) -> dict:
     gt_code = _strata(table.gt_items.values[table.gt_item])
     eligible = np.bincount(gt_class * S + gt_code, minlength=K * S).reshape(K, S)
     eligible[:, 0] = eligible.sum(axis=1)
-    # a detection's area is its box's, or in masks mode its mask's
+    # a detection's area is its box's, or in a masks-mode table its mask's
     boxes = table.det_items.boxes[table.det_item]
     with np.errstate(over="ignore"):  # to inf, as in the scalar float arithmetic
         det_area = boxes[:, 2] * boxes[:, 3]
-    if mode == "masks":
+    if table.mode == "masks":
         masked = table.det_items.has_mask[table.det_item]
         det_area[masked] = table.det_items.masks.areas(table.det_item[masked])
     det_code = _strata(det_area)
@@ -244,7 +244,7 @@ def _curves(pool, s, max_dets) -> tuple[np.ndarray, np.ndarray] | None:
     return _interpolate(recall, envelope), final_recall
 
 
-def _aggregates(table, mode, class_ids, specs) -> dict:
+def _aggregates(table, class_ids, specs) -> dict:
     """The value of each spec, a row in the form of :data:`AGGREGATES`, by
     key, over a :func:`image_ious` ``table``.
 
@@ -255,7 +255,7 @@ def _aggregates(table, mode, class_ids, specs) -> dict:
     for *_, cap, _label in specs:
         if cap < 1:
             raise ConfigError(f"max detections must be >= 1, got {cap}")
-    pools = _match_cells(table, mode)
+    pools = _match_cells(table)
     curves: dict = {}
     out = {}
     for key, kind, t_index, size, cap, _label in specs:
@@ -293,7 +293,7 @@ def average_precision(
         raise ConfigError(f"iou_t must be one of {IOU_SWEEP}, got {iou_t}")
     spec = ("ap", "ap", IOU_SWEEP.index(iou_t), size_filter, max_dets, None)
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
-    return _aggregates(table, mode, [class_id], [spec])["ap"]
+    return _aggregates(table, [class_id], [spec])["ap"]
 
 
 def average_recall(
@@ -307,7 +307,7 @@ def average_recall(
     the top-k detections per image and class; -1 when nothing is eligible."""
     spec = ("ar", "ar", None, size_filter, k, None)
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
-    return _aggregates(table, mode, gt_set.label_map.ids(), [spec])["ar"]
+    return _aggregates(table, gt_set.label_map.ids(), [spec])["ar"]
 
 
 def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
@@ -319,7 +319,7 @@ def mean_ap(gt_set, det_set, mode: str = "boxes", max_dets: int = 100) -> dict:
         if kind == "ap"
     ]
     table = image_ious(gt_set, det_set, mode, IOU_SWEEP[0], np.inf)
-    return _aggregates(table, mode, gt_set.label_map.ids(), specs)
+    return _aggregates(table, gt_set.label_map.ids(), specs)
 
 
 @dataclass
@@ -351,7 +351,7 @@ def full_report(
     fallback = sum(int(np.count_nonzero(~s.items.has_mask)) for s in (gt_set, det_set))
     report = MetricsReport(
         per_class=precision_recall(cm),
-        aggregates=_aggregates(table, mode, gt_set.label_map.ids(), AGGREGATES),
+        aggregates=_aggregates(table, gt_set.label_map.ids(), AGGREGATES),
         geometry_mode=mode,
         algorithm=algorithm,
         mask_fallback_items=fallback if mode == "masks" else 0,

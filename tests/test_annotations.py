@@ -17,6 +17,7 @@ from deteval.annotations import (
     SplitRatios,
     _integers,
     _numbers,
+    _positions,
     json_text,
     load_detections,
     load_ground_truth,
@@ -796,3 +797,25 @@ class TestColumnarDifferential:
             for new, ref in zip(parts, reference_stratified_split(dataset, ratios, seed),
                                 strict=True):
                 self._same(new, ref)
+
+
+class TestPositions:
+    """``_positions``, the one id-to-row rule of every image and class lookup."""
+
+    def test_last_of_repeated_keys_and_minus_one_where_absent(self):
+        keys = np.array([7, 3, 7, 9, 3, 7])
+        values = np.array([7, 3, 9, 4, 10, -1, 7])
+        assert _positions(keys, values).tolist() == [5, 4, 3, -1, -1, -1, 5]
+        assert _positions(keys.tolist(), values).tolist() == [5, 4, 3, -1, -1, -1, 5]
+
+    def test_empty_keys_or_values(self):
+        assert _positions(np.empty(0, np.int64), np.array([1, 2])).tolist() == [-1, -1]
+        assert _positions([], np.array([0])).tolist() == [-1]
+        assert _positions(np.array([1]), np.empty(0, np.int64)).tolist() == []
+
+    @given(st.lists(st.integers(-3, 3), max_size=12), st.lists(st.integers(-4, 4), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_the_last_index_of_each_value(self, keys, values):
+        last = {k: i for i, k in enumerate(keys)}
+        got = _positions(np.array(keys, np.int64), np.array(values, np.int64))
+        assert got.tolist() == [last.get(v, -1) for v in values]

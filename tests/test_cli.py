@@ -721,6 +721,34 @@ CSVS = ("class_deltas.csv", "confusion_conventional.csv", "confusion_modified.cs
 SVGS = ("confusion_conventional.svg", "confusion_modified.svg")
 
 
+class TestLibraryExample:
+    def test_masks_mode_library_call_equals_the_cli(self, tmp_path):
+        """README's Library example passes ``gt.images`` to ``load_detections``:
+        a polygon detection then gets its image as its canvas and is clipped to
+        it, as in the CLI. Without the images it is not, and in masks mode a
+        detection twice the image's width counts as a 0.5 IoU."""
+        from deteval import Thresholds, full_report, load_detections, load_ground_truth
+
+        gt = write_json(tmp_path / "gt.json", {
+            "images": [{"id": 1, "file_name": "a.png", "width": 10, "height": 10}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10],
+                             "segmentation": [[0, 0, 10, 0, 10, 10, 0, 10]]}],
+            "categories": [{"id": 1, "name": "square"}],
+        })
+        det = write_json(tmp_path / "det.json", [
+            {"image_id": 1, "category_id": 1, "bbox": [0, 0, 20, 10], "score": 0.9,
+             "segmentation": [[0, 0, 20, 0, 20, 10, 0, 10]]}])
+        out = tmp_path / "out"
+        assert main(["evaluate", "--gt", str(gt), "--det", str(det), "--mode", "masks",
+                     "--out", str(out)]) == 0
+        cli = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregates"]
+        gt_set, t = load_ground_truth(gt), Thresholds(geometry_mode="masks")
+        report, _ = full_report(gt_set, load_detections(det, gt_set.label_map, gt_set.images), t)
+        assert report.aggregates == cli and cli["ar_100"] == 1.0
+        report, _ = full_report(gt_set, load_detections(det, gt_set.label_map), t)
+        assert report.aggregates["ar_100"] == 0.1
+
+
 class TestCompare:
     def test_crafted_conflict_shows_diagonal_gain(self, tmp_path):
         gt, det = road_pair(tmp_path)

@@ -19,7 +19,7 @@ from deteval.annotations import (
     load_detections,
     load_ground_truth,
 )
-from deteval.errors import ConfigError, GeometryError
+from deteval.errors import ConfigError, GeometryError, MissingReferenceError
 from deteval.geometry import BBox, InstanceMask, rle_encode
 from deteval.matching import (
     ALGORITHMS,
@@ -497,11 +497,13 @@ def det_proposing(gts, dets, t) -> MatchingResult:
 TIE_JITTERS = (0.0, 0.5, 2.0, 6.0)
 
 
-def modified_references_agree(seeds, mode) -> int:
+def modified_references_agree(seeds, mode, duplicated=False) -> int:
     """Check, on each image of the small crowded scenes of ``seeds`` at
     0.3/0.3, that ``match_modified`` equals the scalar gt-proposing run, the
     class-first greedy and the detection-proposing run; returns the number
-    of images checked."""
+    of images checked. If ``duplicated``, each ground truth ``g`` is given as
+    two of equal box, class and mask, ids ``2g + 1`` then ``2g``, which tie on
+    every detection, so the lowest gt_id, not list order, decides."""
     t = Thresholds(0.3, 0.3, mode)
     images = 0
     for seed in seeds:
@@ -511,6 +513,8 @@ def modified_references_agree(seeds, mode) -> int:
         by_det = det_set.by_image()
         for image_id, gts in gt_set.by_image().items():
             dets = by_det.get(image_id, [])
+            if duplicated:
+                gts = [replace(g, ann_id=2 * g.ann_id + k) for g in gts for k in (1, 0)]
             res = match_modified(gts, dets, t)
             assert res == image_modified(gts, dets, iou_matrix(gts, dets, mode), t)
             assert res == greedy_iou_matching(gts, dets, t, class_first=True)
@@ -528,6 +532,11 @@ class TestOnePairOrder:
     def test_modified_is_the_class_first_greedy(self, mode):
         # every fifth of the seeds 0-299; all of them pass too
         assert modified_references_agree(range(0, 300, 5), mode) == 180
+
+    @pytest.mark.parametrize("mode", ["boxes", "masks"])
+    def test_tied_ground_truths_go_by_lowest_gt_id(self, mode):
+        # every ninth of the seeds 0-299, each ground truth duplicated
+        assert modified_references_agree(range(0, 300, 9), mode, duplicated=True) == 102
 
     def test_the_class_key_moves_some_matchings(self):
         # on these scenes the class key changes some matchings
@@ -550,8 +559,9 @@ class TestOnePairOrder:
         det = np.arange(2 * n - 1) // 2
         iou = 0.5 + 0.4 * np.arange(2 * n - 1) / (2 * n)
         zeros, ids = np.zeros(n, np.int64), np.arange(n)
-        table = PairTable(0.5, -np.inf, False, [None], None, None, ids, ids, np.array([n]),
-                          np.array([n]), ids, zeros, ids, zeros, np.full(n, 0.9), gt, det, iou)
+        table = PairTable("boxes", 0.5, -np.inf, False, [None], None, None, ids, ids,
+                          np.array([n]), np.array([n]), ids, zeros, ids, zeros, np.full(n, 0.9),
+                          gt, det, iou)
         matched, rounds = _deferred_acceptance(table)
         assert rounds == 1
         used_gt, used_det, greedy = set(), set(), []
@@ -1118,7 +1128,7 @@ class TestImageIous:
                 pairs.append((i + len(gts), j + len(dets), ious[i, j]))
                 gts += image_gts
                 dets += image_dets
-            assert table.floor == floor
+            assert (table.mode, table.floor) == (mode, floor)
             assert table.image_id == [img.image_id for img in gt_set.images]
             assert table.gt_items is gt_set.items and table.det_items is det_set.items
             assert list(gt_set.items.records(table.gt_item)) == gts
@@ -1146,7 +1156,7 @@ class TestImageIous:
             gt_set, det_set = tie_heavy_scene(seed, mode)
             low, high = (image_ious(gt_set, det_set, mode, f) for f in (0.1, 0.5))
             assert low.iou.size > high.iou.size
-            low, high = _match_cells(low, mode), _match_cells(high, mode)
+            low, high = _match_cells(low), _match_cells(high)
             assert low.keys() == high.keys()
             for cid in low:
                 for a, b in zip(low[cid], high[cid]):
@@ -1164,6 +1174,28 @@ class TestImageIous:
         gt_set, det_set = generate(ScenarioConfig(seed=1))
         with pytest.raises(ConfigError, match="unknown geometry mode"):
             image_ious(gt_set, det_set, "pixels", 0.5)
+
+    def test_a_repeated_image_id_is_its_last_image(self):
+        # a record-built ground truth may repeat an image id: its items go to
+        # the last such image, as a detection's mask canvas does on loading
+        images = [ImageRecord(7, "a.png", 10, 10), ImageRecord(3, "b.png", 10, 10),
+                  ImageRecord(7, "c.png", 20, 20)]
+        gt_set = GroundTruthSet(images, LABELS, [replace(A(1, 1, (0, 0, 8, 8)), image_id=7)])
+        det_set = DetectionSet(LABELS, [replace(D(0, 1, (0, 0, 8, 8)), image_id=7)])
+        table = image_ious(gt_set, det_set, "boxes", 0.5)
+        assert (table.n_gts.tolist(), table.n_dets.tolist()) == ([0, 0, 1], [0, 0, 1])
+        results, cm = match_dataset(gt_set, det_set, T, "modified")
+        assert [len(r.matched) for r in results] == [0, 0, 1]
+        assert cm.diagonal(1) == 1
+
+    def test_unknown_detection_class_raises(self):
+        # the loader refuses such a class; a record-built set reaches the matrix
+        gt_set = GroundTruthSet([ImageRecord(1, "a.png", 64, 64)], LABELS,
+                                [A(1, 1, (0, 0, 8, 8))])
+        det_set = DetectionSet(LABELS, [D(0, 1, (0, 0, 8, 8)), D(1, 9, (20, 20, 8, 8))])
+        for algorithm in ALGORITHMS:
+            with pytest.raises(MissingReferenceError, match="unknown category_id 9"):
+                match_dataset(gt_set, det_set, T, algorithm)
 
 
 def _read_cells(table, conf, same_class):
@@ -1269,9 +1301,9 @@ class TestReadCells:
                         assert one_image(gt_set.by_image()[img.image_id],
                                          det_set.by_image().get(img.image_id, []),
                                          t) == result
-                pools = _match_cells(every, mode)
+                pools = _match_cells(every)
                 for table in (report, suite):
-                    got = _match_cells(table, mode)
+                    got = _match_cells(table)
                     assert got.keys() == pools.keys()
                     for cid in pools:
                         for a, b in zip(got[cid], pools[cid]):
@@ -1298,6 +1330,6 @@ class TestReadCells:
                 match_images(suite, labels, Thresholds(0.5, 1.0, mode), algorithm)
         # the AP/AR suite on a table of the shown cells only
         with pytest.raises(ConfigError, match="AP/AR suite reads every same-class pair"):
-            _match_cells(shown, mode)
+            _match_cells(shown)
         # a table with every cell serves every reader
-        _match_cells(image_ious(gt_set, det_set, mode, 0.5, -np.inf, False), mode)
+        _match_cells(image_ious(gt_set, det_set, mode, 0.5, -np.inf, False))

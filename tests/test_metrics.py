@@ -261,7 +261,7 @@ class TestMeanAp:
             ScenarioConfig(seed=5, image_count=4, gts_per_image=(2, 8),
                            image_size=(256, 256), jitter_px=3, clutter_rate=0.3)
         )
-        pools = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5), "boxes")
+        pools = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5))
         for cid in gt_set.label_map.ids():
             total = sum(1 for a in gt_set.annotations if a.class_id == cid)
             parts = 0
@@ -693,7 +693,7 @@ class TestPooledDifferential:
             if mode == "boxes":
                 scenes.append(grid_scene(seed))
             for gt_set, det_set in scenes:
-                pools = _match_cells(image_ious(gt_set, det_set, mode, 0.5), mode)
+                pools = _match_cells(image_ious(gt_set, det_set, mode, 0.5))
                 for cid in gt_set.label_map.ids():
                     for size in STRATA:
                         for cap in (1, 2) + CAPS:
@@ -713,7 +713,7 @@ class TestPooledDifferential:
             gt_set, det_set = bucket_scene(seed)
             counts = Counter((d.image_id, d.class_id) for d in det_set.detections)
             assert len({(n - 1).bit_length() for n in counts.values()}) >= 4
-            pools = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5), "boxes")
+            pools = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5))
             for cid in gt_set.label_map.ids():
                 for size in STRATA:
                     for cap in (1, 2, 10, 100):
@@ -745,7 +745,7 @@ class TestGreedyVsOracleMonotonicity:
                 cdets = [d for d in dets if d.class_id == cid]
                 if not cgts or len(cgts) > 12 or len(cdets) > 12:
                     continue
-                pool = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5), "boxes")[cid]
+                pool = _match_cells(image_ious(gt_set, det_set, "boxes", 0.5))[cid]
                 precision, final_recall = _curves(pool, 0, 100)
                 eligible = pool[3][0]
                 tp50 = round(final_recall[IOU_SWEEP.index(0.5)] * eligible)

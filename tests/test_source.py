@@ -72,6 +72,22 @@ def test_the_pair_order_is_spelled_once():
         assert "lexsort" not in body
 
 
+def test_one_id_to_row_rule():
+    """Every image and class lookup finds its row through
+    ``annotations._positions``: it is defined there alone, ``matching._codes``
+    reads it, and no module but the oracle keeps an ``np.isin`` test or an
+    id-to-row dict (``canvas_of``, ``row_of``) of its own."""
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(Path(deteval.__file__).parent.glob("*.py"))}
+    assert [name for name, text in texts.items()
+            if re.search(r"^def _positions\(", text, re.M)] == ["annotations.py"]
+    found = {name: re.findall(r"\bnp\.isin\b|\bcanvas_of\b|\brow_of\b", text)
+             for name, text in texts.items() if name != "oracle.py"}
+    assert found == dict.fromkeys(found, [])
+    codes = re.search(r"^def _codes\((.*?)\n(?=\S)", texts["matching.py"], re.S | re.M)
+    assert "_positions(" in codes[1] and "index_of" not in codes[1]
+
+
 def test_public_surface():
     """The names the package exports, spelled out; the scalar references the
     tests compare against live in ``deteval.oracle``, outside this list."""
